@@ -113,18 +113,7 @@ class BenchReporter {
   /// Records a measured parallel speedup for a phase.
   void AddSpeedup(const std::string& phase, int32_t baseline_threads,
                   int32_t threads, double speedup) {
-    speedups_.push_back(
-        Speedup{phase, baseline_threads, threads, speedup, false});
-  }
-
-  /// Records that a phase's baseline-vs-parallel pair was verified
-  /// bit-identical but its wall-clock ratio is meaningless (a single
-  /// hardware core serializes both runs). Emitted as a speedups[] entry
-  /// carrying "bit_identity_verified": true instead of a "speedup"
-  /// number, so the trajectory never records a fake 1.0x.
-  void AddBitIdentity(const std::string& phase, int32_t baseline_threads,
-                      int32_t threads) {
-    speedups_.push_back(Speedup{phase, baseline_threads, threads, 0.0, true});
+    speedups_.push_back(Speedup{phase, baseline_threads, threads, speedup});
   }
 
   /// Records one point of the per-core scaling curve: `phase` measured
@@ -177,12 +166,8 @@ class BenchReporter {
       out += "\n    {\"phase\": \"" + JsonEscape(speedups_[i].phase) +
              "\", \"baseline_threads\": " +
              std::to_string(speedups_[i].baseline_threads) +
-             ", \"threads\": " + std::to_string(speedups_[i].threads);
-      if (speedups_[i].bit_identity_only) {
-        out += ", \"bit_identity_verified\": true}";
-      } else {
-        out += ", \"speedup\": " + FormatSeconds(speedups_[i].speedup) + "}";
-      }
+             ", \"threads\": " + std::to_string(speedups_[i].threads) +
+             ", \"speedup\": " + FormatSeconds(speedups_[i].speedup) + "}";
     }
     const bool have_metrics = !counters_.empty() || !gauges_.empty();
     out += speedups_.empty() ? "]" : "\n  ]";
@@ -269,9 +254,6 @@ class BenchReporter {
     int32_t baseline_threads;
     int32_t threads;
     double speedup;
-    /// True for AddBitIdentity entries: the JSON carries
-    /// "bit_identity_verified": true and no "speedup" number.
-    bool bit_identity_only;
   };
   struct ScalingPoint {
     std::string phase;

@@ -1,15 +1,13 @@
 // Micro-benchmarks (google-benchmark) of the library's hot components:
-// model compilation, posterior evaluation, ERM epochs, EM iterations,
-// agreement-matrix construction, and Gibbs sweeps. These back the runtime
+// model compilation, posterior evaluation, ERM epochs, EM iterations, and
+// agreement-matrix construction. These back the runtime
 // claims of Tables 5/6 with per-component numbers.
 
 #include <benchmark/benchmark.h>
 
 #include "core/em.h"
 #include "core/erm.h"
-#include "core/factor_graph_compile.h"
 #include "core/model.h"
-#include "factorgraph/gibbs.h"
 #include "opt/matrix_completion.h"
 #include "synth/synthetic.h"
 #include "util/random.h"
@@ -102,25 +100,6 @@ void BM_AgreementMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AgreementMatrix)->Arg(100)->Arg(500)->Arg(1000);
-
-void BM_GibbsSweep(benchmark::State& state) {
-  auto synth = MakeBenchInstance(200, 500, 0.05);
-  SlimFastModel model(Compile(synth.dataset, ModelConfig{}).ValueOrDie());
-  auto compilation =
-      CompileToFactorGraph(model, synth.dataset, nullptr).ValueOrDie();
-  GibbsOptions options;
-  options.burn_in = 0;
-  options.samples = 1;
-  Rng rng(1);
-  for (auto _ : state) {
-    GibbsSampler sampler(&compilation.graph, options);
-    auto marginals = sampler.EstimateMarginals(&rng);
-    benchmark::DoNotOptimize(marginals.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          compilation.graph.num_variables());
-}
-BENCHMARK(BM_GibbsSweep);
 
 }  // namespace
 }  // namespace slimfast

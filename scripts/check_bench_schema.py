@@ -9,14 +9,7 @@ phase/speedup entries, a required phase disappearing from a scenario, or
 malformed latency percentiles (each of p50/p95/p99 must be a positive
 number and the percentile order p50 <= p95 <= p99 must hold).
 
-Speedup entries carry exactly one result key: either "speedup" (a
-number — the measured ratio) or "bit_identity_verified" (the literal
-true — the comparison ran and the outputs matched bitwise, but the box
-could not measure a meaningful ratio). The "gibbs_marginals" entry is
-held to the machine: on a multi-core box (top-level "cores" > 1) it must
-record a "speedup"; on a single-core box it must record
-"bit_identity_verified" instead — a "speedup" measured at one core is
-noise and must not enter the trajectory.
+Speedup entries carry the measured ratio as a "speedup" number.
 
 The runtime scenario must also carry a non-empty top-level "scaling"
 array — the per-core scaling curve of the SIMD EM phase, one
@@ -58,7 +51,6 @@ RUNTIME_REQUIRED_PHASES = [
     "learn_em_sparse",
     "learn_em_simd",
     "learn_erm_simd",
-    "gibbs_marginals",
     "eval_grid",
     "ingest_delta",
     "relearn_warm",
@@ -66,15 +58,14 @@ RUNTIME_REQUIRED_PHASES = [
 
 # Speedup entries the runtime scenario must measure: compilation caching,
 # the dense-to-sparse representation change, the SIMD kernel tables over
-# both learners, the exec-layer Gibbs scaling, and the incremental engine
-# (delta-compile ingest, warm relearning).
+# both learners, and the incremental engine (delta-compile ingest, warm
+# relearning).
 RUNTIME_REQUIRED_SPEEDUPS = [
     "compile_cached_vs_cold",
     "learn_erm_sparse_vs_dense",
     "learn_em_sparse_vs_dense",
     "learn_em_simd_vs_scalar",
     "learn_erm_simd_vs_scalar",
-    "gibbs_marginals",
     "ingest_delta_vs_recompile",
     "relearn_warm_vs_cold",
 ]
@@ -165,7 +156,7 @@ def type_name(expected):
 
 def type_mismatch(value, expected):
     # bool is an int subclass in Python; reject it unless bool is what the
-    # schema actually asks for (bit_identity_verified).
+    # schema actually asks for.
     if isinstance(value, bool):
         return expected is not bool
     return not isinstance(value, expected)
@@ -235,49 +226,18 @@ def check_metrics(metrics, bench_name):
             )
 
 
-def check_speedup(index, entry, cores):
-    """Validates one speedups[] entry, including its result key.
-
-    Every entry names a phase and the thread counts it compared, plus
-    exactly one result key: "speedup" (a measured ratio) or
-    "bit_identity_verified" (the literal true — the cross-check ran and
-    matched bitwise, but no meaningful ratio exists on this box). The
-    "gibbs_marginals" entry additionally must match the machine: a ratio
-    on a multi-core box, bit-identity on a single-core box.
-    """
+def check_speedup(index, entry):
+    """Validates one speedups[] entry: the phase, the thread counts it
+    compared, and the measured ratio."""
     check_entry(
         "speedups", index, entry,
-        {"phase": str, "baseline_threads": int, "threads": int},
-        optional={
+        {
+            "phase": str,
+            "baseline_threads": int,
+            "threads": int,
             "speedup": (int, float),
-            "bit_identity_verified": bool,
         },
     )
-    has_ratio = "speedup" in entry
-    has_identity = "bit_identity_verified" in entry
-    if has_ratio == has_identity:
-        fail(
-            f"speedups[{index}] ('{entry['phase']}') must carry exactly one "
-            f"of 'speedup' or 'bit_identity_verified': {entry!r}"
-        )
-    if has_identity and entry["bit_identity_verified"] is not True:
-        fail(
-            f"speedups[{index}] ('{entry['phase']}').bit_identity_verified "
-            f"must be the literal true: {entry!r}"
-        )
-    if entry["phase"] == "gibbs_marginals":
-        if cores > 1 and not has_ratio:
-            fail(
-                f"speedups[{index}] ('gibbs_marginals'): multi-core run "
-                f"(cores={cores}) must record a 'speedup' ratio, not "
-                f"bit_identity_verified"
-            )
-        if cores == 1 and not has_identity:
-            fail(
-                f"speedups[{index}] ('gibbs_marginals'): single-core run "
-                f"must record bit_identity_verified, not a 'speedup' "
-                f"(a 1-core ratio is noise)"
-            )
 
 
 def check_scaling(scaling):
@@ -426,7 +386,7 @@ def main(argv):
             fail(f"phases[{i}].qps must be > 0: {phase['qps']}")
 
     for i, speedup in enumerate(data["speedups"]):
-        check_speedup(i, speedup, data["cores"])
+        check_speedup(i, speedup)
 
     if "scaling" in data:
         check_scaling(data["scaling"])

@@ -20,8 +20,8 @@ namespace slimfast {
 /// arrays.
 ///
 /// The graph topology and feature sparsity pattern are fixed for a given
-/// dataset, so batch-ERM epochs, EM E-steps, and Gibbs sweeps only ever
-/// re-read this structure with fresh weights. The legacy dense path walks
+/// dataset, so batch-ERM epochs and EM E-steps only ever re-read this
+/// structure with fresh weights. The legacy dense path walks
 /// CompiledModel's nested per-object vectors; the sparse path walks these
 /// flat ranges in the same element order, so both produce bit-identical
 /// results (asserted per preset in determinism_test).

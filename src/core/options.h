@@ -159,15 +159,6 @@ struct WarmStartOptions {
   int32_t min_em_iterations = 2;
 };
 
-/// Inference engine choice.
-enum class InferenceEngine {
-  /// Exact per-object posterior (the base model factorizes per object).
-  kExact,
-  /// Gibbs sampling over the compiled factor graph (DeepDive-style); used
-  /// to validate the factor-graph path and for non-factorized extensions.
-  kGibbs,
-};
-
 /// Top-level options of the SLiMFast facade.
 struct SlimFastOptions {
   ModelConfig model;
@@ -175,13 +166,6 @@ struct SlimFastOptions {
   OptimizerOptions optimizer;
   ErmOptions erm;
   EmOptions em;
-  InferenceEngine inference = InferenceEngine::kExact;
-  /// Gibbs parameters when inference == kGibbs. With more than one chain,
-  /// `gibbs_chains` independent seeded chains run (in parallel when
-  /// exec.threads > 1) and their marginals are averaged in chain order.
-  int32_t gibbs_burn_in = 50;
-  int32_t gibbs_samples = 200;
-  int32_t gibbs_chains = 1;
   /// After an ERM fit, re-calibrate the *reported* source accuracies with
   /// a warm-started accuracy-log-loss fit (Definition 7) on the labeled
   /// observations. The discriminative object loss can leave accuracies

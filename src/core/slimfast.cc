@@ -2,8 +2,6 @@
 
 #include "core/em.h"
 #include "core/erm.h"
-#include "core/factor_graph_compile.h"
-#include "factorgraph/gibbs.h"
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -196,31 +194,7 @@ Result<FusionOutput> SlimFast::Run(const Dataset& dataset,
   output.method_name = name_;
   output.detail = fit.decision.ToString();
 
-  if (options_.inference == InferenceEngine::kExact) {
-    output.predicted_values = fit.model.PredictAll();
-  } else {
-    SLIMFAST_ASSIGN_OR_RETURN(
-        FactorGraphCompilation graph_compilation,
-        CompileToFactorGraph(fit.model, dataset, &split));
-    GibbsOptions gibbs_options;
-    gibbs_options.burn_in = options_.gibbs_burn_in;
-    gibbs_options.samples = options_.gibbs_samples;
-    gibbs_options.chains = options_.gibbs_chains;
-    GibbsSampler sampler(&graph_compilation.graph, gibbs_options);
-    Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
-    auto marginals = sampler.EstimateMarginals(&rng, &exec);
-    auto map = graph_compilation.graph.MapFromMarginals(marginals);
-
-    const CompiledModel& compiled = fit.model.compiled();
-    output.predicted_values.assign(
-        static_cast<size_t>(dataset.num_objects()), kNoValue);
-    for (size_t r = 0; r < compiled.objects.size(); ++r) {
-      const CompiledObject& row = compiled.objects[r];
-      int32_t di = map[static_cast<size_t>(graph_compilation.row_vars[r])];
-      output.predicted_values[static_cast<size_t>(row.object)] =
-          row.domain[static_cast<size_t>(di)];
-    }
-  }
+  output.predicted_values = fit.model.PredictAll();
   output.source_accuracies = fit.model.AllSourceAccuracies();
   if (options_.calibrate_accuracies &&
       fit.algorithm_used == Algorithm::kErm &&

@@ -42,9 +42,9 @@ int32_t FixedShardCount(int64_t n);
 /// multi-shard RunShards call, so a parallel-capable Executor handed to a
 /// fully serial pipeline (SGD learning + exact inference) never starts a
 /// thread. The Executor is the single knob the layers above share:
-/// learners, the Gibbs sampler, the synthetic generator, and the eval
-/// harness all take an `Executor*` and treat nullptr as serial with the
-/// *same* shard structure, so thread count never changes results.
+/// learners, the synthetic generator, and the eval harness all take an
+/// `Executor*` and treat nullptr as serial with the *same* shard structure,
+/// so thread count never changes results.
 ///
 /// An Executor is driven from one thread at a time (shard bodies run on
 /// its workers, but RunShards itself is not re-entrant).

@@ -2,38 +2,22 @@
 #define SLIMFAST_EXEC_SHARDED_RNG_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "util/random.h"
+#include "util/hash.h"
 
 namespace slimfast {
 
-/// Per-shard random streams derived from one seed.
+/// Seed of random stream `index` derived from one base `seed`.
 ///
-/// Stream i is seeded with a SplitMix64 mix of (seed, i), so streams are
-/// statistically independent, a stream's seed depends only on (seed, index)
-/// — never on how many streams exist or which thread draws from it — and
-/// randomized parallel stages (multi-chain Gibbs, replica generation) stay
-/// bit-reproducible for every thread count.
-class ShardedRng {
- public:
-  ShardedRng(uint64_t seed, int32_t num_streams);
-
-  int32_t num_streams() const {
-    return static_cast<int32_t>(streams_.size());
-  }
-
-  /// The stream for shard `i`. Distinct streams may be drawn from
-  /// concurrently; a single stream must stay on one thread at a time.
-  Rng* stream(int32_t i) { return &streams_[static_cast<size_t>(i)]; }
-
-  /// The seed stream `index` of a ShardedRng built on `seed` would get.
-  /// Exposed so callers can reproduce one shard in isolation.
-  static uint64_t StreamSeed(uint64_t seed, int32_t index);
-
- private:
-  std::vector<Rng> streams_;
-};
+/// A SplitMix64 mix of (seed, index), so streams are statistically
+/// independent and a stream's seed depends only on (seed, index) — never on
+/// how many streams exist or which thread draws from it. Randomized parallel
+/// stages (synthetic replica generation) seed one Rng per stream from it and
+/// stay bit-reproducible for every thread count.
+inline uint64_t StreamSeed(uint64_t seed, int32_t index) {
+  return SplitMix64(seed +
+                    0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(index + 1));
+}
 
 }  // namespace slimfast
 

@@ -3,15 +3,18 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 
 #include "storage/crc32.h"
+#include "storage/file_io.h"
 
 namespace slimfast {
+
+using storage_internal::ErrnoMessage;
+using storage_internal::FsyncDir;
+using storage_internal::WriteFully;
 
 namespace {
 
@@ -22,30 +25,13 @@ constexpr uint64_t kSnapshotFooter = 0x534C46534E415031ULL;
 Status WriteFileDurably(const std::string& path, const std::string& bytes) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                   0644);
-  if (fd < 0) {
-    return Status::IOError("cannot create " + path + ": " +
-                           std::strerror(errno));
-  }
-  size_t written = 0;
-  while (written < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status failed = Status::IOError("cannot write " + path + ": " +
-                                      std::strerror(errno));
-      ::close(fd);
-      return failed;
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    Status failed = Status::IOError("cannot fsync " + path + ": " +
-                                    std::strerror(errno));
-    ::close(fd);
-    return failed;
+  if (fd < 0) return Status::IOError(ErrnoMessage("create", path));
+  Status written = WriteFully(fd, bytes.data(), bytes.size(), path);
+  if (written.ok() && ::fsync(fd) != 0) {
+    written = Status::IOError(ErrnoMessage("fsync", path));
   }
   ::close(fd);
-  return Status::OK();
+  return written;
 }
 
 }  // namespace
@@ -70,14 +56,7 @@ Status WriteSnapshotFile(const std::string& path,
   // Make the rename itself durable.
   const std::string dir =
       std::filesystem::path(path).parent_path().string();
-  if (!dir.empty()) {
-    int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-    }
-  }
-  return Status::OK();
+  return FsyncDir(dir.empty() ? "." : dir);
 }
 
 Result<std::string> ReadSnapshotFile(const std::string& path) {

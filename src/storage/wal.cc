@@ -14,8 +14,13 @@
 #include "obs/registry.h"
 #include "storage/codec.h"
 #include "storage/crc32.h"
+#include "storage/file_io.h"
 
 namespace slimfast {
+
+using storage_internal::ErrnoMessage;
+using storage_internal::FsyncDir;
+using storage_internal::WriteFully;
 
 namespace {
 
@@ -31,33 +36,6 @@ std::string SegmentName(uint64_t first_sequence) {
   std::snprintf(name, sizeof(name), "wal-%020llu.seg",
                 static_cast<unsigned long long>(first_sequence));
   return name;
-}
-
-std::string ErrnoMessage(const std::string& what, const std::string& path) {
-  return what + " " + path + ": " + std::strerror(errno);
-}
-
-Status WriteFully(int fd, const char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("wal write: ") +
-                             std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status FsyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return Status::IOError(ErrnoMessage("open wal dir", dir));
-  int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return Status::IOError(ErrnoMessage("fsync wal dir", dir));
-  return Status::OK();
 }
 
 Result<std::string> ReadFileBytes(const std::string& path) {
@@ -399,7 +377,7 @@ Status WalWriter::CreateSegment(uint64_t first_sequence) {
   std::string header;
   AppendU64(&header, kWalMagic);
   AppendU64(&header, first_sequence);
-  Status written = WriteFully(fd, header.data(), header.size());
+  Status written = WriteFully(fd, header.data(), header.size(), path);
   if (!written.ok()) {
     ::close(fd);
     return written;
@@ -465,7 +443,8 @@ Result<uint64_t> WalWriter::Append(const ObservationBatch& batch) {
   AppendU32(&record, static_cast<uint32_t>(payload.size()));
   AppendU32(&record, Crc32(payload.data(), payload.size()));
   record += payload;
-  Status written = WriteFully(fd_, record.data(), record.size());
+  const std::string& path = segments_.back().second;
+  Status written = WriteFully(fd_, record.data(), record.size(), path);
   if (!written.ok()) {
     poisoned_ = true;
     return written;

@@ -261,9 +261,8 @@ Result<std::vector<SyntheticDataset>> GenerateSyntheticReplicas(
   std::vector<Status> statuses(static_cast<size_t>(num_replicas),
                                Status::OK());
   ParallelFor(exec, num_replicas, [&](int64_t i) {
-    auto replica =
-        GenerateSynthetic(config, ShardedRng::StreamSeed(
-                                      base_seed, static_cast<int32_t>(i)));
+    auto replica = GenerateSynthetic(
+        config, StreamSeed(base_seed, static_cast<int32_t>(i)));
     if (replica.ok()) {
       replicas[static_cast<size_t>(i)] = std::move(replica).ValueOrDie();
     } else {

@@ -113,8 +113,8 @@ Result<SyntheticDataset> GenerateSynthetic(const SyntheticConfig& config,
                                            uint64_t seed);
 
 /// Generates `num_replicas` independent instances of `config`, replica i
-/// seeded with ShardedRng::StreamSeed(base_seed, i) — so replica i is
-/// exactly GenerateSynthetic(config, StreamSeed(base_seed, i)) and the
+/// seeded with StreamSeed(base_seed, i) (exec/sharded_rng.h) — so replica i
+/// is exactly GenerateSynthetic(config, StreamSeed(base_seed, i)) and the
 /// batch is deterministic for every thread count. Replicas run in parallel
 /// across `exec` (null = serial). On any per-replica failure the
 /// lowest-indexed error is returned.

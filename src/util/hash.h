@@ -6,8 +6,8 @@
 namespace slimfast {
 
 /// SplitMix64 finalizer (Steele, Lea & Flood); a bijective avalanche mix.
-/// The one mixing primitive shared by the exec seed streams
-/// (ShardedRng::StreamSeed) and the content fingerprints of the data/core
+/// The one mixing primitive shared by the exec seed streams (StreamSeed in
+/// exec/sharded_rng.h) and the content fingerprints of the data/core
 /// layers — a single definition so "same mix" stays true by construction.
 inline uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;

@@ -10,7 +10,7 @@
 namespace slimfast {
 
 // Sigmoid, LogSumExp, SoftmaxInPlace and Dot route through src/simd so
-// every caller — per-row model scores, batched E-step pipelines, Gibbs,
+// every caller — per-row model scores, batched E-step pipelines,
 // baselines — computes the exact same bits regardless of vector width or
 // thread count. SoftmaxInPlace dispatches to the batched kernel (it is
 // the single-row case of simd::SoftmaxRows); the reductions use the

@@ -12,7 +12,7 @@ namespace slimfast {
 /// Deterministic random number generator wrapper.
 ///
 /// All stochastic components in the library (data generators, SGD shuffling,
-/// Gibbs sampling, train/test splits) draw from an explicitly seeded Rng so
+/// train/test splits) draw from an explicitly seeded Rng so
 /// that every experiment is reproducible bit-for-bit given its seed.
 class Rng {
  public:

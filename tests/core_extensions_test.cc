@@ -4,11 +4,9 @@
 
 #include "core/copying.h"
 #include "core/erm.h"
-#include "core/factor_graph_compile.h"
 #include "core/slimfast.h"
 #include "core/source_init.h"
 #include "eval/metrics.h"
-#include "factorgraph/gibbs.h"
 #include "test_util.h"
 #include "util/math.h"
 
@@ -183,88 +181,6 @@ TEST(CopyingTest, NoCopyParamsGivesEmptyRelations) {
   EXPECT_TRUE(TopCopyingRelations(model, 10).empty());
 }
 
-// ---------- Factor graph lowering ----------
-
-TEST(FactorGraphCompileTest, ExactInferenceMatchesModelPosterior) {
-  Dataset d = testutil::MakePlantedDataset({0.9, 0.7, 0.6, 0.4}, 30, 1.0,
-                                           61);
-  ModelConfig config;
-  config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
-  std::vector<double> w = {1.2, 0.4, 0.2, -0.5};
-  model.SetWeights(w);
-
-  auto compilation =
-      CompileToFactorGraph(model, d, /*split=*/nullptr).ValueOrDie();
-  auto graph_marginals = compilation.graph.ExactMarginals().ValueOrDie();
-
-  std::vector<double> model_probs;
-  for (size_t r = 0; r < model.compiled().objects.size(); ++r) {
-    const CompiledObject& row = model.compiled().objects[r];
-    model.Posterior(row, &model_probs);
-    VarId var = compilation.row_vars[r];
-    for (size_t di = 0; di < row.domain.size(); ++di) {
-      EXPECT_NEAR(graph_marginals[static_cast<size_t>(var)][di],
-                  model_probs[di], 1e-9)
-          << "object row " << r << " candidate " << di;
-    }
-  }
-}
-
-TEST(FactorGraphCompileTest, EvidenceClampsTrainObjects) {
-  Dataset d = testutil::MakeFigure1Dataset();
-  SlimFastModel model(
-      Compile(d, ModelConfig{.use_feature_weights = false}).ValueOrDie());
-  auto split = testutil::MakePrefixSplit(d, 1);  // object 0 labeled
-  auto compilation = CompileToFactorGraph(model, d, &split).ValueOrDie();
-  const Variable& v0 =
-      compilation.graph.variable(compilation.row_vars[0]);
-  EXPECT_TRUE(v0.observed);
-  // Object 0's truth 0 is at domain index 0.
-  EXPECT_EQ(v0.observed_value, 0);
-  const Variable& v1 =
-      compilation.graph.variable(compilation.row_vars[1]);
-  EXPECT_FALSE(v1.observed);
-}
-
-TEST(FactorGraphCompileTest, SyncWeightsPropagates) {
-  Dataset d = testutil::MakeFigure1Dataset();
-  ModelConfig config;
-  config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
-  auto compilation = CompileToFactorGraph(model, d, nullptr).ValueOrDie();
-  std::vector<double> w = {0.9, -0.2, 0.1};
-  model.SetWeights(w);
-  SyncWeightsToGraph(model, &compilation);
-  for (size_t p = 0; p < w.size(); ++p) {
-    EXPECT_DOUBLE_EQ(
-        compilation.graph.weight(compilation.param_weights[p]), w[p]);
-  }
-}
-
-TEST(FactorGraphCompileTest, GibbsApproximatesExactOnCompiledModel) {
-  Dataset d = testutil::MakePlantedDataset({0.85, 0.75, 0.55}, 10, 1.0, 67);
-  ModelConfig config;
-  config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
-  std::vector<double> w = {1.0, 0.6, 0.1};
-  model.SetWeights(w);
-  auto compilation = CompileToFactorGraph(model, d, nullptr).ValueOrDie();
-
-  GibbsOptions options;
-  options.burn_in = 100;
-  options.samples = 3000;
-  GibbsSampler sampler(&compilation.graph, options);
-  Rng rng(5);
-  auto gibbs = sampler.EstimateMarginals(&rng);
-  auto exact = compilation.graph.ExactMarginals().ValueOrDie();
-  for (size_t v = 0; v < gibbs.size(); ++v) {
-    for (size_t dI = 0; dI < gibbs[v].size(); ++dI) {
-      EXPECT_NEAR(gibbs[v][dI], exact[v][dI], 0.05);
-    }
-  }
-}
-
 // ---------- SlimFast facade presets ----------
 
 TEST(SlimFastFacadeTest, PresetNamesMatchPaper) {
@@ -287,33 +203,6 @@ TEST(SlimFastFacadeTest, RunProducesFullOutput) {
             static_cast<size_t>(d.num_sources()));
   EXPECT_FALSE(output.detail.empty());
   EXPECT_GE(output.learn_seconds, 0.0);
-}
-
-TEST(SlimFastFacadeTest, GibbsInferenceAgreesWithExact) {
-  Dataset d = MakeFeatureAccuracyDataset(73, 10, 120);
-  auto split = testutil::MakePrefixSplit(d, 60);
-
-  SlimFastOptions exact_options;
-  exact_options.algorithm = Algorithm::kErm;
-  SlimFast exact_method(exact_options, "exact");
-  auto exact_output = exact_method.Run(d, split, 3).ValueOrDie();
-
-  SlimFastOptions gibbs_options = exact_options;
-  gibbs_options.inference = InferenceEngine::kGibbs;
-  gibbs_options.gibbs_burn_in = 50;
-  gibbs_options.gibbs_samples = 400;
-  SlimFast gibbs_method(gibbs_options, "gibbs");
-  auto gibbs_output = gibbs_method.Run(d, split, 3).ValueOrDie();
-
-  // Predictions should agree on the overwhelming majority of objects.
-  int64_t agree = 0;
-  for (ObjectId o = 0; o < d.num_objects(); ++o) {
-    if (exact_output.predicted_values[static_cast<size_t>(o)] ==
-        gibbs_output.predicted_values[static_cast<size_t>(o)]) {
-      ++agree;
-    }
-  }
-  EXPECT_GT(static_cast<double>(agree) / d.num_objects(), 0.95);
 }
 
 TEST(SlimFastFacadeTest, ErmPresetFallsBackToEmWithoutLabels) {

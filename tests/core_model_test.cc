@@ -53,6 +53,33 @@ TEST(ModelTest, PosteriorMatchesEquation4ByHand) {
   double s1 = std::exp(0.5);
   EXPECT_NEAR(probs[0], s0 / (s0 + s1), 1e-12);
   EXPECT_NEAR(probs[1], s1 / (s0 + s1), 1e-12);
+
+  // A 3-candidate object with negative source weights: sources
+  // {0: value 0, 1: value 1, 2: value 2, 3: value 0}. Every matching claim
+  // also adds the multiclass offset log(|D_o| - 1) = log 2, so
+  // P(To = 0) ∝ exp(σ0 + σ3 + 2 log 2), P(To = 1) ∝ exp(σ1 + log 2),
+  // P(To = 2) ∝ exp(σ2 + log 2).
+  DatasetBuilder builder("multiclass", 4, 1, 3);
+  SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 0));
+  SLIMFAST_CHECK_OK(builder.AddObservation(0, 1, 1));
+  SLIMFAST_CHECK_OK(builder.AddObservation(0, 2, 2));
+  SLIMFAST_CHECK_OK(builder.AddObservation(0, 3, 0));
+  Dataset d = std::move(builder).Build().ValueOrDie();
+  SlimFastModel multiclass(Compile(d, ModelConfig{}).ValueOrDie());
+  std::vector<double> mw = {0.8, -0.6, 0.3, -0.4};
+  ASSERT_EQ(multiclass.weights().size(), mw.size());
+  multiclass.SetWeights(mw);
+  ASSERT_TRUE(multiclass.PosteriorOf(0, &probs));
+  ASSERT_EQ(probs.size(), 3u);
+  const double log2 = std::log(2.0);
+  const double e0 = std::exp(0.8 - 0.4 + 2.0 * log2);
+  const double e1 = std::exp(-0.6 + log2);
+  const double e2 = std::exp(0.3 + log2);
+  const double z = e0 + e1 + e2;
+  const CompiledObject* row = multiclass.compiled().RowOf(0);
+  EXPECT_NEAR(probs[static_cast<size_t>(row->DomainIndex(0))], e0 / z, 1e-12);
+  EXPECT_NEAR(probs[static_cast<size_t>(row->DomainIndex(1))], e1 / z, 1e-12);
+  EXPECT_NEAR(probs[static_cast<size_t>(row->DomainIndex(2))], e2 / z, 1e-12);
 }
 
 TEST(ModelTest, FeatureWeightsEnterSigma) {

@@ -157,27 +157,6 @@ TEST(DeterminismTest, Threads1VsThreads4BitIdenticalBatchErm) {
   ExpectSameFusionOutput(first, second);
 }
 
-/// Same contract for multi-chain Gibbs inference: 4 chains averaged in
-/// chain order give bit-identical marginals (and hence predictions) on 1
-/// and 4 threads.
-TEST(DeterminismTest, Threads1VsThreads4BitIdenticalGibbsChains) {
-  const std::vector<double> planted = {0.9, 0.8, 0.7, 0.85};
-  Dataset dataset = MakePlantedDataset(planted, 80, 0.5, 13);
-  Rng rng(9);
-  TrainTestSplit split = MakeSplit(dataset, 0.2, &rng).ValueOrDie();
-  SlimFastOptions serial;
-  serial.inference = InferenceEngine::kGibbs;
-  serial.gibbs_chains = 4;
-  serial.gibbs_burn_in = 10;
-  serial.gibbs_samples = 40;
-  serial.exec.threads = 1;
-  SlimFastOptions parallel = serial;
-  parallel.exec.threads = 4;
-  auto first = MakeSlimFast(serial)->Run(dataset, split, 55).ValueOrDie();
-  auto second = MakeSlimFast(parallel)->Run(dataset, split, 55).ValueOrDie();
-  ExpectSameFusionOutput(first, second);
-}
-
 /// The representation contract, end to end: the sparse path (columnar
 /// ObservationStore + CompiledInstance flat ranges, the default) and the
 /// legacy dense path (nested per-object vectors) produce bit-identical
@@ -220,8 +199,8 @@ TEST(DeterminismTest, SparseVsDenseBitIdenticalAllPresets) {
 }
 
 /// Same contract for the sharded batch-ERM gradient (the presets above
-/// run SGD mode) and for Gibbs inference over a sparse-compiled fit.
-TEST(DeterminismTest, SparseVsDenseBitIdenticalBatchErmAndGibbs) {
+/// run SGD mode).
+TEST(DeterminismTest, SparseVsDenseBitIdenticalBatchErm) {
   const std::vector<double> planted = {0.9, 0.8, 0.7, 0.6, 0.85};
   Dataset dataset = MakePlantedDataset(planted, 120, 0.5, 41);
   Rng rng(6);
@@ -239,21 +218,6 @@ TEST(DeterminismTest, SparseVsDenseBitIdenticalBatchErmAndGibbs) {
     auto sparse_out =
         MakeSlimFastErm(sparse)->Run(dataset, split, 77).ValueOrDie();
     ExpectSameFusionOutput(dense_out, sparse_out);
-
-    SlimFastOptions dense_gibbs;
-    dense_gibbs.use_sparse = false;
-    dense_gibbs.inference = InferenceEngine::kGibbs;
-    dense_gibbs.gibbs_chains = 2;
-    dense_gibbs.gibbs_burn_in = 10;
-    dense_gibbs.gibbs_samples = 40;
-    dense_gibbs.exec.threads = threads;
-    SlimFastOptions sparse_gibbs = dense_gibbs;
-    sparse_gibbs.use_sparse = true;
-    auto dense_gibbs_out =
-        MakeSlimFast(dense_gibbs)->Run(dataset, split, 55).ValueOrDie();
-    auto sparse_gibbs_out =
-        MakeSlimFast(sparse_gibbs)->Run(dataset, split, 55).ValueOrDie();
-    ExpectSameFusionOutput(dense_gibbs_out, sparse_gibbs_out);
   }
 }
 

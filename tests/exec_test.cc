@@ -1,7 +1,7 @@
 // The exec layer's contracts: fixed static sharding, bit-identical
 // deterministic reductions for every thread count, exception propagation,
-// and seed-stable sharded random streams. These are the guarantees every
-// parallel hot path (ERM, EM, Gibbs, synth, eval grid) builds on.
+// and seed-stable per-stream random seeds. These are the guarantees every
+// parallel hot path (ERM, EM, synth, eval grid) builds on.
 
 #include <gtest/gtest.h>
 
@@ -209,27 +209,26 @@ TEST(DeterministicReduceTest, CombinesInShardOrder) {
   EXPECT_EQ(out, items);
 }
 
-// ------------------------------------------------------------ ShardedRng
+// ------------------------------------------------------------ StreamSeed
 
-TEST(ShardedRngTest, StreamSeedDependsOnlyOnSeedAndIndex) {
-  EXPECT_EQ(ShardedRng::StreamSeed(1, 0), ShardedRng::StreamSeed(1, 0));
-  EXPECT_NE(ShardedRng::StreamSeed(1, 0), ShardedRng::StreamSeed(1, 1));
-  EXPECT_NE(ShardedRng::StreamSeed(1, 0), ShardedRng::StreamSeed(2, 0));
-  // Stream i's seed is the same whether 2 or 16 streams exist.
-  ShardedRng few(99, 2);
-  ShardedRng many(99, 16);
-  EXPECT_EQ(few.stream(1)->Uniform(), many.stream(1)->Uniform());
-}
-
-TEST(ShardedRngTest, StreamsAreIndependentAndReproducible) {
-  ShardedRng a(123, 4);
-  ShardedRng b(123, 4);
-  for (int32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(a.stream(i)->Uniform(), b.stream(i)->Uniform());
+TEST(StreamSeedTest, DependsOnlyOnSeedAndIndexAndReproduces) {
+  EXPECT_EQ(StreamSeed(1, 0), StreamSeed(1, 0));
+  EXPECT_NE(StreamSeed(1, 0), StreamSeed(1, 1));
+  EXPECT_NE(StreamSeed(1, 0), StreamSeed(2, 0));
+  // The formula is part of the synthetic-replica contract: replica i of a
+  // batch is generated at StreamSeed(base, i), so a changed mix would
+  // silently change every replica.
+  EXPECT_EQ(StreamSeed(1, 0), 0xbeeb8da1658eec67ULL);
+  // An Rng seeded from a stream seed reproduces, and distinct streams
+  // produce distinct sequences.
+  Rng a(StreamSeed(123, 2));
+  Rng b(StreamSeed(123, 2));
+  Rng c(StreamSeed(123, 3));
+  for (int i = 0; i < 4; ++i) {
+    const double u = a.Uniform();
+    EXPECT_EQ(u, b.Uniform());
+    EXPECT_NE(u, c.Uniform());
   }
-  // Distinct streams produce distinct sequences.
-  ShardedRng c(123, 2);
-  EXPECT_NE(c.stream(0)->Uniform(), c.stream(1)->Uniform());
 }
 
 }  // namespace

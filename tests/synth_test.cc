@@ -293,9 +293,8 @@ TEST(SyntheticTest, ReplicasMatchPerSeedGenerationAndThreadCount) {
     SCOPED_TRACE(i);
     // Replica i is exactly GenerateSynthetic at its published stream seed,
     // on every thread count.
-    auto solo = GenerateSynthetic(
-                    config, ShardedRng::StreamSeed(99, static_cast<int32_t>(i)))
-                    .ValueOrDie();
+    const uint64_t seed = StreamSeed(99, static_cast<int32_t>(i));
+    auto solo = GenerateSynthetic(config, seed).ValueOrDie();
     for (const auto* batch : {&batch_serial, &batch_parallel}) {
       const SyntheticDataset& replica = (*batch)[i];
       EXPECT_EQ(replica.true_accuracies, solo.true_accuracies);

@@ -36,11 +36,11 @@
 //
 // The `bench` subcommand runs the Table-5-style runtime scenario (synthetic
 // generation, compilation cold vs cached, dense vs sparse ERM + EM
-// learning, multi-chain Gibbs marginals at 1 and N threads, the eval grid,
-// incremental delta-compilation vs full recompiles, and warm vs cold
-// relearning) and writes per-phase seconds as BENCH_runtime.json (override
-// with --out). --quick shrinks the scenario to CI size; the JSON schema is
-// identical and checked by scripts/check_bench_schema.py.
+// learning, SIMD wide vs scalar learning, the per-core scaling curve, the
+// eval grid, incremental delta-compilation vs full recompiles, and warm vs
+// cold relearning) and writes per-phase seconds as BENCH_runtime.json
+// (override with --out). --quick shrinks the scenario to CI size; the JSON
+// schema is identical and checked by scripts/check_bench_schema.py.
 //
 // The `replay` subcommand feeds a dataset through a long-lived
 // FusionSession in K chunks — delta-compile on ingest, warm-started
@@ -86,7 +86,6 @@
 #include "baselines/registry.h"
 #include "bench_common.h"
 #include "core/explain.h"
-#include "core/factor_graph_compile.h"
 #include "core/fusion_session.h"
 #include "core/slimfast.h"
 #include "core/streaming.h"
@@ -95,7 +94,6 @@
 #include "eval/harness.h"
 #include "eval/metrics.h"
 #include "exec/parallel.h"
-#include "factorgraph/gibbs.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
 #include "serve/fusion_service.h"
@@ -768,8 +766,6 @@ int RunReplay(const CliOptions& options) {
 ///                      outputs bit-identical (the lane-stable contract)
 ///   learn_erm_simd     batch accuracy-log-loss ERM, wide vs scalar,
 ///                      same bitwise cross-check
-///   gibbs_marginals    4-chain Gibbs marginals, at 1 thread and at the
-///                      requested budget — the speedup the exec layer buys
 ///   eval_grid          parallel method×fraction sweep (src/eval)
 ///   ingest_delta       incremental ingest in 4 chunks: store splice +
 ///                      DeltaCompile of the touched rows, vs recompiling
@@ -788,7 +784,6 @@ int RunBench(const CliOptions& options) {
   ExecOptions exec_options;
   exec_options.threads = options.threads;
   Executor parallel(exec_options);
-  Executor serial;  // 1 thread, same shard structure
   const int32_t threads = parallel.threads();
   const bool quick = options.quick;
 
@@ -1053,68 +1048,13 @@ int RunBench(const CliOptions& options) {
     }
   }
 
-  // --- Phase 5: multi-chain Gibbs marginals, serial vs parallel. ---
-  SlimFastOptions fit_options;
-  fit_options.exec.threads = threads;
-  SlimFast fitter(fit_options, "bench-fitter");
-  SlimFastFit fit =
-      fitter.Fit(dataset, split, options.seed, &parallel).ValueOrDie();
-  FactorGraphCompilation compilation =
-      CompileToFactorGraph(fit.model, dataset, &split).ValueOrDie();
-  GibbsOptions gibbs_options;
-  gibbs_options.burn_in = quick ? 10 : 20;
-  gibbs_options.samples = quick ? 40 : 80;
-  gibbs_options.chains = 4;
-  GibbsSampler sampler(&compilation.graph, gibbs_options);
-
-  Rng gibbs_rng_serial(options.seed);
-  std::vector<std::vector<double>> marginals_serial;
-  double gibbs_serial_seconds = bench::TimeSeconds([&] {
-    marginals_serial = sampler.EstimateMarginals(&gibbs_rng_serial, &serial);
-  });
-  Rng gibbs_rng_parallel(options.seed);
-  std::vector<std::vector<double>> marginals_parallel;
-  double gibbs_parallel_seconds = bench::TimeSeconds([&] {
-    marginals_parallel =
-        sampler.EstimateMarginals(&gibbs_rng_parallel, &parallel);
-  });
-  if (marginals_serial != marginals_parallel) {
-    std::fprintf(stderr,
-                 "bench: Gibbs marginals differ between 1 and %d threads "
-                 "(determinism contract violated)\n",
-                 threads);
-    return 1;
-  }
   if (threads > bench::BenchReporter::HardwareCores()) {
     std::printf("  note: %d threads on %d hardware core(s); wall-clock "
                 "speedup is capped by the hardware\n",
                 threads, bench::BenchReporter::HardwareCores());
   }
-  reporter.AddPhase("gibbs_marginals", gibbs_serial_seconds, 1);
-  reporter.AddPhase("gibbs_marginals", gibbs_parallel_seconds, threads);
-  // On a single hardware core the serial/parallel wall-clock ratio is
-  // scheduler noise, not a speedup; record that the bit-identity
-  // cross-check above passed instead of a fake ~1.0x number. The schema
-  // checker enforces this choice against the run's "cores" value.
-  if (bench::BenchReporter::HardwareCores() > 1) {
-    double gibbs_speedup =
-        gibbs_parallel_seconds > 0.0
-            ? gibbs_serial_seconds / gibbs_parallel_seconds
-            : 0.0;
-    reporter.AddSpeedup("gibbs_marginals", 1, threads, gibbs_speedup);
-    std::printf("  gibbs_marginals    %7.3fs @1 thread, %7.3fs @%d threads "
-                "(%.2fx, bit-identical)\n",
-                gibbs_serial_seconds, gibbs_parallel_seconds, threads,
-                gibbs_speedup);
-  } else {
-    reporter.AddBitIdentity("gibbs_marginals", 1, threads);
-    std::printf("  gibbs_marginals    %7.3fs @1 thread, %7.3fs @%d threads "
-                "(single core: bit-identity verified, no speedup "
-                "recorded)\n",
-                gibbs_serial_seconds, gibbs_parallel_seconds, threads);
-  }
 
-  // --- Phase 6: parallel eval grid. ---
+  // --- Phase 5: parallel eval grid. ---
   // Every SLiMFast cell shares the dataset, so the grid hits the
   // compilation cache after the first cell.
   std::vector<std::unique_ptr<FusionMethod>> methods_owned;
@@ -1139,7 +1079,7 @@ int RunBench(const CliOptions& options) {
               "seeds)\n",
               grid_seconds, spec.train_fractions.size(), spec.num_seeds);
 
-  // --- Phase 7: incremental ingest — delta-compilation vs recompiling
+  // --- Phase 6: incremental ingest — delta-compilation vs recompiling
   // the data-so-far from scratch after every chunk. Every chunk's delta
   // result is cross-checked bitwise-equal to the full recompilation (the
   // delta-maintenance contract); the bench fails on mismatch. ---
@@ -1180,7 +1120,7 @@ int RunBench(const CliOptions& options) {
               ingest_delta_seconds, ingest_full_seconds, ingest_chunks,
               ingest_speedup);
 
-  // --- Phase 8: warm-started relearning vs the cold schedule. The warm
+  // --- Phase 7: warm-started relearning vs the cold schedule. The warm
   // fit seeds from the cold fit's weights and runs the refinement budget
   // (WarmStartOptions::budget_scale of the cold epochs). ---
   SlimFastOptions relearn_options;
