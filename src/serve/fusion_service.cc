@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <future>
 #include <utility>
@@ -14,6 +13,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "serve/durability.h"
+#include "util/stopwatch.h"
 
 namespace slimfast {
 
@@ -54,6 +54,12 @@ obs::LatencyHistogram* StageHistogram(const char* stage, int32_t shard) {
   return obs::GetHistogram(
       std::string("slimfast_serve_stage_seconds{stage=\"") + stage +
       "\",shard=\"" + std::to_string(shard) + "\"}");
+}
+
+/// Registers the per-shard scheduler priority gauge for `shard`.
+obs::Gauge* PriorityGauge(int32_t shard) {
+  return obs::GetGauge("slimfast_serve_sched_priority{shard=\"" +
+                       std::to_string(shard) + "\"}");
 }
 
 }  // namespace
@@ -109,6 +115,7 @@ Result<std::unique_ptr<FusionService>> FusionService::Create(
     shard.ingest_hist = StageHistogram("ingest", s);
     shard.relearn_hist = StageHistogram("relearn", s);
     shard.publish_hist = StageHistogram("publish", s);
+    shard.priority_gauge = PriorityGauge(s);
     service->shards_.push_back(std::move(shard));
     service->slots_.push_back(std::make_unique<SnapshotSlot>());
   }
@@ -117,13 +124,10 @@ Result<std::unique_ptr<FusionService>> FusionService::Create(
       static_cast<size_t>(num_shards)]());
   service->sched_state_.resize(static_cast<size_t>(num_shards));
   const SchedulerOptions& sched = service->options_.scheduler;
-  if (sched.enabled) {
-    service->scheduler_ =
-        std::make_unique<RelearnScheduler>(sched, num_shards);
-    service->traffic_.reset(
-        new obs::ShardedCounter[static_cast<size_t>(num_shards)]);
-    service->last_traffic_.assign(static_cast<size_t>(num_shards), 0);
-  }
+  service->scheduler_ = std::make_unique<RelearnScheduler>(sched, num_shards);
+  service->traffic_.reset(
+      new obs::ShardedCounter[static_cast<size_t>(num_shards)]);
+  service->last_traffic_.assign(static_cast<size_t>(num_shards), 0);
   if (sched.shed_queue_watermark > 0.0) {
     double batches = sched.shed_queue_watermark *
                      static_cast<double>(service->options_.queue_capacity);
@@ -198,19 +202,17 @@ Status FusionService::RecoverFromDir(const FeatureSpace& features) {
       shard.session = std::make_unique<FusionSession>(std::move(session));
       shard.pending = pending;
       shard.last_published_fingerprint = 0;
-      if (pending > 0) shard.oldest_pending.Restart();
     }
   } else if (!manifest.status().IsNotFound()) {
     return manifest.status();
   }
 
   // Replay the acknowledged tail with the live driver's schedule: apply
-  // in sequence order, relearn on the same every-K boundaries (with the
-  // scheduler enabled, the same budgeted decisions — recovery serves no
-  // queries, so the traffic signal is zero, exactly like the offline
-  // oracle), then run the drain-equivalent final relearn — so the
-  // recovered snapshots are exactly what OfflineShardedReplay computes
-  // for the acknowledged prefix.
+  // in sequence order, run the same decision cycles on the same every-K
+  // boundaries (recovery serves no queries, so the traffic signal is
+  // zero, exactly like the offline oracle), then run the drain-
+  // equivalent final relearn — so the recovered snapshots are exactly
+  // what OfflineShardedReplay computes for the acknowledged prefix.
   int64_t replayed = 0;
   SLIMFAST_RETURN_NOT_OK(ReplayWal(
       dir, static_cast<uint64_t>(applied_batches_),
@@ -222,7 +224,7 @@ Status FusionService::RecoverFromDir(const FeatureSpace& features) {
         CountTriggerRelearn("recover");
         return Status::OK();
       }));
-  RelearnPending("recover");
+  FlushPending("recover");
 
   SLIMFAST_ASSIGN_OR_RETURN(
       wal_, WalWriter::Open(dir, options_.durability.wal,
@@ -431,12 +433,11 @@ void FusionService::Stop() {
 }
 
 void FusionService::DriverLoop() {
-  // Timed mode serves two masters: the staleness budget's wall-clock
-  // sweep and the flight recorder's sampling tick (the pull model — the
-  // driver's poll wakeup is the "background thread" the recorder never
-  // spawns). With both off the loop blocks indefinitely, costing zero.
-  const bool timed =
-      options_.staleness_budget_seconds > 0.0 || obs::Enabled();
+  // Timed mode serves the flight recorder's sampling tick (the pull
+  // model — the driver's poll wakeup is the "background thread" the
+  // recorder never spawns). With observability off the loop blocks
+  // indefinitely, costing zero.
+  const bool timed = obs::Enabled();
   const auto poll = std::chrono::milliseconds(10);
   for (;;) {
     std::vector<Command> group =
@@ -451,16 +452,15 @@ void FusionService::DriverLoop() {
       // returns empty only when closed-and-drained, so this condition
       // is then always true.
       if (queue_.closed() && queue_.size() == 0) break;
-      // Timed wakeup with nothing queued: only the staleness budget and
-      // the recorder tick can have work for us.
-      if (StalenessExceeded()) RelearnPending("staleness");
+      // Timed wakeup with nothing queued: only the recorder tick can
+      // have work for us.
       last_tick_ns_.store(NowNanos(), std::memory_order_relaxed);
       MaybeRecordSample();
       continue;
     }
     for (Command& command : group) {
       if (command.flush) {
-        RelearnPending("drain");
+        FlushPending("drain");
         // Refresh the exported per-shard counters before acking: a
         // Drain caller reading SessionStats() right after must see the
         // post-flush state (pending 0, fresh relearn durations), not
@@ -500,7 +500,6 @@ void FusionService::DriverLoop() {
       ++applied_batches_;
       CountTriggerRelearn("policy");
     }
-    if (timed && StalenessExceeded()) RelearnPending("staleness");
     last_tick_ns_.store(NowNanos(), std::memory_order_relaxed);
     MaybeRecordSample();
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -508,7 +507,7 @@ void FusionService::DriverLoop() {
   }
   // Shutdown: everything queued has been applied; give the tail of the
   // stream its relearn and final publication.
-  RelearnPending("stop");
+  FlushPending("stop");
   std::lock_guard<std::mutex> lock(state_mu_);
   UpdateSessionStatsLocked();
 }
@@ -533,7 +532,6 @@ void FusionService::ApplyBatch(const ObservationBatch& batch,
       return;
     }
     if (shard.pending == 0) {
-      shard.oldest_pending.Restart();
       // Submit-time anchor: the batch may have queued behind a slow
       // relearn cycle, and that wait is staleness the client saw.
       pending_since_ns_[static_cast<size_t>(s)].store(
@@ -576,7 +574,7 @@ void FusionService::ApplyBatch(const ObservationBatch& batch,
   }
 }
 
-void FusionService::RelearnPending(const char* reason) {
+void FusionService::FlushPending(const char* reason) {
   // The flush path: every pending shard, no budget. Keep the
   // scheduler's bookkeeping in step — after a flush everything is
   // freshly relearned, so deferral counters and staleness baselines
@@ -586,32 +584,14 @@ void FusionService::RelearnPending(const char* reason) {
     all[s] = static_cast<int32_t>(s);
   }
   RelearnShards(all, reason);
-  if (obs::Enabled() && std::strcmp(reason, "staleness") == 0) {
-    obs::EventLog::Global().Emit(
-        obs::EventSeverity::kInfo, "staleness", -1,
-        "staleness sweep published pending shards budget_s=" +
-            std::to_string(options_.staleness_budget_seconds));
-  }
-  if (scheduler_ != nullptr) {
-    scheduler_->NoteFlush(applied_batches_.load(std::memory_order_relaxed));
-    std::lock_guard<std::mutex> lock(state_mu_);
-    sched_state_ = scheduler_->shard_state();
-  }
+  scheduler_->NoteFlush(applied_batches_.load(std::memory_order_relaxed));
+  std::lock_guard<std::mutex> lock(state_mu_);
+  sched_state_ = scheduler_->shard_state();
 }
 
 void FusionService::CountTriggerRelearn(const char* reason) {
-  if (!RelearnDue(applied_batches_.load(std::memory_order_relaxed),
-                  options_.relearn_every_batches)) {
-    return;
-  }
-  if (scheduler_ != nullptr) {
-    ScheduledRelearn();
-  } else {
-    RelearnPending(reason);
-  }
-}
-
-void FusionService::ScheduledRelearn() {
+  const int64_t batch_index = applied_batches_.load(std::memory_order_relaxed);
+  if (!RelearnDue(batch_index, options_.relearn_every_batches)) return;
   const int32_t num_shards = router_.num_shards();
   std::vector<ShardSchedInput> inputs(static_cast<size_t>(num_shards));
   for (int32_t s = 0; s < num_shards; ++s) {
@@ -624,20 +604,19 @@ void FusionService::ScheduledRelearn() {
     in.traffic = total - last_traffic_[static_cast<size_t>(s)];
     last_traffic_[static_cast<size_t>(s)] = total;
   }
-  const std::vector<int32_t> selected = scheduler_->DecideCycle(
-      applied_batches_.load(std::memory_order_relaxed), inputs);
+  const std::vector<int32_t> selected =
+      scheduler_->DecideCycle(batch_index, inputs);
   // Drained in the scheduler's priority order: under a serial executor
   // the hottest shard's refreshed snapshot is live before the cheaper
   // candidates (or an expensive forced cold fit) even start.
-  if (!selected.empty()) RelearnShards(selected, "sched");
+  if (!selected.empty()) RelearnShards(selected, reason);
   if (obs::Enabled()) {
     static obs::ShardedCounter* cycles =
         obs::GetCounter("slimfast_serve_sched_cycles_total");
     cycles->Increment();
     for (int32_t s = 0; s < num_shards; ++s) {
-      obs::GetGauge("slimfast_serve_sched_priority{shard=\"" +
-                    std::to_string(s) + "\"}")
-          ->Set(scheduler_->shard_state()[static_cast<size_t>(s)].priority);
+      shards_[static_cast<size_t>(s)].priority_gauge->Set(
+          scheduler_->shard_state()[static_cast<size_t>(s)].priority);
     }
   }
   std::lock_guard<std::mutex> lock(state_mu_);
@@ -772,23 +751,6 @@ void FusionService::RelearnShards(const std::vector<int32_t>& order,
   }
 }
 
-bool FusionService::StalenessExceeded() const {
-  // The driver also polls for the recorder tick; with the budget off a
-  // 0.0 threshold must not read every pending batch as "stale".
-  if (options_.staleness_budget_seconds <= 0.0) return false;
-  for (const Shard& shard : shards_) {
-    // Only fittable shards count: a truth-only shard stays pending
-    // until observations arrive, and repeatedly "relearning" it would
-    // be a no-op storm.
-    if (shard.pending > 0 && shard.session->num_observations() > 0 &&
-        shard.oldest_pending.ElapsedSeconds() >
-            options_.staleness_budget_seconds) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void FusionService::MaybeRecordSample() {
   if (!obs::Enabled()) return;
   const int64_t now = NowNanos();
@@ -876,9 +838,7 @@ std::string FusionService::Health() const {
 }
 
 void FusionService::RecordShardTraffic(int32_t shard) const {
-  // Allocated only when the scheduler is on: the flat policy's query
-  // path stays exactly one sharded-counter increment + one atomic load.
-  if (traffic_ != nullptr) traffic_[static_cast<size_t>(shard)].Increment();
+  traffic_[static_cast<size_t>(shard)].Increment();
 }
 
 ValueId FusionService::Query(ObjectId object) const {
@@ -977,12 +937,9 @@ std::vector<FusionSession::Stats> FusionService::SessionStats() const {
 
 SchedulerInspection FusionService::SchedStats() const {
   SchedulerInspection out;
-  out.enabled = scheduler_ != nullptr;
-  if (out.enabled) {
-    out.warm_budget = options_.scheduler.warm_budget_per_cycle;
-    out.cold_budget = options_.scheduler.cold_budget_per_cycle;
-    out.max_deferred_cycles = options_.scheduler.max_deferred_cycles;
-  }
+  out.warm_budget = options_.scheduler.warm_budget_per_cycle;
+  out.cold_budget = options_.scheduler.cold_budget_per_cycle;
+  out.max_deferred_cycles = options_.scheduler.max_deferred_cycles;
   out.queue_depth = queue_.size();
   out.queue_capacity = queue_.capacity();
   out.backlog = relearn_backlog_.load(std::memory_order_relaxed);
@@ -990,15 +947,6 @@ SchedulerInspection FusionService::SchedStats() const {
   out.sheds = stats_.sheds;
   out.cycles = sched_cycles_;
   out.shards = sched_state_;
-  if (!out.enabled) {
-    // Flat policy: the priority machinery is off, but pending counts
-    // are still worth reporting.
-    for (size_t s = 0; s < out.shards.size() && s < session_stats_.size();
-         ++s) {
-      out.shards[s].pending =
-          static_cast<int32_t>(session_stats_[s].pending_batches);
-    }
-  }
   return out;
 }
 
@@ -1085,21 +1033,9 @@ Result<std::vector<FusionSnapshotPtr>> OfflineShardedReplay(
     }
     return Status::OK();
   };
-  auto relearn_pending = [&]() -> Status {
-    for (int32_t s = 0; s < num_shards; ++s) {
-      SLIMFAST_RETURN_NOT_OK(relearn_shard(s));
-    }
-    return Status::OK();
-  };
-
   // The same decision engine the live driver runs, fed a zero traffic
-  // signal — what a live scheduler-driven service that served no
-  // queries decides.
-  std::unique_ptr<RelearnScheduler> scheduler;
-  if (options.scheduler.enabled) {
-    scheduler = std::make_unique<RelearnScheduler>(options.scheduler,
-                                                   num_shards);
-  }
+  // signal — what a live service that served no queries decides.
+  RelearnScheduler scheduler(options.scheduler, num_shards);
 
   int64_t applied = 0;
   for (const ObservationBatch& batch : batches) {
@@ -1113,26 +1049,21 @@ Result<std::vector<FusionSnapshotPtr>> OfflineShardedReplay(
     }
     ++applied;
     if (RelearnDue(applied, options.relearn_every_batches)) {
-      if (scheduler != nullptr) {
-        std::vector<ShardSchedInput> inputs(
-            static_cast<size_t>(num_shards));
-        for (int32_t s = 0; s < num_shards; ++s) {
-          ShardSchedInput& in = inputs[static_cast<size_t>(s)];
-          in.pending = pending[static_cast<size_t>(s)];
-          in.can_fit =
-              sessions[static_cast<size_t>(s)].num_observations() > 0;
-          in.has_model = sessions[static_cast<size_t>(s)].has_model();
-          in.traffic = 0;
-        }
-        for (int32_t s : scheduler->DecideCycle(applied, inputs)) {
-          SLIMFAST_RETURN_NOT_OK(relearn_shard(s));
-        }
-      } else {
-        SLIMFAST_RETURN_NOT_OK(relearn_pending());
+      std::vector<ShardSchedInput> inputs(static_cast<size_t>(num_shards));
+      for (int32_t s = 0; s < num_shards; ++s) {
+        ShardSchedInput& in = inputs[static_cast<size_t>(s)];
+        in.pending = pending[static_cast<size_t>(s)];
+        in.can_fit = sessions[static_cast<size_t>(s)].num_observations() > 0;
+        in.has_model = sessions[static_cast<size_t>(s)].has_model();
+      }
+      for (int32_t s : scheduler.DecideCycle(applied, inputs)) {
+        SLIMFAST_RETURN_NOT_OK(relearn_shard(s));
       }
     }
   }
-  SLIMFAST_RETURN_NOT_OK(relearn_pending());  // the Drain/Stop flush
+  for (int32_t s = 0; s < num_shards; ++s) {  // the Drain/Stop flush
+    SLIMFAST_RETURN_NOT_OK(relearn_shard(s));
+  }
 
   std::vector<FusionSnapshotPtr> snapshots;
   snapshots.reserve(static_cast<size_t>(num_shards));

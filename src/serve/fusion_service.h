@@ -25,7 +25,6 @@
 #include "serve/snapshot_slot.h"
 #include "storage/wal.h"
 #include "util/result.h"
-#include "util/stopwatch.h"
 
 namespace slimfast {
 
@@ -59,16 +58,11 @@ struct FusionServiceOptions {
   /// amortizes the shard fan-out over bursts without changing results
   /// (batches are still applied strictly in submission order).
   size_t max_coalesced_batches = 8;
-  /// Relearn policy, part 1: relearn + publish every K processed batches
-  /// (shards that saw no new data since their last relearn skip the
-  /// cycle). 0 disables the count trigger, leaving staleness and drain.
+  /// Relearn trigger: every K processed batches the scheduler runs one
+  /// decision cycle (shards that saw no new data since their last
+  /// relearn skip it). 0 disables the count trigger, leaving only the
+  /// Drain/Stop flushes.
   int32_t relearn_every_batches = 1;
-  /// Relearn policy, part 2: a freshness bound. When > 0, any ingested
-  /// batch not yet covered by a relearn forces one once it has waited
-  /// this long. Wall-clock-driven, so trigger *timing* is not
-  /// reproducible — use the pure every-K policy where the sharded-replay
-  /// determinism contract must hold bitwise (see class comment).
-  double staleness_budget_seconds = 0.0;
   /// Template for every shard's FusionSession (seed, learner options,
   /// warm start). The session name gets a per-shard suffix.
   FusionSessionOptions session;
@@ -76,10 +70,9 @@ struct FusionServiceOptions {
   ExecOptions shard_exec;
   /// WAL + checkpoint configuration (disabled by default).
   FusionServiceDurability durability;
-  /// Relearn policy, part 3: the traffic-aware scheduler + ingest
-  /// admission control (both disabled by default — the flat every-K
-  /// policy above then drains every pending shard per trigger). See
-  /// SchedulerOptions.
+  /// Relearn budgets per decision cycle + ingest admission control. The
+  /// defaults (unlimited budgets, no watermarks) relearn every pending
+  /// shard at every trigger. See SchedulerOptions.
   SchedulerOptions scheduler;
   /// SLO rules the flight-recorder watchdog evaluates on the driver's
   /// sampling tick and on demand via HEALTH (all off by default; see
@@ -147,9 +140,6 @@ struct FusionServiceStats {
 /// depth and relearn backlog, the shed count, and the per-shard
 /// priority state of the most recent decision cycle.
 struct SchedulerInspection {
-  /// True when the traffic-aware scheduler drives relearns (otherwise
-  /// the flat policy does and the per-shard priorities stay 0).
-  bool enabled = false;
   /// Warm-queue relearn budget per decision cycle (0 = unlimited).
   int32_t warm_budget = 0;
   /// Cold-queue (first-fit) relearn budget per cycle (0 = unlimited).
@@ -186,20 +176,18 @@ struct SchedulerInspection {
 ///
 /// **Sharded-replay determinism contract.** Routing is a pure function
 /// of (object id, shard count), batches are applied in submission order,
-/// and with the pure every-K relearn policy every trigger is a function
-/// of the batch index alone. Each shard therefore computes exactly what
-/// a single offline `FusionSession`, fed that shard's slice of the
-/// stream on one thread, computes — bit for bit, at any thread count and
-/// under any concurrent query load (`OfflineShardedReplay` is the
-/// oracle; with num_shards = 1 it *is* the plain offline single-session
-/// run of the full stream). The traffic-aware scheduler preserves the
-/// contract: its decisions are a deterministic function of (batch
-/// index, per-shard pending/model state, traffic samples, config), so a
-/// run without queries matches the zero-traffic oracle directly, and
-/// any run re-verifies against its recorded relearn schedule
-/// (`OfflineReplayWithSchedule`). The wall-clock staleness trigger is
-/// the one knob that trades the *a-priori* replay guarantee for
-/// freshness — though even its relearns land in the recorded schedule.
+/// and every relearn trigger is a function of the batch index alone.
+/// Each shard therefore computes exactly what a single offline
+/// `FusionSession`, fed that shard's slice of the stream on one thread,
+/// computes — bit for bit, at any thread count and under any concurrent
+/// query load (`OfflineShardedReplay` is the oracle; with num_shards = 1
+/// it *is* the plain offline single-session run of the full stream).
+/// The scheduler's decisions are a
+/// deterministic function of (batch index, per-shard pending/model
+/// state, traffic samples, config), so a run without queries — or any
+/// run with unlimited budgets, whose decisions ignore traffic — matches
+/// the zero-traffic oracle directly, and any run re-verifies against
+/// its recorded relearn schedule (`OfflineReplayWithSchedule`).
 ///
 /// Thread roles: any number of producers (Submit/TrySubmit/Drain), any
 /// number of query threads (Query*/ShardSnapshot — wait-free), one
@@ -327,8 +315,7 @@ class FusionService {
 
   /// Scheduler + admission-control state for the SCHED verb: config,
   /// queue depth, relearn backlog, shed count, and the per-shard
-  /// priorities of the most recent decision cycle (all zero under the
-  /// flat policy).
+  /// priorities of the most recent decision cycle.
   SchedulerInspection SchedStats() const;
 
   /// The recorded relearn schedule: every (batch index, shard) relearn
@@ -376,8 +363,6 @@ class FusionService {
     /// session's own pending_batches counter: truth-only ingests stay
     /// pending until the shard has observations to fit against.
     int32_t pending = 0;
-    /// Set when `pending` went 0 -> 1; drives the staleness budget.
-    Stopwatch oldest_pending;
     /// Store fingerprint of the last published snapshot, so evidence
     /// updates that cannot relearn yet (truth-only shards) publish
     /// exactly once per change.
@@ -388,6 +373,9 @@ class FusionService {
     obs::LatencyHistogram* ingest_hist = nullptr;
     obs::LatencyHistogram* relearn_hist = nullptr;
     obs::LatencyHistogram* publish_hist = nullptr;
+    /// slimfast_serve_sched_priority{shard=...}, resolved at Create and
+    /// set after every decision cycle while obs::Enabled().
+    obs::Gauge* priority_gauge = nullptr;
   };
 
   FusionService(FusionServiceOptions options, int32_t num_sources,
@@ -407,25 +395,20 @@ class FusionService {
   void ApplyBatch(const ObservationBatch& batch, int64_t arrival_ns = 0);
   /// Relearns + publishes every shard with pending data (parallel
   /// fan-out); `reason` feeds error messages. This is the flush path
-  /// (drain, stop, staleness, recovery) — it ignores the scheduler's
-  /// budgets but keeps its bookkeeping consistent via NoteFlush.
-  void RelearnPending(const char* reason);
+  /// (drain, stop, recovery) — it ignores the scheduler's budgets but
+  /// keeps its bookkeeping consistent via NoteFlush.
+  void FlushPending(const char* reason);
   /// Relearns + publishes exactly the shards in `order`, draining them
   /// in that order: under a serial executor the first entry's refreshed
   /// snapshot is live before the second entry's relearn starts, which
   /// is how a scheduler cycle gets the hottest shard fresh first. (With
   /// a parallel executor the entries fan out in task-creation order.)
   void RelearnShards(const std::vector<int32_t>& order, const char* reason);
-  /// One scheduler decision cycle: sample per-shard traffic, rank, and
-  /// relearn the selected shards under the configured budgets.
-  void ScheduledRelearn();
-  /// Count trigger dispatch: scheduler decision when enabled, flat
-  /// RelearnPending otherwise. Shared by the driver loop and recovery.
+  /// The count trigger, shared by the driver loop and recovery: at every
+  /// K-th applied batch, one scheduler decision cycle — sample per-shard
+  /// traffic, rank, and relearn the selected shards under the configured
+  /// budgets. `reason` feeds error messages.
   void CountTriggerRelearn(const char* reason);
-  /// True when the staleness budget forces a relearn now (always false
-  /// with the budget disabled — the driver may still poll on a timer
-  /// for the flight recorder's sampling tick).
-  bool StalenessExceeded() const;
   /// The driver's ~1 Hz flight-recorder tick: records the serve
   /// time-series and evaluates the watchdog. Rate-limited internally;
   /// no-op when observability is off. Driver thread only.
@@ -438,8 +421,7 @@ class FusionService {
   /// scaled by the current queue + backlog pressure, clamped to
   /// [1ms, 30s].
   int64_t RetryHintMs() const;
-  /// Feeds the per-shard traffic counter behind Query* (no-op under the
-  /// flat policy).
+  /// Feeds the per-shard traffic counter behind Query*.
   void RecordShardTraffic(int32_t shard) const;
   void PublishInitialSnapshots();
   void UpdateSessionStatsLocked();
@@ -477,12 +459,11 @@ class FusionService {
   /// shard); 0 before the first. Feeds the snapshot-age gauge.
   mutable std::atomic<int64_t> last_publish_ns_{0};
 
-  /// Non-null iff the traffic-aware scheduler is enabled. Owned by the
-  /// driver after Create (recovery touches it before the driver starts).
+  /// The relearn decision engine. Owned by the driver after Create
+  /// (recovery touches it before the driver starts).
   std::unique_ptr<RelearnScheduler> scheduler_;
-  /// Per-shard query counters feeding the scheduler's traffic signal;
-  /// allocated only when the scheduler is enabled. Sharded so the
-  /// query path stays wait-free and contention-free.
+  /// Per-shard query counters feeding the scheduler's traffic signal.
+  /// Sharded so the query path stays wait-free and contention-free.
   std::unique_ptr<obs::ShardedCounter[]> traffic_;
   /// Driver-side baseline of `traffic_` at the previous decision cycle,
   /// so each cycle sees the traffic delta, not the lifetime count.
@@ -545,13 +526,12 @@ class FusionService {
 /// Submit… + Drain + Stop produces) — and returns the final per-shard
 /// snapshots. `FusionService` must match these bit for bit; with
 /// `options.num_shards == 1` the result is the plain single-session
-/// offline run of the whole stream. With `options.scheduler.enabled`
-/// the oracle runs the same RelearnScheduler with a zero traffic
-/// signal, which is exactly what a live scheduler-driven service that
-/// served no queries computes (a run *with* queries is verified via its
-/// recorded schedule — see OfflineReplayWithSchedule). The staleness
-/// budget is ignored here (its wall-clock trigger is the documented
-/// exception to the bitwise contract).
+/// offline run of the whole stream. The oracle runs the same
+/// RelearnScheduler with a zero traffic signal, which is exactly what a
+/// live service that served no queries computes — and, with unlimited
+/// budgets, what any live service computes (a budgeted run *with*
+/// queries is verified via its recorded schedule — see
+/// OfflineReplayWithSchedule).
 Result<std::vector<FusionSnapshotPtr>> OfflineShardedReplay(
     int32_t num_sources, int32_t num_objects, int32_t num_values,
     const FusionServiceOptions& options,
@@ -563,8 +543,8 @@ Result<std::vector<FusionSnapshotPtr>> OfflineShardedReplay(
 /// for every event `e` of `schedule` (in log order), with no other
 /// relearn triggers. Feeding a live run's RelearnSchedule() back in
 /// reproduces that run's final snapshots bit for bit even when the
-/// live decisions were shaped by query traffic or wall-clock staleness
-/// sweeps — the schedule, once recorded, is a pure input.
+/// live decisions were shaped by query traffic — the schedule, once
+/// recorded, is a pure input.
 Result<std::vector<FusionSnapshotPtr>> OfflineReplayWithSchedule(
     int32_t num_sources, int32_t num_objects, int32_t num_values,
     const FusionServiceOptions& options,

@@ -388,9 +388,8 @@ std::string LineProtocol::HandleLineInner(const std::string& line,
   if (command == "SCHED") {
     if (!args.empty()) return "ERR usage: SCHED";
     const SchedulerInspection sched = service_->SchedStats();
-    std::string reply = "SCHED mode=";
-    reply += sched.enabled ? "sched" : "flat";
-    reply += " warm_budget=" + std::to_string(sched.warm_budget);
+    std::string reply =
+        "SCHED warm_budget=" + std::to_string(sched.warm_budget);
     reply += " cold_budget=" + std::to_string(sched.cold_budget);
     reply += " max_defer=" + std::to_string(sched.max_deferred_cycles);
     reply += " cycles=" + std::to_string(sched.cycles);

@@ -128,7 +128,7 @@ Result<PolicyPhaseReport> RunPolicyPhase(
   service_options.scheduler = policy;
   // Both phases record their relearn schedule (recording is just a
   // driver-side log append): the deterministic version-lag gate is
-  // computed from it, for the scheduler phase and the flat one alike.
+  // computed from it, for the budgeted phase and the unlimited one alike.
   service_options.scheduler.record_schedule = true;
   SLIMFAST_ASSIGN_OR_RETURN(
       std::unique_ptr<FusionService> service,
@@ -220,7 +220,7 @@ Result<PolicyPhaseReport> RunPolicyPhase(
   // makes the number a pure function of the policy's decisions (a
   // loaded box that coalesces two paced batches into one driver group
   // moves the opportunity, which no policy could have exploited, so it
-  // cannot skew the comparison). The flat policy scores 0.0 by
+  // cannot skew the comparison). Unlimited budgets score 0.0 by
   // construction; a scheduler that defers the hot shard accumulates
   // lag at every cycle that skips it.
   {
@@ -254,9 +254,12 @@ Result<PolicyPhaseReport> RunPolicyPhase(
   if (options.verify) {
     report.verify_ran = true;
     std::vector<FusionSnapshotPtr> offline;
-    if (policy.enabled && policy.record_schedule) {
-      // A traffic-shaped run is verified against its *recorded*
-      // schedule: the relearn sequence becomes a pure input.
+    if (policy.warm_budget_per_cycle > 0 ||
+        policy.cold_budget_per_cycle > 0) {
+      // A traffic-shaped (budgeted) run is verified against its
+      // *recorded* schedule: the relearn sequence becomes a pure input.
+      // Unlimited budgets ignore traffic, so the zero-traffic oracle
+      // applies directly.
       SLIMFAST_ASSIGN_OR_RETURN(
           offline, OfflineReplayWithSchedule(
                        dataset.num_sources(), dataset.num_objects(),
@@ -567,31 +570,30 @@ Result<SkewedLoadgenReport> RunSkewedLoadgen(
   report.hot_shard_mass =
       shard_mass[static_cast<size_t>(report.hot_shard)];
 
-  // Phase 1: the flat policy (admission knobs intentionally off — the
-  // phases must ingest the identical chunk schedule).
-  SchedulerOptions flat;
+  // Phase 1: unlimited budgets, the default service configuration
+  // (admission knobs intentionally off — the phases must ingest the
+  // identical chunk schedule).
+  const SchedulerOptions unlimited{};
   SLIMFAST_ASSIGN_OR_RETURN(
-      report.flat, RunPolicyPhase(dataset, chunks, options, flat, zipf,
-                                  router, report.hot_shard));
+      report.flat, RunPolicyPhase(dataset, chunks, options, unlimited,
+                                  zipf, router, report.hot_shard));
 
-  // Phase 2: the traffic-aware scheduler, same chunks, same pacing,
-  // same thread budget.
+  // Phase 2: the budgeted scheduler, same chunks, same pacing, same
+  // thread budget.
   SchedulerOptions sched = options.scheduler;
-  sched.enabled = true;
   sched.shed_queue_watermark = 0.0;
   sched.shed_backlog_watermark = 0;
-  if (options.verify) sched.record_schedule = true;
   SLIMFAST_ASSIGN_OR_RETURN(
       report.sched, RunPolicyPhase(dataset, chunks, options, sched, zipf,
                                    router, report.hot_shard));
 
   // The gate asserts invariants of the policies, not of the timing, so
   // it holds on every execution of a correct build and fails
-  // deterministically on a regression: (1) the flat policy relearns
-  // every pending shard at every cycle, so its hot version lag is 0 by
+  // deterministically on a regression: (1) unlimited budgets relearn
+  // every pending shard at every cycle, so the hot version lag is 0 by
   // construction; (2) the scheduler's deferral bound guarantees the hot
   // shard's lag never exceeds max_deferred_cycles (the forced-relearn
-  // path); (3) the scheduler spends strictly fewer relearns — its whole
+  // path); (3) the budgets spend strictly fewer relearns — their whole
   // proposition. Wall-clock hot_staleness percentiles stay in the
   // report as informational color (they are load-dependent and used to
   // flake this gate on a busy 1-core box).

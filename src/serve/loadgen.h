@@ -129,12 +129,22 @@ struct LoadgenReport {
 Result<LoadgenReport> RunLoadgen(const Dataset& dataset,
                                  const LoadgenOptions& options);
 
+/// The skewed scenario's default budgeted policy: warm 2 / cold 1 /
+/// max-defer 4, tight enough that the budgets bind on a dozen shards.
+inline SchedulerOptions BudgetedPhaseDefaults() {
+  SchedulerOptions policy;
+  policy.warm_budget_per_cycle = 2;
+  policy.cold_budget_per_cycle = 1;
+  policy.max_deferred_cycles = 4;
+  return policy;
+}
+
 /// Configuration of the skewed (Zipfian) scheduler comparison scenario
 /// (see RunSkewedLoadgen).
 struct SkewedLoadgenOptions {
   /// Shards of the services under test. More shards widen the gap
-  /// between the flat policy (relearns all of them per trigger) and the
-  /// scheduler (relearns a budget's worth).
+  /// between unlimited budgets (every pending shard relearns per
+  /// trigger) and the budgeted scheduler (a budget's worth).
   int32_t num_shards = 12;
   /// Ingest batches the dataset is replayed as (each one is a relearn
   /// trigger when relearn_every_batches == 1).
@@ -159,19 +169,20 @@ struct SkewedLoadgenOptions {
   int64_t min_queries_per_chunk = 200;
   /// Seed for the shard sessions and the readers' Zipf streams.
   uint64_t seed = 42;
-  /// Cross-check both phases against their offline oracles: the flat
-  /// phase against OfflineShardedReplay, the scheduler phase against
-  /// OfflineReplayWithSchedule over its recorded relearn schedule.
+  /// Cross-check both phases against their offline oracles: the
+  /// unlimited phase against OfflineShardedReplay, the budgeted phase
+  /// against OfflineReplayWithSchedule over its recorded relearn
+  /// schedule.
   bool verify = true;
-  /// Scheduler phase policy. `enabled` and `record_schedule` are forced
-  /// on by the runner; budgets/watermarks are taken as given.
-  SchedulerOptions scheduler;
+  /// Budgeted phase policy. `record_schedule` is forced on by the
+  /// runner and the watermarks off; budgets are taken as given.
+  SchedulerOptions scheduler = BudgetedPhaseDefaults();
   /// Thread budget for the services' shard fan-out (equal for both
   /// phases — the comparison is at equal CPU).
   ExecOptions exec;
 };
 
-/// What one policy phase (flat or scheduler) of the skewed scenario
+/// What one policy phase (unlimited or budgeted) of the skewed scenario
 /// measured.
 struct PolicyPhaseReport {
   /// Wall-clock of submit-first-chunk → drain-complete.
@@ -195,7 +206,7 @@ struct PolicyPhaseReport {
   /// relearned (0 when the cycle included it). A pure function of the
   /// policy's decisions at its opportunity points — deterministic on
   /// any box at any load — which is why the scenario gate compares
-  /// this, not the wall-clock staleness. The flat policy scores 0 by
+  /// this, not the wall-clock staleness. Unlimited budgets score 0 by
   /// construction; a scheduler deferring the hot shard accumulates lag.
   double hot_version_lag_mean = 0.0;
   /// Largest per-cycle hot-shard version lag (same units as the mean).
@@ -214,38 +225,38 @@ struct SkewedLoadgenReport {
   int32_t hot_shard = 0;
   /// That shard's share of the query mass, in [0, 1].
   double hot_shard_mass = 0.0;
-  /// The flat-policy phase (relearn everything every trigger).
+  /// The unlimited-budget phase (every pending shard relearns at every
+  /// trigger — the default service configuration).
   PolicyPhaseReport flat;
-  /// The scheduler phase (traffic-aware budgeted relearns).
+  /// The budgeted phase (traffic-aware budgeted relearns).
   PolicyPhaseReport sched;
   /// Batches shed by the deterministic admission-control exercise.
   int64_t admission_sheds = 0;
   /// The retry hint (ms) the last shed reply carried.
   int64_t shed_retry_hint_ms = 0;
   /// The scenario's headline gate, fully deterministic (invariants of
-  /// the policies, independent of box load): the flat phase's hot
-  /// version lag is 0, the scheduler phase's max hot version lag stayed
-  /// within its deferral bound (max_deferred_cycles), and the scheduler
-  /// performed strictly fewer relearns. All derived from the recorded
+  /// the policies, independent of box load): the unlimited phase's hot
+  /// version lag is 0, the budgeted phase's max hot version lag stayed
+  /// within its deferral bound (max_deferred_cycles), and the budgeted
+  /// phase performed strictly fewer relearns. All derived from the recorded
   /// relearn schedules.
   bool gate_passed = false;
 };
 
 /// The scheduler's proof-of-value scenario: replays `dataset` twice with
-/// an identical chunk schedule, pacing, and thread budget — once under
-/// the flat relearn policy, once under the traffic-aware scheduler —
+/// an identical chunk schedule, pacing, and thread budget — once with
+/// unlimited relearn budgets, once under the budgeted scheduler —
 /// while Zipfian readers concentrate query traffic on one hot shard and
 /// sample that shard's snapshot staleness on every query. At equal CPU
-/// the scheduler must keep the hot shard fresh for less work: the
-/// report's `gate_passed` asserts flat hot version lag == 0, sched max
-/// hot version lag within the deferral bound, and strictly fewer sched
-/// relearns — all derived from the recorded relearn schedules, so the
-/// gate cannot flake under load (wall-clock staleness percentiles are
-/// reported as color). Both phases are
-/// cross-checked against their offline replay oracles (the determinism
-/// contract), and a final deterministic admission-control exercise
-/// drives a COMMIT-path shed to prove the ERR BUSY backpressure path
-/// end to end.
+/// the budgets must keep the hot shard fresh for less work: the
+/// report's `gate_passed` asserts unlimited hot version lag == 0,
+/// budgeted max hot version lag within the deferral bound, and strictly
+/// fewer budgeted relearns — all derived from the recorded relearn
+/// schedules, so the gate cannot flake under load (wall-clock staleness
+/// percentiles are reported as color). Both phases are cross-checked
+/// against their offline replay oracles (the determinism contract), and
+/// a final deterministic admission-control exercise drives a COMMIT-path
+/// shed to prove the ERR BUSY backpressure path end to end.
 Result<SkewedLoadgenReport> RunSkewedLoadgen(
     const Dataset& dataset, const SkewedLoadgenOptions& options);
 

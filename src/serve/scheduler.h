@@ -6,28 +6,25 @@
 
 namespace slimfast {
 
-/// Policy knobs of the traffic-aware relearn scheduler (and of ingest
-/// admission control, which works with either relearn policy).
+/// Policy knobs of the relearn scheduler (and of ingest admission
+/// control).
 ///
-/// With `enabled == false` the service keeps the flat policy: every
-/// relearn trigger drains *every* shard with pending data. With
-/// `enabled == true` each every-K boundary becomes a *decision cycle*:
-/// shards are ranked by priority = (1 + traffic) x staleness x pending
-/// and only the top few relearn, split across two queue levels — a warm
-/// queue for shards that already have a model (cheap warm-started
-/// relearns) and a cold queue for first-fit shards (expensive from-
-/// scratch fits) — so one cold shard's initial fit never blocks a hot
-/// shard's warm refresh. Drain/Stop/staleness flushes still relearn
-/// everything pending, scheduler or not.
+/// Every every-K boundary is a *decision cycle*: shards are ranked by
+/// priority = (1 + traffic) x staleness x pending and the top ones
+/// relearn, split across two queue levels — a warm queue for shards that
+/// already have a model (cheap warm-started relearns) and a cold queue
+/// for first-fit shards (expensive from-scratch fits) — so one cold
+/// shard's initial fit never blocks a hot shard's warm refresh. With the
+/// default unlimited budgets every shard with pending data relearns at
+/// every cycle. Drain/Stop/recovery flushes relearn everything pending
+/// regardless of budget.
 struct SchedulerOptions {
-  /// Master switch. Off = flat policy (every trigger drains all shards).
-  bool enabled = false;
   /// Most *warm* shards (has_model) relearned per decision cycle.
   /// 0 = unlimited (priority ordering still applies to the log).
-  int32_t warm_budget_per_cycle = 2;
+  int32_t warm_budget_per_cycle = 0;
   /// Most *cold* (first-fit) shards relearned per decision cycle.
   /// 0 = unlimited.
-  int32_t cold_budget_per_cycle = 1;
+  int32_t cold_budget_per_cycle = 0;
   /// A shard with pending data that lost `max_deferred_cycles`
   /// consecutive decisions is forced into the next cycle regardless of
   /// budget — the staleness bound of the policy, in cycles.
@@ -38,7 +35,7 @@ struct SchedulerOptions {
   /// log.
   bool record_schedule = false;
 
-  // --- Admission control (independent of `enabled`) --------------------
+  // --- Admission control (independent of the relearn budgets) ----------
 
   /// Shed ingest once the queue holds >= this fraction of its capacity
   /// (0 disables the queue watermark). Shedding replies ERR BUSY with a
@@ -118,9 +115,9 @@ class RelearnScheduler {
   std::vector<int32_t> DecideCycle(
       int64_t batch_index, const std::vector<ShardSchedInput>& inputs);
 
-  /// A flush (drain, stop, staleness sweep, recovery) relearned every
-  /// pending shard outside the budget: reset all bookkeeping to "just
-  /// relearned at `batch_index`".
+  /// A flush (drain, stop, recovery) relearned every pending shard
+  /// outside the budget: reset all bookkeeping to "just relearned at
+  /// `batch_index`".
   void NoteFlush(int64_t batch_index);
 
   /// Per-shard state as of the most recent decision (SCHED verb,

@@ -252,12 +252,18 @@ TEST(LineProtocolTest, QueryOutsideUniverseIsNone) {
 }
 
 TEST(LineProtocolTest, SchedVerbReportsPolicyAndPerShardState) {
-  // Flat-policy service: mode=flat, priorities stay zero.
+  // Default options: budgets 0 (unlimited), and every K boundary is a
+  // decision cycle.
   {
     std::unique_ptr<FusionService> service = MakeFigure1Service();
     LineProtocol protocol(service.get());
+    EXPECT_EQ(protocol.HandleLine("OBS 0 0 0"), "OK");
+    EXPECT_EQ(protocol.HandleLine("COMMIT"), "OK 1 0");
+    EXPECT_EQ(protocol.HandleLine("DRAIN"), "OK");
     const std::string reply = protocol.HandleLine("SCHED");
-    EXPECT_EQ(reply.rfind("SCHED mode=flat ", 0), 0u) << reply;
+    EXPECT_EQ(reply.rfind("SCHED warm_budget=0 cold_budget=0 ", 0), 0u)
+        << reply;
+    EXPECT_NE(reply.find(" cycles=1 "), std::string::npos) << reply;
     EXPECT_NE(reply.find(" queue_depth="), std::string::npos) << reply;
     EXPECT_NE(reply.find(" backlog="), std::string::npos) << reply;
     EXPECT_NE(reply.find(" sheds=0"), std::string::npos) << reply;
@@ -266,13 +272,12 @@ TEST(LineProtocolTest, SchedVerbReportsPolicyAndPerShardState) {
     EXPECT_EQ(protocol.HandleLine("SCHED now"), "ERR usage: SCHED");
     service->Stop();
   }
-  // Scheduler-enabled service: mode=sched, configured budgets echoed,
-  // cycles advance once ingest triggers decision cycles.
+  // Budgeted service: configured budgets echoed, cycles advance once
+  // ingest triggers decision cycles.
   Dataset dataset = MakeFigure1Dataset();
   FusionServiceOptions options;
   options.num_shards = 2;
   options.relearn_every_batches = 1;
-  options.scheduler.enabled = true;
   options.scheduler.warm_budget_per_cycle = 3;
   options.scheduler.cold_budget_per_cycle = 2;
   auto service = FusionService::Create(dataset.num_sources(),
@@ -285,9 +290,8 @@ TEST(LineProtocolTest, SchedVerbReportsPolicyAndPerShardState) {
   EXPECT_EQ(protocol.HandleLine("COMMIT"), "OK 1 0");
   EXPECT_EQ(protocol.HandleLine("DRAIN"), "OK");
   const std::string reply = protocol.HandleLine("SCHED");
-  EXPECT_EQ(reply.rfind("SCHED mode=sched ", 0), 0u) << reply;
-  EXPECT_NE(reply.find(" warm_budget=3 "), std::string::npos) << reply;
-  EXPECT_NE(reply.find(" cold_budget=2 "), std::string::npos) << reply;
+  EXPECT_EQ(reply.rfind("SCHED warm_budget=3 cold_budget=2 ", 0), 0u)
+      << reply;
   EXPECT_NE(reply.find(" cycles=1 "), std::string::npos) << reply;
   EXPECT_NE(reply.find(",selections:"), std::string::npos) << reply;
   service->Stop();

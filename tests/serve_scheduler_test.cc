@@ -1,20 +1,24 @@
 // The traffic-aware relearn scheduler and ingest admission control.
 // Unit-level: RelearnScheduler's priority order, queue levels, budgets,
-// deferral bound, and determinism. Service-level: the determinism
-// contract under the scheduler (zero-traffic runs match the offline
-// oracle directly; traffic-shaped runs match the replay of their
-// recorded schedule), deterministic admission sheds with retry hints,
-// and the skewed Zipfian scenario harness (including back-to-back
-// flat/scheduler phases in one process — the teardown-race regression
-// the TSan CI job hammers).
+// deferral bound, and determinism. Service-level: the default unlimited
+// budgets relearn every pending fittable shard at every K boundary, the
+// determinism contract under the scheduler (zero-traffic runs match the
+// offline oracle directly; traffic-shaped runs match the replay of
+// their recorded schedule), deterministic admission sheds with retry
+// hints, and the skewed Zipfian scenario harness (including back-to-back
+// unlimited/budgeted phases in one process — the teardown-race
+// regression the TSan CI job hammers).
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "serve/fusion_service.h"
 #include "serve/loadgen.h"
+#include "serve/router.h"
 #include "serve/scheduler.h"
 #include "test_util.h"
 
@@ -150,8 +154,8 @@ TEST(RelearnSchedulerTest, NoteFlushResetsAllBookkeeping) {
   }
 }
 
-/// Replays `chunks` through a live scheduler-enabled service with no
-/// query traffic and returns its snapshots plus (optionally) stats.
+/// Replays `chunks` through a live service with no query traffic and
+/// returns its snapshots plus (optionally) stats.
 std::vector<FusionSnapshotPtr> RunScheduledService(
     const Dataset& dataset, const FusionServiceOptions& options,
     const std::vector<ObservationBatch>& chunks,
@@ -171,6 +175,98 @@ std::vector<FusionSnapshotPtr> RunScheduledService(
   return snapshots;
 }
 
+/// The schedule the default (unlimited-budget) policy must produce,
+/// computed from the batches alone: at every K-th batch, every shard
+/// with pending data it can fit (it has observations) relearns, in shard
+/// order; the drain flush after the last batch relearns the rest.
+/// Truth-only shards stay pending until observations arrive.
+std::vector<std::pair<int64_t, int32_t>> ExpectedUnlimitedSchedule(
+    const std::vector<ObservationBatch>& batches, int32_t num_shards,
+    int32_t every_batches) {
+  const ShardRouter router(num_shards);
+  std::vector<int32_t> pending(static_cast<size_t>(num_shards), 0);
+  std::vector<bool> fittable(static_cast<size_t>(num_shards), false);
+  std::vector<std::pair<int64_t, int32_t>> events;
+  auto relearn_due = [&](int64_t batch_index) {
+    for (int32_t s = 0; s < num_shards; ++s) {
+      if (pending[static_cast<size_t>(s)] > 0 &&
+          fittable[static_cast<size_t>(s)]) {
+        events.emplace_back(batch_index, s);
+        pending[static_cast<size_t>(s)] = 0;
+      }
+    }
+  };
+  int64_t applied = 0;
+  for (const ObservationBatch& batch : batches) {
+    const std::vector<ObservationBatch> subs = router.Split(batch);
+    for (int32_t s = 0; s < num_shards; ++s) {
+      const ObservationBatch& sub = subs[static_cast<size_t>(s)];
+      if (sub.empty()) continue;
+      ++pending[static_cast<size_t>(s)];
+      if (!sub.observations.empty()) fittable[static_cast<size_t>(s)] = true;
+    }
+    ++applied;
+    if (applied % every_batches == 0) relearn_due(applied);
+  }
+  relearn_due(applied);  // the drain flush
+  return events;
+}
+
+TEST(SchedulerServiceTest, DefaultOptionsRelearnEveryPendingShardPerCycle) {
+  const Dataset dataset =
+      MakePlantedDataset({0.95, 0.85, 0.8, 0.7}, 60, 0.6, 23);
+  // Every truth label rides in a leading truth-only batch, so the first
+  // boundary sees pending shards with nothing to fit yet.
+  std::vector<ObservationBatch> batches = ChunkDatasetForReplay(dataset, 8);
+  ObservationBatch labels;
+  for (ObservationBatch& batch : batches) {
+    labels.truths.insert(labels.truths.end(), batch.truths.begin(),
+                         batch.truths.end());
+    batch.truths.clear();
+  }
+  batches.insert(batches.begin(), std::move(labels));
+
+  for (int32_t every : {1, 3}) {
+    FusionServiceOptions options;  // default budgets: unlimited
+    options.relearn_every_batches = every;
+    options.scheduler.record_schedule = true;
+    auto service = FusionService::Create(dataset.num_sources(),
+                                         dataset.num_objects(),
+                                         dataset.num_values(), options,
+                                         dataset.features())
+                       .ValueOrDie();
+    for (const ObservationBatch& batch : batches) {
+      SLIMFAST_CHECK_OK(service->Submit(batch));
+    }
+    SLIMFAST_CHECK_OK(service->Drain());
+    const std::vector<FusionSnapshotPtr> live = service->AllSnapshots();
+    std::vector<std::pair<int64_t, int32_t>> recorded;
+    for (const RelearnEvent& event : service->RelearnSchedule()) {
+      recorded.emplace_back(event.batch_index, event.shard);
+    }
+    service->Stop();
+
+    // Within a cycle the scheduler drains in priority order; the set of
+    // relearned shards per cycle is what the policy fixes.
+    std::sort(recorded.begin(), recorded.end());
+    const std::vector<std::pair<int64_t, int32_t>> expected =
+        ExpectedUnlimitedSchedule(batches, options.num_shards, every);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(recorded, expected) << "relearn every " << every;
+
+    const std::vector<FusionSnapshotPtr> offline =
+        OfflineShardedReplay(dataset.num_sources(), dataset.num_objects(),
+                             dataset.num_values(), options, batches,
+                             dataset.features())
+            .ValueOrDie();
+    ASSERT_EQ(live.size(), offline.size());
+    for (size_t s = 0; s < live.size(); ++s) {
+      EXPECT_TRUE(*live[s] == *offline[s])
+          << "relearn every " << every << " shard " << s;
+    }
+  }
+}
+
 TEST(SchedulerServiceTest, ZeroTrafficRunMatchesTheOfflineOracle) {
   const Dataset dataset =
       MakePlantedDataset({0.95, 0.85, 0.8, 0.7}, 60, 0.6, 11);
@@ -186,7 +282,6 @@ TEST(SchedulerServiceTest, ZeroTrafficRunMatchesTheOfflineOracle) {
     FusionServiceOptions options;
     options.num_shards = 5;
     options.relearn_every_batches = 1;
-    options.scheduler.enabled = true;
     options.scheduler.warm_budget_per_cycle = config.warm;
     options.scheduler.cold_budget_per_cycle = config.cold;
     options.scheduler.max_deferred_cycles = config.max_defer;
@@ -214,7 +309,6 @@ TEST(SchedulerServiceTest, TrafficShapedRunMatchesItsRecordedSchedule) {
   FusionServiceOptions options;
   options.num_shards = 4;
   options.relearn_every_batches = 1;
-  options.scheduler.enabled = true;
   options.scheduler.warm_budget_per_cycle = 1;
   options.scheduler.cold_budget_per_cycle = 1;
   options.scheduler.record_schedule = true;
@@ -279,7 +373,9 @@ TEST(SchedulerServiceTest, BacklogWatermarkShedsWithRetryHint) {
   EXPECT_EQ(service->stats().sheds, 1);
 
   const SchedulerInspection sched = service->SchedStats();
-  EXPECT_FALSE(sched.enabled);  // admission works with the flat policy
+  // Admission works with the default unlimited budgets.
+  EXPECT_EQ(sched.warm_budget, 0);
+  EXPECT_EQ(sched.cold_budget, 0);
   EXPECT_GE(sched.backlog, 1);
   EXPECT_EQ(sched.sheds, 1);
   service->Stop();
@@ -309,7 +405,6 @@ TEST(SchedulerServiceTest, SchedStatsExportsTheConfiguredPolicy) {
   FusionServiceOptions options;
   options.num_shards = 3;
   options.relearn_every_batches = 1;
-  options.scheduler.enabled = true;
   options.scheduler.warm_budget_per_cycle = 7;
   options.scheduler.cold_budget_per_cycle = 3;
   options.scheduler.max_deferred_cycles = 9;
@@ -325,7 +420,6 @@ TEST(SchedulerServiceTest, SchedStatsExportsTheConfiguredPolicy) {
   }
   SLIMFAST_CHECK_OK(service->Drain());
   const SchedulerInspection sched = service->SchedStats();
-  EXPECT_TRUE(sched.enabled);
   EXPECT_EQ(sched.warm_budget, 7);
   EXPECT_EQ(sched.cold_budget, 3);
   EXPECT_EQ(sched.max_deferred_cycles, 9);
@@ -351,8 +445,8 @@ TEST(SkewedLoadgenTest, ScenarioRunsVerifiesAndSheds) {
   options.min_queries_per_chunk = 50;
   options.seed = 17;
   options.verify = true;
-  // Back-to-back flat + scheduler phases in one process: the readers of
-  // phase 1 must be fully joined before phase 2's service spins up (the
+  // Back-to-back unlimited + budgeted phases in one process: the readers
+  // of phase 1 must be fully joined before phase 2's service spins up (the
   // teardown-race regression this test pins under TSan).
   const SkewedLoadgenReport report =
       RunSkewedLoadgen(dataset, options).ValueOrDie();

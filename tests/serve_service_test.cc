@@ -2,7 +2,7 @@
 // determinism contract (live concurrent service == offline single-session
 // replay, bit for bit, for every SLiMFast preset and thread budget), the
 // concurrent-reader hammering scenario the TSan CI job exercises, the
-// relearn policies, and the service-level edge cases (empty universe,
+// relearn trigger, and the service-level edge cases (empty universe,
 // shards > objects, invalid batches, stopped service).
 
 #include <atomic>
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "serve/fusion_service.h"
 #include "test_util.h"
 
@@ -368,16 +369,18 @@ TEST(FusionServiceTest, TruthOnlyBatchesStayPendingUntilFittable) {
 }
 
 TEST(FusionServiceTest, TimedModeStopAppliesEverythingSubmitted) {
-  // The staleness-driven driver uses timed pops; a Stop racing a timed
-  // timeout must still apply every accepted batch (the driver may only
-  // exit once the queue is closed *and* drained).
+  // With observability on, the driver uses timed pops for the flight
+  // recorder's sampling tick; a Stop racing a timed timeout must still
+  // apply every accepted batch (the driver may only exit once the queue
+  // is closed *and* drained).
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const bool prior = obs::SetEnabledForTest(true);
   Dataset dataset = MakePlantedDataset({0.9, 0.8, 0.7}, 24, 0.7, 41);
   std::vector<ObservationBatch> chunks = ChunkDatasetForReplay(dataset, 6);
 
   FusionServiceOptions options;
   options.num_shards = 2;
-  options.relearn_every_batches = 0;        // only staleness + stop flush
-  options.staleness_budget_seconds = 30.0;  // never fires during the test
+  options.relearn_every_batches = 0;  // only the stop flush relearns
   auto service = FusionService::Create(dataset.num_sources(),
                                        dataset.num_objects(),
                                        dataset.num_values(), options,
@@ -394,32 +397,7 @@ TEST(FusionServiceTest, TimedModeStopAppliesEverythingSubmitted) {
   EXPECT_GT(stats.relearns, 0);  // the stop flush relearned pending data
   EXPECT_TRUE(service->ShardSnapshot(0)->has_model() ||
               service->ShardSnapshot(1)->has_model());
-}
-
-TEST(FusionServiceTest, StalenessBudgetRelearnsWithoutCountTrigger) {
-  Dataset dataset = MakePlantedDataset({0.9, 0.8}, 12, 0.8, 19);
-  FusionServiceOptions options;
-  options.num_shards = 2;
-  options.relearn_every_batches = 0;       // count trigger off
-  options.staleness_budget_seconds = 0.02;  // 20ms freshness bound
-  auto service = FusionService::Create(dataset.num_sources(),
-                                       dataset.num_objects(),
-                                       dataset.num_values(), options,
-                                       dataset.features())
-                     .ValueOrDie();
-  std::vector<ObservationBatch> chunks = ChunkDatasetForReplay(dataset, 1);
-  SLIMFAST_CHECK_OK(service->Submit(chunks[0]));
-
-  // The staleness sweep must trigger a relearn without any further
-  // submissions; give it generous wall-clock room.
-  Stopwatch deadline;
-  while (service->stats().relearns == 0 &&
-         deadline.ElapsedSeconds() < 10.0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GT(service->stats().relearns, 0)
-      << "staleness budget never forced a relearn";
-  service->Stop();
+  obs::SetEnabledForTest(prior);
 }
 
 }  // namespace

@@ -75,12 +75,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "baselines/registry.h"
@@ -159,15 +160,16 @@ struct CliOptions {
   /// serve/loadgen/replay: write a chrome://tracing JSON timeline of the
   /// run's stage spans here ("" = tracing off).
   std::string trace_out;
-  /// serve: enable the traffic-aware relearn scheduler (default: flat
-  /// policy). loadgen always compares both.
-  bool sched = false;
-  /// serve/loadgen: warm-queue relearn budget per decision cycle.
-  int32_t sched_warm_budget = 2;
-  /// serve/loadgen: cold-queue (first-fit) relearn budget per cycle.
-  int32_t sched_cold_budget = 1;
-  /// serve/loadgen: cycles a pending shard may lose before it is forced.
-  int32_t sched_max_defer = 4;
+  /// serve/loadgen: warm-queue relearn budget per decision cycle. Unset
+  /// keeps the subcommand's default: unlimited (0) for serve, the
+  /// budgeted phase's 2 for loadgen.
+  std::optional<int32_t> sched_warm_budget;
+  /// serve/loadgen: cold-queue (first-fit) relearn budget per cycle
+  /// (unset: 0 for serve, 1 for loadgen).
+  std::optional<int32_t> sched_cold_budget;
+  /// serve/loadgen: cycles a pending shard may lose before it is forced
+  /// (unset: 4).
+  std::optional<int32_t> sched_max_defer;
   /// serve: shed COMMITs once the ingest queue holds this fraction of
   /// its capacity (0 = no queue watermark).
   double shed_queue_watermark = 0.0;
@@ -210,6 +212,20 @@ bool UsageError(const std::string& message) {
   return false;
 }
 
+/// Parses all of `text` as a number into `*out`. Empty, non-numeric,
+/// trailing-garbage, and out-of-range values are one-line usage errors
+/// naming `flag` — never a silent 0.
+template <typename T>
+bool ParseNumber(const std::string& flag, const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [last, ec] = std::from_chars(text, end, *out);
+  if (text == end || ec != std::errc() || last != end) {
+    return UsageError("option '" + flag + "' expects a number, got '" +
+                      text + "'");
+  }
+  return true;
+}
+
 void PrintUsage(std::FILE* stream) {
   std::fprintf(stream,
                "usage: slimfast_cli <dataset_dir> [--method NAME] "
@@ -224,8 +240,9 @@ void PrintUsage(std::FILE* stream) {
                "--dims S O V)\n"
                "                    [--shards N] [--relearn-every K] "
                "[--preload]\n"
-               "                    [--wal-dir DIR] [--fsync-every N] "
-               "[--sched]\n"
+               "                    [--wal-dir DIR] [--fsync-every N]\n"
+               "                    [--sched-warm-budget N] "
+               "[--sched-cold-budget N]\n"
                "                    [--shed-queue-watermark F] "
                "[--shed-backlog N]\n"
                "                    [--event-log FILE] [--slo-query-p99 S] "
@@ -277,15 +294,14 @@ void PrintUsage(std::FILE* stream) {
                "every N batches\n"
                "                       (default 1 = every batch; 0 = "
                "never)\n"
-               "  --sched              serve: traffic-aware relearn "
-               "scheduler instead of\n"
-               "                       the flat relearn-everything policy\n"
                "  --sched-warm-budget N  warm (has-model) relearns per "
                "decision cycle\n"
-               "                       (default 2; 0 = unlimited)\n"
+               "                       (0 = unlimited; default serve 0, "
+               "loadgen 2)\n"
                "  --sched-cold-budget N  cold (first-fit) relearns per "
                "decision cycle\n"
-               "                       (default 1; 0 = unlimited)\n"
+               "                       (0 = unlimited; default serve 0, "
+               "loadgen 1)\n"
                "  --sched-max-defer N  cycles a pending shard may lose "
                "before it is\n"
                "                       forced past the budget (default 4)\n"
@@ -377,19 +393,20 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       return *out != nullptr ||
              UsageError("option '" + arg + "' requires a value");
     };
+    auto number_of = [&](auto* out) {
+      const char* text = nullptr;
+      return value_of(&text) && ParseNumber(arg, text, out);
+    };
     const char* v = nullptr;
     if (arg == "--method") {
       if (!value_of(&v)) return false;
       options->method = v;
     } else if (arg == "--train-fraction") {
-      if (!value_of(&v)) return false;
-      options->train_fraction = std::atof(v);
+      if (!number_of(&options->train_fraction)) return false;
     } else if (arg == "--seed") {
-      if (!value_of(&v)) return false;
-      options->seed = static_cast<uint64_t>(std::atoll(v));
+      if (!number_of(&options->seed)) return false;
     } else if (arg == "--explain") {
-      if (!value_of(&v)) return false;
-      options->explain = std::atoi(v);
+      if (!number_of(&options->explain)) return false;
     } else if (arg == "--out") {
       if (!value_of(&v)) return false;
       options->out_file = v;
@@ -397,22 +414,17 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (!value_of(&v)) return false;
       options->demo = v;
     } else if (arg == "--threads") {
-      if (!value_of(&v)) return false;
-      options->threads = std::atoi(v);
+      if (!number_of(&options->threads)) return false;
     } else if (arg == "--quick") {
       options->quick = true;
     } else if (arg == "--chunks") {
-      if (!value_of(&v)) return false;
-      options->chunks = std::atoi(v);
+      if (!number_of(&options->chunks)) return false;
     } else if (arg == "--shards") {
-      if (!value_of(&v)) return false;
-      options->shards = std::atoi(v);
+      if (!number_of(&options->shards)) return false;
     } else if (arg == "--readers") {
-      if (!value_of(&v)) return false;
-      options->readers = std::atoi(v);
+      if (!number_of(&options->readers)) return false;
     } else if (arg == "--relearn-every") {
-      if (!value_of(&v)) return false;
-      options->relearn_every = std::atoi(v);
+      if (!number_of(&options->relearn_every)) return false;
     } else if (arg == "--dims") {
       const char* s = next();
       const char* o = next();
@@ -420,52 +432,42 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (s == nullptr || o == nullptr || d == nullptr) {
         return UsageError("option '--dims' requires three values: S O V");
       }
-      options->dim_sources = std::atoi(s);
-      options->dim_objects = std::atoi(o);
-      options->dim_values = std::atoi(d);
+      if (!ParseNumber(arg, s, &options->dim_sources) ||
+          !ParseNumber(arg, o, &options->dim_objects) ||
+          !ParseNumber(arg, d, &options->dim_values)) {
+        return false;
+      }
     } else if (arg == "--preload") {
       options->preload = true;
     } else if (arg == "--wal-dir") {
       if (!value_of(&v)) return false;
       options->wal_dir = v;
     } else if (arg == "--fsync-every") {
-      if (!value_of(&v)) return false;
-      options->fsync_every = std::atoi(v);
+      if (!number_of(&options->fsync_every)) return false;
     } else if (arg == "--trace-out") {
       if (!value_of(&v)) return false;
       options->trace_out = v;
-    } else if (arg == "--sched") {
-      options->sched = true;
     } else if (arg == "--sched-warm-budget") {
-      if (!value_of(&v)) return false;
-      options->sched_warm_budget = std::atoi(v);
+      if (!number_of(&options->sched_warm_budget.emplace())) return false;
     } else if (arg == "--sched-cold-budget") {
-      if (!value_of(&v)) return false;
-      options->sched_cold_budget = std::atoi(v);
+      if (!number_of(&options->sched_cold_budget.emplace())) return false;
     } else if (arg == "--sched-max-defer") {
-      if (!value_of(&v)) return false;
-      options->sched_max_defer = std::atoi(v);
+      if (!number_of(&options->sched_max_defer.emplace())) return false;
     } else if (arg == "--shed-queue-watermark") {
-      if (!value_of(&v)) return false;
-      options->shed_queue_watermark = std::atof(v);
+      if (!number_of(&options->shed_queue_watermark)) return false;
     } else if (arg == "--shed-backlog") {
-      if (!value_of(&v)) return false;
-      options->shed_backlog = std::atoll(v);
+      if (!number_of(&options->shed_backlog)) return false;
     } else if (arg == "--event-log") {
       if (!value_of(&v)) return false;
       options->event_log = v;
     } else if (arg == "--slo-query-p99") {
-      if (!value_of(&v)) return false;
-      options->slo_query_p99 = std::atof(v);
+      if (!number_of(&options->slo_query_p99)) return false;
     } else if (arg == "--slo-staleness") {
-      if (!value_of(&v)) return false;
-      options->slo_staleness = std::atof(v);
+      if (!number_of(&options->slo_staleness)) return false;
     } else if (arg == "--slo-stall") {
-      if (!value_of(&v)) return false;
-      options->slo_stall = std::atof(v);
+      if (!number_of(&options->slo_stall)) return false;
     } else if (arg == "--slo-queue") {
-      if (!value_of(&v)) return false;
-      options->slo_queue = std::atof(v);
+      if (!number_of(&options->slo_queue)) return false;
     } else if (arg == "--no-verify") {
       options->no_verify = true;
     } else if (arg == "--stats") {
@@ -1208,15 +1210,15 @@ int RunServe(const CliOptions& options) {
   service_options.relearn_every_batches = options.relearn_every;
   service_options.session.seed = options.seed;
   service_options.shard_exec.threads = options.threads;
-  service_options.scheduler.enabled = options.sched;
-  service_options.scheduler.warm_budget_per_cycle =
-      options.sched_warm_budget;
-  service_options.scheduler.cold_budget_per_cycle =
-      options.sched_cold_budget;
-  service_options.scheduler.max_deferred_cycles = options.sched_max_defer;
-  service_options.scheduler.shed_queue_watermark =
-      options.shed_queue_watermark;
-  service_options.scheduler.shed_backlog_watermark = options.shed_backlog;
+  SchedulerOptions& sched = service_options.scheduler;
+  sched.warm_budget_per_cycle =
+      options.sched_warm_budget.value_or(sched.warm_budget_per_cycle);
+  sched.cold_budget_per_cycle =
+      options.sched_cold_budget.value_or(sched.cold_budget_per_cycle);
+  sched.max_deferred_cycles =
+      options.sched_max_defer.value_or(sched.max_deferred_cycles);
+  sched.shed_queue_watermark = options.shed_queue_watermark;
+  sched.shed_backlog_watermark = options.shed_backlog;
   service_options.slo.query_p99_ceiling_seconds = options.slo_query_p99;
   service_options.slo.staleness_ceiling_seconds = options.slo_staleness;
   service_options.slo.relearn_stall_seconds = options.slo_stall;
@@ -1254,19 +1256,19 @@ int RunServe(const CliOptions& options) {
 
   std::fprintf(stderr,
                "slimfast serve: %d sources, %d objects, %d values across "
-               "%d shard(s); relearn every %d batch(es), %s policy\n"
+               "%d shard(s); relearn every %d batch(es), budgets per "
+               "cycle warm %d / cold %d (0 = unlimited)\n"
                "commands: OBS TRUTH COMMIT QUERY POSTERIOR STATS METRICS "
                "HEALTH HISTORY EVENTS SLOW SCHED CHECKPOINT DRAIN QUIT\n",
                num_sources, num_objects, num_values, service->num_shards(),
-               options.relearn_every,
-               options.sched ? "scheduled relearn" : "flat relearn");
-  if (service_options.scheduler.admission_enabled()) {
+               options.relearn_every, sched.warm_budget_per_cycle,
+               sched.cold_budget_per_cycle);
+  if (sched.admission_enabled()) {
     std::fprintf(stderr,
                  "admission control: shedding COMMITs at queue watermark "
                  "%.2f / backlog %lld (ERR BUSY + retry hint)\n",
-                 service_options.scheduler.shed_queue_watermark,
-                 static_cast<long long>(
-                     service_options.scheduler.shed_backlog_watermark));
+                 sched.shed_queue_watermark,
+                 static_cast<long long>(sched.shed_backlog_watermark));
   }
   {
     const obs::SloWatchdogOptions& slo = service_options.slo;
@@ -1539,8 +1541,8 @@ int RunLoadgenCli(const CliOptions& options) {
   }
 
   // --- Skewed (Zipfian) scheduler scenario: same chunks, same pacing,
-  // same thread budget, flat policy vs traffic-aware scheduler; the
-  // gate is hot-shard staleness p99. ---
+  // same thread budget, unlimited vs budgeted relearns; the gate is the
+  // hot-shard version lag and the relearn count. ---
   SkewedLoadgenOptions skew_options;
   skew_options.num_shards = options.quick ? 8 : 12;
   skew_options.num_chunks = options.quick ? 8 : 16;
@@ -1549,9 +1551,13 @@ int RunLoadgenCli(const CliOptions& options) {
   skew_options.min_queries_per_chunk = options.quick ? 100 : 200;
   skew_options.seed = options.seed;
   skew_options.verify = !options.no_verify;
-  skew_options.scheduler.warm_budget_per_cycle = options.sched_warm_budget;
-  skew_options.scheduler.cold_budget_per_cycle = options.sched_cold_budget;
-  skew_options.scheduler.max_deferred_cycles = options.sched_max_defer;
+  SchedulerOptions& budgeted = skew_options.scheduler;
+  budgeted.warm_budget_per_cycle =
+      options.sched_warm_budget.value_or(budgeted.warm_budget_per_cycle);
+  budgeted.cold_budget_per_cycle =
+      options.sched_cold_budget.value_or(budgeted.cold_budget_per_cycle);
+  budgeted.max_deferred_cycles =
+      options.sched_max_defer.value_or(budgeted.max_deferred_cycles);
   skew_options.exec.threads = options.threads;
   auto skew_run = RunSkewedLoadgen(dataset, skew_options);
   if (!skew_run.ok()) {
@@ -1565,7 +1571,7 @@ int RunLoadgenCli(const CliOptions& options) {
               skew.hot_shard, skew.hot_shard_mass * 100.0,
               skew_options.num_shards, skew_options.num_chunks);
   auto print_phase = [](const char* name, const PolicyPhaseReport& phase) {
-    std::printf("    %-6s hot version lag %.2f mean / %.0f max cycles, "
+    std::printf("    %-10s hot version lag %.2f mean / %.0f max cycles, "
                 "%lld relearns (staleness p50/p99 %.2f/%.2f ms over %lld "
                 "samples, %lld queries, %.3fs)\n",
                 name, phase.hot_version_lag_mean, phase.hot_version_lag_max,
@@ -1576,17 +1582,17 @@ int RunLoadgenCli(const CliOptions& options) {
                 static_cast<long long>(phase.total_queries),
                 phase.wall_seconds);
   };
-  print_phase("flat:", skew.flat);
-  print_phase("sched:", skew.sched);
-  std::printf("    gate (flat lag 0, sched max lag within deferral bound, "
-              "fewer relearns): %s\n",
+  print_phase("unlimited:", skew.flat);
+  print_phase("budgeted:", skew.sched);
+  std::printf("    gate (unlimited lag 0, budgeted max lag within deferral "
+              "bound, fewer relearns): %s\n",
               skew.gate_passed ? "passed" : "FAILED");
   std::printf("    admission: %lld batch(es) shed, retry hint %lld ms\n",
               static_cast<long long>(skew.admission_sheds),
               static_cast<long long>(skew.shed_retry_hint_ms));
   if (skew.flat.verify_ran || skew.sched.verify_ran) {
-    std::printf("    offline cross-check: flat %s, sched (recorded "
-                "schedule) %s\n",
+    std::printf("    offline cross-check: unlimited %s, budgeted "
+                "(recorded schedule) %s\n",
                 skew.flat.verified ? "bit-identical" : "DIFFERS",
                 skew.sched.verified ? "bit-identical" : "DIFFERS");
   }
@@ -1659,8 +1665,9 @@ int RunLoadgenCli(const CliOptions& options) {
   if (!skew.gate_passed) {
     std::fprintf(stderr,
                  "loadgen: skewed scheduler gate FAILED (hot version lag: "
-                 "flat mean %.3f [must be 0], sched max %.0f [bound %d], "
-                 "relearns: sched %lld vs flat %lld [must be fewer])\n",
+                 "unlimited mean %.3f [must be 0], budgeted max %.0f "
+                 "[bound %d], relearns: budgeted %lld vs unlimited %lld "
+                 "[must be fewer])\n",
                  skew.flat.hot_version_lag_mean,
                  skew.sched.hot_version_lag_max,
                  skew_options.scheduler.max_deferred_cycles,
