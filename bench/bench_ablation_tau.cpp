@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/compilation.h"
+#include "core/compiled_instance.h"
 #include "core/optimizer.h"
 #include "synth/simulators.h"
 #include "util/random.h"
@@ -23,7 +23,7 @@ int main() {
   for (const std::string& name : SimulatorNames()) {
     auto synth = MakeSimulatorByName(name, /*seed=*/42).ValueOrDie();
     const Dataset& dataset = synth.dataset;
-    auto compiled = Compile(dataset, ModelConfig{}).ValueOrDie();
+    auto instance = CompileInstance(dataset, ModelConfig{}).ValueOrDie();
     for (double fraction : bench::PaperFractions()) {
       Rng rng(11);
       auto split = MakeSplit(dataset, fraction, &rng).ValueOrDie();
@@ -32,7 +32,7 @@ int main() {
         OptimizerOptions options;
         options.tau = tau;
         auto decision = DecideAlgorithm(
-            dataset, split, compiled.layout.num_params, options);
+            dataset, split, instance->model->layout.num_params, options);
         std::printf(" %-10s",
                     decision.algorithm == Algorithm::kErm ? "ERM" : "EM");
       }

@@ -33,8 +33,9 @@ void BM_Compile(benchmark::State& state) {
   auto synth = MakeBenchInstance(static_cast<int32_t>(state.range(0)),
                                  1000, 0.02);
   for (auto _ : state) {
-    auto compiled = Compile(synth.dataset, ModelConfig{}).ValueOrDie();
-    benchmark::DoNotOptimize(compiled.objects.size());
+    auto instance =
+        CompileInstance(synth.dataset, ModelConfig{}).ValueOrDie();
+    benchmark::DoNotOptimize(instance->num_rows());
   }
   state.SetItemsProcessed(state.iterations() *
                           synth.dataset.num_observations());
@@ -43,25 +44,26 @@ BENCHMARK(BM_Compile)->Arg(100)->Arg(500)->Arg(1000);
 
 void BM_PosteriorAllObjects(benchmark::State& state) {
   auto synth = MakeBenchInstance(500, 1000, 0.02);
-  SlimFastModel model(Compile(synth.dataset, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(
+      CompileInstance(synth.dataset, ModelConfig{}).ValueOrDie());
+  const int32_t num_rows = model.instance().num_rows();
   std::vector<double> probs;
   for (auto _ : state) {
-    for (const CompiledObject& row : model.compiled().objects) {
+    for (int32_t row = 0; row < num_rows; ++row) {
       model.Posterior(row, &probs);
       benchmark::DoNotOptimize(probs.data());
     }
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(model.compiled().objects.size()));
+  state.SetItemsProcessed(state.iterations() * num_rows);
 }
 BENCHMARK(BM_PosteriorAllObjects);
 
 void BM_ErmEpoch(benchmark::State& state) {
   auto synth = MakeBenchInstance(500, 1000, 0.02);
   const Dataset& d = synth.dataset;
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
-  auto examples = ErmLearner::ObjectExamples(d, model.compiled(),
-                                             d.ObjectsWithTruth());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
+  auto examples =
+      ErmLearner::ObjectExamples(model.instance(), d.ObjectsWithTruth());
   ErmOptions options;
   options.epochs = 1;
   ErmLearner learner(options);
@@ -83,7 +85,7 @@ void BM_EmIteration(benchmark::State& state) {
   options.max_iterations = 1;
   EmLearner learner(options);
   for (auto _ : state) {
-    SlimFastModel model(Compile(d, config).ValueOrDie());
+    SlimFastModel model(CompileInstance(d, config).ValueOrDie());
     Rng rng(1);
     auto stats = learner.Fit(d, {}, &model, &rng);
     benchmark::DoNotOptimize(stats.ok());

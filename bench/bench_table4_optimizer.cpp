@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/compilation.h"
+#include "core/compiled_instance.h"
 #include "core/optimizer.h"
 #include "core/slimfast.h"
 #include "eval/metrics.h"
@@ -30,7 +30,7 @@ int main() {
   for (const std::string& name : SimulatorNames()) {
     auto synth = MakeSimulatorByName(name, /*seed=*/42).ValueOrDie();
     const Dataset& dataset = synth.dataset;
-    auto compiled = Compile(dataset, ModelConfig{}).ValueOrDie();
+    auto instance = CompileInstance(dataset, ModelConfig{}).ValueOrDie();
 
     for (double fraction : bench::PaperFractions()) {
       std::vector<double> erm_scores;
@@ -42,7 +42,7 @@ int main() {
         auto split = MakeSplit(dataset, fraction, &rng).ValueOrDie();
         if (rep == 0) {
           decision = DecideAlgorithm(dataset, split,
-                                     compiled.layout.num_params,
+                                     instance->model->layout.num_params,
                                      OptimizerOptions{})
                          .algorithm;
         }

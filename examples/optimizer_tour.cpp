@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "core/compilation.h"
+#include "core/compiled_instance.h"
 #include "core/optimizer.h"
 #include "synth/simulators.h"
 #include "util/random.h"
@@ -19,12 +19,13 @@ int main() {
   for (const std::string& name : SimulatorNames()) {
     auto synth = MakeSimulatorByName(name, /*seed=*/42).ValueOrDie();
     const Dataset& dataset = synth.dataset;
-    auto compiled = Compile(dataset, ModelConfig{}).ValueOrDie();
+    auto instance = CompileInstance(dataset, ModelConfig{}).ValueOrDie();
     for (double fraction : {0.001, 0.01, 0.05, 0.10, 0.20}) {
       Rng rng(11);
       auto split = MakeSplit(dataset, fraction, &rng).ValueOrDie();
-      OptimizerDecision decision = DecideAlgorithm(
-          dataset, split, compiled.layout.num_params, OptimizerOptions{});
+      OptimizerDecision decision =
+          DecideAlgorithm(dataset, split, instance->model->layout.num_params,
+                          OptimizerOptions{});
       std::printf("%-10s %-7.1f %-9.3f %-11.0f %-11.0f %-9.2f %s%s\n",
                   name.c_str(), fraction * 100,
                   decision.estimated_avg_accuracy, decision.erm_units,

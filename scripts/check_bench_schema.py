@@ -45,9 +45,7 @@ RUNTIME_REQUIRED_PHASES = [
     "generate_replicas",
     "compile",
     "compile_cached",
-    "learn_erm_batch",
     "learn_erm_sparse",
-    "learn_em",
     "learn_em_sparse",
     "learn_em_simd",
     "learn_erm_simd",
@@ -57,13 +55,10 @@ RUNTIME_REQUIRED_PHASES = [
 ]
 
 # Speedup entries the runtime scenario must measure: compilation caching,
-# the dense-to-sparse representation change, the SIMD kernel tables over
-# both learners, and the incremental engine (delta-compile ingest, warm
-# relearning).
+# the SIMD kernel tables over both learners, and the incremental engine
+# (delta-compile ingest, warm relearning).
 RUNTIME_REQUIRED_SPEEDUPS = [
     "compile_cached_vs_cold",
-    "learn_erm_sparse_vs_dense",
-    "learn_em_sparse_vs_dense",
     "learn_em_simd_vs_scalar",
     "learn_erm_simd_vs_scalar",
     "ingest_delta_vs_recompile",

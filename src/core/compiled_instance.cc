@@ -1,6 +1,9 @@
 #include "core/compiled_instance.h"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "exec/parallel.h"
@@ -10,83 +13,272 @@ namespace slimfast {
 
 namespace {
 
-/// Flattens `instance->model` + `instance->store` into the flat CSR
-/// arrays. One linear pass, shared by CompileInstance and DeltaCompile so
-/// both assemble identical bits from identical structure.
-void FlattenInstance(CompiledInstance* instance) {
-  const CompiledModel& model = *instance->model;
-  const ObservationStore& store = instance->store;
-  const size_t num_rows = model.objects.size();
+/// Maps a packed `min_source * num_sources + max_source` key to its
+/// copy-parameter index (empty when the copying extension is off).
+using CopyPairIndex = std::unordered_map<int64_t, int32_t>;
 
-  // Candidate axis + term CSR.
-  int64_t total_cands = 0;
-  int64_t total_terms = 0;
-  for (const CompiledObject& row : model.objects) {
-    total_cands += static_cast<int64_t>(row.domain.size());
-    for (const auto& cand_terms : row.terms) {
-      total_terms += static_cast<int64_t>(cand_terms.size());
+/// Accumulates sparse (param, coeff) pairs and emits them merged and
+/// sorted by param.
+class TermAccumulator {
+ public:
+  void Add(ParamId param, double coeff) { coeffs_[param] += coeff; }
+
+  /// Appends the merged terms (zero coefficients dropped) and resets.
+  void Finish(std::vector<double>* coeff, std::vector<ParamId>* param) {
+    for (const auto& [p, c] : coeffs_) {
+      if (c == 0.0) continue;
+      coeff->push_back(c);
+      param->push_back(p);
     }
+    coeffs_.clear();
   }
-  instance->row_begin.reserve(num_rows + 1);
-  instance->cand_values.reserve(static_cast<size_t>(total_cands));
-  instance->cand_offsets.reserve(static_cast<size_t>(total_cands));
-  instance->term_begin.reserve(static_cast<size_t>(total_cands) + 1);
-  instance->terms.reserve(static_cast<size_t>(total_terms));
-  instance->term_coeff.reserve(static_cast<size_t>(total_terms));
-  instance->term_param.reserve(static_cast<size_t>(total_terms));
 
-  instance->row_begin.push_back(0);
-  instance->term_begin.push_back(0);
-  for (const CompiledObject& row : model.objects) {
-    for (size_t di = 0; di < row.domain.size(); ++di) {
-      instance->cand_values.push_back(row.domain[di]);
-      instance->cand_offsets.push_back(row.offsets[di]);
-      instance->terms.insert(instance->terms.end(), row.terms[di].begin(),
-                             row.terms[di].end());
-      for (const ParamTerm& t : row.terms[di]) {
-        instance->term_coeff.push_back(t.coeff);
-        instance->term_param.push_back(t.param);
+ private:
+  std::map<ParamId, double> coeffs_;
+};
+
+/// Selects the copying source pairs: pairs whose agreeing co-observations
+/// reach config.copying_min_agreements, capped at copying_max_pairs by
+/// descending agreement count.
+std::vector<std::pair<SourceId, SourceId>> SelectCopyPairs(
+    const Dataset& dataset, const ModelConfig& config) {
+  std::unordered_map<int64_t, int64_t> agree_counts;
+  for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
+    const auto& claims = dataset.ClaimsOnObject(o);
+    for (size_t a = 0; a < claims.size(); ++a) {
+      for (size_t b = a + 1; b < claims.size(); ++b) {
+        if (claims[a].value != claims[b].value) continue;
+        SourceId i = std::min(claims[a].source, claims[b].source);
+        SourceId j = std::max(claims[a].source, claims[b].source);
+        if (i == j) continue;
+        int64_t key =
+            static_cast<int64_t>(i) * dataset.num_sources() + j;
+        ++agree_counts[key];
       }
-      instance->term_begin.push_back(
-          static_cast<int64_t>(instance->terms.size()));
     }
-    instance->row_begin.push_back(
-        static_cast<int64_t>(instance->cand_values.size()));
+  }
+  std::vector<std::pair<int64_t, int64_t>> ranked;  // (count, key)
+  for (const auto& [key, count] : agree_counts) {
+    if (count >= config.copying_min_agreements) {
+      ranked.emplace_back(count, key);
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& x, const auto& y) {
+    if (x.first != y.first) return x.first > y.first;
+    return x.second < y.second;
+  });
+  if (config.copying_max_pairs > 0 &&
+      static_cast<int64_t>(ranked.size()) > config.copying_max_pairs) {
+    ranked.resize(static_cast<size_t>(config.copying_max_pairs));
+  }
+  std::vector<std::pair<SourceId, SourceId>> pairs;
+  pairs.reserve(ranked.size());
+  for (const auto& [count, key] : ranked) {
+    pairs.emplace_back(static_cast<SourceId>(key / dataset.num_sources()),
+                       static_cast<SourceId>(key % dataset.num_sources()));
+  }
+  // Deterministic order for stable parameter ids.
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+/// Validates `config` against `dataset` and builds the structural header:
+/// parameter layout and copy pairs.
+Result<CompiledModel> CompileHeader(const Dataset& dataset,
+                                    const ModelConfig& config) {
+  if (!config.use_source_weights && !config.use_feature_weights) {
+    return Status::InvalidArgument(
+        "model must use source weights, feature weights, or both");
+  }
+  if (config.use_feature_weights && !config.use_source_weights &&
+      dataset.features().num_features() == 0) {
+    return Status::FailedPrecondition(
+        "feature-only model requires a dataset with features");
+  }
+  if (config.use_copying_features && dataset.num_sources() < 2) {
+    return Status::FailedPrecondition(
+        "copying extension requires at least two sources");
   }
 
-  // Sigma-term CSR.
-  instance->sigma_begin.reserve(model.sigma_terms.size() + 1);
-  instance->sigma_begin.push_back(0);
-  for (const auto& source_terms : model.sigma_terms) {
-    instance->sigma_terms.insert(instance->sigma_terms.end(),
-                                 source_terms.begin(), source_terms.end());
-    instance->sigma_begin.push_back(
-        static_cast<int64_t>(instance->sigma_terms.size()));
-  }
+  CompiledModel model;
+  model.config = config;
+  model.num_sources = dataset.num_sources();
+  model.num_features = dataset.features().num_features();
 
-  // Per-row claims (canonical order) and truth targets. The claimed
-  // value's domain index is resolved once here so per-iteration walks
-  // never binary-search.
-  instance->claim_begin.reserve(num_rows + 1);
+  ParamLayout& layout = model.layout;
+  int32_t next = 0;
+  layout.source_offset = next;
+  layout.num_source_params =
+      config.use_source_weights ? dataset.num_sources() : 0;
+  next += layout.num_source_params;
+  layout.feature_offset = next;
+  layout.num_feature_params =
+      config.use_feature_weights ? dataset.features().num_features() : 0;
+  next += layout.num_feature_params;
+  layout.copy_offset = next;
+  if (config.use_copying_features) {
+    model.copy_pairs = SelectCopyPairs(dataset, config);
+    layout.num_copy_params = static_cast<int32_t>(model.copy_pairs.size());
+  }
+  next += layout.num_copy_params;
+  layout.num_params = next;
+  return model;
+}
+
+/// The one row compiler: derives the posterior expressions of `object`
+/// from its claims in `store` and appends the row to `out`'s candidate and
+/// term arrays (row_begin, cand_values, cand_offsets, term_begin,
+/// term_coeff, term_param). CompileInstance runs it for every observed
+/// object and DeltaCompile for the rows with new claims, over the same
+/// claims in the same order, so a delta-compiled row is bitwise-identical
+/// to its full-compilation counterpart. `structure` supplies the header
+/// and the sigma-term CSR; it may be `out` itself.
+void AppendRow(const ObservationStore& store, ObjectId object,
+               const CompiledInstance& structure,
+               const CopyPairIndex& copy_pairs, CompiledInstance* out) {
+  const CompiledModel& model = *structure.model;
+  const ModelConfig& config = model.config;
+  const IndexRange claims = store.ObjectRange(object);
+  const IndexRange domain = store.DomainRange(object);
+  const std::vector<SourceId>& sources = store.sources();
+  const std::vector<ValueId>& values = store.values();
+  const double claim_offset =
+      (config.multiclass_offset && domain.size() > 2)
+          ? std::log(static_cast<double>(domain.size()) - 1.0)
+          : 0.0;
+  TermAccumulator acc;
+  for (int64_t k = domain.begin; k < domain.end; ++k) {
+    const ValueId d = store.domain_values()[static_cast<size_t>(k)];
+    double offset = 0.0;
+    for (int64_t i = claims.begin; i < claims.end; ++i) {
+      if (values[static_cast<size_t>(i)] != d) continue;
+      const size_t s = static_cast<size_t>(sources[static_cast<size_t>(i)]);
+      for (int64_t t = structure.sigma_begin[s];
+           t < structure.sigma_begin[s + 1]; ++t) {
+        acc.Add(structure.sigma_param[static_cast<size_t>(t)],
+                structure.sigma_coeff[static_cast<size_t>(t)]);
+      }
+      offset += claim_offset;
+    }
+    // Copying factors (Appendix D): when registered pair (i, j) agrees on
+    // value v for this object, a weight fires on every candidate d != v —
+    // a positive weight pushes the posterior *away* from the pair's value,
+    // modeling that joint mistakes are evidence of copying rather than
+    // independent corroboration.
+    if (config.use_copying_features) {
+      for (int64_t a = claims.begin; a < claims.end; ++a) {
+        const ValueId va = values[static_cast<size_t>(a)];
+        for (int64_t b = a + 1; b < claims.end; ++b) {
+          if (values[static_cast<size_t>(b)] != va) continue;
+          const SourceId sa = sources[static_cast<size_t>(a)];
+          const SourceId sb = sources[static_cast<size_t>(b)];
+          auto it = copy_pairs.find(
+              static_cast<int64_t>(std::min(sa, sb)) * model.num_sources +
+              std::max(sa, sb));
+          if (it == copy_pairs.end()) continue;
+          if (d != va) acc.Add(model.layout.copy_offset + it->second, 1.0);
+        }
+      }
+    }
+    out->cand_values.push_back(d);
+    out->cand_offsets.push_back(offset);
+    acc.Finish(&out->term_coeff, &out->term_param);
+    out->term_begin.push_back(static_cast<int64_t>(out->term_coeff.size()));
+  }
+  out->row_begin.push_back(static_cast<int64_t>(out->cand_values.size()));
+}
+
+/// Appends rows [lo, hi) of `src` to `out` as contiguous range copies,
+/// rebasing the candidate and term offsets.
+void CopyRows(const CompiledInstance& src, int32_t lo, int32_t hi,
+              CompiledInstance* out) {
+  if (lo >= hi) return;
+  const int64_t cb = src.row_begin[static_cast<size_t>(lo)];
+  const int64_t ce = src.row_begin[static_cast<size_t>(hi)];
+  const int64_t tb = src.term_begin[static_cast<size_t>(cb)];
+  const int64_t te = src.term_begin[static_cast<size_t>(ce)];
+  const int64_t cand_shift = out->num_candidates() - cb;
+  const int64_t term_shift =
+      static_cast<int64_t>(out->term_coeff.size()) - tb;
+  for (int32_t r = lo + 1; r <= hi; ++r) {
+    out->row_begin.push_back(src.row_begin[static_cast<size_t>(r)] +
+                             cand_shift);
+  }
+  out->cand_values.insert(out->cand_values.end(),
+                          src.cand_values.begin() + cb,
+                          src.cand_values.begin() + ce);
+  out->cand_offsets.insert(out->cand_offsets.end(),
+                           src.cand_offsets.begin() + cb,
+                           src.cand_offsets.begin() + ce);
+  for (int64_t c = cb + 1; c <= ce; ++c) {
+    out->term_begin.push_back(src.term_begin[static_cast<size_t>(c)] +
+                              term_shift);
+  }
+  out->term_coeff.insert(out->term_coeff.end(), src.term_coeff.begin() + tb,
+                         src.term_coeff.begin() + te);
+  out->term_param.insert(out->term_param.end(), src.term_param.begin() + tb,
+                         src.term_param.begin() + te);
+}
+
+/// Fills the per-row claim arrays (canonical order) and truth targets from
+/// `instance->store`. The claimed value's domain index is resolved once
+/// here so per-iteration walks never binary-search.
+void ResolveClaims(CompiledInstance* instance) {
+  const ObservationStore& store = instance->store;
+  const int32_t num_rows = instance->num_rows();
+  instance->claim_begin.reserve(static_cast<size_t>(num_rows) + 1);
   instance->claim_begin.push_back(0);
-  instance->truth_cand.reserve(num_rows);
-  for (const CompiledObject& row : model.objects) {
-    IndexRange range = store.ObjectRange(row.object);
+  instance->claim_sources.reserve(
+      static_cast<size_t>(store.num_observations()));
+  instance->claim_cand.reserve(static_cast<size_t>(store.num_observations()));
+  instance->truth_cand.reserve(static_cast<size_t>(num_rows));
+  for (int32_t r = 0; r < num_rows; ++r) {
+    const ObjectId object = instance->row_object[static_cast<size_t>(r)];
+    IndexRange range = store.ObjectRange(object);
     for (int64_t i = range.begin; i < range.end; ++i) {
       instance->claim_sources.push_back(
           store.sources()[static_cast<size_t>(i)]);
-      instance->claim_cand.push_back(
-          row.DomainIndex(store.values()[static_cast<size_t>(i)]));
+      instance->claim_cand.push_back(instance->DomainIndex(
+          r, store.values()[static_cast<size_t>(i)]));
     }
     instance->claim_begin.push_back(
         static_cast<int64_t>(instance->claim_sources.size()));
-    ValueId truth = store.truth()[static_cast<size_t>(row.object)];
+    ValueId truth = store.truth()[static_cast<size_t>(object)];
     instance->truth_cand.push_back(
-        truth == kNoValue ? -1 : row.DomainIndex(truth));
+        truth == kNoValue ? -1 : instance->DomainIndex(r, truth));
   }
 }
 
+/// Empty row and candidate axes (the leading CSR offsets only), with room
+/// for `num_candidates` candidates.
+void StartRows(int32_t num_objects, size_t num_candidates,
+               CompiledInstance* instance) {
+  instance->object_row.assign(static_cast<size_t>(num_objects), -1);
+  instance->row_begin.assign(1, 0);
+  instance->term_begin.assign(1, 0);
+  instance->cand_values.reserve(num_candidates);
+  instance->cand_offsets.reserve(num_candidates);
+  instance->term_begin.reserve(num_candidates + 1);
+}
+
+/// Registers `object` as the next row.
+void AddRowObject(ObjectId object, CompiledInstance* instance) {
+  instance->object_row[static_cast<size_t>(object)] =
+      static_cast<int32_t>(instance->row_object.size());
+  instance->row_object.push_back(object);
+}
+
 }  // namespace
+
+int32_t CompiledInstance::DomainIndex(int32_t r, ValueId value) const {
+  const auto begin =
+      cand_values.begin() + row_begin[static_cast<size_t>(r)];
+  const auto end =
+      cand_values.begin() + row_begin[static_cast<size_t>(r) + 1];
+  auto it = std::lower_bound(begin, end, value);
+  if (it == end || *it != value) return -1;
+  return static_cast<int32_t>(it - begin);
+}
 
 uint64_t DatasetCompilationFingerprint(const Dataset& dataset) {
   uint64_t h = 0x534c694d46617374ULL;  // "SLiMFast"
@@ -122,48 +314,81 @@ uint64_t DatasetCompilationFingerprint(const Dataset& dataset) {
 
 Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
     const Dataset& dataset, const ModelConfig& config) {
-  SLIMFAST_ASSIGN_OR_RETURN(CompiledModel compiled,
-                            Compile(dataset, config));
-
+  SLIMFAST_ASSIGN_OR_RETURN(CompiledModel header,
+                            CompileHeader(dataset, config));
   auto instance = std::make_shared<CompiledInstance>();
-  instance->model =
-      std::make_shared<const CompiledModel>(std::move(compiled));
   instance->store = ObservationStore::FromDataset(dataset);
-  FlattenInstance(instance.get());
+  const ObservationStore& store = instance->store;
+
+  // Trust-score expressions σ_s.
+  const ParamLayout& layout = header.layout;
+  instance->sigma_begin.reserve(static_cast<size_t>(dataset.num_sources()) +
+                                1);
+  instance->sigma_begin.push_back(0);
+  for (SourceId s = 0; s < dataset.num_sources(); ++s) {
+    if (config.use_source_weights) {
+      instance->sigma_coeff.push_back(1.0);
+      instance->sigma_param.push_back(layout.source_offset + s);
+    }
+    if (config.use_feature_weights) {
+      for (FeatureId k : dataset.features().FeaturesOf(s)) {
+        instance->sigma_coeff.push_back(1.0);
+        instance->sigma_param.push_back(layout.feature_offset + k);
+      }
+    }
+    instance->sigma_begin.push_back(
+        static_cast<int64_t>(instance->sigma_coeff.size()));
+  }
+
+  // Fast lookup of registered copying pairs.
+  CopyPairIndex pair_index;
+  for (size_t c = 0; c < header.copy_pairs.size(); ++c) {
+    const auto& [i, j] = header.copy_pairs[c];
+    pair_index.emplace(static_cast<int64_t>(i) * dataset.num_sources() + j,
+                       static_cast<int32_t>(c));
+  }
+  instance->model = std::make_shared<const CompiledModel>(std::move(header));
+
+  // Per-object posterior expressions, one AppendRow per observed object
+  // (the same call DeltaCompile makes for touched rows).
+  StartRows(store.num_objects(), store.domain_values().size(),
+            instance.get());
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    if (store.ObjectRange(o).empty()) continue;
+    AddRowObject(o, instance.get());
+    AppendRow(store, o, *instance, pair_index, instance.get());
+  }
+  ResolveClaims(instance.get());
   return std::shared_ptr<const CompiledInstance>(std::move(instance));
 }
 
 Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
     const CompiledInstance& base, const ObservationBatch& batch,
     Executor* exec, std::vector<ObjectId>* recompiled_rows) {
-  const CompiledModel& base_model = *base.model;
-  if (base_model.config.use_copying_features) {
+  if (base.model->config.use_copying_features) {
     return Status::NotImplemented(
         "delta compilation does not support the copying extension: "
         "copy-pair selection is a global agreement scan, so a batch can "
         "change the parameter layout itself — recompile from scratch");
   }
 
-  SLIMFAST_ASSIGN_OR_RETURN(ObservationStore store,
-                            base.store.AppendBatch(batch));
+  auto instance = std::make_shared<CompiledInstance>();
+  SLIMFAST_ASSIGN_OR_RETURN(instance->store, base.store.AppendBatch(batch));
+  const ObservationStore& store = instance->store;
 
   // Structural context carries over unchanged: new observations cannot
   // alter the parameter layout (the source/feature universes are fixed at
   // session start) or the per-source sigma expressions.
-  CompiledModel model;
-  model.config = base_model.config;
-  model.layout = base_model.layout;
-  model.sigma_terms = base_model.sigma_terms;
-  model.copy_pairs = base_model.copy_pairs;
-  model.num_sources = base_model.num_sources;
-  model.num_features = base_model.num_features;
+  instance->model = base.model;
+  instance->sigma_begin = base.sigma_begin;
+  instance->sigma_coeff = base.sigma_coeff;
+  instance->sigma_param = base.sigma_param;
 
-  // Recompile exactly the rows with new claims, sharded across `exec`
-  // (each row writes its own slot, so thread count never changes the
-  // result). Truth-only updates never enter a row's term expressions —
-  // FlattenInstance re-resolves every truth_cand from the new store — so
-  // a labels-only batch recompiles nothing. Untouched rows are copied
-  // bit-for-bit below.
+  // Recompile exactly the rows with new claims, one fragment per row,
+  // sharded across `exec` (each row writes its own fragment, so thread
+  // count never changes the result). Truth-only updates never enter a
+  // row's term expressions — ResolveClaims re-resolves every truth_cand
+  // from the new store — so a labels-only batch recompiles nothing.
   std::vector<ObjectId> recompile;
   recompile.reserve(batch.observations.size());
   for (const Observation& obs : batch.observations) {
@@ -172,59 +397,58 @@ Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
   std::sort(recompile.begin(), recompile.end());
   recompile.erase(std::unique(recompile.begin(), recompile.end()),
                   recompile.end());
-  std::vector<CompiledObject> rows(recompile.size());
-  const std::unordered_map<int64_t, int32_t> no_copy_pairs;
+  std::vector<CompiledInstance> fragments(recompile.size());
+  const CopyPairIndex no_copy_pairs;
   ParallelFor(exec, static_cast<int64_t>(recompile.size()), [&](int64_t i) {
-    ObjectId o = recompile[static_cast<size_t>(i)];
-    IndexRange range = store.ObjectRange(o);
-    std::vector<SourceClaim> claims;
-    claims.reserve(static_cast<size_t>(range.size()));
-    for (int64_t c = range.begin; c < range.end; ++c) {
-      claims.push_back(SourceClaim{store.sources()[static_cast<size_t>(c)],
-                                   store.values()[static_cast<size_t>(c)]});
-    }
-    IndexRange domain_range = store.DomainRange(o);
-    std::vector<ValueId> domain(
-        store.domain_values().begin() + domain_range.begin,
-        store.domain_values().begin() + domain_range.end);
-    rows[static_cast<size_t>(i)] =
-        CompileObjectRow(o, claims, domain, base_model, no_copy_pairs);
+    CompiledInstance& fragment = fragments[static_cast<size_t>(i)];
+    StartRows(0, 0, &fragment);
+    AppendRow(store, recompile[static_cast<size_t>(i)], base, no_copy_pairs,
+              &fragment);
   });
 
-  // Assemble the new row list in ObjectId order: recompiled rows splice in
-  // where their object sits, everything else is copied from the base.
-  model.object_row.assign(static_cast<size_t>(store.num_objects()), -1);
-  model.objects.reserve(base_model.objects.size() + rows.size());
+  // Assemble the rows in ObjectId order: recompiled rows splice in where
+  // their object sits; runs of untouched rows are copied from the base as
+  // contiguous ranges.
+  StartRows(store.num_objects(), store.domain_values().size(),
+            instance.get());
+  instance->term_coeff.reserve(base.term_coeff.size());
+  instance->term_param.reserve(base.term_param.size());
+  int32_t run_begin = 0;  // pending run [run_begin, run_end) of base rows
+  int32_t run_end = 0;
   size_t next_recompiled = 0;
   for (ObjectId o = 0; o < store.num_objects(); ++o) {
     if (store.ObjectRange(o).empty()) continue;
-    model.object_row[static_cast<size_t>(o)] =
-        static_cast<int32_t>(model.objects.size());
+    AddRowObject(o, instance.get());
     if (next_recompiled < recompile.size() &&
         recompile[next_recompiled] == o) {
-      model.objects.push_back(std::move(rows[next_recompiled]));
+      CopyRows(base, run_begin, run_end, instance.get());
+      run_begin = run_end;
+      CopyRows(fragments[next_recompiled], 0, 1, instance.get());
       ++next_recompiled;
-    } else {
-      const CompiledObject* row = base_model.RowOf(o);
-      model.objects.push_back(*row);
+      continue;
     }
+    // An untouched row had claims before the batch, so it has a base row.
+    const int32_t base_row = base.RowIndex(o);
+    if (base_row != run_end) {
+      CopyRows(base, run_begin, run_end, instance.get());
+      run_begin = base_row;
+    }
+    run_end = base_row + 1;
   }
-
-  auto instance = std::make_shared<CompiledInstance>();
-  instance->model = std::make_shared<const CompiledModel>(std::move(model));
-  instance->store = std::move(store);
-  FlattenInstance(instance.get());
+  CopyRows(base, run_begin, run_end, instance.get());
+  ResolveClaims(instance.get());
   if (recompiled_rows != nullptr) *recompiled_rows = std::move(recompile);
   return std::shared_ptr<const CompiledInstance>(std::move(instance));
 }
 
 bool BitwiseEqual(const CompiledInstance& a, const CompiledInstance& b) {
   return *a.model == *b.model && a.store == b.store &&
+         a.row_object == b.row_object && a.object_row == b.object_row &&
          a.row_begin == b.row_begin && a.cand_values == b.cand_values &&
          a.cand_offsets == b.cand_offsets && a.term_begin == b.term_begin &&
-         a.terms == b.terms && a.term_coeff == b.term_coeff &&
-         a.term_param == b.term_param && a.sigma_begin == b.sigma_begin &&
-         a.sigma_terms == b.sigma_terms && a.claim_begin == b.claim_begin &&
+         a.term_coeff == b.term_coeff && a.term_param == b.term_param &&
+         a.sigma_begin == b.sigma_begin && a.sigma_coeff == b.sigma_coeff &&
+         a.sigma_param == b.sigma_param && a.claim_begin == b.claim_begin &&
          a.claim_sources == b.claim_sources &&
          a.claim_cand == b.claim_cand && a.truth_cand == b.truth_cand;
 }

@@ -4,60 +4,119 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
-#include "core/compilation.h"
+#include "core/options.h"
 #include "data/observation_store.h"
-#include "simd/simd.h"
-#include "util/math.h"
 #include "util/result.h"
 
 namespace slimfast {
 
-/// The flat, cache-friendly compilation of one (dataset, ModelConfig)
-/// pair: the columnar ObservationStore plus every sparsity pattern the
-/// learners walk per iteration, compiled once and flattened into CSR
-/// arrays.
-///
-/// The graph topology and feature sparsity pattern are fixed for a given
-/// dataset, so batch-ERM epochs and EM E-steps only ever re-read this
-/// structure with fresh weights. The legacy dense path walks
-/// CompiledModel's nested per-object vectors; the sparse path walks these
-/// flat ranges in the same element order, so both produce bit-identical
-/// results (asserted per preset in determinism_test).
+/// Dense parameter index into the model's weight vector.
+using ParamId = int32_t;
+
+/// Layout of the flat parameter vector:
+///   [0, num_sources)                      per-source indicator weights w_s
+///   [feature_offset, feature_offset+K)    feature weights w_k
+///   [copy_offset, copy_offset+C)          copying pair weights (App. D)
+/// Disabled groups have zero width.
+struct ParamLayout {
+  int32_t num_params = 0;
+  int32_t source_offset = 0;
+  int32_t num_source_params = 0;
+  int32_t feature_offset = 0;
+  int32_t num_feature_params = 0;
+  int32_t copy_offset = 0;
+  int32_t num_copy_params = 0;
+
+  bool IsSourceParam(ParamId p) const {
+    return p >= source_offset && p < source_offset + num_source_params;
+  }
+  bool IsFeatureParam(ParamId p) const {
+    return p >= feature_offset && p < feature_offset + num_feature_params;
+  }
+  bool IsCopyParam(ParamId p) const {
+    return p >= copy_offset && p < copy_offset + num_copy_params;
+  }
+
+  bool operator==(const ParamLayout&) const = default;
+};
+
+/// The structural header of a compiled model (the "Compilation" step of
+/// Figure 3): the config it was compiled under, the parameter layout, and
+/// the copying pairs. The per-source trust-score and per-object posterior
+/// expressions live in the CSR arrays of the CompiledInstance that owns
+/// this header (below). New observations never change the header (the
+/// source and feature universes are fixed), so a delta compilation shares
+/// its base's header unchanged.
+struct CompiledModel {
+  ModelConfig config;
+  ParamLayout layout;
+  /// Copying extension: copy_pairs[c] is the source pair of copy parameter
+  /// layout.copy_offset + c.
+  std::vector<std::pair<SourceId, SourceId>> copy_pairs;
+
+  int32_t num_sources = 0;
+  int32_t num_features = 0;
+
+  bool operator==(const CompiledModel&) const = default;
+};
+
+/// The compilation of one (dataset, ModelConfig) pair: the columnar
+/// ObservationStore plus the log-linear structure of Eq. 4, compiled once
+/// into contiguous CSR arrays. This is the one compiled representation:
+/// SlimFastModel scores rows from it, and ERM and EM re-read it with fresh
+/// weights every epoch and E-step.
 ///
 /// Index spaces:
-///   rows        [0, num_rows)        — CompiledModel::objects order
-///   candidates  [0, num_candidates)  — rows' domains concatenated;
-///                                      row r owns [row_begin[r], row_begin[r+1])
-///   terms       flat ParamTerm array — candidate c owns
-///                                      [term_begin[c], term_begin[c+1])
+///   rows         [0, num_rows): the observed objects in ascending
+///                ObjectId; row_object / object_row map between the two.
+///   candidates   row r owns [row_begin[r], row_begin[r+1]) of
+///                cand_values / cand_offsets.
+///   terms        candidate c owns [term_begin[c], term_begin[c+1]) of
+///                term_coeff / term_param.
+///   sigma terms  source s owns [sigma_begin[s], sigma_begin[s+1]) of
+///                sigma_coeff / sigma_param.
+///   claims       row r owns [claim_begin[r], claim_begin[r+1]) of
+///                claim_sources / claim_cand.
+///
+/// Every term range is merged by parameter and sorted by ParamId; the
+/// score of candidate c is cand_offsets[c] + Σ term_coeff·w[term_param],
+/// folded lane-stably (simd::LaneStableSum) everywhere it is computed.
 struct CompiledInstance {
-  /// The structural compilation this instance flattens. Shared with every
-  /// SlimFastModel fit against it, so repeated fits never recompile.
+  /// Structural header (config, parameter layout, copy pairs). Immutable
+  /// and shared by every delta compilation derived from this instance.
   std::shared_ptr<const CompiledModel> model;
 
   /// Columnar observation store of the source dataset.
   ObservationStore store;
 
-  // --- Candidate axis (flattened CompiledObject domains) ---
-  std::vector<int64_t> row_begin;   ///< size num_rows + 1
-  std::vector<ValueId> cand_values;
-  std::vector<double> cand_offsets;  ///< constant score offsets
+  // --- Row axis ---
+  std::vector<ObjectId> row_object;  ///< size num_rows
+  std::vector<int32_t> object_row;   ///< size num_objects; -1 = unobserved
 
-  // --- Posterior terms (flattened CompiledObject::terms) ---
+  // --- Candidate axis ---
+  std::vector<int64_t> row_begin;   ///< size num_rows + 1
+  std::vector<ValueId> cand_values;  ///< ascending within each row
+  /// Constant score offset per candidate (no gradient): the multiclass
+  /// correction count(d) * log(|D_o| - 1). Equation 2 defines σ_s as the
+  /// binary log-odds; with |D_o| > 2 candidates and wrong values spread
+  /// uniformly, each claim's correct Naive-Bayes vote is
+  /// log(A_s / ((1 - A_s) / (n - 1))) = σ_s + log(n - 1) — the same n
+  /// factor ACCU uses. Zero for binary domains, so the base model is
+  /// exactly Eq. 4 there.
+  std::vector<double> cand_offsets;
+
+  // --- Posterior terms ---
   std::vector<int64_t> term_begin;  ///< size num_candidates + 1
-  std::vector<ParamTerm> terms;
-  /// SoA mirrors of `terms`, split so the SIMD kernels can stream
-  /// coefficients and gather weights without striding over the AoS pairs.
-  /// Filled by the same flattening pass; always element-aligned with
-  /// `terms`.
   std::vector<double> term_coeff;
   std::vector<ParamId> term_param;
 
-  // --- Trust-score terms (flattened CompiledModel::sigma_terms) ---
+  // --- Trust-score terms σ_s = w_s + Σ_k w_k f_{s,k} ---
   std::vector<int64_t> sigma_begin;  ///< size num_sources + 1
-  std::vector<ParamTerm> sigma_terms;
+  std::vector<double> sigma_coeff;
+  std::vector<ParamId> sigma_param;
 
   // --- Per-row claims, in dataset insertion order ---
   std::vector<int64_t> claim_begin;  ///< size num_rows + 1
@@ -81,39 +140,23 @@ struct CompiledInstance {
     return static_cast<int32_t>(row_begin[static_cast<size_t>(r) + 1] -
                                 row_begin[static_cast<size_t>(r)]);
   }
+
+  /// Row of `object`, or -1 when it has no observations (or is out of
+  /// range).
+  int32_t RowIndex(ObjectId object) const {
+    if (object < 0 || object >= static_cast<ObjectId>(object_row.size())) {
+      return -1;
+    }
+    return object_row[static_cast<size_t>(object)];
+  }
+
+  /// Index of `value` within row `r`'s domain, or -1 if absent.
+  int32_t DomainIndex(int32_t r, ValueId value) const;
 };
 
-/// Linear score of global candidate `cand` under weights `w` — the same
-/// lane-stable accumulation as SlimFastModel::ValueScore on the dense
-/// rows and as the batched TermProducts + FoldRanges kernel pipeline.
-inline double SparseValueScore(const CompiledInstance& inst, int64_t cand,
-                               const std::vector<double>& w) {
-  const int64_t begin = inst.term_begin[static_cast<size_t>(cand)];
-  const int64_t n = inst.term_begin[static_cast<size_t>(cand) + 1] - begin;
-  const double* coeff = inst.term_coeff.data() + begin;
-  const ParamId* param = inst.term_param.data() + begin;
-  return inst.cand_offsets[static_cast<size_t>(cand)] +
-         simd::LaneStableSum(n, [&](int64_t i) {
-           return coeff[i] * w[static_cast<size_t>(param[i])];
-         });
-}
-
-/// Posterior over row `r`'s candidates (softmax of SparseValueScore);
-/// bit-identical to SlimFastModel::Posterior on the matching dense row.
-inline void SparsePosterior(const CompiledInstance& inst, int32_t r,
-                            const std::vector<double>& w,
-                            std::vector<double>* probs) {
-  const int64_t begin = inst.row_begin[static_cast<size_t>(r)];
-  const int64_t end = inst.row_begin[static_cast<size_t>(r) + 1];
-  probs->resize(static_cast<size_t>(end - begin));
-  for (int64_t c = begin; c < end; ++c) {
-    (*probs)[static_cast<size_t>(c - begin)] = SparseValueScore(inst, c, w);
-  }
-  SoftmaxInPlace(probs);
-}
-
-/// Compiles `dataset` under `config` and flattens the result. The heavy
-/// lifting is Compile(); flattening is one linear pass.
+/// Compiles `dataset` under `config` straight into the CSR arrays. Fails
+/// if the config enables features but the dataset has none of the
+/// structure required (e.g. copying with < 2 sources).
 Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
     const Dataset& dataset, const ModelConfig& config);
 
@@ -124,10 +167,10 @@ class Executor;
 /// engine.
 ///
 /// The patched `ObservationStore` comes from `ObservationStore::AppendBatch`
-/// (CSR range splice + incremental fingerprint); only the rows whose
-/// claims, domain, or truth changed are re-derived, through the same
-/// `CompileObjectRow` the full compiler runs, and the flat CSR arrays are
-/// reassembled in one linear pass. The result is **bitwise-equal** to
+/// (CSR range splice + incremental fingerprint); only the rows with new
+/// claims are re-derived, through the same row compiler the full compiler
+/// runs, and every other row's candidate and term ranges are copied from
+/// the base in contiguous runs. The result is **bitwise-equal** to
 /// `CompileInstance` over the concatenated data — same structure, same
 /// term coefficients, same offsets to the last bit — which
 /// `core_delta_compile_test` asserts for every preset and chunking, and
@@ -143,17 +186,17 @@ class Executor;
 /// When `recompiled_rows` is non-null it receives the ascending list of
 /// objects whose rows were actually re-derived: the objects with new
 /// claims in the batch. Truth-only updates re-derive nothing — truth
-/// never enters a row's term expressions, and the flattening pass
+/// never enters a row's term expressions, and the claim/truth pass
 /// re-resolves every truth target from the patched store.
 Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
     const CompiledInstance& base, const ObservationBatch& batch,
     Executor* exec = nullptr,
     std::vector<ObjectId>* recompiled_rows = nullptr);
 
-/// Deep bitwise equality of two compiled instances: the compiled model
-/// (every term coefficient and offset compared as exact doubles), the
-/// columnar store (including its content fingerprint), and every flat CSR
-/// array. This is the delta-compilation correctness oracle.
+/// Deep bitwise equality of two compiled instances: the structural
+/// header, the columnar store (including its content fingerprint), and
+/// every CSR array (term coefficients and offsets compared as exact
+/// doubles). This is the delta-compilation correctness oracle.
 bool BitwiseEqual(const CompiledInstance& a, const CompiledInstance& b);
 
 /// Content fingerprint of everything compilation reads from a dataset:

@@ -10,7 +10,7 @@ namespace slimfast {
 std::vector<CopyingRelation> TopCopyingRelations(const SlimFastModel& model,
                                                  int32_t top_k) {
   const ParamLayout& layout = model.layout();
-  const auto& pairs = model.compiled().copy_pairs;
+  const auto& pairs = model.instance().model->copy_pairs;
   std::vector<CopyingRelation> relations;
   relations.reserve(pairs.size());
   for (size_t c = 0; c < pairs.size(); ++c) {

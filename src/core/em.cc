@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/row_access.h"
 #include "exec/parallel.h"
 #include "opt/convergence.h"
 #include "simd/simd.h"
@@ -20,8 +19,6 @@ struct EStepAcc {
 };
 
 /// Emits one unclamped row's imputed examples and NLL contribution.
-/// Shared by the dense per-row and sparse batched shard passes so both
-/// produce the identical example sequence from identical posteriors.
 /// `probs` is the row's posterior; `soft_entropy` is its precomputed
 /// entropy (ignored on the hard path); claims arrive as parallel arrays
 /// of source and within-row candidate index (-1 = claimed value outside
@@ -52,94 +49,59 @@ inline void EmitRow(const double* probs, int64_t domain_size, bool soft,
   }
 }
 
-/// Per-row entropy Σ -p log p through the same kernels the batched sparse
-/// pass uses (BatchEntropyTerms + a lane-stable fold), so dense and
-/// sparse NLLs agree bitwise.
-inline double RowEntropy(const std::vector<double>& probs,
-                         std::vector<double>* scratch) {
-  const int64_t n = static_cast<int64_t>(probs.size());
-  scratch->resize(probs.size());
-  simd::BatchEntropyTerms(probs.data(), scratch->data(), n);
-  return simd::Sum(scratch->data(), n);
-}
-
-/// One E-step pass over the unclamped rows of shard `range`, row at a
-/// time against the dense row-access policy (kept for equivalence
-/// testing; see core/row_access.h).
-void EStepShardDense(const DenseRowAccess& rows, const EmOptions& options,
-                     const std::vector<uint8_t>& clamped,
-                     const ShardRange& range, EStepAcc* acc) {
-  std::vector<double> shard_probs, ent_scratch;
-  std::vector<SourceId> claim_src;
-  std::vector<int32_t> claim_di;
-  for (int64_t r = range.begin; r < range.end; ++r) {
-    if (clamped[static_cast<size_t>(r)]) continue;
-    int32_t row = static_cast<int32_t>(r);
-    rows.Posterior(row, &shard_probs);
-    claim_src.clear();
-    claim_di.clear();
-    rows.ForEachClaim(row, [&](SourceId source, int32_t di) {
-      claim_src.push_back(source);
-      claim_di.push_back(di);
-    });
-    const double entropy =
-        options.soft ? RowEntropy(shard_probs, &ent_scratch) : 0.0;
-    EmitRow(shard_probs.data(), static_cast<int64_t>(shard_probs.size()),
-            options.soft, entropy, claim_src.data(), claim_di.data(),
-            static_cast<int64_t>(claim_src.size()), acc);
-  }
-}
-
-/// The batched sparse E-step over shard `range`: instead of one posterior
-/// at a time, the whole shard's flat CSR span runs as four kernel passes —
+/// The batched E-step over shard `range`: instead of one posterior at a
+/// time, the whole shard's CSR span runs as four kernel passes —
 /// TermProducts over every term, FoldRanges into per-candidate scores,
 /// SoftmaxRows over every row at once, and (soft mode) BatchEntropyTerms
 /// + FoldRanges for the per-row entropies — before a scalar emission walk
 /// over the claims. Clamped rows' posteriors are computed and discarded:
 /// keeping the spans contiguous beats compacting them (clamped rows are a
-/// small training fraction), and emission skips them exactly as the dense
-/// pass does. Bit-identical to EStepShardDense by the lane-stable kernel
+/// small training fraction), and emission skips them. The scores are
+/// bit-identical to SlimFastModel::Scores by the lane-stable kernel
 /// contract (see src/simd/simd.h).
-void EStepShardSparse(const SparseRowAccess& rows, const EmOptions& options,
-                      const std::vector<uint8_t>& clamped,
-                      const ShardRange& range, EStepAcc* acc) {
+void EStepShard(const SlimFastModel& model, const EmOptions& options,
+                const std::vector<uint8_t>& clamped, const ShardRange& range,
+                EStepAcc* acc) {
   const int64_t num_rows = range.end - range.begin;
   if (num_rows <= 0) return;
-  const int64_t cand_b = rows.row_begin[range.begin];
-  const int64_t ncand = rows.row_begin[range.end] - cand_b;
+  const CompiledInstance& inst = model.instance();
+  const int64_t* row_begin = inst.row_begin.data();
+  const int64_t* term_begin = inst.term_begin.data();
+  const int64_t* claim_begin = inst.claim_begin.data();
+  const int64_t cand_b = row_begin[range.begin];
+  const int64_t ncand = row_begin[range.end] - cand_b;
   if (ncand == 0) return;
-  const int64_t term_b = rows.term_begin[cand_b];
-  const int64_t nterms = rows.term_begin[rows.row_begin[range.end]] - term_b;
-  const std::vector<double>& w = rows.model->weights();
+  const int64_t term_b = term_begin[cand_b];
+  const int64_t nterms = term_begin[row_begin[range.end]] - term_b;
 
   std::vector<double> prod(static_cast<size_t>(nterms));
   std::vector<double> scores(static_cast<size_t>(ncand));
-  simd::TermProducts(rows.term_coeff + term_b, rows.term_param + term_b,
-                     w.data(), prod.data(), nterms);
-  simd::FoldRanges(rows.term_begin + cand_b, ncand, term_b, prod.data(),
-                   rows.cand_offsets + cand_b, scores.data());
-  simd::SoftmaxRows(rows.row_begin + range.begin, num_rows, cand_b,
-                    scores.data());
+  simd::TermProducts(inst.term_coeff.data() + term_b,
+                     inst.term_param.data() + term_b, model.weights().data(),
+                     prod.data(), nterms);
+  simd::FoldRanges(term_begin + cand_b, ncand, term_b, prod.data(),
+                   inst.cand_offsets.data() + cand_b, scores.data());
+  simd::SoftmaxRows(row_begin + range.begin, num_rows, cand_b, scores.data());
 
   std::vector<double> row_ent;
   if (options.soft) {
     std::vector<double> ent_terms(static_cast<size_t>(ncand));
     simd::BatchEntropyTerms(scores.data(), ent_terms.data(), ncand);
     row_ent.resize(static_cast<size_t>(num_rows));
-    simd::FoldRanges(rows.row_begin + range.begin, num_rows, cand_b,
+    simd::FoldRanges(row_begin + range.begin, num_rows, cand_b,
                      ent_terms.data(), nullptr, row_ent.data());
   }
 
   for (int64_t r = range.begin; r < range.end; ++r) {
     if (clamped[static_cast<size_t>(r)]) continue;
-    const int64_t row_base = rows.row_begin[r];
-    const int64_t cb = rows.claim_begin[r];
-    EmitRow(scores.data() + (row_base - cand_b),
-            rows.row_begin[r + 1] - row_base, options.soft,
+    const int64_t row_base = row_begin[r];
+    const int64_t cb = claim_begin[r];
+    EmitRow(scores.data() + (row_base - cand_b), row_begin[r + 1] - row_base,
+            options.soft,
             options.soft ? row_ent[static_cast<size_t>(r - range.begin)]
                          : 0.0,
-            rows.claim_sources + cb, rows.claim_cand + cb,
-            rows.claim_begin[r + 1] - cb, acc);
+            inst.claim_sources.data() + cb, inst.claim_cand.data() + cb,
+            claim_begin[r + 1] - cb, acc);
   }
 }
 
@@ -148,8 +110,7 @@ void EStepShardSparse(const SparseRowAccess& rows, const EmOptions& options,
 void EmLearner::Initialize(const Dataset& dataset,
                            const std::vector<LabeledExample>& labeled,
                            const std::vector<ObjectId>& train_objects,
-                           SlimFastModel* model, Rng* rng,
-                           const CompiledInstance* instance) const {
+                           SlimFastModel* model, Rng* rng) const {
   const ParamLayout& layout = model->layout();
   if (layout.num_source_params > 0) {
     double w0 = Logit(options_.init_accuracy);
@@ -163,7 +124,7 @@ void EmLearner::Initialize(const Dataset& dataset,
     // the M-step); errors here are non-fatal — EM proceeds from the prior.
     ErmLearner erm(options_.m_step);
     auto examples = ErmLearner::ObservationExamples(dataset, train_objects);
-    auto st = erm.FitAccuracyLoss(examples, model, rng, instance);
+    auto st = erm.FitAccuracyLoss(examples, model, rng);
     (void)st;
   }
 }
@@ -171,13 +132,10 @@ void EmLearner::Initialize(const Dataset& dataset,
 Result<EmStats> EmLearner::Fit(const Dataset& dataset,
                                const std::vector<ObjectId>& train_objects,
                                SlimFastModel* model, Rng* rng,
-                               Executor* exec,
-                               const CompiledInstance* instance,
-                               bool warm_start) const {
+                               Executor* exec, bool warm_start) const {
   SLIMFAST_ASSIGN_OR_RETURN(
       EmStats stats, FitOnce(dataset, train_objects, model, rng,
-                             /*seed_from_labels=*/true, warm_start, exec,
-                             instance));
+                             /*seed_from_labels=*/true, warm_start, exec));
   // Inversion guard: EM has a symmetric fixed point where most trust
   // scores flip sign (every label is anti-predicted). The ground-truth
   // objects are clamped during the E-step, so a healthy run predicts them
@@ -187,12 +145,11 @@ Result<EmStats> EmLearner::Fit(const Dataset& dataset,
   if (!train_objects.empty()) {
     double accuracy = TrainAccuracy(dataset, train_objects, *model);
     if (accuracy < 0.5) {
-      SlimFastModel retry(model->shared_compiled());
+      SlimFastModel retry(model->shared_instance());
       SLIMFAST_ASSIGN_OR_RETURN(
           EmStats retry_stats,
           FitOnce(dataset, train_objects, &retry, rng,
-                  /*seed_from_labels=*/false, /*warm_start=*/false, exec,
-                  instance));
+                  /*seed_from_labels=*/false, /*warm_start=*/false, exec));
       if (TrainAccuracy(dataset, train_objects, retry) > accuracy) {
         model->SetWeights(retry.weights());
         return retry_stats;
@@ -205,15 +162,17 @@ Result<EmStats> EmLearner::Fit(const Dataset& dataset,
 double EmLearner::TrainAccuracy(const Dataset& dataset,
                                 const std::vector<ObjectId>& train_objects,
                                 const SlimFastModel& model) {
+  const CompiledInstance& inst = model.instance();
   int64_t evaluated = 0;
   int64_t correct = 0;
   for (ObjectId o : train_objects) {
     if (!dataset.HasTruth(o)) continue;
-    const CompiledObject* row = model.compiled().RowOf(o);
-    if (row == nullptr) continue;
+    const int32_t row = inst.RowIndex(o);
+    if (row < 0) continue;
     ++evaluated;
-    int32_t map_index = model.MapIndex(*row);
-    if (row->domain[static_cast<size_t>(map_index)] == dataset.Truth(o)) {
+    const int64_t cand =
+        inst.row_begin[static_cast<size_t>(row)] + model.MapIndex(row);
+    if (inst.cand_values[static_cast<size_t>(cand)] == dataset.Truth(o)) {
       ++correct;
     }
   }
@@ -225,17 +184,16 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
                                    const std::vector<ObjectId>& train_objects,
                                    SlimFastModel* model, Rng* rng,
                                    bool seed_from_labels, bool warm_start,
-                                   Executor* exec,
-                                   const CompiledInstance* instance) const {
-  const CompiledModel& compiled = model->compiled();
-  if (compiled.objects.empty()) {
+                                   Executor* exec) const {
+  const int32_t num_rows = model->instance().num_rows();
+  if (num_rows == 0) {
     return Status::FailedPrecondition("EM requires at least one observation");
   }
 
   std::vector<LabeledExample> labeled =
-      ErmLearner::ObjectExamples(dataset, compiled, train_objects);
+      ErmLearner::ObjectExamples(model->instance(), train_objects);
   // Rows clamped to ground truth (never re-imputed by the E-step).
-  std::vector<uint8_t> clamped(compiled.objects.size(), 0);
+  std::vector<uint8_t> clamped(static_cast<size_t>(num_rows), 0);
   for (const LabeledExample& ex : labeled) {
     clamped[static_cast<size_t>(ex.row)] = 1;
   }
@@ -246,7 +204,7 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
   if (!warm_start) {
     Initialize(dataset,
                seed_from_labels ? labeled : std::vector<LabeledExample>{},
-               train_objects, model, rng, instance);
+               train_objects, model, rng);
   }
 
   // Observation examples for clamped objects are fixed across iterations.
@@ -280,15 +238,9 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
     // thread count.
     examples = clamped_examples;
     EStepAcc estep = DeterministicReduce(
-        exec, static_cast<int64_t>(compiled.objects.size()), EStepAcc{},
+        exec, num_rows, EStepAcc{},
         [&](const ShardRange& range, EStepAcc* acc) {
-          if (instance != nullptr) {
-            EStepShardSparse(SparseRowAccess{instance, model}, options_,
-                             clamped, range, acc);
-          } else {
-            EStepShardDense(DenseRowAccess{&dataset, model}, options_,
-                            clamped, range, acc);
-          }
+          EStepShard(*model, options_, clamped, range, acc);
         },
         [](EStepAcc* total, const EStepAcc& shard) {
           total->examples.insert(total->examples.end(),
@@ -300,14 +252,13 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
                     estep.examples.end());
     double expected_nll = estep.nll;
     for (const LabeledExample& ex : labeled) {
-      expected_nll += model->ObjectNll(
-          compiled.objects[static_cast<size_t>(ex.row)], ex.target_index);
+      expected_nll += model->ObjectNll(ex.row, ex.target_index);
     }
 
     // ---- M-step: warm-started accuracy-loss fit on all claim targets. ----
     SLIMFAST_ASSIGN_OR_RETURN(
         FitStats m_stats,
-        m_step.FitAccuracyLoss(examples, model, rng, instance));
+        m_step.FitAccuracyLoss(examples, model, rng));
     (void)m_stats;
 
     stats.iterations = iter + 1;

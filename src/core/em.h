@@ -12,8 +12,6 @@
 
 namespace slimfast {
 
-struct CompiledInstance;
-
 /// Statistics of an EM run.
 struct EmStats {
   int32_t iterations = 0;
@@ -53,9 +51,8 @@ class EmLearner {
   /// Runs EM on `model` in place. `train_objects` may be empty
   /// (fully unsupervised). The E-step's per-object posterior imputation is
   /// sharded across `exec` (null = serial) with a deterministic reduce, so
-  /// thread count never changes the fit. When `instance` is non-null the
-  /// E-step and M-step walk its flat sparse ranges; results are
-  /// bit-identical to the dense path (see core/row_access.h).
+  /// thread count never changes the fit. `dataset` must be the data the
+  /// model's instance was compiled from.
   ///
   /// With `warm_start` set, the model's current weights are taken as the
   /// starting point — initialization (the logit-prior source weights and
@@ -68,7 +65,6 @@ class EmLearner {
                       const std::vector<ObjectId>& train_objects,
                       SlimFastModel* model, Rng* rng,
                       Executor* exec = nullptr,
-                      const CompiledInstance* instance = nullptr,
                       bool warm_start = false) const;
 
  private:
@@ -77,8 +73,7 @@ class EmLearner {
                           const std::vector<ObjectId>& train_objects,
                           SlimFastModel* model, Rng* rng,
                           bool seed_from_labels, bool warm_start,
-                          Executor* exec,
-                          const CompiledInstance* instance) const;
+                          Executor* exec) const;
 
   /// MAP accuracy of `model` on the clamped training objects.
   static double TrainAccuracy(const Dataset& dataset,
@@ -89,8 +84,7 @@ class EmLearner {
   void Initialize(const Dataset& dataset,
                   const std::vector<LabeledExample>& labeled,
                   const std::vector<ObjectId>& train_objects,
-                  SlimFastModel* model, Rng* rng,
-                  const CompiledInstance* instance) const;
+                  SlimFastModel* model, Rng* rng) const;
 
   EmOptions options_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/row_access.h"
 #include "simd/simd.h"
 #include "opt/adagrad.h"
 #include "opt/convergence.h"
@@ -15,18 +14,16 @@
 namespace slimfast {
 
 std::vector<LabeledExample> ErmLearner::ObjectExamples(
-    const Dataset& dataset, const CompiledModel& compiled,
+    const CompiledInstance& instance,
     const std::vector<ObjectId>& train_objects) {
   std::vector<LabeledExample> examples;
   examples.reserve(train_objects.size());
   for (ObjectId o : train_objects) {
-    if (!dataset.HasTruth(o)) continue;
-    const CompiledObject* row = compiled.RowOf(o);
-    if (row == nullptr) continue;
-    int32_t target = row->DomainIndex(dataset.Truth(o));
-    if (target < 0) continue;  // truth never claimed; unusable for ERM
-    examples.push_back(LabeledExample{
-        compiled.object_row[static_cast<size_t>(o)], target, 1.0});
+    const int32_t row = instance.RowIndex(o);
+    if (row < 0) continue;
+    const int32_t target = instance.truth_cand[static_cast<size_t>(row)];
+    if (target < 0) continue;  // unlabeled, or truth never claimed
+    examples.push_back(LabeledExample{row, target, 1.0});
   }
   return examples;
 }
@@ -47,14 +44,23 @@ std::vector<ObservationExample> ErmLearner::ObservationExamples(
 
 namespace {
 
-/// The SGD loop of FitObjectLoss, written once against the row-access
-/// policy: `rows` supplies posterior and term iteration over either the
-/// dense nested vectors or the flat sparse ranges. Same elements, same
-/// order, same arithmetic — so the two instantiations are bit-identical.
-template <typename Rows>
-Result<FitStats> FitObjectLossSgdImpl(
-    const ErmOptions& options, const std::vector<LabeledExample>& examples,
-    SlimFastModel* model, Rng* rng, const Rows& rows) {
+/// Adds `mult` × the posterior terms of global candidate `cand` to `grad`.
+/// The array bases are read into locals once: the loop interleaves them
+/// with writes through `grad`, and locals stay in registers.
+inline void ScatterTerms(const CompiledInstance& inst, int64_t cand,
+                         double mult, SparseGradAccumulator<ParamId>* grad) {
+  const int64_t begin = inst.term_begin[static_cast<size_t>(cand)];
+  const int64_t n = inst.term_begin[static_cast<size_t>(cand) + 1] - begin;
+  const double* coeff = inst.term_coeff.data() + begin;
+  const ParamId* param = inst.term_param.data() + begin;
+  for (int64_t t = 0; t < n; ++t) grad->Add(param[t], coeff[t], mult);
+}
+
+/// The SGD loop of FitObjectLoss.
+Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
+                                  const std::vector<LabeledExample>& examples,
+                                  SlimFastModel* model, Rng* rng) {
+  const CompiledInstance& inst = model->instance();
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
 
@@ -79,23 +85,18 @@ Result<FitStats> FitObjectLossSgdImpl(
     for (size_t idx : order) {
       const LabeledExample& ex = examples[static_cast<size_t>(idx)];
 
-      rows.Posterior(ex.row, &probs);
+      model->Posterior(ex.row, &probs);
       double p_target =
           std::max(probs[static_cast<size_t>(ex.target_index)], 1e-300);
       loss_sum += -ex.weight * std::log(p_target);
 
       // d(-log p_target)/dw = Σ_d p_d * x_d - x_target.
       grad.Clear();
-      rows.ForEachTerm(ex.row, static_cast<size_t>(ex.target_index),
-                       [&](const ParamTerm& t) {
-                         grad.Add(t.param, t.coeff, -ex.weight);
-                       });
-      const size_t domain_size = rows.DomainSize(ex.row);
-      for (size_t di = 0; di < domain_size; ++di) {
-        double coeff = ex.weight * probs[di];
-        rows.ForEachTerm(ex.row, di, [&](const ParamTerm& t) {
-          grad.Add(t.param, t.coeff, coeff);
-        });
+      const int64_t cand = inst.row_begin[static_cast<size_t>(ex.row)];
+      ScatterTerms(inst, cand + ex.target_index, -ex.weight, &grad);
+      for (size_t di = 0; di < probs.size(); ++di) {
+        ScatterTerms(inst, cand + static_cast<int64_t>(di),
+                     ex.weight * probs[di], &grad);
       }
       for (ParamId p : grad.touched()) {
         size_t pi = static_cast<size_t>(p);
@@ -130,7 +131,7 @@ struct BatchGradAcc {
   double loss = 0.0;
 };
 
-/// The full-batch proximal-descent loop, against the same policy.
+/// The full-batch proximal-descent loop.
 ///
 /// The epoch is organized around the rows the examples touch, not the
 /// examples themselves. Per-example work factors by row: every example
@@ -146,14 +147,11 @@ struct BatchGradAcc {
 /// difference between one and a per-row claim count of scatter passes),
 /// and batches every softmax/log through the SIMD kernels over a packed
 /// candidate buffer. Sharding is over used rows; the shard-order fold
-/// keeps the epoch gradient bit-identical for any thread count, and both
-/// row-access policies produce bit-identical packed scores (the
-/// row-access contract), so dense and sparse fits still agree to the
-/// last bit.
-template <typename Rows>
-Result<FitStats> FitObjectLossBatchImpl(
+/// keeps the epoch gradient bit-identical for any thread count.
+Result<FitStats> FitObjectLossBatch(
     const ErmOptions& options, const std::vector<LabeledExample>& examples,
-    SlimFastModel* model, Executor* exec, const Rows& rows) {
+    SlimFastModel* model, Executor* exec) {
+  const CompiledInstance& inst = model->instance();
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
 
@@ -167,7 +165,7 @@ Result<FitStats> FitObjectLossBatchImpl(
   // Used rows in first-appearance order; their candidate domains are
   // packed back to back, so a shard of used rows owns one contiguous
   // slice of the packed buffers.
-  std::vector<int32_t> slice_of_row(static_cast<size_t>(rows.NumRows()),
+  std::vector<int32_t> slice_of_row(static_cast<size_t>(inst.num_rows()),
                                     -1);
   std::vector<int32_t> used_rows;
   for (const LabeledExample& ex : examples) {
@@ -182,8 +180,7 @@ Result<FitStats> FitObjectLossBatchImpl(
   for (int32_t s = 0; s < num_used; ++s) {
     packed_begin[static_cast<size_t>(s) + 1] =
         packed_begin[static_cast<size_t>(s)] +
-        static_cast<int64_t>(
-            rows.DomainSize(used_rows[static_cast<size_t>(s)]));
+        inst.DomainSize(used_rows[static_cast<size_t>(s)]);
   }
   const int64_t num_packed = packed_begin[static_cast<size_t>(num_used)];
   // Grouped example constants: total example weight per used row, and
@@ -222,8 +219,8 @@ Result<FitStats> FitObjectLossBatchImpl(
           const int64_t pe = packed_begin[static_cast<size_t>(range.end)];
           // 1. Scores for every used row of the shard, packed.
           for (int64_t i = range.begin; i < range.end; ++i) {
-            rows.Scores(used_rows[static_cast<size_t>(i)],
-                        probs.data() + packed_begin[static_cast<size_t>(i)]);
+            model->Scores(used_rows[static_cast<size_t>(i)],
+                          probs.data() + packed_begin[static_cast<size_t>(i)]);
           }
           // 2. One softmax pass over the shard's packed rows.
           simd::SoftmaxRows(packed_begin.data() + range.begin,
@@ -245,14 +242,12 @@ Result<FitStats> FitObjectLossBatchImpl(
             const int32_t row = used_rows[static_cast<size_t>(i)];
             const int64_t base = packed_begin[static_cast<size_t>(i)];
             const double rw = row_weight[static_cast<size_t>(i)];
-            const size_t domain_size = rows.DomainSize(row);
-            for (size_t di = 0; di < domain_size; ++di) {
-              const double coeff =
-                  rw * probs[static_cast<size_t>(base) + di] -
-                  target_mass[static_cast<size_t>(base) + di];
-              rows.ForEachTerm(row, di, [&](const ParamTerm& t) {
-                acc.grad.Add(t.param, t.coeff, coeff);
-              });
+            const int64_t cand = inst.row_begin[static_cast<size_t>(row)];
+            const int32_t domain_size = inst.DomainSize(row);
+            for (int32_t di = 0; di < domain_size; ++di) {
+              const size_t k = static_cast<size_t>(base + di);
+              ScatterTerms(inst, cand + di, rw * probs[k] - target_mass[k],
+                           &acc.grad);
             }
           }
         });
@@ -294,13 +289,15 @@ Result<FitStats> FitObjectLossBatchImpl(
   return stats;
 }
 
-/// The accuracy log-loss loop (Definition 7), against the sigma-term view
-/// of the policy.
-template <typename Rows>
-Result<FitStats> FitAccuracyLossImpl(
+/// The accuracy log-loss SGD loop (Definition 7).
+Result<FitStats> FitAccuracyLossSgd(
     const ErmOptions& options,
     const std::vector<ObservationExample>& examples, SlimFastModel* model,
-    Rng* rng, const Rows& rows) {
+    Rng* rng) {
+  const CompiledInstance& inst = model->instance();
+  const int64_t* sg_begin = inst.sigma_begin.data();
+  const double* sg_coeff = inst.sigma_coeff.data();
+  const ParamId* sg_param = inst.sigma_param.data();
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
 
@@ -321,27 +318,30 @@ Result<FitStats> FitAccuracyLossImpl(
     double loss_sum = 0.0;
     for (size_t idx : order) {
       const ObservationExample& ex = examples[static_cast<size_t>(idx)];
+      const int64_t sb = sg_begin[ex.source];
+      const int64_t se = sg_begin[ex.source + 1];
       double sigma = 0.0;
-      rows.ForEachSigmaTerm(ex.source, [&](const ParamTerm& t) {
-        sigma += t.coeff * w[static_cast<size_t>(t.param)];
-      });
+      for (int64_t t = sb; t < se; ++t) {
+        sigma += sg_coeff[t] * w[static_cast<size_t>(sg_param[t])];
+      }
       double a = Sigmoid(sigma);
       // Binary cross-entropy with (possibly fractional) label; d/dσ = a - y.
       loss_sum += -ex.weight *
                   (ex.label * std::log(std::max(a, 1e-300)) +
                    (1.0 - ex.label) * std::log(std::max(1.0 - a, 1e-300)));
       double g_sigma = ex.weight * (a - ex.label);
-      rows.ForEachSigmaTerm(ex.source, [&](const ParamTerm& t) {
-        size_t pi = static_cast<size_t>(t.param);
-        double g = g_sigma * t.coeff + options.l2 * w[pi];
+      for (int64_t t = sb; t < se; ++t) {
+        const ParamId p = sg_param[t];
+        const size_t pi = static_cast<size_t>(p);
+        double g = g_sigma * sg_coeff[t] + options.l2 * w[pi];
         double step = eta;
-        if (options.use_adagrad) step *= adagrad.Step(t.param, g);
+        if (options.use_adagrad) step *= adagrad.Step(p, g);
         w[pi] -= step * g;
-        if (options.l1 > 0.0 && (layout.IsFeatureParam(t.param) ||
-                                 layout.IsCopyParam(t.param))) {
+        if (options.l1 > 0.0 &&
+            (layout.IsFeatureParam(p) || layout.IsCopyParam(p))) {
           w[pi] = SoftThreshold(w[pi], step * options.l1);
         }
-      });
+      }
     }
     stats.epochs = epoch + 1;
     stats.final_loss = loss_sum / total_weight;
@@ -364,40 +364,25 @@ Result<FitStats> FitAccuracyLossImpl(
 /// the vectorizer tens of thousands of independent transcendentals per
 /// epoch.
 ///
-/// The sigma structure is gathered from the dense compiled model in both
-/// policies (it is tiny — one short term list per source), so the sparse
-/// and dense routes run literally the same code on the same values and
-/// the bit-identical policy contract holds trivially. Serial by design,
-/// like every M-step: each epoch reads the previous epoch's weights.
+/// Serial by design, like every M-step: each epoch reads the previous
+/// epoch's weights.
 ///
 /// Loss per example uses the algebraic form of binary cross-entropy,
 ///   -y·log a - (1-y)·log(1-a)  =  log(1+exp(-σ)) + (1-y)·σ,
 /// which never needs the 1e-300 clamps of the SGD loop. Like the batch
 /// object loss, the gradient is normalized to mean (dataset-size
 /// independent steps) and L2/L1 apply once per epoch.
-Result<FitStats> FitAccuracyLossBatchImpl(
+Result<FitStats> FitAccuracyLossBatch(
     const ErmOptions& options,
     const std::vector<ObservationExample>& examples, SlimFastModel* model) {
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
-  const CompiledModel& compiled = model->compiled();
-  const int64_t num_sources =
-      static_cast<int64_t>(compiled.sigma_terms.size());
-
-  // Sigma-term CSR in SoA form, gathered once per fit.
-  std::vector<int64_t> sg_begin;
-  sg_begin.reserve(static_cast<size_t>(num_sources) + 1);
-  sg_begin.push_back(0);
-  std::vector<double> sg_coeff;
-  std::vector<ParamId> sg_param;
-  for (const auto& source_terms : compiled.sigma_terms) {
-    for (const ParamTerm& t : source_terms) {
-      sg_coeff.push_back(t.coeff);
-      sg_param.push_back(t.param);
-    }
-    sg_begin.push_back(static_cast<int64_t>(sg_coeff.size()));
-  }
-  const int64_t num_sg = static_cast<int64_t>(sg_coeff.size());
+  const CompiledInstance& inst = model->instance();
+  const int64_t num_sources = inst.model->num_sources;
+  const int64_t* sg_begin = inst.sigma_begin.data();
+  const double* sg_coeff = inst.sigma_coeff.data();
+  const ParamId* sg_param = inst.sigma_param.data();
+  const int64_t num_sg = static_cast<int64_t>(inst.sigma_coeff.size());
 
   // Compact parameter set touched by sigma terms, in first-touch order,
   // plus each term's index into it.
@@ -405,7 +390,7 @@ Result<FitStats> FitAccuracyLossBatchImpl(
   std::vector<int32_t> pidx(static_cast<size_t>(layout.num_params), -1);
   std::vector<int32_t> term_cidx(static_cast<size_t>(num_sg));
   for (int64_t t = 0; t < num_sg; ++t) {
-    const ParamId p = sg_param[static_cast<size_t>(t)];
+    const ParamId p = sg_param[t];
     if (pidx[static_cast<size_t>(p)] < 0) {
       pidx[static_cast<size_t>(p)] = static_cast<int32_t>(params.size());
       params.push_back(p);
@@ -455,10 +440,9 @@ Result<FitStats> FitAccuracyLossBatchImpl(
   FitStats stats;
   for (int32_t epoch = 0; epoch < options.epochs; ++epoch) {
     // Trust score per source.
-    simd::TermProducts(sg_coeff.data(), sg_param.data(), w.data(),
-                       sg_prod.data(), num_sg);
-    simd::FoldRanges(sg_begin.data(), num_sources, 0, sg_prod.data(),
-                     nullptr, sigma.data());
+    simd::TermProducts(sg_coeff, sg_param, w.data(), sg_prod.data(), num_sg);
+    simd::FoldRanges(sg_begin, num_sources, 0, sg_prod.data(), nullptr,
+                     sigma.data());
     // Broadcast to the example stream, then batch the transcendentals.
     for (int64_t i = 0; i < n; ++i) {
       sig_ex[static_cast<size_t>(i)] =
@@ -480,10 +464,9 @@ Result<FitStats> FitAccuracyLossBatchImpl(
     std::fill(g_c.begin(), g_c.end(), 0.0);
     for (int64_t s = 0; s < num_sources; ++s) {
       const double gs = gsrc[static_cast<size_t>(s)];
-      const int64_t end = sg_begin[static_cast<size_t>(s) + 1];
-      for (int64_t t = sg_begin[static_cast<size_t>(s)]; t < end; ++t) {
+      for (int64_t t = sg_begin[s]; t < sg_begin[s + 1]; ++t) {
         g_c[static_cast<size_t>(term_cidx[static_cast<size_t>(t)])] +=
-            gs * sg_coeff[static_cast<size_t>(t)];
+            gs * sg_coeff[t];
       }
     }
     for (int64_t j = 0; j < num_cparams; ++j) {
@@ -519,61 +502,42 @@ Result<FitStats> FitAccuracyLossBatchImpl(
 
 Result<FitStats> ErmLearner::FitObjectLoss(
     const std::vector<LabeledExample>& examples, SlimFastModel* model,
-    Rng* rng, Executor* exec, const CompiledInstance* instance) const {
+    Rng* rng, Executor* exec) const {
   if (examples.empty()) {
     return Status::FailedPrecondition(
         "ERM requires at least one labeled example");
   }
   if (options_.batch) {
-    if (instance != nullptr) {
-      return FitObjectLossBatchImpl(options_, examples, model, exec,
-                                    SparseRowAccess{instance, model});
-    }
-    return FitObjectLossBatchImpl(options_, examples, model, exec,
-                                  DenseRowAccess{nullptr, model});
+    return FitObjectLossBatch(options_, examples, model, exec);
   }
-  if (instance != nullptr) {
-    return FitObjectLossSgdImpl(options_, examples, model, rng,
-                                SparseRowAccess{instance, model});
-  }
-  return FitObjectLossSgdImpl(options_, examples, model, rng,
-                              DenseRowAccess{nullptr, model});
+  return FitObjectLossSgd(options_, examples, model, rng);
 }
 
 Result<FitStats> ErmLearner::FitAccuracyLoss(
     const std::vector<ObservationExample>& examples, SlimFastModel* model,
-    Rng* rng, const CompiledInstance* instance) const {
+    Rng* rng) const {
   if (examples.empty()) {
     return Status::FailedPrecondition(
         "accuracy-loss ERM requires at least one labeled observation");
   }
   if (options_.batch) {
-    // The batch fit reads the sigma structure from the compiled model in
-    // both policies (identical values either way), so it takes no policy.
-    return FitAccuracyLossBatchImpl(options_, examples, model);
+    return FitAccuracyLossBatch(options_, examples, model);
   }
-  if (instance != nullptr) {
-    return FitAccuracyLossImpl(options_, examples, model, rng,
-                               SparseRowAccess{instance, model});
-  }
-  return FitAccuracyLossImpl(options_, examples, model, rng,
-                             DenseRowAccess{nullptr, model});
+  return FitAccuracyLossSgd(options_, examples, model, rng);
 }
 
 Result<FitStats> ErmLearner::Fit(const Dataset& dataset,
                                  const std::vector<ObjectId>& train_objects,
                                  SlimFastModel* model, Rng* rng,
-                                 Executor* exec,
-                                 const CompiledInstance* instance) const {
+                                 Executor* exec) const {
   switch (options_.loss) {
     case ErmLoss::kObjectPosterior: {
-      auto examples =
-          ObjectExamples(dataset, model->compiled(), train_objects);
-      return FitObjectLoss(examples, model, rng, exec, instance);
+      auto examples = ObjectExamples(model->instance(), train_objects);
+      return FitObjectLoss(examples, model, rng, exec);
     }
     case ErmLoss::kAccuracyLogLoss: {
       auto examples = ObservationExamples(dataset, train_objects);
-      return FitAccuracyLoss(examples, model, rng, instance);
+      return FitAccuracyLoss(examples, model, rng);
     }
   }
   return Status::Internal("unknown ERM loss");

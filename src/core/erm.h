@@ -12,8 +12,6 @@
 
 namespace slimfast {
 
-struct CompiledInstance;
-
 /// One (possibly weighted) labeled object: compiled row index and the index
 /// of the target value within the object's domain. ERM consumes true
 /// labels (weight 1); soft EM's M-step consumes posterior-weighted
@@ -53,10 +51,11 @@ class ErmLearner {
   const ErmOptions& options() const { return options_; }
 
   /// Builds object-posterior examples from the training objects of a split:
-  /// one example per train object whose true value appears in its observed
-  /// domain (single-truth semantics guarantees this for well-formed data).
+  /// one example per observed train object whose true value (as compiled
+  /// into `instance`) appears in its observed domain (single-truth
+  /// semantics guarantees this for well-formed data).
   static std::vector<LabeledExample> ObjectExamples(
-      const Dataset& dataset, const CompiledModel& compiled,
+      const CompiledInstance& instance,
       const std::vector<ObjectId>& train_objects);
 
   /// Builds accuracy-loss examples: one per claim made on a train object.
@@ -67,17 +66,12 @@ class ErmLearner {
   /// Batch mode shards the per-example gradient accumulation across `exec`
   /// (null = serial; results are identical either way); SGD mode is
   /// inherently sequential — each step reads the previous step's weights —
-  /// and always runs serially. When `instance` is non-null the gradient
-  /// walks its flat sparse ranges instead of the dense per-object vectors;
-  /// results are bit-identical either way (see core/row_access.h).
+  /// and always runs serially.
   Result<FitStats> FitObjectLoss(const std::vector<LabeledExample>& examples,
                                  SlimFastModel* model, Rng* rng,
-                                 Executor* exec = nullptr,
-                                 const CompiledInstance* instance =
-                                     nullptr) const;
+                                 Executor* exec = nullptr) const;
 
   /// Fits `model` in place on accuracy log-loss examples (Definition 7).
-  /// `instance` selects the sparse sigma-term ranges (same contract).
   /// With options().batch set, runs the full-batch fit instead of SGD:
   /// every epoch batches the per-example sigmoids/softplus through the
   /// SIMD kernels and applies one fused AdaGrad + proximal update per
@@ -86,14 +80,13 @@ class ErmLearner {
   /// bit-deterministic on its own.
   Result<FitStats> FitAccuracyLoss(
       const std::vector<ObservationExample>& examples, SlimFastModel* model,
-      Rng* rng, const CompiledInstance* instance = nullptr) const;
+      Rng* rng) const;
 
   /// Convenience dispatch on options().loss building examples internally.
   Result<FitStats> Fit(const Dataset& dataset,
                        const std::vector<ObjectId>& train_objects,
                        SlimFastModel* model, Rng* rng,
-                       Executor* exec = nullptr,
-                       const CompiledInstance* instance = nullptr) const;
+                       Executor* exec = nullptr) const;
 
  private:
   ErmOptions options_;

@@ -41,17 +41,21 @@ Result<ObjectExplanation> ExplainObject(const SlimFastModel& model,
   if (object < 0 || object >= dataset.num_objects()) {
     return Status::OutOfRange("object id out of range");
   }
-  const CompiledObject* row = model.compiled().RowOf(object);
-  if (row == nullptr) {
+  const CompiledInstance& inst = model.instance();
+  const int32_t row = inst.RowIndex(object);
+  if (row < 0) {
     return Status::FailedPrecondition(
         "object has no observations; nothing to explain");
   }
 
   ObjectExplanation out;
   out.object = object;
-  out.candidates = row->domain;
+  const int64_t cand = inst.row_begin[static_cast<size_t>(row)];
+  out.candidates.assign(
+      inst.cand_values.begin() + cand,
+      inst.cand_values.begin() + cand + inst.DomainSize(row));
   std::vector<double> probs;
-  model.Posterior(*row, &probs);
+  model.Posterior(row, &probs);
   out.posterior = probs;
 
   // Predicted and runner-up by posterior.
@@ -63,12 +67,13 @@ Result<ObjectExplanation> ExplainObject(const SlimFastModel& model,
   for (size_t di = 0; di < probs.size(); ++di) {
     if (di != best && probs[di] > probs[second]) second = di;
   }
-  out.predicted = row->domain[best];
-  out.runner_up = probs.size() > 1 ? row->domain[second] : kNoValue;
+  out.predicted = out.candidates[best];
+  out.runner_up = probs.size() > 1 ? out.candidates[second] : kNoValue;
   out.log_odds_margin =
-      probs.size() > 1 ? model.ValueScore(*row, best) -
-                             model.ValueScore(*row, second)
-                       : std::numeric_limits<double>::infinity();
+      probs.size() > 1
+          ? model.ValueScore(cand + static_cast<int64_t>(best)) -
+                model.ValueScore(cand + static_cast<int64_t>(second))
+          : std::numeric_limits<double>::infinity();
 
   for (const SourceClaim& claim : dataset.ClaimsOnObject(object)) {
     ClaimContribution c;

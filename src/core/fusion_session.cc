@@ -40,9 +40,7 @@ Result<FusionSession> FusionSession::Create(int32_t num_sources,
         "FusionSession does not support the copying extension: delta "
         "compilation cannot maintain globally selected copy pairs");
   }
-  // The session lives on the sparse instance; the facade's warm-start
-  // switch mirrors the session-level one.
-  options.slimfast.use_sparse = true;
+  // The facade's warm-start switch mirrors the session-level one.
   options.slimfast.warm_start.enabled = options.warm_start;
 
   FusionSession session(std::move(options), std::move(features));
@@ -118,6 +116,15 @@ Result<FusionSession> FusionSession::Restore(const ObservationStore& store,
       FusionSession session,
       Create(store.num_sources(), store.num_objects(), store.num_values(),
              std::move(options), std::move(features)));
+  // The parameter layout is fixed at Create (ingests never change it), so
+  // a relearned weight vector must match it exactly; a mis-sized one
+  // would silently turn the next warm relearn into a cold fit.
+  const int32_t num_params = session.instance_->model->layout.num_params;
+  if (state.num_relearns > 0 &&
+      state.weights.size() != static_cast<size_t>(num_params)) {
+    return Status::InvalidArgument(
+        "restored weights are mis-sized for the session's parameter layout");
+  }
 
   // Re-ingest the claim history in the store's canonical order. The
   // original arrival order is not preserved (the WAL tail covers
@@ -269,13 +276,16 @@ void FusionSession::RefreshPosteriors(const SlimFastModel& model) {
   posterior_values_.clear();
   posterior_probs_.clear();
   max_posterior_.assign(static_cast<size_t>(num_objects_), 0.0);
+  const CompiledInstance& inst = model.instance();
   std::vector<double> probs;
   for (ObjectId o = 0; o < num_objects_; ++o) {
-    const CompiledObject* row = model.compiled().RowOf(o);
-    if (row != nullptr) {
-      model.Posterior(*row, &probs);
-      posterior_values_.insert(posterior_values_.end(), row->domain.begin(),
-                               row->domain.end());
+    const int32_t row = inst.RowIndex(o);
+    if (row >= 0) {
+      model.Posterior(row, &probs);
+      const auto domain =
+          inst.cand_values.begin() + inst.row_begin[static_cast<size_t>(row)];
+      posterior_values_.insert(posterior_values_.end(), domain,
+                               domain + static_cast<int64_t>(probs.size()));
       posterior_probs_.insert(posterior_probs_.end(), probs.begin(),
                               probs.end());
       max_posterior_[static_cast<size_t>(o)] =

@@ -20,9 +20,8 @@ namespace slimfast {
 /// Configuration of a long-lived incremental fusion session.
 struct FusionSessionOptions {
   /// Model, learner, and execution configuration shared with the batch
-  /// facade. `use_sparse` is implied (the session lives on a
-  /// `CompiledInstance`); `exec.threads` sizes the session's executor,
-  /// which shards both delta-compilation and relearning.
+  /// facade. `exec.threads` sizes the session's executor, which shards
+  /// both delta-compilation and relearning.
   SlimFastOptions slimfast;
   /// Session name, used as the name of the datasets it rebuilds.
   std::string name = "fusion-session";

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/compilation.h"
+#include "core/compiled_instance.h"
 #include "core/erm.h"
 #include "core/model.h"
 #include "util/math.h"
@@ -66,12 +66,12 @@ Result<LassoPath> ComputeLassoPath(const Dataset& dataset,
   ModelConfig config;
   config.use_source_weights = false;
   config.use_feature_weights = true;
-  SLIMFAST_ASSIGN_OR_RETURN(CompiledModel compiled,
-                            Compile(dataset, config));
-  SlimFastModel model(std::move(compiled));
+  SLIMFAST_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledInstance> instance,
+                            CompileInstance(dataset, config));
+  SlimFastModel model(std::move(instance));
 
   auto examples =
-      ErmLearner::ObjectExamples(dataset, model.compiled(), split.train_objects);
+      ErmLearner::ObjectExamples(model.instance(), split.train_objects);
   if (examples.empty()) {
     return Status::FailedPrecondition(
         "Lasso path requires training labels in the split");

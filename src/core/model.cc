@@ -2,41 +2,33 @@
 
 #include <cmath>
 
-#include "simd/simd.h"
 #include "util/logging.h"
 #include "util/math.h"
 
 namespace slimfast {
 
-// All score accumulations fold through simd::LaneStableSum — the one
-// accumulation contract shared with the batched CSR kernels — so a score
-// computed row-at-a-time here is bit-identical to the same score computed
-// by the TermProducts + FoldRanges pipeline in the E-step and batch ERM.
-
-SlimFastModel::SlimFastModel(CompiledModel compiled)
-    : SlimFastModel(
-          std::make_shared<const CompiledModel>(std::move(compiled))) {}
-
-SlimFastModel::SlimFastModel(std::shared_ptr<const CompiledModel> compiled)
-    : compiled_(std::move(compiled)),
-      weights_(static_cast<size_t>(compiled_->layout.num_params), 0.0) {}
+SlimFastModel::SlimFastModel(std::shared_ptr<const CompiledInstance> instance)
+    : instance_(std::move(instance)),
+      weights_(static_cast<size_t>(instance_->model->layout.num_params),
+               0.0) {}
 
 void SlimFastModel::SetWeights(std::vector<double> weights) {
-  SLIMFAST_DCHECK(
-      weights.size() == static_cast<size_t>(compiled_->layout.num_params),
-      "weight vector size mismatch");
+  SLIMFAST_DCHECK(weights.size() == weights_.size(),
+                  "weight vector size mismatch");
   weights_ = std::move(weights);
 }
 
 double SlimFastModel::SourceScore(SourceId source) const {
-  SLIMFAST_DCHECK(source >= 0 && source < compiled_->num_sources,
+  SLIMFAST_DCHECK(source >= 0 && source < instance_->model->num_sources,
                   "source id out of range");
-  const std::vector<ParamTerm>& terms =
-      compiled_->sigma_terms[static_cast<size_t>(source)];
+  const CompiledInstance& inst = *instance_;
+  const int64_t begin = inst.sigma_begin[static_cast<size_t>(source)];
+  const double* coeff = inst.sigma_coeff.data() + begin;
+  const ParamId* param = inst.sigma_param.data() + begin;
   return simd::LaneStableSum(
-      static_cast<int64_t>(terms.size()), [&](int64_t i) {
-        const ParamTerm& t = terms[static_cast<size_t>(i)];
-        return t.coeff * weights_[static_cast<size_t>(t.param)];
+      inst.sigma_begin[static_cast<size_t>(source) + 1] - begin,
+      [&](int64_t i) {
+        return coeff[i] * weights_[static_cast<size_t>(param[i])];
       });
 }
 
@@ -45,72 +37,60 @@ double SlimFastModel::SourceAccuracy(SourceId source) const {
 }
 
 std::vector<double> SlimFastModel::AllSourceAccuracies() const {
-  std::vector<double> accuracies(static_cast<size_t>(compiled_->num_sources));
-  for (SourceId s = 0; s < compiled_->num_sources; ++s) {
+  const int32_t num_sources = instance_->model->num_sources;
+  std::vector<double> accuracies(static_cast<size_t>(num_sources));
+  for (SourceId s = 0; s < num_sources; ++s) {
     accuracies[static_cast<size_t>(s)] = SourceAccuracy(s);
   }
   return accuracies;
 }
 
-double SlimFastModel::ValueScore(const CompiledObject& row, size_t di) const {
-  const std::vector<ParamTerm>& terms = row.terms[di];
-  return row.offsets[di] +
-         simd::LaneStableSum(
-             static_cast<int64_t>(terms.size()), [&](int64_t i) {
-               const ParamTerm& t = terms[static_cast<size_t>(i)];
-               return t.coeff * weights_[static_cast<size_t>(t.param)];
-             });
-}
-
-void SlimFastModel::Posterior(const CompiledObject& row,
-                              std::vector<double>* probs) const {
-  probs->resize(row.domain.size());
-  for (size_t di = 0; di < row.domain.size(); ++di) {
-    (*probs)[di] = ValueScore(row, di);
-  }
+void SlimFastModel::Posterior(int32_t row, std::vector<double>* probs) const {
+  probs->resize(static_cast<size_t>(instance_->DomainSize(row)));
+  Scores(row, probs->data());
   SoftmaxInPlace(probs);
 }
 
 bool SlimFastModel::PosteriorOf(ObjectId object,
                                 std::vector<double>* probs) const {
-  const CompiledObject* row = compiled_->RowOf(object);
-  if (row == nullptr) return false;
-  Posterior(*row, probs);
+  const int32_t row = instance_->RowIndex(object);
+  if (row < 0) return false;
+  Posterior(row, probs);
   return true;
 }
 
-int32_t SlimFastModel::MapIndex(const CompiledObject& row) const {
+int32_t SlimFastModel::MapIndex(int32_t row) const {
+  const int64_t begin = instance_->row_begin[static_cast<size_t>(row)];
+  const int64_t end = instance_->row_begin[static_cast<size_t>(row) + 1];
   int32_t best = 0;
-  double best_score = ValueScore(row, 0);
-  for (size_t di = 1; di < row.domain.size(); ++di) {
-    double score = ValueScore(row, di);
+  double best_score = ValueScore(begin);
+  for (int64_t c = begin + 1; c < end; ++c) {
+    double score = ValueScore(c);
     if (score > best_score) {
       best_score = score;
-      best = static_cast<int32_t>(di);
+      best = static_cast<int32_t>(c - begin);
     }
   }
   return best;
 }
 
 std::vector<ValueId> SlimFastModel::PredictAll() const {
-  std::vector<ValueId> predictions(compiled_->object_row.size(), kNoValue);
-  for (const CompiledObject& row : compiled_->objects) {
-    predictions[static_cast<size_t>(row.object)] =
-        row.domain[static_cast<size_t>(MapIndex(row))];
+  const CompiledInstance& inst = *instance_;
+  std::vector<ValueId> predictions(inst.object_row.size(), kNoValue);
+  for (int32_t r = 0; r < inst.num_rows(); ++r) {
+    predictions[static_cast<size_t>(inst.row_object[static_cast<size_t>(r)])] =
+        inst.cand_values[static_cast<size_t>(
+            inst.row_begin[static_cast<size_t>(r)] + MapIndex(r))];
   }
   return predictions;
 }
 
-double SlimFastModel::ObjectNll(const CompiledObject& row,
-                                int32_t target_index) const {
+double SlimFastModel::ObjectNll(int32_t row, int32_t target_index) const {
   SLIMFAST_DCHECK(
-      target_index >= 0 &&
-          target_index < static_cast<int32_t>(row.domain.size()),
+      target_index >= 0 && target_index < instance_->DomainSize(row),
       "target index out of range");
-  std::vector<double> scores(row.domain.size());
-  for (size_t di = 0; di < row.domain.size(); ++di) {
-    scores[di] = ValueScore(row, di);
-  }
+  std::vector<double> scores(static_cast<size_t>(instance_->DomainSize(row)));
+  Scores(row, scores.data());
   return LogSumExp(scores) - scores[static_cast<size_t>(target_index)];
 }
 

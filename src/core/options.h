@@ -26,7 +26,7 @@ struct ModelConfig {
   /// pairs win). 0 disables the cap.
   int64_t copying_max_pairs = 50000;
   /// Apply the multiclass vote correction log(|D_o| - 1) per matching
-  /// claim (see CompiledObject::offsets). With more than two candidate
+  /// claim (see CompiledInstance::cand_offsets). With more than two candidate
   /// values and wrong claims spread across them, a claim's correct
   /// Naive-Bayes vote is σ_s + log(|D_o| - 1) (ACCU's n factor); without
   /// the offset, sources whose agreement rate is below 0.5 but above
@@ -177,16 +177,9 @@ struct SlimFastOptions {
   /// never changes results: every parallel stage reduces per-shard
   /// accumulators in fixed shard order (see exec/parallel.h).
   ExecOptions exec;
-  /// Learn over the columnar sparse representation (ObservationStore +
-  /// CompiledInstance): gradients and E-step updates walk precompiled flat
-  /// index ranges instead of the nested per-object vectors. Results are
-  /// bit-identical to the legacy dense path (asserted per preset in
-  /// determinism_test), which stays available for equivalence testing.
-  bool use_sparse = true;
   /// Reuse compiled instances across fits of the same (dataset, model
   /// config) through the process-wide CompiledInstanceCache, so repeated
-  /// runs — eval grids, bench loops, EM restarts — compile once. Only
-  /// consulted when use_sparse is set; the dense path always recompiles.
+  /// runs — eval grids, bench loops, EM restarts — compile once.
   /// Lifetime note: the cache retains up to its LRU capacity (8) of
   /// compiled instances — each holds a columnar copy of the dataset's
   /// observations — for the life of the process. Long-running services

@@ -27,28 +27,17 @@ int32_t WarmBudget(int32_t cold, double scale, int32_t floor) {
 Result<SlimFastFit> SlimFast::Fit(const Dataset& dataset,
                                   const TrainTestSplit& split,
                                   uint64_t seed, Executor* exec) const {
-  // Compilation: the sparse path compiles (or fetches from the
-  // process-wide cache) a CompiledInstance whose flat index ranges all
-  // learning stages walk; the legacy dense path recompiles the nested
-  // CompiledModel every time. Either way the structure is immutable and
-  // shared with the model via shared_ptr.
+  // Compilation (or a lookup in the process-wide cache) into the
+  // immutable CompiledInstance every learning stage reads.
   Stopwatch compile_watch;
   std::shared_ptr<const CompiledInstance> instance;
-  std::shared_ptr<const CompiledModel> compiled;
-  if (options_.use_sparse) {
-    if (options_.use_compilation_cache) {
-      SLIMFAST_ASSIGN_OR_RETURN(instance,
-                                CompiledInstanceCache::Global().GetOrCompile(
-                                    dataset, options_.model));
-    } else {
-      SLIMFAST_ASSIGN_OR_RETURN(instance,
-                                CompileInstance(dataset, options_.model));
-    }
-    compiled = instance->model;
+  if (options_.use_compilation_cache) {
+    SLIMFAST_ASSIGN_OR_RETURN(instance,
+                              CompiledInstanceCache::Global().GetOrCompile(
+                                  dataset, options_.model));
   } else {
-    SLIMFAST_ASSIGN_OR_RETURN(CompiledModel dense,
-                              Compile(dataset, options_.model));
-    compiled = std::make_shared<const CompiledModel>(std::move(dense));
+    SLIMFAST_ASSIGN_OR_RETURN(instance,
+                              CompileInstance(dataset, options_.model));
   }
   double compile_seconds = compile_watch.ElapsedSeconds();
   if (obs::Enabled()) {
@@ -66,9 +55,12 @@ Result<SlimFastFit> SlimFast::Fit(const Dataset& dataset,
                   std::chrono::duration<double>(compile_seconds)),
         end);
   }
-  return FitWithStructure(dataset, split, seed, std::move(instance),
-                          std::move(compiled), /*warm_weights=*/nullptr,
-                          exec, compile_seconds);
+  SLIMFAST_ASSIGN_OR_RETURN(
+      SlimFastFit fit,
+      FitCompiled(dataset, split, seed, std::move(instance),
+                  /*warm_weights=*/nullptr, exec));
+  fit.compile_seconds = compile_seconds;
+  return fit;
 }
 
 Result<SlimFastFit> SlimFast::FitCompiled(
@@ -78,23 +70,12 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   if (instance == nullptr) {
     return Status::InvalidArgument("FitCompiled requires an instance");
   }
-  std::shared_ptr<const CompiledModel> compiled = instance->model;
-  return FitWithStructure(dataset, split, seed, std::move(instance),
-                          std::move(compiled), warm_weights, exec,
-                          /*compile_seconds=*/0.0);
-}
-
-Result<SlimFastFit> SlimFast::FitWithStructure(
-    const Dataset& dataset, const TrainTestSplit& split, uint64_t seed,
-    std::shared_ptr<const CompiledInstance> instance,
-    std::shared_ptr<const CompiledModel> compiled,
-    const std::vector<double>* warm_weights, Executor* exec,
-    double compile_seconds) const {
   obs::TraceSpan learn_span("core.learn");
   OptimizerDecision decision;
   Algorithm algorithm = options_.algorithm;
   if (algorithm == Algorithm::kAuto) {
-    decision = DecideAlgorithm(dataset, split, compiled->layout.num_params,
+    decision = DecideAlgorithm(dataset, split,
+                               instance->model->layout.num_params,
                                options_.optimizer);
     algorithm = decision.algorithm;
   } else {
@@ -107,7 +88,7 @@ Result<SlimFastFit> SlimFast::FitWithStructure(
   const bool warm =
       options_.warm_start.enabled && warm_weights != nullptr &&
       warm_weights->size() ==
-          static_cast<size_t>(compiled->layout.num_params);
+          static_cast<size_t>(instance->model->layout.num_params);
   ErmOptions erm_options = options_.erm;
   EmOptions em_options = options_.em;
   if (warm) {
@@ -123,24 +104,23 @@ Result<SlimFastFit> SlimFast::FitWithStructure(
   }
 
   Stopwatch learn_watch;
-  SlimFastModel model(compiled);
+  SlimFastModel model(std::move(instance));
   if (warm) model.SetWeights(*warm_weights);
-  const CompiledInstance* inst = instance.get();
   Rng rng(seed);
   int32_t learn_iterations = 0;
   bool learn_converged = false;
   double learn_objective = 0.0;
   if (algorithm == Algorithm::kErm) {
     ErmLearner learner(erm_options);
-    auto stats = learner.Fit(dataset, split.train_objects, &model, &rng,
-                             exec, inst);
+    auto stats =
+        learner.Fit(dataset, split.train_objects, &model, &rng, exec);
     if (!stats.ok()) {
       // No usable ground truth for ERM (e.g. 0% training data with a
       // forced-ERM preset): fall back to EM rather than failing the run.
       EmLearner em(em_options);
       SLIMFAST_ASSIGN_OR_RETURN(EmStats em_stats,
                                 em.Fit(dataset, split.train_objects, &model,
-                                       &rng, exec, inst, warm));
+                                       &rng, exec, warm));
       learn_iterations = em_stats.iterations;
       learn_converged = em_stats.converged;
       learn_objective = em_stats.final_expected_nll;
@@ -155,8 +135,7 @@ Result<SlimFastFit> SlimFast::FitWithStructure(
     EmLearner learner(em_options);
     SLIMFAST_ASSIGN_OR_RETURN(
         EmStats em_stats,
-        learner.Fit(dataset, split.train_objects, &model, &rng, exec, inst,
-                    warm));
+        learner.Fit(dataset, split.train_objects, &model, &rng, exec, warm));
     learn_iterations = em_stats.iterations;
     learn_converged = em_stats.converged;
     learn_objective = em_stats.final_expected_nll;
@@ -174,8 +153,8 @@ Result<SlimFastFit> SlimFast::FitWithStructure(
     (algorithm == Algorithm::kErm ? erm_hist : em_hist)
         ->RecordSeconds(learn_seconds);
   }
-  SlimFastFit fit{std::move(model), decision, algorithm, compile_seconds,
-                  learn_seconds, std::move(instance), warm};
+  SlimFastFit fit{std::move(model), decision, algorithm,
+                  /*compile_seconds=*/0.0, learn_seconds, warm};
   fit.learn_iterations = learn_iterations;
   fit.learn_converged = learn_converged;
   fit.learn_objective = learn_objective;
@@ -202,7 +181,7 @@ Result<FusionOutput> SlimFast::Run(const Dataset& dataset,
     // Definition 7 calibration pass: warm-start a copy of the model and
     // fit the accuracy log-loss on the labeled claims. Only the reported
     // accuracies change; predictions keep the discriminative optimum.
-    SlimFastModel calibrated(fit.model.shared_compiled());
+    SlimFastModel calibrated(fit.model.shared_instance());
     calibrated.SetWeights(fit.model.weights());
     ErmOptions calibration = options_.erm;
     calibration.loss = ErmLoss::kAccuracyLogLoss;
@@ -212,8 +191,7 @@ Result<FusionOutput> SlimFast::Run(const Dataset& dataset,
     auto examples =
         ErmLearner::ObservationExamples(dataset, split.train_objects);
     Rng rng(seed ^ 0xc2b2ae3d27d4eb4fULL);
-    auto stats = learner.FitAccuracyLoss(examples, &calibrated, &rng,
-                                         fit.instance.get());
+    auto stats = learner.FitAccuracyLoss(examples, &calibrated, &rng);
     if (stats.ok()) {
       output.source_accuracies = calibrated.AllSourceAccuracies();
     }

@@ -22,9 +22,6 @@ struct SlimFastFit {
   Algorithm algorithm_used = Algorithm::kErm;
   double compile_seconds = 0.0;
   double learn_seconds = 0.0;
-  /// The sparse compilation the fit ran over (null on the legacy dense
-  /// path). Shared with the CompiledInstanceCache when caching is on.
-  std::shared_ptr<const CompiledInstance> instance;
   /// True when the fit seeded from a previous weight vector and ran the
   /// warm refinement schedule instead of the cold-start budget.
   bool warm_started = false;
@@ -64,9 +61,10 @@ class SlimFast : public FusionMethod {
   Result<SlimFastFit> Fit(const Dataset& dataset, const TrainTestSplit& split,
                           uint64_t seed, Executor* exec = nullptr) const;
 
-  /// Learns against an already-compiled instance — the incremental
-  /// relearning entry point used by `FusionSession`. Compilation is
-  /// skipped entirely (`instance` typically comes from `DeltaCompile`);
+  /// Learns against an already-compiled instance — the learning stage
+  /// behind Fit, and the incremental relearning entry point used by
+  /// `FusionSession`. Compilation is skipped entirely (`instance`
+  /// typically comes from `DeltaCompile` or the CompiledInstanceCache);
   /// `dataset` must be the data `instance` was compiled from.
   ///
   /// When `warm_weights` is non-null, its size matches the instance's
@@ -86,17 +84,6 @@ class SlimFast : public FusionMethod {
                            uint64_t seed) override;
 
  private:
-  /// The shared learning stage behind Fit and FitCompiled: optimizer
-  /// decision, (possibly warm-started) ERM or EM, fit packaging.
-  /// `instance` may be null only on the legacy dense path, where
-  /// `compiled` carries the structure.
-  Result<SlimFastFit> FitWithStructure(
-      const Dataset& dataset, const TrainTestSplit& split, uint64_t seed,
-      std::shared_ptr<const CompiledInstance> instance,
-      std::shared_ptr<const CompiledModel> compiled,
-      const std::vector<double>* warm_weights, Executor* exec,
-      double compile_seconds) const;
-
   SlimFastOptions options_;
   std::string name_;
 };

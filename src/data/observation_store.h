@@ -59,9 +59,9 @@ std::vector<ObservationBatch> ChunkDatasetForReplay(const Dataset& dataset,
 /// The canonical observation order sorts by object id, preserving the
 /// dataset's insertion order within each object — exactly the order
 /// Dataset::ClaimsOnObject walks, so iterating an object's range of the
-/// columnar arrays visits the same claims in the same order as the dense
-/// per-object vectors (this is what lets the sparse learning paths produce
-/// bit-identical results to the legacy dense paths).
+/// columnar arrays visits the same claims in the same order as the
+/// Dataset's per-object vectors (compilation reads the store; the copy-pair
+/// scan and the learners' example builders read the Dataset).
 ///
 /// Three contiguous id arrays hold the observations (objects()[i],
 /// sources()[i], values()[i] describe observation i); per-object and

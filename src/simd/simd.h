@@ -155,11 +155,11 @@ inline void AdaGradProx(double* w, double* accum, const double* g,
 }
 
 /// Lane-stable sum of value_at(0..n-1) for call sites that accumulate
-/// from AoS structures (model scores, sigma dots) rather than a flat
-/// buffer. Produces exactly the bits of the kernels' LaneSum over the
-/// same values, so per-row score paths (SlimFastModel::ValueScore,
-/// SparseValueScore) stay bitwise interchangeable with the batched
-/// TermProducts + FoldRanges pipeline.
+/// one range at a time (model scores, sigma dots) rather than through a
+/// materialized product buffer. Produces exactly the bits of the kernels'
+/// LaneSum over the same values, so the per-row score path
+/// (SlimFastModel::ValueScore) stays bitwise interchangeable with the
+/// batched TermProducts + FoldRanges pipeline.
 template <typename F>
 inline double LaneStableSum(int64_t n, F&& value_at) {
   if (n <= kAccLanes) {

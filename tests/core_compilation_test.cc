@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
-#include "core/compilation.h"
+#include "core/compiled_instance.h"
 #include "test_util.h"
 
 namespace slimfast {
 namespace {
+
+using testutil::CandidateTerms;
+using testutil::RowDomain;
+using testutil::SigmaTerms;
+using testutil::Term;
 
 Dataset MakeFeatureDataset() {
   DatasetBuilder builder("feat", 3, 2, 2);
@@ -24,7 +29,8 @@ Dataset MakeFeatureDataset() {
 
 TEST(CompilationTest, LayoutDefaultConfig) {
   Dataset d = MakeFeatureDataset();
-  auto model = Compile(d, ModelConfig{}).ValueOrDie();
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  const CompiledModel& model = *instance->model;
   EXPECT_EQ(model.layout.num_source_params, 3);
   EXPECT_EQ(model.layout.num_feature_params, 2);
   EXPECT_EQ(model.layout.num_copy_params, 0);
@@ -35,7 +41,8 @@ TEST(CompilationTest, LayoutDefaultConfig) {
 
 TEST(CompilationTest, LayoutPredicates) {
   Dataset d = MakeFeatureDataset();
-  auto model = Compile(d, ModelConfig{}).ValueOrDie();
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  const CompiledModel& model = *instance->model;
   EXPECT_TRUE(model.layout.IsSourceParam(0));
   EXPECT_TRUE(model.layout.IsSourceParam(2));
   EXPECT_FALSE(model.layout.IsSourceParam(3));
@@ -47,26 +54,25 @@ TEST(CompilationTest, LayoutPredicates) {
 
 TEST(CompilationTest, SigmaTermsContainSourceAndFeatures) {
   Dataset d = MakeFeatureDataset();
-  auto model = Compile(d, ModelConfig{}).ValueOrDie();
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
   // Source 0: own weight + features k0, k1.
-  const auto& terms0 = model.sigma_terms[0];
-  ASSERT_EQ(terms0.size(), 3u);
-  EXPECT_EQ(terms0[0], (ParamTerm{0, 1.0}));
-  EXPECT_EQ(terms0[1], (ParamTerm{3, 1.0}));
-  EXPECT_EQ(terms0[2], (ParamTerm{4, 1.0}));
+  EXPECT_EQ(SigmaTerms(*instance, 0),
+            (std::vector<Term>{{0, 1.0}, {3, 1.0}, {4, 1.0}}));
   // Source 2: no features.
-  EXPECT_EQ(model.sigma_terms[2].size(), 1u);
+  EXPECT_EQ(SigmaTerms(*instance, 2), (std::vector<Term>{{2, 1.0}}));
+  EXPECT_EQ(instance->sigma_begin.size(), 4u);
 }
 
 TEST(CompilationTest, SourcesOnlyConfig) {
   Dataset d = MakeFeatureDataset();
   ModelConfig config;
   config.use_feature_weights = false;
-  auto model = Compile(d, config).ValueOrDie();
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  const CompiledModel& model = *instance->model;
   EXPECT_EQ(model.layout.num_params, 3);
   EXPECT_EQ(model.layout.num_feature_params, 0);
-  for (const auto& terms : model.sigma_terms) {
-    EXPECT_EQ(terms.size(), 1u);
+  for (SourceId s = 0; s < 3; ++s) {
+    EXPECT_EQ(SigmaTerms(*instance, s), (std::vector<Term>{{s, 1.0}}));
   }
 }
 
@@ -74,10 +80,14 @@ TEST(CompilationTest, FeatureOnlyConfig) {
   Dataset d = MakeFeatureDataset();
   ModelConfig config;
   config.use_source_weights = false;
-  auto model = Compile(d, config).ValueOrDie();
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  const CompiledModel& model = *instance->model;
   EXPECT_EQ(model.layout.num_params, 2);
   // Source 2 has no features, so its sigma expression is empty (score 0).
-  EXPECT_TRUE(model.sigma_terms[2].empty());
+  EXPECT_TRUE(SigmaTerms(*instance, 2).empty());
+  // Source 0's features k0, k1 sit at parameters 0 and 1.
+  EXPECT_EQ(SigmaTerms(*instance, 0),
+            (std::vector<Term>{{0, 1.0}, {1, 1.0}}));
 }
 
 TEST(CompilationTest, RejectsNoParameterGroups) {
@@ -85,32 +95,29 @@ TEST(CompilationTest, RejectsNoParameterGroups) {
   ModelConfig config;
   config.use_source_weights = false;
   config.use_feature_weights = false;
-  EXPECT_TRUE(Compile(d, config).status().IsInvalidArgument());
+  EXPECT_TRUE(CompileInstance(d, config).status().IsInvalidArgument());
 }
 
 TEST(CompilationTest, RejectsFeatureOnlyWithoutFeatures) {
   Dataset d = testutil::MakeFigure1Dataset();  // no features
   ModelConfig config;
   config.use_source_weights = false;
-  EXPECT_TRUE(Compile(d, config).status().IsFailedPrecondition());
+  EXPECT_TRUE(CompileInstance(d, config).status().IsFailedPrecondition());
 }
 
 TEST(CompilationTest, ObjectTermsAggregateClaimingSigmas) {
   Dataset d = MakeFeatureDataset();
-  auto model = Compile(d, ModelConfig{}).ValueOrDie();
-  const CompiledObject* row = model.RowOf(0);
-  ASSERT_NE(row, nullptr);
-  ASSERT_EQ(row->domain, (std::vector<ValueId>{0, 1}));
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  ASSERT_EQ(RowDomain(*instance, 0), (std::vector<ValueId>{0, 1}));
   // Value 0 claimed only by source 2: term = {w_s2: 1}.
-  ASSERT_EQ(row->terms[0].size(), 1u);
-  EXPECT_EQ(row->terms[0][0], (ParamTerm{2, 1.0}));
-  // Value 1 claimed by sources 0 and 1: w_s0 + w_s1 + k0 + 2*k1.
-  const auto& t1 = row->terms[1];
-  ASSERT_EQ(t1.size(), 4u);
-  EXPECT_EQ(t1[0], (ParamTerm{0, 1.0}));
-  EXPECT_EQ(t1[1], (ParamTerm{1, 1.0}));
-  EXPECT_EQ(t1[2], (ParamTerm{3, 1.0}));  // k0 from source 0
-  EXPECT_EQ(t1[3], (ParamTerm{4, 2.0}));  // k1 from sources 0 and 1
+  EXPECT_EQ(CandidateTerms(*instance, 0, 0), (std::vector<Term>{{2, 1.0}}));
+  // Value 1 claimed by sources 0 and 1: w_s0 + w_s1 + k0 + 2*k1 (k0 from
+  // source 0, k1 from sources 0 and 1).
+  EXPECT_EQ(CandidateTerms(*instance, 0, 1),
+            (std::vector<Term>{{0, 1.0}, {1, 1.0}, {3, 1.0}, {4, 2.0}}));
+  // Binary domain: no multiclass offsets.
+  EXPECT_EQ(testutil::RowOffsets(*instance, 0),
+            (std::vector<double>{0.0, 0.0}));
 }
 
 TEST(CompilationTest, UnobservedObjectsHaveNoRow) {
@@ -118,20 +125,23 @@ TEST(CompilationTest, UnobservedObjectsHaveNoRow) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   SLIMFAST_CHECK_OK(builder.AddObservation(2, 1, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  auto model = Compile(d, ModelConfig{}).ValueOrDie();
-  EXPECT_NE(model.RowOf(0), nullptr);
-  EXPECT_EQ(model.RowOf(1), nullptr);
-  EXPECT_NE(model.RowOf(2), nullptr);
-  EXPECT_EQ(model.objects.size(), 2u);
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  EXPECT_EQ(instance->RowIndex(0), 0);
+  EXPECT_EQ(instance->RowIndex(1), -1);
+  EXPECT_EQ(instance->RowIndex(2), 1);
+  EXPECT_EQ(instance->RowIndex(3), -1);  // out of range
+  EXPECT_EQ(instance->num_rows(), 2);
+  EXPECT_EQ(instance->row_object, (std::vector<ObjectId>{0, 2}));
+  EXPECT_EQ(instance->object_row, (std::vector<int32_t>{0, -1, 1}));
 }
 
 TEST(CompilationTest, DomainIndexLookup) {
   Dataset d = MakeFeatureDataset();
-  auto model = Compile(d, ModelConfig{}).ValueOrDie();
-  const CompiledObject* row = model.RowOf(0);
-  EXPECT_EQ(row->DomainIndex(0), 0);
-  EXPECT_EQ(row->DomainIndex(1), 1);
-  EXPECT_EQ(row->DomainIndex(7), -1);
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  const int32_t row = instance->RowIndex(0);
+  EXPECT_EQ(instance->DomainIndex(row, 0), 0);
+  EXPECT_EQ(instance->DomainIndex(row, 1), 1);
+  EXPECT_EQ(instance->DomainIndex(row, 7), -1);
 }
 
 Dataset MakeCopyingDataset() {
@@ -155,7 +165,8 @@ TEST(CompilationTest, CopyingPairsRegisteredByAgreementCount) {
   ModelConfig config;
   config.use_copying_features = true;
   config.copying_min_agreements = 2;
-  auto model = Compile(d, config).ValueOrDie();
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  const CompiledModel& model = *instance->model;
   // Agreements: (0,1) on objects 0-2 = 3 times; (0,2) only on object 3 =
   // once; (1,2) never. With min_agreements = 2 only (0,1) qualifies.
   ASSERT_EQ(model.copy_pairs.size(), 1u);
@@ -168,7 +179,8 @@ TEST(CompilationTest, CopyingMaxPairsCap) {
   config.use_copying_features = true;
   config.copying_min_agreements = 1;
   config.copying_max_pairs = 1;
-  auto model = Compile(d, config).ValueOrDie();
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  const CompiledModel& model = *instance->model;
   ASSERT_EQ(model.copy_pairs.size(), 1u);
   // Highest-agreement pair wins the cap.
   EXPECT_EQ(model.copy_pairs[0], (std::pair<SourceId, SourceId>(0, 1)));
@@ -179,19 +191,19 @@ TEST(CompilationTest, CopyingTermsPenalizeAgreedValue) {
   ModelConfig config;
   config.use_copying_features = true;
   config.copying_min_agreements = 2;
-  auto model = Compile(d, config).ValueOrDie();
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  const CompiledModel& model = *instance->model;
   ASSERT_GE(model.layout.num_copy_params, 1);
   ParamId copy_param = model.layout.copy_offset;
   // On object 0 the pair (0,1) agreed on value 1, so the copy parameter
   // appears on candidate 0 (the value they did NOT claim).
-  const CompiledObject* row = model.RowOf(0);
   bool on_candidate0 = false;
   bool on_candidate1 = false;
-  for (const ParamTerm& t : row->terms[0]) {
-    if (t.param == copy_param) on_candidate0 = true;
+  for (const Term& t : CandidateTerms(*instance, 0, 0)) {
+    if (t.first == copy_param) on_candidate0 = true;
   }
-  for (const ParamTerm& t : row->terms[1]) {
-    if (t.param == copy_param) on_candidate1 = true;
+  for (const Term& t : CandidateTerms(*instance, 0, 1)) {
+    if (t.first == copy_param) on_candidate1 = true;
   }
   EXPECT_TRUE(on_candidate0);
   EXPECT_FALSE(on_candidate1);
@@ -203,7 +215,7 @@ TEST(CompilationTest, CopyingRequiresTwoSources) {
   Dataset d = std::move(builder).Build().ValueOrDie();
   ModelConfig config;
   config.use_copying_features = true;
-  EXPECT_TRUE(Compile(d, config).status().IsFailedPrecondition());
+  EXPECT_TRUE(CompileInstance(d, config).status().IsFailedPrecondition());
 }
 
 }  // namespace

@@ -10,7 +10,7 @@ namespace {
 TEST(EmTest, FailsWithoutObservations) {
   DatasetBuilder builder("empty", 1, 1, 2);
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   EmLearner learner(EmOptions{});
   Rng rng(1);
   EXPECT_TRUE(
@@ -24,7 +24,7 @@ TEST(EmTest, UnsupervisedRecoversTruthOnDenseAccurateInstance) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 300, 1.0, 101);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   EmLearner learner(EmOptions{});
   Rng rng(5);
   auto stats = learner.Fit(d, {}, &model, &rng).ValueOrDie();
@@ -43,7 +43,7 @@ TEST(EmTest, UnsupervisedSourceAccuraciesAreReasonable) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 400, 1.0, 103);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   EmLearner learner(EmOptions{});
   Rng rng(6);
   ASSERT_TRUE(learner.Fit(d, {}, &model, &rng).ok());
@@ -64,7 +64,7 @@ TEST(EmTest, SemiSupervisedClampsTrainingLabels) {
   config.use_feature_weights = false;
   auto split = testutil::MakePrefixSplit(d, 150);
 
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   EmLearner learner(EmOptions{});
   Rng rng(8);
   ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
@@ -83,7 +83,7 @@ TEST(EmTest, SoftEmAlsoConverges) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 200, 1.0, 109);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   EmOptions options;
   options.soft = true;
   EmLearner learner(options);
@@ -103,7 +103,7 @@ TEST(EmTest, InitAccuracySeedsMajorityVote) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 150, 1.0, 113);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   EmOptions options;
   options.max_iterations = 1;
   options.m_step.epochs = 0;  // E-step only: pure majority vote
@@ -143,7 +143,7 @@ TEST(EmTest, DensityImprovesEmQuality) {
         testutil::MakePlantedDataset(accuracies, 500, density, 211);
     ModelConfig config;
     config.use_feature_weights = false;
-    SlimFastModel model(Compile(d, config).ValueOrDie());
+    SlimFastModel model(CompileInstance(d, config).ValueOrDie());
     EmLearner learner(EmOptions{});
     Rng rng(3);
     SLIMFAST_CHECK_OK(learner.Fit(d, {}, &model, &rng).status());
@@ -172,14 +172,14 @@ TEST(EmTest, ExpectedNllDecreasesOrConverges) {
 
   EmOptions few;
   few.max_iterations = 2;
-  SlimFastModel model_few(Compile(d, config).ValueOrDie());
+  SlimFastModel model_few(CompileInstance(d, config).ValueOrDie());
   Rng rng1(1);
   auto stats_few =
       EmLearner(few).Fit(d, {}, &model_few, &rng1).ValueOrDie();
 
   EmOptions many;
   many.max_iterations = 15;
-  SlimFastModel model_many(Compile(d, config).ValueOrDie());
+  SlimFastModel model_many(CompileInstance(d, config).ValueOrDie());
   Rng rng2(1);
   auto stats_many =
       EmLearner(many).Fit(d, {}, &model_many, &rng2).ValueOrDie();

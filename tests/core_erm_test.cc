@@ -12,9 +12,8 @@ namespace {
 
 TEST(ErmExamplesTest, ObjectExamplesFilterUnusable) {
   Dataset d = testutil::MakeFigure1Dataset();
-  auto compiled = Compile(d, ModelConfig{}).ValueOrDie();
-  auto examples =
-      ErmLearner::ObjectExamples(d, compiled, {0, 1});
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  auto examples = ErmLearner::ObjectExamples(*instance, {0, 1});
   // Object 1's truth (1) is in its domain {1}; object 0's truth (0) is in
   // {0,1}: both usable.
   EXPECT_EQ(examples.size(), 2u);
@@ -27,8 +26,8 @@ TEST(ErmExamplesTest, SkipsTruthOutsideDomain) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   SLIMFAST_CHECK_OK(builder.SetTruth(0, 2));  // nobody claimed 2
   Dataset d = std::move(builder).Build().ValueOrDie();
-  auto compiled = Compile(d, ModelConfig{}).ValueOrDie();
-  EXPECT_TRUE(ErmLearner::ObjectExamples(d, compiled, {0}).empty());
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  EXPECT_TRUE(ErmLearner::ObjectExamples(*instance, {0}).empty());
 }
 
 TEST(ErmExamplesTest, ObservationExamplesLabelCorrectness) {
@@ -44,7 +43,7 @@ TEST(ErmExamplesTest, ObservationExamplesLabelCorrectness) {
 
 TEST(ErmTest, FailsWithoutExamples) {
   Dataset d = testutil::MakeFigure1Dataset();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   ErmLearner learner(ErmOptions{});
   Rng rng(1);
   EXPECT_TRUE(learner.FitObjectLoss({}, &model, &rng)
@@ -63,7 +62,7 @@ TEST(ErmTest, LearnsToSeparateGoodFromBadSources) {
 
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   ErmLearner learner(ErmOptions{});
   Rng rng(7);
   auto split = testutil::MakePrefixSplit(d, 150);
@@ -93,7 +92,7 @@ TEST(ErmTest, PredictionsBeatMajorityOnAdversarialInstance) {
 
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   ErmLearner learner(ErmOptions{});
   Rng rng(3);
   auto split = testutil::MakePrefixSplit(d, 80);
@@ -112,7 +111,7 @@ TEST(ErmTest, AccuracyLossRecoverEmpiricalRates) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 500, 1.0, 19);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   ErmOptions options;
   options.loss = ErmLoss::kAccuracyLogLoss;
   options.epochs = 100;
@@ -133,7 +132,7 @@ TEST(ErmTest, BatchAndSgdAgreeOnPredictions) {
   config.use_feature_weights = false;
   auto split = testutil::MakePrefixSplit(d, 100);
 
-  SlimFastModel sgd_model(Compile(d, config).ValueOrDie());
+  SlimFastModel sgd_model(CompileInstance(d, config).ValueOrDie());
   ErmOptions sgd_options;
   sgd_options.epochs = 80;
   Rng rng1(1);
@@ -141,7 +140,7 @@ TEST(ErmTest, BatchAndSgdAgreeOnPredictions) {
                   .Fit(d, split.train_objects, &sgd_model, &rng1)
                   .ok());
 
-  SlimFastModel batch_model(Compile(d, config).ValueOrDie());
+  SlimFastModel batch_model(CompileInstance(d, config).ValueOrDie());
   ErmOptions batch_options;
   batch_options.batch = true;
   batch_options.epochs = 600;
@@ -177,7 +176,7 @@ TEST(ErmTest, L1ZeroesFeatureWeightsOnly) {
   }
   Dataset d = std::move(builder).Build().ValueOrDie();
 
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   ErmOptions options;
   options.batch = true;
   options.epochs = 300;
@@ -207,7 +206,7 @@ TEST(ErmTest, WeightedExamplesShiftTheFit) {
   Dataset d = std::move(builder).Build().ValueOrDie();
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
 
   std::vector<LabeledExample> examples = {
       LabeledExample{0, 0, 0.9},  // value 0, heavy
@@ -228,7 +227,7 @@ TEST(ErmTest, ConvergenceStopsEarly) {
   Dataset d = testutil::MakePlantedDataset({0.9, 0.8, 0.7}, 50, 1.0, 2);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   ErmOptions options;
   options.epochs = 5000;
   options.tolerance = 1e-3;
@@ -251,7 +250,7 @@ TEST_P(ErmSampleSizeSweep, MoreLabelsNeverMuchWorse) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 600, 0.5, 77);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   ErmLearner learner(ErmOptions{});
   Rng rng(GetParam());
   auto split = testutil::MakePrefixSplit(d, GetParam());

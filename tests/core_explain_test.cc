@@ -12,7 +12,7 @@ namespace {
 
 SlimFastModel MakeWeightedFigure1Model() {
   Dataset d = testutil::MakeFigure1Dataset();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   // Sources 0 and 2 trusted, source 1 not.
   std::vector<double> w = {Logit(0.9), Logit(0.3), Logit(0.8)};
   model.SetWeights(w);
@@ -66,7 +66,7 @@ TEST(ExplainObjectTest, ValidatesInput) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   Dataset sparse = std::move(builder).Build().ValueOrDie();
   SlimFastModel sparse_model(
-      Compile(sparse, ModelConfig{}).ValueOrDie());
+      CompileInstance(sparse, ModelConfig{}).ValueOrDie());
   EXPECT_TRUE(ExplainObject(sparse_model, sparse, 1)
                   .status()
                   .IsFailedPrecondition());
@@ -97,7 +97,7 @@ Dataset MakeFeaturedDataset() {
 
 TEST(ExplainSourceTest, DecomposesSigmaIntoIndicatorAndFeatures) {
   Dataset d = MakeFeaturedDataset();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   // Params: [w_s0, w_s1, w_hi, w_lo].
   model.SetWeights({0.4, -0.1, 0.8, -0.6});
   auto explanation = ExplainSource(model, d, 0);
@@ -121,7 +121,7 @@ TEST(ExplainSourceTest, FeaturesSortedByImpact) {
   SLIMFAST_CHECK_OK(fs->SetFeature(0, c));
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   model.SetWeights({0.0, 0.1, -0.9, 0.5});  // [w_s0, a, b, c]
   auto explanation = ExplainSource(model, d, 0);
   ASSERT_EQ(explanation.feature_names.size(), 3u);
@@ -132,7 +132,7 @@ TEST(ExplainSourceTest, FeaturesSortedByImpact) {
 
 TEST(ExplainSourceTest, ToStringRenders) {
   Dataset d = MakeFeaturedDataset();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   model.SetWeights({0.4, -0.1, 0.8, -0.6});
   std::string s = ExplainSource(model, d, 1).ToString();
   EXPECT_NE(s.find("Source 1"), std::string::npos);
@@ -146,7 +146,7 @@ TEST(ExplainIntegrationTest, TrainedModelExplainsSensibly) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 300, 1.0, 777);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   ErmLearner learner(ErmOptions{});
   Rng rng(5);
   auto split = testutil::MakePrefixSplit(d, 200);

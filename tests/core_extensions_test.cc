@@ -42,7 +42,7 @@ TEST(SourceInitTest, RequiresFeatureWeights) {
   Dataset d = testutil::MakeFigure1Dataset();
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   EXPECT_TRUE(SourceQualityPredictor::FromModel(model)
                   .status()
                   .IsFailedPrecondition());
@@ -50,7 +50,7 @@ TEST(SourceInitTest, RequiresFeatureWeights) {
 
 TEST(SourceInitTest, PredictsUnseenSourceAccuracyFromFeatures) {
   Dataset d = MakeFeatureAccuracyDataset(31, 20, 300);
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   ErmLearner learner(ErmOptions{});
   Rng rng(1);
   auto split = testutil::MakePrefixSplit(d, 200);
@@ -70,7 +70,7 @@ TEST(SourceInitTest, PredictsUnseenSourceAccuracyFromFeatures) {
 
 TEST(SourceInitTest, PredictAccuracyOfUsesDatasetFeatures) {
   Dataset d = MakeFeatureAccuracyDataset(37, 10, 200);
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   ErmLearner learner(ErmOptions{});
   Rng rng(2);
   auto split = testutil::MakePrefixSplit(d, 150);
@@ -83,7 +83,7 @@ TEST(SourceInitTest, PredictAccuracyOfUsesDatasetFeatures) {
 
 TEST(SourceInitTest, IgnoresOutOfRangeFeatures) {
   Dataset d = MakeFeatureAccuracyDataset(41, 10, 100);
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   auto predictor = SourceQualityPredictor::FromModel(model).ValueOrDie();
   // Unknown feature ids contribute nothing rather than crashing.
   double base = predictor.PredictAccuracy({});
@@ -120,7 +120,7 @@ TEST(CopyingTest, TopRelationsIdentifyCopiers) {
   config.use_feature_weights = false;
   config.use_copying_features = true;
   config.copying_min_agreements = 30;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   ASSERT_GE(model.layout().num_copy_params, 1);
 
   ErmOptions erm;
@@ -147,7 +147,7 @@ TEST(CopyingTest, CopyModelAtLeastMatchesPlainErm) {
 
   ModelConfig plain;
   plain.use_feature_weights = false;
-  SlimFastModel plain_model(Compile(d, plain).ValueOrDie());
+  SlimFastModel plain_model(CompileInstance(d, plain).ValueOrDie());
   ErmLearner learner{ErmOptions{}};
   ASSERT_TRUE(
       learner.Fit(d, split.train_objects, &plain_model, &rng1).ok());
@@ -155,7 +155,7 @@ TEST(CopyingTest, CopyModelAtLeastMatchesPlainErm) {
   ModelConfig copying = plain;
   copying.use_copying_features = true;
   copying.copying_min_agreements = 30;
-  SlimFastModel copy_model(Compile(d, copying).ValueOrDie());
+  SlimFastModel copy_model(CompileInstance(d, copying).ValueOrDie());
   ASSERT_TRUE(
       learner.Fit(d, split.train_objects, &copy_model, &rng2).ok());
 
@@ -177,7 +177,7 @@ TEST(CopyingTest, RelationsToStringRendersRows) {
 
 TEST(CopyingTest, NoCopyParamsGivesEmptyRelations) {
   Dataset d = testutil::MakeFigure1Dataset();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   EXPECT_TRUE(TopCopyingRelations(model, 10).empty());
 }
 

@@ -11,7 +11,7 @@ namespace {
 
 SlimFastModel MakeFigure1Model() {
   Dataset d = testutil::MakeFigure1Dataset();
-  return SlimFastModel(Compile(d, ModelConfig{}).ValueOrDie());
+  return SlimFastModel(CompileInstance(d, ModelConfig{}).ValueOrDie());
 }
 
 TEST(ModelTest, ZeroWeightsGiveUniformPosteriorAndHalfAccuracy) {
@@ -65,7 +65,7 @@ TEST(ModelTest, PosteriorMatchesEquation4ByHand) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 2, 2));
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 3, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel multiclass(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel multiclass(CompileInstance(d, ModelConfig{}).ValueOrDie());
   std::vector<double> mw = {0.8, -0.6, 0.3, -0.4};
   ASSERT_EQ(multiclass.weights().size(), mw.size());
   multiclass.SetWeights(mw);
@@ -76,10 +76,14 @@ TEST(ModelTest, PosteriorMatchesEquation4ByHand) {
   const double e1 = std::exp(-0.6 + log2);
   const double e2 = std::exp(0.3 + log2);
   const double z = e0 + e1 + e2;
-  const CompiledObject* row = multiclass.compiled().RowOf(0);
-  EXPECT_NEAR(probs[static_cast<size_t>(row->DomainIndex(0))], e0 / z, 1e-12);
-  EXPECT_NEAR(probs[static_cast<size_t>(row->DomainIndex(1))], e1 / z, 1e-12);
-  EXPECT_NEAR(probs[static_cast<size_t>(row->DomainIndex(2))], e2 / z, 1e-12);
+  const CompiledInstance& inst = multiclass.instance();
+  const int32_t row = inst.RowIndex(0);
+  EXPECT_NEAR(probs[static_cast<size_t>(inst.DomainIndex(row, 0))], e0 / z,
+              1e-12);
+  EXPECT_NEAR(probs[static_cast<size_t>(inst.DomainIndex(row, 1))], e1 / z,
+              1e-12);
+  EXPECT_NEAR(probs[static_cast<size_t>(inst.DomainIndex(row, 2))], e2 / z,
+              1e-12);
 }
 
 TEST(ModelTest, FeatureWeightsEnterSigma) {
@@ -90,7 +94,7 @@ TEST(ModelTest, FeatureWeightsEnterSigma) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 1, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   std::vector<double> w = model.weights();
   ASSERT_EQ(w.size(), 3u);  // 2 sources + 1 feature
   w[0] = 0.3;  // source 0
@@ -105,15 +109,17 @@ TEST(ModelTest, MapIndexPicksArgmax) {
   SlimFastModel model = MakeFigure1Model();
   std::vector<double> w = {2.0, 0.1, 2.0};  // sources 0, 2 trusted
   model.SetWeights(w);
-  const CompiledObject* row = model.compiled().RowOf(0);
-  EXPECT_EQ(row->domain[static_cast<size_t>(model.MapIndex(*row))], 0);
+  const int32_t row = model.instance().RowIndex(0);
+  EXPECT_EQ(testutil::RowDomain(model.instance(), 0)[static_cast<size_t>(
+                model.MapIndex(row))],
+            0);
 }
 
 TEST(ModelTest, PredictAllMarksUnobserved) {
   DatasetBuilder builder("gap", 1, 3, 2);
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   auto predictions = model.PredictAll();
   ASSERT_EQ(predictions.size(), 3u);
   EXPECT_EQ(predictions[0], 1);
@@ -125,7 +131,7 @@ TEST(ModelTest, PosteriorOfUnobservedObjectReturnsFalse) {
   DatasetBuilder builder("gap", 1, 2, 2);
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   std::vector<double> probs;
   EXPECT_FALSE(model.PosteriorOf(1, &probs));
 }
@@ -134,11 +140,11 @@ TEST(ModelTest, ObjectNllConsistentWithPosterior) {
   SlimFastModel model = MakeFigure1Model();
   std::vector<double> w = {0.7, -0.2, 0.4};
   model.SetWeights(w);
-  const CompiledObject* row = model.compiled().RowOf(0);
+  const int32_t row = model.instance().RowIndex(0);
   std::vector<double> probs;
-  model.Posterior(*row, &probs);
+  model.Posterior(row, &probs);
   for (int32_t di = 0; di < 2; ++di) {
-    EXPECT_NEAR(model.ObjectNll(*row, di),
+    EXPECT_NEAR(model.ObjectNll(row, di),
                 -std::log(probs[static_cast<size_t>(di)]), 1e-10);
   }
 }
@@ -158,7 +164,7 @@ TEST(ModelTest, PosteriorSumsToOneOnLargerDomain) {
   Dataset d = testutil::MakePlantedDataset(
       std::vector<double>(8, 0.6), /*num_objects=*/20, /*density=*/1.0,
       /*seed=*/5, /*num_values=*/5);
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   std::vector<double> w(model.weights().size(), 0.37);
   model.SetWeights(w);
   std::vector<double> probs;

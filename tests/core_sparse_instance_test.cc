@@ -1,13 +1,18 @@
-// CompiledInstance and its cache: the flat CSR structures must mirror the
-// dense CompiledModel element-for-element (that equality is what makes the
-// sparse learning paths bit-identical), and the cache must key on dataset
-// content + ModelConfig.
+// CompiledInstance and its cache: the CSR arrays must encode exactly the
+// log-linear structure of Eq. 4 (checked here against an independent
+// per-object derivation from the dataset), the row-at-a-time model scores
+// must match the batched kernel pipeline bit for bit, and the cache must
+// key on dataset content + ModelConfig.
 
 #include "core/compiled_instance.h"
+
+#include <cmath>
+#include <map>
 
 #include <gtest/gtest.h>
 
 #include "core/model.h"
+#include "simd/simd.h"
 #include "test_util.h"
 
 namespace slimfast {
@@ -15,77 +20,111 @@ namespace {
 
 using testutil::MakeFigure1Dataset;
 using testutil::MakePlantedDataset;
+using testutil::Term;
 
-TEST(CompiledInstanceTest, FlattensCompiledModelExactly) {
+// A 3-valued planted instance with features on two of its four sources.
+Dataset MakeFeaturedPlantedDataset() {
   const std::vector<double> planted = {0.9, 0.7, 0.6, 0.8};
-  Dataset dataset = MakePlantedDataset(planted, 50, 0.5, 17, 3);
+  Dataset base = MakePlantedDataset(planted, 50, 0.5, 17, 3);
+  DatasetBuilder builder("featured", base.num_sources(), base.num_objects(),
+                         base.num_values());
+  FeatureSpace* fs = builder.mutable_features();
+  const FeatureId k0 = fs->RegisterFeature("k0");
+  const FeatureId k1 = fs->RegisterFeature("k1");
+  SLIMFAST_CHECK_OK(fs->SetFeature(0, k0));
+  SLIMFAST_CHECK_OK(fs->SetFeature(0, k1));
+  SLIMFAST_CHECK_OK(fs->SetFeature(2, k1));
+  for (ObjectId o = 0; o < base.num_objects(); ++o) {
+    for (const SourceClaim& claim : base.ClaimsOnObject(o)) {
+      SLIMFAST_CHECK_OK(builder.AddObservation(o, claim.source, claim.value));
+    }
+    if (o % 3 != 0) SLIMFAST_CHECK_OK(builder.SetTruth(o, base.Truth(o)));
+  }
+  return std::move(builder).Build().ValueOrDie();
+}
+
+TEST(CompiledInstanceTest, CsrEncodesEquationFourExactly) {
+  Dataset dataset = MakeFeaturedPlantedDataset();
   ModelConfig config;
   auto instance = CompileInstance(dataset, config).ValueOrDie();
-  const CompiledModel& model = *instance->model;
+  const ParamLayout& layout = instance->model->layout;
 
-  ASSERT_EQ(instance->num_rows(),
-            static_cast<int32_t>(model.objects.size()));
-  for (size_t r = 0; r < model.objects.size(); ++r) {
-    const CompiledObject& row = model.objects[r];
-    int32_t ri = static_cast<int32_t>(r);
-    ASSERT_EQ(instance->DomainSize(ri),
-              static_cast<int32_t>(row.domain.size()));
-    int64_t cand0 = instance->row_begin[r];
-    for (size_t di = 0; di < row.domain.size(); ++di) {
-      int64_t cand = cand0 + static_cast<int64_t>(di);
-      EXPECT_EQ(instance->cand_values[static_cast<size_t>(cand)],
-                row.domain[di]);
-      EXPECT_EQ(instance->cand_offsets[static_cast<size_t>(cand)],
-                row.offsets[di]);
-      int64_t tb = instance->term_begin[static_cast<size_t>(cand)];
-      int64_t te = instance->term_begin[static_cast<size_t>(cand) + 1];
-      ASSERT_EQ(te - tb, static_cast<int64_t>(row.terms[di].size()));
-      for (int64_t t = tb; t < te; ++t) {
-        EXPECT_EQ(instance->terms[static_cast<size_t>(t)],
-                  row.terms[di][static_cast<size_t>(t - tb)]);
+  // Sigma CSR: σ_s = w_s + Σ_k w_k f_{s,k}, in parameter order.
+  ASSERT_EQ(instance->sigma_begin.size(),
+            static_cast<size_t>(dataset.num_sources()) + 1);
+  std::vector<std::vector<Term>> sigma(
+      static_cast<size_t>(dataset.num_sources()));
+  for (SourceId s = 0; s < dataset.num_sources(); ++s) {
+    auto& expected = sigma[static_cast<size_t>(s)];
+    expected.emplace_back(layout.source_offset + s, 1.0);
+    for (FeatureId k : dataset.features().FeaturesOf(s)) {
+      expected.emplace_back(layout.feature_offset + k, 1.0);
+    }
+    EXPECT_EQ(testutil::SigmaTerms(*instance, s), expected) << "source " << s;
+  }
+
+  // Rows: the observed objects, ascending.
+  std::vector<ObjectId> observed;
+  for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
+    if (!dataset.ClaimsOnObject(o).empty()) observed.push_back(o);
+  }
+  ASSERT_EQ(instance->row_object, observed);
+  ASSERT_EQ(instance->num_rows(), static_cast<int32_t>(observed.size()));
+
+  for (int32_t r = 0; r < instance->num_rows(); ++r) {
+    const ObjectId o = observed[static_cast<size_t>(r)];
+    EXPECT_EQ(instance->RowIndex(o), r);
+    const std::vector<ValueId>& domain = dataset.DomainOf(o);
+    ASSERT_EQ(testutil::RowDomain(*instance, o), domain) << "object " << o;
+    const auto& claims = dataset.ClaimsOnObject(o);
+    const double claim_offset =
+        domain.size() > 2 ? std::log(static_cast<double>(domain.size()) - 1.0)
+                          : 0.0;
+    for (size_t di = 0; di < domain.size(); ++di) {
+      // Terms: the merged sigma expressions of every source claiming the
+      // candidate; offset: one multiclass correction per such claim.
+      std::map<ParamId, double> merged;
+      double offset = 0.0;
+      for (const SourceClaim& claim : claims) {
+        if (claim.value != domain[di]) continue;
+        for (const Term& t : sigma[static_cast<size_t>(claim.source)]) {
+          merged[t.first] += t.second;
+        }
+        offset += claim_offset;
       }
+      const std::vector<Term> expected(merged.begin(), merged.end());
+      EXPECT_EQ(testutil::CandidateTerms(*instance, o,
+                                         static_cast<int32_t>(di)),
+                expected)
+          << "object " << o << " candidate " << di;
+      EXPECT_EQ(testutil::RowOffsets(*instance, o)[di], offset)
+          << "object " << o << " candidate " << di;
     }
-  }
 
-  // Sigma CSR mirrors sigma_terms.
-  for (size_t s = 0; s < model.sigma_terms.size(); ++s) {
-    int64_t sb = instance->sigma_begin[s];
-    int64_t se = instance->sigma_begin[s + 1];
-    ASSERT_EQ(se - sb, static_cast<int64_t>(model.sigma_terms[s].size()));
-    for (int64_t t = sb; t < se; ++t) {
-      EXPECT_EQ(instance->sigma_terms[static_cast<size_t>(t)],
-                model.sigma_terms[s][static_cast<size_t>(t - sb)]);
+    // Claims mirror ClaimsOnObject with precomputed domain indexes, and
+    // truth targets match the domain index of the dataset truth.
+    const int64_t cb = instance->claim_begin[static_cast<size_t>(r)];
+    ASSERT_EQ(instance->claim_begin[static_cast<size_t>(r) + 1] - cb,
+              static_cast<int64_t>(claims.size()));
+    for (size_t k = 0; k < claims.size(); ++k) {
+      const size_t i = static_cast<size_t>(cb) + k;
+      EXPECT_EQ(instance->claim_sources[i], claims[k].source);
+      EXPECT_EQ(instance->claim_cand[i],
+                instance->DomainIndex(r, claims[k].value));
+      EXPECT_GE(instance->claim_cand[i], 0);
     }
-  }
-
-  // Claims mirror ClaimsOnObject with precomputed domain indexes, and
-  // truth targets match DomainIndex of the dataset truth.
-  for (size_t r = 0; r < model.objects.size(); ++r) {
-    const CompiledObject& row = model.objects[r];
-    const auto& claims = dataset.ClaimsOnObject(row.object);
-    int64_t cb = instance->claim_begin[r];
-    int64_t ce = instance->claim_begin[r + 1];
-    ASSERT_EQ(ce - cb, static_cast<int64_t>(claims.size()));
-    for (int64_t i = cb; i < ce; ++i) {
-      size_t k = static_cast<size_t>(i - cb);
-      EXPECT_EQ(instance->claim_sources[static_cast<size_t>(i)],
-                claims[k].source);
-      EXPECT_EQ(instance->claim_cand[static_cast<size_t>(i)],
-                row.DomainIndex(claims[k].value));
-    }
-    int32_t expected_truth = dataset.HasTruth(row.object)
-                                 ? row.DomainIndex(dataset.Truth(row.object))
-                                 : -1;
-    EXPECT_EQ(instance->truth_cand[r], expected_truth);
+    const int32_t expected_truth =
+        dataset.HasTruth(o) ? instance->DomainIndex(r, dataset.Truth(o)) : -1;
+    EXPECT_EQ(instance->truth_cand[static_cast<size_t>(r)], expected_truth);
   }
 }
 
-TEST(CompiledInstanceTest, SparsePosteriorMatchesDenseBitwise) {
+TEST(CompiledInstanceTest, ModelScoresMatchBatchedKernelsBitwise) {
   const std::vector<double> planted = {0.85, 0.7, 0.65};
   Dataset dataset = MakePlantedDataset(planted, 30, 0.6, 5, 3);
   ModelConfig config;
   auto instance = CompileInstance(dataset, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   // Non-trivial weights so the softmax has something to chew on.
   std::vector<double> w = model.weights();
   for (size_t i = 0; i < w.size(); ++i) {
@@ -93,16 +132,25 @@ TEST(CompiledInstanceTest, SparsePosteriorMatchesDenseBitwise) {
   }
   model.SetWeights(w);
 
-  std::vector<double> dense_probs;
-  std::vector<double> sparse_probs;
+  // The E-step's whole-instance pipeline: TermProducts → FoldRanges →
+  // SoftmaxRows over the CSR arrays.
+  const int64_t num_terms = static_cast<int64_t>(instance->term_coeff.size());
+  std::vector<double> prod(static_cast<size_t>(num_terms));
+  std::vector<double> batched(static_cast<size_t>(instance->num_candidates()));
+  simd::TermProducts(instance->term_coeff.data(), instance->term_param.data(),
+                     model.weights().data(), prod.data(), num_terms);
+  simd::FoldRanges(instance->term_begin.data(), instance->num_candidates(), 0,
+                   prod.data(), instance->cand_offsets.data(), batched.data());
+  simd::SoftmaxRows(instance->row_begin.data(), instance->num_rows(), 0,
+                    batched.data());
+
+  std::vector<double> probs;
   for (int32_t r = 0; r < instance->num_rows(); ++r) {
-    const CompiledObject& row =
-        model.compiled().objects[static_cast<size_t>(r)];
-    model.Posterior(row, &dense_probs);
-    SparsePosterior(*instance, r, model.weights(), &sparse_probs);
-    ASSERT_EQ(dense_probs.size(), sparse_probs.size());
-    for (size_t di = 0; di < dense_probs.size(); ++di) {
-      EXPECT_EQ(dense_probs[di], sparse_probs[di])
+    model.Posterior(r, &probs);
+    const int64_t begin = instance->row_begin[static_cast<size_t>(r)];
+    ASSERT_EQ(static_cast<int32_t>(probs.size()), instance->DomainSize(r));
+    for (size_t di = 0; di < probs.size(); ++di) {
+      EXPECT_EQ(probs[di], batched[static_cast<size_t>(begin) + di])
           << "row " << r << " candidate " << di;
     }
   }

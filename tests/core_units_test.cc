@@ -141,11 +141,10 @@ TEST(Rank1OptionsTest, OverlapWeightingPrefersReliableEntries) {
 
 TEST(MulticlassOffsetTest, BinaryDomainsHaveZeroOffsets) {
   Dataset d = testutil::MakeFigure1Dataset();
-  auto compiled = Compile(d, ModelConfig{}).ValueOrDie();
-  for (const CompiledObject& row : compiled.objects) {
-    for (double offset : row.offsets) {
-      EXPECT_DOUBLE_EQ(offset, 0.0);
-    }
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  ASSERT_GT(instance->num_candidates(), 0);
+  for (double offset : instance->cand_offsets) {
+    EXPECT_DOUBLE_EQ(offset, 0.0);
   }
 }
 
@@ -157,12 +156,13 @@ TEST(MulticlassOffsetTest, OffsetCountsClaimsTimesLogN) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 2, 1));
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 3, 2));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  auto compiled = Compile(d, ModelConfig{}).ValueOrDie();
-  const CompiledObject* row = compiled.RowOf(0);
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  const std::vector<double> offsets = testutil::RowOffsets(*instance, 0);
+  ASSERT_EQ(offsets.size(), 3u);
   double log_n = std::log(2.0);  // |D_o| - 1 = 2
-  EXPECT_NEAR(row->offsets[0], 2.0 * log_n, 1e-12);
-  EXPECT_NEAR(row->offsets[1], 1.0 * log_n, 1e-12);
-  EXPECT_NEAR(row->offsets[2], 1.0 * log_n, 1e-12);
+  EXPECT_NEAR(offsets[0], 2.0 * log_n, 1e-12);
+  EXPECT_NEAR(offsets[1], 1.0 * log_n, 1e-12);
+  EXPECT_NEAR(offsets[2], 1.0 * log_n, 1e-12);
 }
 
 TEST(MulticlassOffsetTest, CanBeDisabled) {
@@ -173,8 +173,10 @@ TEST(MulticlassOffsetTest, CanBeDisabled) {
   Dataset d = std::move(builder).Build().ValueOrDie();
   ModelConfig config;
   config.multiclass_offset = false;
-  auto compiled = Compile(d, config).ValueOrDie();
-  for (double offset : compiled.RowOf(0)->offsets) {
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  const std::vector<double> offsets = testutil::RowOffsets(*instance, 0);
+  ASSERT_EQ(offsets.size(), 3u);
+  for (double offset : offsets) {
     EXPECT_DOUBLE_EQ(offset, 0.0);
   }
 }
@@ -189,7 +191,7 @@ TEST(MulticlassOffsetTest, ZeroWeightPosteriorPrefersPlurality) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 3, 1));
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 4, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   auto predictions = model.PredictAll();
   EXPECT_EQ(predictions[0], 2);
 }
@@ -248,7 +250,7 @@ TEST(FractionalLabelTest, SoftTargetsCalibrateAccuracy) {
   Dataset d = std::move(builder).Build().ValueOrDie();
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   std::vector<ObservationExample> examples;
   for (int i = 0; i < 50; ++i) {
     examples.push_back(ObservationExample{0, 0.7, 1.0});

@@ -157,67 +157,25 @@ TEST(DeterminismTest, Threads1VsThreads4BitIdenticalBatchErm) {
   ExpectSameFusionOutput(first, second);
 }
 
-/// The representation contract, end to end: the sparse path (columnar
-/// ObservationStore + CompiledInstance flat ranges, the default) and the
-/// legacy dense path (nested per-object vectors) produce bit-identical
-/// FusionOutput for every preset, at 1 and at 4 threads, with and without
-/// the compilation cache. Both paths walk the same elements in the same
-/// order (core/row_access.h), so representation must never leak into
-/// results.
-TEST(DeterminismTest, SparseVsDenseBitIdenticalAllPresets) {
+/// The compilation cache is invisible to results: a fit over the shared
+/// cached instance and a fit over a fresh compilation produce
+/// bit-identical FusionOutput for every preset.
+TEST(DeterminismTest, CompilationCacheOnVsOffBitIdenticalAllPresets) {
   const std::vector<double> planted = {0.9, 0.8, 0.7, 0.85, 0.75, 0.65};
-  std::vector<std::pair<std::string, Dataset>> datasets;
-  datasets.emplace_back("figure1", testutil::MakeFigure1Dataset());
-  datasets.emplace_back("planted", MakePlantedDataset(planted, 150, 0.4, 29));
-  for (auto& [dataset_name, dataset] : datasets) {
-    SCOPED_TRACE(dataset_name);
-    Rng rng(4);
-    TrainTestSplit split = MakeSplit(dataset, 0.15, &rng).ValueOrDie();
-    for (int32_t threads : {1, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      for (const auto& preset : AllSlimFastPresets()) {
-        SCOPED_TRACE(preset.name);
-        SlimFastOptions dense;
-        dense.use_sparse = false;
-        dense.exec.threads = threads;
-        SlimFastOptions sparse = dense;
-        sparse.use_sparse = true;
-        sparse.use_compilation_cache = false;
-        SlimFastOptions cached = sparse;
-        cached.use_compilation_cache = true;
-        auto dense_out =
-            preset.make_with(dense)->Run(dataset, split, 123).ValueOrDie();
-        auto sparse_out =
-            preset.make_with(sparse)->Run(dataset, split, 123).ValueOrDie();
-        auto cached_out =
-            preset.make_with(cached)->Run(dataset, split, 123).ValueOrDie();
-        ExpectSameFusionOutput(dense_out, sparse_out);
-        ExpectSameFusionOutput(dense_out, cached_out);
-      }
-    }
-  }
-}
-
-/// Same contract for the sharded batch-ERM gradient (the presets above
-/// run SGD mode).
-TEST(DeterminismTest, SparseVsDenseBitIdenticalBatchErm) {
-  const std::vector<double> planted = {0.9, 0.8, 0.7, 0.6, 0.85};
-  Dataset dataset = MakePlantedDataset(planted, 120, 0.5, 41);
-  Rng rng(6);
-  TrainTestSplit split = MakeSplit(dataset, 0.2, &rng).ValueOrDie();
-  for (int32_t threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    SlimFastOptions dense;
-    dense.use_sparse = false;
-    dense.erm.batch = true;
-    dense.exec.threads = threads;
-    SlimFastOptions sparse = dense;
-    sparse.use_sparse = true;
-    auto dense_out =
-        MakeSlimFastErm(dense)->Run(dataset, split, 77).ValueOrDie();
-    auto sparse_out =
-        MakeSlimFastErm(sparse)->Run(dataset, split, 77).ValueOrDie();
-    ExpectSameFusionOutput(dense_out, sparse_out);
+  Dataset dataset = MakePlantedDataset(planted, 150, 0.4, 29);
+  Rng rng(4);
+  TrainTestSplit split = MakeSplit(dataset, 0.15, &rng).ValueOrDie();
+  for (const auto& preset : AllSlimFastPresets()) {
+    SCOPED_TRACE(preset.name);
+    SlimFastOptions uncached;
+    uncached.use_compilation_cache = false;
+    SlimFastOptions cached;
+    cached.use_compilation_cache = true;
+    auto uncached_out =
+        preset.make_with(uncached)->Run(dataset, split, 123).ValueOrDie();
+    auto cached_out =
+        preset.make_with(cached)->Run(dataset, split, 123).ValueOrDie();
+    ExpectSameFusionOutput(uncached_out, cached_out);
   }
 }
 

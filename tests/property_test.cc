@@ -1,14 +1,13 @@
 // Property-based invariant harness: ~200 seed-derived random universes
 // (testutil::RandomUniverse) sweep dimensions, sparsity, domain sizes,
 // labeled fraction, and the degenerate shapes (0-claim objects,
-// single-source instances) through the five representation/execution
+// single-source instances) through the four compilation/execution
 // equivalences the engine promises:
 //
 //   1. full compile == chunked delta-compile, bitwise (BitwiseEqual);
 //   2. 1 thread == 4 threads, bit-identical FusionOutput;
-//   3. sparse CSR == legacy dense, bit-identical FusionOutput;
-//   4. SIMD wide tables == scalar tables, bit-identical FusionOutput;
-//   5. ObservationStore::AppendBatch fingerprint == rebuild-from-scratch
+//   3. SIMD wide tables == scalar tables, bit-identical FusionOutput;
+//   4. ObservationStore::AppendBatch fingerprint == rebuild-from-scratch
 //      fingerprint (and the stores' columns agree).
 //
 // The fixed-instance determinism_test pins these on hand-picked presets;
@@ -40,9 +39,8 @@ using testutil::RandomUniverse;
 // 200 universes split across the run-based and structure-based sweeps so
 // the whole binary stays well under the 60 s budget: structure checks
 // (compile, fingerprint) are cheap and take the full range; run-based
-// checks (full fits at two thread counts, two representations, two
-// kernel tables) rotate through the presets so every preset sees dozens
-// of distinct universes.
+// checks (full fits at two thread counts, two kernel tables) rotate
+// through the presets so every preset sees dozens of distinct universes.
 constexpr uint64_t kNumUniverses = 200;
 
 // Reveals half of the labeled objects (always at least one — universe
@@ -86,7 +84,7 @@ TEST(PropertyTest, CompileEqualsDeltaCompileBitwise) {
   }
 }
 
-/// Invariant 5: growing a store through AppendBatch produces the same
+/// Invariant 4: growing a store through AppendBatch produces the same
 /// incremental content fingerprint — and the same columns — as a store
 /// rebuilt from scratch over the full universe.
 TEST(PropertyTest, AppendBatchFingerprintEqualsRebuild) {
@@ -116,24 +114,23 @@ TEST(PropertyTest, AppendBatchFingerprintEqualsRebuild) {
 
 // Runs `preset` over `dataset` with the given knobs; returns the output.
 // All run-based invariants compare against the baseline configuration
-// (sparse, 1 thread, default kernel tables) built here.
+// (1 thread, default kernel tables) built here.
 FusionOutput RunConfigured(const testutil::SlimFastPreset& preset,
                            const Dataset& dataset,
                            const TrainTestSplit& split, uint64_t seed,
-                           int32_t threads, bool use_sparse) {
+                           int32_t threads) {
   SlimFastOptions options = FastOptions();
   options.exec.threads = threads;
-  options.use_sparse = use_sparse;
   options.use_compilation_cache = false;
   return preset.make_with(options)->Run(dataset, split, seed).ValueOrDie();
 }
 
-/// Invariants 2-4, one sweep: for each universe, one preset (rotating by
+/// Invariants 2-3, one sweep: for each universe, one preset (rotating by
 /// seed so all five presets see dozens of universes each) runs the
-/// baseline configuration plus the three variations — 4 threads, dense
-/// representation, scalar kernel tables — and every variation must be
-/// bit-identical to the baseline.
-TEST(PropertyTest, RunInvariantsThreadsRepresentationSimd) {
+/// baseline configuration plus the two variations — 4 threads, scalar
+/// kernel tables — and every variation must be bit-identical to the
+/// baseline.
+TEST(PropertyTest, RunInvariantsThreadsSimd) {
   const std::vector<testutil::SlimFastPreset> presets = AllSlimFastPresets();
   const bool wide_default = simd::WideEnabled();
   for (uint64_t seed = 0; seed < kNumUniverses; ++seed) {
@@ -142,12 +139,9 @@ TEST(PropertyTest, RunInvariantsThreadsRepresentationSimd) {
     const auto& preset = presets[seed % presets.size()];
     SCOPED_TRACE("seed=" + std::to_string(seed) + " preset=" + preset.name);
 
-    auto baseline = RunConfigured(preset, dataset, split, seed, 1, true);
-    auto threaded = RunConfigured(preset, dataset, split, seed, 4, true);
+    auto baseline = RunConfigured(preset, dataset, split, seed, 1);
+    auto threaded = RunConfigured(preset, dataset, split, seed, 4);
     testutil::ExpectSameFusionOutput(baseline, threaded);
-
-    auto dense = RunConfigured(preset, dataset, split, seed, 1, false);
-    testutil::ExpectSameFusionOutput(baseline, dense);
 
     // SIMD == scalar: the baseline above ran the process-default tables
     // (wide when the CPU and kill switches allow); pinning the scalar
@@ -155,7 +149,7 @@ TEST(PropertyTest, RunInvariantsThreadsRepresentationSimd) {
     // available both runs use the scalar tables and the check is
     // trivially true.
     simd::SetWideEnabledForTest(false);
-    auto scalar = RunConfigured(preset, dataset, split, seed, 1, true);
+    auto scalar = RunConfigured(preset, dataset, split, seed, 1);
     simd::SetWideEnabledForTest(wide_default);
     testutil::ExpectSameFusionOutput(baseline, scalar);
   }
@@ -163,7 +157,7 @@ TEST(PropertyTest, RunInvariantsThreadsRepresentationSimd) {
 
 /// The batch code paths (batched soft-EM M-step, sharded batch-ERM) are
 /// not exercised by the default presets; sweep them explicitly on a
-/// smaller universe budget with all three variations.
+/// smaller universe budget with both variations.
 TEST(PropertyTest, RunInvariantsBatchLearners) {
   const bool wide_default = simd::WideEnabled();
   for (uint64_t seed = 0; seed < kNumUniverses; seed += 4) {
@@ -174,7 +168,6 @@ TEST(PropertyTest, RunInvariantsBatchLearners) {
     auto make = [&](int32_t threads) {
       SlimFastOptions options = FastOptions();
       options.exec.threads = threads;
-      options.use_sparse = true;
       options.use_compilation_cache = false;
       options.em.soft = true;
       options.em.m_step.batch = true;

@@ -153,6 +153,18 @@ TEST_F(RecoveryTest, RestoreRejectsInconsistentState) {
   state = session.ExportState();
   state.num_relearns = 0;  // carries a model but claims no relearns
   EXPECT_FALSE(FusionSession::Restore(store, state).ok());
+
+  // Weights that do not match the parameter layout would silently turn
+  // the next warm relearn into a cold fit.
+  state = session.ExportState();
+  state.weights.push_back(0.0);
+  EXPECT_TRUE(FusionSession::Restore(store, state)
+                  .status()
+                  .IsInvalidArgument());
+  state.weights.resize(state.weights.size() - 2);
+  EXPECT_TRUE(FusionSession::Restore(store, state)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_F(RecoveryTest, WalOnlyRecoveryMatchesOfflineShardedReplay) {

@@ -4,10 +4,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/compiled_instance.h"
 #include "core/slimfast.h"
 #include "data/dataset.h"
 #include "data/fusion.h"
@@ -117,6 +119,69 @@ inline TrainTestSplit MakePrefixSplit(const Dataset& dataset, int32_t k) {
     }
   }
   return split;
+}
+
+/// One compiled (parameter, coefficient) term, for readable structural
+/// assertions against the CompiledInstance CSR arrays.
+using Term = std::pair<ParamId, double>;
+
+/// Candidate range [begin, end) of `object`'s row; an empty range (and a
+/// test failure) when the object has no compiled row.
+inline std::pair<int64_t, int64_t> CandidateRange(
+    const CompiledInstance& instance, ObjectId object) {
+  const int32_t row = instance.RowIndex(object);
+  if (row < 0) {
+    ADD_FAILURE() << "object " << object << " has no compiled row";
+    return {0, 0};
+  }
+  return {instance.row_begin[static_cast<size_t>(row)],
+          instance.row_begin[static_cast<size_t>(row) + 1]};
+}
+
+/// Candidate domain of `object`'s row.
+inline std::vector<ValueId> RowDomain(const CompiledInstance& instance,
+                                      ObjectId object) {
+  const auto [begin, end] = CandidateRange(instance, object);
+  return std::vector<ValueId>(instance.cand_values.begin() + begin,
+                              instance.cand_values.begin() + end);
+}
+
+/// Constant score offsets of `object`'s candidates.
+inline std::vector<double> RowOffsets(const CompiledInstance& instance,
+                                      ObjectId object) {
+  const auto [begin, end] = CandidateRange(instance, object);
+  return std::vector<double>(instance.cand_offsets.begin() + begin,
+                             instance.cand_offsets.begin() + end);
+}
+
+/// Posterior terms of candidate `di` of `object`'s row.
+inline std::vector<Term> CandidateTerms(const CompiledInstance& instance,
+                                        ObjectId object, int32_t di) {
+  const auto [begin, end] = CandidateRange(instance, object);
+  std::vector<Term> terms;
+  if (di < 0 || begin + di >= end) {
+    ADD_FAILURE() << "candidate " << di << " out of range";
+    return terms;
+  }
+  const size_t cand = static_cast<size_t>(begin + di);
+  for (int64_t t = instance.term_begin[cand];
+       t < instance.term_begin[cand + 1]; ++t) {
+    terms.emplace_back(instance.term_param[static_cast<size_t>(t)],
+                       instance.term_coeff[static_cast<size_t>(t)]);
+  }
+  return terms;
+}
+
+/// Trust-score terms of `source`.
+inline std::vector<Term> SigmaTerms(const CompiledInstance& instance,
+                                    SourceId source) {
+  std::vector<Term> terms;
+  for (int64_t t = instance.sigma_begin[static_cast<size_t>(source)];
+       t < instance.sigma_begin[static_cast<size_t>(source) + 1]; ++t) {
+    terms.emplace_back(instance.sigma_param[static_cast<size_t>(t)],
+                       instance.sigma_coeff[static_cast<size_t>(t)]);
+  }
+  return terms;
 }
 
 /// A named SLiMFast preset plus the factory that builds it, so tests can

@@ -35,10 +35,10 @@
 //                         chrome://tracing JSON timeline to FILE on exit
 //
 // The `bench` subcommand runs the Table-5-style runtime scenario (synthetic
-// generation, compilation cold vs cached, dense vs sparse ERM + EM
-// learning, SIMD wide vs scalar learning, the per-core scaling curve, the
-// eval grid, incremental delta-compilation vs full recompiles, and warm vs
-// cold relearning) and writes per-phase seconds as BENCH_runtime.json
+// generation, compilation cold vs cached, ERM + EM learning, SIMD wide vs
+// scalar learning, the per-core scaling curve, the eval grid, incremental
+// delta-compilation vs full recompiles, and warm vs cold relearning) and
+// writes per-phase seconds as BENCH_runtime.json
 // (override with --out). --quick shrinks the scenario to CI size; the JSON
 // schema is identical and checked by scripts/check_bench_schema.py.
 //
@@ -759,10 +759,8 @@ int RunReplay(const CliOptions& options) {
 ///                      sparse structure + columnar ObservationStore)
 ///   compile_cached     the same lookup served by CompiledInstanceCache —
 ///                      the cost every re-fit pays after the first
-///   learn_erm_batch    batch ERM, legacy dense representation
-///   learn_erm_sparse   batch ERM over the CompiledInstance flat ranges
-///   learn_em           EM, legacy dense representation
-///   learn_em_sparse    EM over the CompiledInstance flat ranges
+///   learn_erm_sparse   batch ERM over the CompiledInstance CSR ranges
+///   learn_em_sparse    EM over the CompiledInstance CSR ranges
 ///   learn_em_simd      soft EM over the flat ranges with the wide SIMD
 ///                      kernel table, vs the same fit forced scalar —
 ///                      outputs bit-identical (the lane-stable contract)
@@ -775,10 +773,10 @@ int RunReplay(const CliOptions& options) {
 ///   relearn_warm       warm-started refinement from the previous weight
 ///                      vector, vs the cold-start learning schedule
 ///
-/// Dense-vs-sparse, serial-vs-parallel, SIMD-vs-scalar, and
-/// delta-vs-full runs are cross-checked for bit-identical output (the
-/// representation, exec determinism, lane-stable SIMD, and
-/// delta-maintenance contracts); the bench fails on any mismatch. The
+/// Serial-vs-parallel, SIMD-vs-scalar, and delta-vs-full runs are
+/// cross-checked for bit-identical output (the exec determinism,
+/// lane-stable SIMD, and delta-maintenance contracts); the bench fails on
+/// any mismatch. The
 /// JSON additionally records a per-core scaling curve — the learn_em_simd
 /// fit re-timed at every thread count 1..HardwareCores() — under the
 /// top-level "scaling" key.
@@ -850,80 +848,40 @@ int RunBench(const CliOptions& options) {
   std::printf("  compile            %7.3fs cold, %.6fs cached (%.0fx)\n",
               compile_seconds, compile_cached_seconds, compile_speedup);
 
-  // --- Phases 3+4: dense vs sparse ERM and EM. ---
-  // Same seed, same split, same thread budget; only the representation
-  // differs. The recorded seconds are the *learning* stage only
-  // (FusionOutput::learn_seconds — the ERM epochs / EM iterations this
-  // phase exists to compare); compilation is measured by the compile
-  // phases above, and the sparse run bypasses the cache so neither side
-  // gets structure for free. Outputs must be bit-identical (the
-  // row-access contract).
-  auto learn_phase = [&](const char* dense_name, const char* sparse_name,
-                         bool batch_erm,
-                         auto&& make_method) -> int {
-    SlimFastOptions dense_options;
-    dense_options.exec.threads = threads;
-    dense_options.use_sparse = false;
-    dense_options.erm.batch = batch_erm;
+  // --- Phases 3+4: ERM and EM learn time. ---
+  // The recorded seconds are the *learning* stage only
+  // (FusionOutput::learn_seconds); compilation is measured by the compile
+  // phases above, and the runs bypass the cache so every rep compiles its
+  // own structure.
+  auto learn_phase = [&](const char* name, bool batch_erm,
+                         auto&& make_method) {
+    SlimFastOptions learn_options;
+    learn_options.exec.threads = threads;
+    learn_options.use_compilation_cache = false;
+    learn_options.erm.batch = batch_erm;
     if (batch_erm) {
       // Pin the epoch count so the phase measures steady per-epoch cost
       // instead of when early convergence happens to trigger.
-      dense_options.erm.tolerance = 0.0;
-      dense_options.erm.epochs = quick ? 30 : 60;
+      learn_options.erm.tolerance = 0.0;
+      learn_options.erm.epochs = quick ? 30 : 60;
     }
-    auto dense_method = make_method(dense_options);
-    SlimFastOptions sparse_options = dense_options;
-    sparse_options.use_sparse = true;
-    sparse_options.use_compilation_cache = false;
-    auto sparse_method = make_method(sparse_options);
+    auto method = make_method(learn_options);
     // Sub-10ms phases (batch ERM) drown in scheduler noise on one
     // measurement; min-of-reps is the standard low-noise estimator.
     const int reps = batch_erm ? 5 : 1;
-    FusionOutput dense_output;
-    FusionOutput sparse_output;
-    double dense_seconds = 0.0;
-    double sparse_seconds = 0.0;
+    double seconds = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-      dense_output =
-          dense_method->Run(dataset, split, options.seed).ValueOrDie();
-      sparse_output =
-          sparse_method->Run(dataset, split, options.seed).ValueOrDie();
-      if (rep == 0 || dense_output.learn_seconds < dense_seconds) {
-        dense_seconds = dense_output.learn_seconds;
-      }
-      if (rep == 0 || sparse_output.learn_seconds < sparse_seconds) {
-        sparse_seconds = sparse_output.learn_seconds;
-      }
+      const double learn_seconds =
+          method->Run(dataset, split, options.seed).ValueOrDie().learn_seconds;
+      if (rep == 0 || learn_seconds < seconds) seconds = learn_seconds;
     }
-    if (sparse_output.predicted_values != dense_output.predicted_values ||
-        sparse_output.source_accuracies != dense_output.source_accuracies) {
-      std::fprintf(stderr,
-                   "bench: %s and %s outputs differ (representation "
-                   "contract violated)\n",
-                   dense_name, sparse_name);
-      return 1;
-    }
-    double speedup =
-        sparse_seconds > 0.0 ? dense_seconds / sparse_seconds : 0.0;
-    reporter.AddPhase(dense_name, dense_seconds, threads);
-    reporter.AddPhase(sparse_name, sparse_seconds, threads);
-    reporter.AddSpeedup(std::string(sparse_name) + "_vs_dense", threads,
-                        threads, speedup);
-    std::printf("  %-18s %7.3fs dense, %7.3fs sparse (%.2fx learn-only, "
-                "bit-identical)\n",
-                dense_name, dense_seconds, sparse_seconds, speedup);
-    return 0;
+    reporter.AddPhase(name, seconds, threads);
+    std::printf("  %-18s %7.3fs (learn-only)\n", name, seconds);
   };
-
-  if (learn_phase("learn_erm_batch", "learn_erm_sparse", /*batch_erm=*/true,
-                  [](SlimFastOptions o) { return MakeSlimFastErm(o); }) !=
-      0) {
-    return 1;
-  }
-  if (learn_phase("learn_em", "learn_em_sparse", /*batch_erm=*/false,
-                  [](SlimFastOptions o) { return MakeSlimFastEm(o); }) != 0) {
-    return 1;
-  }
+  learn_phase("learn_erm_sparse", /*batch_erm=*/true,
+              [](SlimFastOptions o) { return MakeSlimFastErm(o); });
+  learn_phase("learn_em_sparse", /*batch_erm=*/false,
+              [](SlimFastOptions o) { return MakeSlimFastEm(o); });
 
   // --- Phase 4b: SIMD wide vs scalar on the vectorized learners. ---
   // Same sparse representation, same seed; the only variable is the
@@ -950,7 +908,6 @@ int RunBench(const CliOptions& options) {
   auto make_em_simd_options = [&](int32_t phase_threads) {
     SlimFastOptions o;
     o.exec.threads = phase_threads;
-    o.use_sparse = true;
     o.use_compilation_cache = false;
     o.em.soft = true;
     o.em.m_step.batch = true;
@@ -1007,7 +964,6 @@ int RunBench(const CliOptions& options) {
   if (simd_phase("learn_erm_simd", [&] {
         SlimFastOptions o;
         o.exec.threads = threads;
-        o.use_sparse = true;
         o.use_compilation_cache = false;
         o.erm.loss = ErmLoss::kAccuracyLogLoss;
         o.erm.batch = true;
