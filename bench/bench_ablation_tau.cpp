@@ -31,8 +31,9 @@ int main() {
       for (double tau : taus) {
         OptimizerOptions options;
         options.tau = tau;
-        auto decision = DecideAlgorithm(
-            dataset, split, instance->model->layout.num_params, options);
+        auto decision = DecideAlgorithm(instance->store, split,
+                                        instance->model->layout.num_params,
+                                        options);
         std::printf(" %-10s",
                     decision.algorithm == Algorithm::kErm ? "ERM" : "EM");
       }

@@ -87,7 +87,7 @@ void BM_EmIteration(benchmark::State& state) {
   for (auto _ : state) {
     SlimFastModel model(CompileInstance(d, config).ValueOrDie());
     Rng rng(1);
-    auto stats = learner.Fit(d, {}, &model, &rng);
+    auto stats = learner.Fit({}, &model, &rng);
     benchmark::DoNotOptimize(stats.ok());
   }
 }
@@ -96,8 +96,9 @@ BENCHMARK(BM_EmIteration);
 void BM_AgreementMatrix(benchmark::State& state) {
   auto synth = MakeBenchInstance(static_cast<int32_t>(state.range(0)),
                                  1000, 0.02);
+  const ObservationStore store = ObservationStore::FromDataset(synth.dataset);
   for (auto _ : state) {
-    AgreementMatrix matrix(synth.dataset);
+    AgreementMatrix matrix(store);
     benchmark::DoNotOptimize(matrix.NumObservedPairs());
   }
 }

@@ -41,7 +41,7 @@ int main() {
         Rng rng(seed);
         auto split = MakeSplit(dataset, fraction, &rng).ValueOrDie();
         if (rep == 0) {
-          decision = DecideAlgorithm(dataset, split,
+          decision = DecideAlgorithm(instance->store, split,
                                      instance->model->layout.num_params,
                                      OptimizerOptions{})
                          .algorithm;

@@ -24,7 +24,8 @@ int main() {
       Rng rng(11);
       auto split = MakeSplit(dataset, fraction, &rng).ValueOrDie();
       OptimizerDecision decision =
-          DecideAlgorithm(dataset, split, instance->model->layout.num_params,
+          DecideAlgorithm(instance->store, split,
+                          instance->model->layout.num_params,
                           OptimizerOptions{});
       std::printf("%-10s %-7.1f %-9.3f %-11.0f %-11.0f %-9.2f %s%s\n",
                   name.c_str(), fraction * 100,

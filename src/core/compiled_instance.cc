@@ -41,18 +41,20 @@ class TermAccumulator {
 /// reach config.copying_min_agreements, capped at copying_max_pairs by
 /// descending agreement count.
 std::vector<std::pair<SourceId, SourceId>> SelectCopyPairs(
-    const Dataset& dataset, const ModelConfig& config) {
+    const ObservationStore& store, const ModelConfig& config) {
+  const std::vector<SourceId>& sources = store.sources();
+  const std::vector<ValueId>& values = store.values();
   std::unordered_map<int64_t, int64_t> agree_counts;
-  for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
-    const auto& claims = dataset.ClaimsOnObject(o);
-    for (size_t a = 0; a < claims.size(); ++a) {
-      for (size_t b = a + 1; b < claims.size(); ++b) {
-        if (claims[a].value != claims[b].value) continue;
-        SourceId i = std::min(claims[a].source, claims[b].source);
-        SourceId j = std::max(claims[a].source, claims[b].source);
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    const IndexRange claims = store.ObjectRange(o);
+    for (size_t a = static_cast<size_t>(claims.begin);
+         a < static_cast<size_t>(claims.end); ++a) {
+      for (size_t b = a + 1; b < static_cast<size_t>(claims.end); ++b) {
+        if (values[a] != values[b]) continue;
+        SourceId i = std::min(sources[a], sources[b]);
+        SourceId j = std::max(sources[a], sources[b]);
         if (i == j) continue;
-        int64_t key =
-            static_cast<int64_t>(i) * dataset.num_sources() + j;
+        int64_t key = static_cast<int64_t>(i) * store.num_sources() + j;
         ++agree_counts[key];
       }
     }
@@ -74,50 +76,58 @@ std::vector<std::pair<SourceId, SourceId>> SelectCopyPairs(
   std::vector<std::pair<SourceId, SourceId>> pairs;
   pairs.reserve(ranked.size());
   for (const auto& [count, key] : ranked) {
-    pairs.emplace_back(static_cast<SourceId>(key / dataset.num_sources()),
-                       static_cast<SourceId>(key % dataset.num_sources()));
+    pairs.emplace_back(static_cast<SourceId>(key / store.num_sources()),
+                       static_cast<SourceId>(key % store.num_sources()));
   }
   // Deterministic order for stable parameter ids.
   std::sort(pairs.begin(), pairs.end());
   return pairs;
 }
 
-/// Validates `config` against `dataset` and builds the structural header:
-/// parameter layout and copy pairs.
-Result<CompiledModel> CompileHeader(const Dataset& dataset,
+/// Validates `config` against `store` and `features` and builds the
+/// structural header: parameter layout and copy pairs.
+Result<CompiledModel> CompileHeader(const ObservationStore& store,
+                                    const FeatureSpace& features,
                                     const ModelConfig& config) {
   if (!config.use_source_weights && !config.use_feature_weights) {
     return Status::InvalidArgument(
         "model must use source weights, feature weights, or both");
   }
+  if (config.use_feature_weights &&
+      features.num_sources() != store.num_sources()) {
+    return Status::InvalidArgument(
+        "feature space is sized for " +
+        std::to_string(features.num_sources()) + " sources, store has " +
+        std::to_string(store.num_sources()));
+  }
   if (config.use_feature_weights && !config.use_source_weights &&
-      dataset.features().num_features() == 0) {
+      features.num_features() == 0) {
     return Status::FailedPrecondition(
         "feature-only model requires a dataset with features");
   }
-  if (config.use_copying_features && dataset.num_sources() < 2) {
+  if (config.use_copying_features && store.num_sources() < 2) {
     return Status::FailedPrecondition(
         "copying extension requires at least two sources");
   }
 
   CompiledModel model;
   model.config = config;
-  model.num_sources = dataset.num_sources();
-  model.num_features = dataset.features().num_features();
+  model.num_sources = store.num_sources();
+  model.num_features = features.num_features();
 
   ParamLayout& layout = model.layout;
   int32_t next = 0;
   layout.source_offset = next;
   layout.num_source_params =
-      config.use_source_weights ? dataset.num_sources() : 0;
+      config.use_source_weights ? store.num_sources() : 0;
   next += layout.num_source_params;
   layout.feature_offset = next;
   layout.num_feature_params =
-      config.use_feature_weights ? dataset.features().num_features() : 0;
+      config.use_feature_weights ? features.num_features() : 0;
   next += layout.num_feature_params;
   layout.copy_offset = next;
   if (config.use_copying_features) {
-    model.copy_pairs = SelectCopyPairs(dataset, config);
+    model.copy_pairs = SelectCopyPairs(store, config);
     layout.num_copy_params = static_cast<int32_t>(model.copy_pairs.size());
   }
   next += layout.num_copy_params;
@@ -313,25 +323,24 @@ uint64_t DatasetCompilationFingerprint(const Dataset& dataset) {
 }
 
 Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
-    const Dataset& dataset, const ModelConfig& config) {
+    ObservationStore store, const FeatureSpace& features,
+    const ModelConfig& config) {
   SLIMFAST_ASSIGN_OR_RETURN(CompiledModel header,
-                            CompileHeader(dataset, config));
+                            CompileHeader(store, features, config));
   auto instance = std::make_shared<CompiledInstance>();
-  instance->store = ObservationStore::FromDataset(dataset);
-  const ObservationStore& store = instance->store;
+  const int32_t num_sources = store.num_sources();
 
   // Trust-score expressions σ_s.
   const ParamLayout& layout = header.layout;
-  instance->sigma_begin.reserve(static_cast<size_t>(dataset.num_sources()) +
-                                1);
+  instance->sigma_begin.reserve(static_cast<size_t>(num_sources) + 1);
   instance->sigma_begin.push_back(0);
-  for (SourceId s = 0; s < dataset.num_sources(); ++s) {
+  for (SourceId s = 0; s < num_sources; ++s) {
     if (config.use_source_weights) {
       instance->sigma_coeff.push_back(1.0);
       instance->sigma_param.push_back(layout.source_offset + s);
     }
     if (config.use_feature_weights) {
-      for (FeatureId k : dataset.features().FeaturesOf(s)) {
+      for (FeatureId k : features.FeaturesOf(s)) {
         instance->sigma_coeff.push_back(1.0);
         instance->sigma_param.push_back(layout.feature_offset + k);
       }
@@ -344,7 +353,7 @@ Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
   CopyPairIndex pair_index;
   for (size_t c = 0; c < header.copy_pairs.size(); ++c) {
     const auto& [i, j] = header.copy_pairs[c];
-    pair_index.emplace(static_cast<int64_t>(i) * dataset.num_sources() + j,
+    pair_index.emplace(static_cast<int64_t>(i) * num_sources + j,
                        static_cast<int32_t>(c));
   }
   instance->model = std::make_shared<const CompiledModel>(std::move(header));
@@ -358,8 +367,15 @@ Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
     AddRowObject(o, instance.get());
     AppendRow(store, o, *instance, pair_index, instance.get());
   }
+  instance->store = std::move(store);
   ResolveClaims(instance.get());
   return std::shared_ptr<const CompiledInstance>(std::move(instance));
+}
+
+Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
+    const Dataset& dataset, const ModelConfig& config) {
+  return CompileInstance(ObservationStore::FromDataset(dataset),
+                         dataset.features(), config);
 }
 
 Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(

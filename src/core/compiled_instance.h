@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/options.h"
+#include "data/feature_space.h"
 #include "data/observation_store.h"
 #include "util/result.h"
 
@@ -89,7 +90,9 @@ struct CompiledInstance {
   /// and shared by every delta compilation derived from this instance.
   std::shared_ptr<const CompiledModel> model;
 
-  /// Columnar observation store of the source dataset.
+  /// Columnar observation store: the claims and ground truth this
+  /// instance was compiled from, and the only raw claim data the
+  /// optimizer and the learners read.
   ObservationStore store;
 
   // --- Row axis ---
@@ -154,9 +157,17 @@ struct CompiledInstance {
   int32_t DomainIndex(int32_t r, ValueId value) const;
 };
 
-/// Compiles `dataset` under `config` straight into the CSR arrays. Fails
-/// if the config enables features but the dataset has none of the
-/// structure required (e.g. copying with < 2 sources).
+/// Compiles the claims in `store` and the per-source `features` under
+/// `config` straight into the CSR arrays; the instance takes ownership of
+/// `store`. This is the compiler: the copy-pair scan, the header, and
+/// every row read the store. Fails if the config enables features but the
+/// input has none of the structure required (e.g. copying with < 2
+/// sources, or a feature space sized for another source count).
+Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
+    ObservationStore store, const FeatureSpace& features,
+    const ModelConfig& config);
+
+/// Compiles `dataset`: its columnar store plus its feature space.
 Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
     const Dataset& dataset, const ModelConfig& config);
 

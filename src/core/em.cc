@@ -107,8 +107,7 @@ void EStepShard(const SlimFastModel& model, const EmOptions& options,
 
 }  // namespace
 
-void EmLearner::Initialize(const Dataset& dataset,
-                           const std::vector<LabeledExample>& labeled,
+void EmLearner::Initialize(const std::vector<LabeledExample>& labeled,
                            const std::vector<ObjectId>& train_objects,
                            SlimFastModel* model, Rng* rng) const {
   const ParamLayout& layout = model->layout();
@@ -123,18 +122,18 @@ void EmLearner::Initialize(const Dataset& dataset,
     // Seed from the available ground truth (accuracy log-loss, matching
     // the M-step); errors here are non-fatal — EM proceeds from the prior.
     ErmLearner erm(options_.m_step);
-    auto examples = ErmLearner::ObservationExamples(dataset, train_objects);
+    auto examples = ErmLearner::ObservationExamples(model->instance().store,
+                                                    train_objects);
     auto st = erm.FitAccuracyLoss(examples, model, rng);
     (void)st;
   }
 }
 
-Result<EmStats> EmLearner::Fit(const Dataset& dataset,
-                               const std::vector<ObjectId>& train_objects,
-                               SlimFastModel* model, Rng* rng,
-                               Executor* exec, bool warm_start) const {
+Result<EmStats> EmLearner::Fit(const std::vector<ObjectId>& train_objects,
+                               SlimFastModel* model, Rng* rng, Executor* exec,
+                               bool warm_start) const {
   SLIMFAST_ASSIGN_OR_RETURN(
-      EmStats stats, FitOnce(dataset, train_objects, model, rng,
+      EmStats stats, FitOnce(train_objects, model, rng,
                              /*seed_from_labels=*/true, warm_start, exec));
   // Inversion guard: EM has a symmetric fixed point where most trust
   // scores flip sign (every label is anti-predicted). The ground-truth
@@ -143,14 +142,14 @@ Result<EmStats> EmLearner::Fit(const Dataset& dataset,
   // training labels right, restart from the prior initialization without
   // the label-seeded fit and keep the better of the two runs.
   if (!train_objects.empty()) {
-    double accuracy = TrainAccuracy(dataset, train_objects, *model);
+    double accuracy = TrainAccuracy(train_objects, *model);
     if (accuracy < 0.5) {
       SlimFastModel retry(model->shared_instance());
       SLIMFAST_ASSIGN_OR_RETURN(
           EmStats retry_stats,
-          FitOnce(dataset, train_objects, &retry, rng,
-                  /*seed_from_labels=*/false, /*warm_start=*/false, exec));
-      if (TrainAccuracy(dataset, train_objects, retry) > accuracy) {
+          FitOnce(train_objects, &retry, rng, /*seed_from_labels=*/false,
+                  /*warm_start=*/false, exec));
+      if (TrainAccuracy(train_objects, retry) > accuracy) {
         model->SetWeights(retry.weights());
         return retry_stats;
       }
@@ -159,20 +158,21 @@ Result<EmStats> EmLearner::Fit(const Dataset& dataset,
   return stats;
 }
 
-double EmLearner::TrainAccuracy(const Dataset& dataset,
-                                const std::vector<ObjectId>& train_objects,
+double EmLearner::TrainAccuracy(const std::vector<ObjectId>& train_objects,
                                 const SlimFastModel& model) {
   const CompiledInstance& inst = model.instance();
+  const std::vector<ValueId>& truth = inst.store.truth();
   int64_t evaluated = 0;
   int64_t correct = 0;
   for (ObjectId o : train_objects) {
-    if (!dataset.HasTruth(o)) continue;
+    if (truth[static_cast<size_t>(o)] == kNoValue) continue;
     const int32_t row = inst.RowIndex(o);
     if (row < 0) continue;
     ++evaluated;
     const int64_t cand =
         inst.row_begin[static_cast<size_t>(row)] + model.MapIndex(row);
-    if (inst.cand_values[static_cast<size_t>(cand)] == dataset.Truth(o)) {
+    if (inst.cand_values[static_cast<size_t>(cand)] ==
+        truth[static_cast<size_t>(o)]) {
       ++correct;
     }
   }
@@ -180,8 +180,7 @@ double EmLearner::TrainAccuracy(const Dataset& dataset,
   return static_cast<double>(correct) / static_cast<double>(evaluated);
 }
 
-Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
-                                   const std::vector<ObjectId>& train_objects,
+Result<EmStats> EmLearner::FitOnce(const std::vector<ObjectId>& train_objects,
                                    SlimFastModel* model, Rng* rng,
                                    bool seed_from_labels, bool warm_start,
                                    Executor* exec) const {
@@ -202,14 +201,13 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
   // previous fit); clobbering them with the prior would throw away the
   // state the short refinement schedule depends on.
   if (!warm_start) {
-    Initialize(dataset,
-               seed_from_labels ? labeled : std::vector<LabeledExample>{},
+    Initialize(seed_from_labels ? labeled : std::vector<LabeledExample>{},
                train_objects, model, rng);
   }
 
   // Observation examples for clamped objects are fixed across iterations.
   std::vector<ObservationExample> clamped_examples =
-      ErmLearner::ObservationExamples(dataset, train_objects);
+      ErmLearner::ObservationExamples(model->instance().store, train_objects);
 
   ErmLearner m_step(options_.m_step);
   ConvergenceTracker tracker(options_.tolerance, options_.patience);

@@ -6,7 +6,6 @@
 #include "core/erm.h"
 #include "core/model.h"
 #include "core/options.h"
-#include "data/dataset.h"
 #include "util/random.h"
 #include "util/result.h"
 
@@ -51,8 +50,8 @@ class EmLearner {
   /// Runs EM on `model` in place. `train_objects` may be empty
   /// (fully unsupervised). The E-step's per-object posterior imputation is
   /// sharded across `exec` (null = serial) with a deterministic reduce, so
-  /// thread count never changes the fit. `dataset` must be the data the
-  /// model's instance was compiled from.
+  /// thread count never changes the fit. Claims and ground truth come from
+  /// the model's compiled instance.
   ///
   /// With `warm_start` set, the model's current weights are taken as the
   /// starting point — initialization (the logit-prior source weights and
@@ -61,28 +60,22 @@ class EmLearner {
   /// The warm run honors `EmOptions::warm_max_iterations`; the
   /// inversion-guard retry, if triggered, still initializes cold and
   /// keeps the full cold iteration budget.
-  Result<EmStats> Fit(const Dataset& dataset,
-                      const std::vector<ObjectId>& train_objects,
-                      SlimFastModel* model, Rng* rng,
-                      Executor* exec = nullptr,
+  Result<EmStats> Fit(const std::vector<ObjectId>& train_objects,
+                      SlimFastModel* model, Rng* rng, Executor* exec = nullptr,
                       bool warm_start = false) const;
 
  private:
   /// One complete EM run (Fit adds the inversion-guard restart on top).
-  Result<EmStats> FitOnce(const Dataset& dataset,
-                          const std::vector<ObjectId>& train_objects,
-                          SlimFastModel* model, Rng* rng,
-                          bool seed_from_labels, bool warm_start,
-                          Executor* exec) const;
+  Result<EmStats> FitOnce(const std::vector<ObjectId>& train_objects,
+                          SlimFastModel* model, Rng* rng, bool seed_from_labels,
+                          bool warm_start, Executor* exec) const;
 
   /// MAP accuracy of `model` on the clamped training objects.
-  static double TrainAccuracy(const Dataset& dataset,
-                              const std::vector<ObjectId>& train_objects,
+  static double TrainAccuracy(const std::vector<ObjectId>& train_objects,
                               const SlimFastModel& model);
 
   /// Seeds weights before the first E-step.
-  void Initialize(const Dataset& dataset,
-                  const std::vector<LabeledExample>& labeled,
+  void Initialize(const std::vector<LabeledExample>& labeled,
                   const std::vector<ObjectId>& train_objects,
                   SlimFastModel* model, Rng* rng) const;
 

@@ -29,14 +29,16 @@ std::vector<LabeledExample> ErmLearner::ObjectExamples(
 }
 
 std::vector<ObservationExample> ErmLearner::ObservationExamples(
-    const Dataset& dataset, const std::vector<ObjectId>& train_objects) {
+    const ObservationStore& store, const std::vector<ObjectId>& train_objects) {
   std::vector<ObservationExample> examples;
   for (ObjectId o : train_objects) {
-    if (!dataset.HasTruth(o)) continue;
-    ValueId truth = dataset.Truth(o);
-    for (const SourceClaim& claim : dataset.ClaimsOnObject(o)) {
+    if (!store.HasTruth(o)) continue;
+    const ValueId truth = store.truth()[static_cast<size_t>(o)];
+    const IndexRange claims = store.ObjectRange(o);
+    for (int64_t i = claims.begin; i < claims.end; ++i) {
       examples.push_back(ObservationExample{
-          claim.source, claim.value == truth ? 1.0 : 0.0, 1.0});
+          store.sources()[static_cast<size_t>(i)],
+          store.values()[static_cast<size_t>(i)] == truth ? 1.0 : 0.0, 1.0});
     }
   }
   return examples;
@@ -526,8 +528,7 @@ Result<FitStats> ErmLearner::FitAccuracyLoss(
   return FitAccuracyLossSgd(options_, examples, model, rng);
 }
 
-Result<FitStats> ErmLearner::Fit(const Dataset& dataset,
-                                 const std::vector<ObjectId>& train_objects,
+Result<FitStats> ErmLearner::Fit(const std::vector<ObjectId>& train_objects,
                                  SlimFastModel* model, Rng* rng,
                                  Executor* exec) const {
   switch (options_.loss) {
@@ -536,7 +537,8 @@ Result<FitStats> ErmLearner::Fit(const Dataset& dataset,
       return FitObjectLoss(examples, model, rng, exec);
     }
     case ErmLoss::kAccuracyLogLoss: {
-      auto examples = ObservationExamples(dataset, train_objects);
+      auto examples =
+          ObservationExamples(model->instance().store, train_objects);
       return FitAccuracyLoss(examples, model, rng);
     }
   }

@@ -5,7 +5,7 @@
 
 #include "core/model.h"
 #include "core/options.h"
-#include "data/dataset.h"
+#include "data/observation_store.h"
 #include "exec/parallel.h"
 #include "util/random.h"
 #include "util/result.h"
@@ -58,9 +58,11 @@ class ErmLearner {
       const CompiledInstance& instance,
       const std::vector<ObjectId>& train_objects);
 
-  /// Builds accuracy-loss examples: one per claim made on a train object.
+  /// Builds accuracy-loss examples: one per claim in `store` made on a
+  /// labeled train object, in the store's per-object claim order.
   static std::vector<ObservationExample> ObservationExamples(
-      const Dataset& dataset, const std::vector<ObjectId>& train_objects);
+      const ObservationStore& store,
+      const std::vector<ObjectId>& train_objects);
 
   /// Fits `model` in place on object-posterior examples (Eq. 4 likelihood).
   /// Batch mode shards the per-example gradient accumulation across `exec`
@@ -82,9 +84,9 @@ class ErmLearner {
       const std::vector<ObservationExample>& examples, SlimFastModel* model,
       Rng* rng) const;
 
-  /// Convenience dispatch on options().loss building examples internally.
-  Result<FitStats> Fit(const Dataset& dataset,
-                       const std::vector<ObjectId>& train_objects,
+  /// Convenience dispatch on options().loss building examples internally
+  /// from the model's compiled instance (its rows and its store).
+  Result<FitStats> Fit(const std::vector<ObjectId>& train_objects,
                        SlimFastModel* model, Rng* rng,
                        Executor* exec = nullptr) const;
 

@@ -10,9 +10,8 @@
 
 namespace slimfast {
 
-FusionSession::FusionSession(FusionSessionOptions options,
-                             FeatureSpace features)
-    : options_(std::move(options)), features_(std::move(features)) {}
+FusionSession::FusionSession(FusionSessionOptions options)
+    : options_(std::move(options)) {}
 
 Result<FusionSession> FusionSession::Create(int32_t num_sources,
                                             int32_t num_objects,
@@ -23,14 +22,30 @@ Result<FusionSession> FusionSession::Create(int32_t num_sources,
     return Status::InvalidArgument(
         "session dimensions must be non-negative (num_values >= 1)");
   }
-  if (features.num_sources() == 0 && num_sources > 0) {
-    features = FeatureSpace(num_sources);
+  // Start from the empty universe; every Ingest (including the first) is
+  // then a uniform delta step.
+  SLIMFAST_ASSIGN_OR_RETURN(
+      Dataset empty,
+      DatasetBuilder(options.name, num_sources, num_objects, num_values)
+          .Build());
+  return Open(ObservationStore::FromDataset(empty), std::move(options),
+              std::move(features));
+}
+
+Result<FusionSession> FusionSession::Open(ObservationStore store,
+                                          FusionSessionOptions options,
+                                          FeatureSpace features) {
+  if (store.num_values() < 1) {
+    return Status::InvalidArgument("session universe needs num_values >= 1");
   }
-  if (features.num_sources() != num_sources) {
+  if (features.num_sources() == 0 && store.num_sources() > 0) {
+    features = FeatureSpace(store.num_sources());
+  }
+  if (features.num_sources() != store.num_sources()) {
     return Status::InvalidArgument(
         "feature space is sized for " +
         std::to_string(features.num_sources()) + " sources, session has " +
-        std::to_string(num_sources));
+        std::to_string(store.num_sources()));
   }
   if (options.slimfast.model.use_copying_features) {
     // DeltaCompile rejects the copying extension (pair selection is a
@@ -40,29 +55,16 @@ Result<FusionSession> FusionSession::Create(int32_t num_sources,
         "FusionSession does not support the copying extension: delta "
         "compilation cannot maintain globally selected copy pairs");
   }
-  // The facade's warm-start switch mirrors the session-level one.
-  options.slimfast.warm_start.enabled = options.warm_start;
 
-  FusionSession session(std::move(options), std::move(features));
-  session.num_sources_ = num_sources;
-  session.num_objects_ = num_objects;
-  session.num_values_ = num_values;
-  session.truth_.assign(static_cast<size_t>(num_objects), kNoValue);
+  FusionSession session(std::move(options));
   session.exec_ =
       std::make_unique<Executor>(session.options_.slimfast.exec);
   session.slimfast_ = std::make_unique<SlimFast>(session.options_.slimfast,
                                                  session.options_.name);
-
-  // Compile the empty universe once; every Ingest (including the first)
-  // is then a uniform delta step.
-  DatasetBuilder builder(session.options_.name, num_sources, num_objects,
-                         num_values);
-  *builder.mutable_features() = session.features_;
-  SLIMFAST_ASSIGN_OR_RETURN(session.dataset_,
-                            std::move(builder).Build());
   SLIMFAST_ASSIGN_OR_RETURN(
       session.instance_,
-      CompileInstance(session.dataset_, session.options_.slimfast.model));
+      CompileInstance(std::move(store), features,
+                      session.options_.slimfast.model));
   return session;
 }
 
@@ -112,10 +114,13 @@ Result<FusionSession> FusionSession::Restore(const ObservationStore& store,
         "restored state carries a model but no relearns");
   }
 
+  // Compile the checkpointed store as is. The original arrival order is
+  // not preserved (the WAL tail covers anything past the checkpoint), but
+  // per-object claim order — the only order compilation and learning
+  // observe — is, so the instance equals the checkpointed session's.
   SLIMFAST_ASSIGN_OR_RETURN(
       FusionSession session,
-      Create(store.num_sources(), store.num_objects(), store.num_values(),
-             std::move(options), std::move(features)));
+      Open(store, std::move(options), std::move(features)));
   // The parameter layout is fixed at Create (ingests never change it), so
   // a relearned weight vector must match it exactly; a mis-sized one
   // would silently turn the next warm relearn into a cold fit.
@@ -124,32 +129,6 @@ Result<FusionSession> FusionSession::Restore(const ObservationStore& store,
       state.weights.size() != static_cast<size_t>(num_params)) {
     return Status::InvalidArgument(
         "restored weights are mis-sized for the session's parameter layout");
-  }
-
-  // Re-ingest the claim history in the store's canonical order. The
-  // original arrival order is not preserved (the WAL tail covers
-  // anything past the checkpoint), but per-object claim order — the
-  // only order compilation and learning observe — is, so the recompiled
-  // instance must equal the checkpointed store bit for bit.
-  const int64_t n = store.num_observations();
-  session.observations_.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const size_t k = static_cast<size_t>(i);
-    session.observations_.push_back(Observation{
-        store.objects()[k], store.sources()[k], store.values()[k]});
-  }
-  session.truth_ = store.truth();
-  session.dataset_stale_ = true;
-  SLIMFAST_RETURN_NOT_OK(session.RefreshDataset());
-  SLIMFAST_ASSIGN_OR_RETURN(
-      session.instance_,
-      CompileInstance(session.dataset_, session.options_.slimfast.model));
-  if (!(session.instance_->store == store)) {
-    return Status::Internal(
-        "restored instance does not round-trip the checkpointed store "
-        "(recompiled fingerprint " +
-        std::to_string(session.instance_->store.content_fingerprint()) +
-        " vs " + std::to_string(store.content_fingerprint()) + ")");
   }
 
   session.weights_ = std::move(state.weights);
@@ -170,19 +149,12 @@ Result<IngestStats> FusionSession::Ingest(const ObservationBatch& batch) {
   Stopwatch watch;
   std::vector<ObjectId> recompiled_rows;
   // DeltaCompile validates the batch via AppendBatch and leaves the
-  // session untouched on failure; the accumulators below only advance
-  // once the new instance exists.
+  // session untouched on failure; the counters below only advance once
+  // the new instance exists.
   SLIMFAST_ASSIGN_OR_RETURN(
       std::shared_ptr<const CompiledInstance> next,
       DeltaCompile(*instance_, batch, exec_.get(), &recompiled_rows));
   instance_ = std::move(next);
-
-  observations_.insert(observations_.end(), batch.observations.begin(),
-                       batch.observations.end());
-  for (const TruthLabel& label : batch.truths) {
-    truth_[static_cast<size_t>(label.object)] = label.value;
-  }
-  if (!batch.empty()) dataset_stale_ = true;
   ++num_ingested_batches_;
   ++pending_batches_;
 
@@ -200,51 +172,32 @@ Result<IngestStats> FusionSession::Ingest(const ObservationBatch& batch) {
   return stats;
 }
 
-Status FusionSession::RefreshDataset() {
-  if (!dataset_stale_) return Status::OK();
-  DatasetBuilder builder(options_.name, num_sources_, num_objects_,
-                         num_values_);
-  *builder.mutable_features() = features_;
-  for (const Observation& obs : observations_) {
-    SLIMFAST_RETURN_NOT_OK(
-        builder.AddObservation(obs.object, obs.source, obs.value));
-  }
-  for (ObjectId o = 0; o < num_objects_; ++o) {
-    ValueId truth = truth_[static_cast<size_t>(o)];
-    if (truth != kNoValue) {
-      SLIMFAST_RETURN_NOT_OK(builder.SetTruth(o, truth));
-    }
-  }
-  SLIMFAST_ASSIGN_OR_RETURN(dataset_, std::move(builder).Build());
-  dataset_stale_ = false;
-  return Status::OK();
-}
-
 Result<RelearnStats> FusionSession::Relearn() {
-  if (observations_.empty()) {
+  if (num_observations() == 0) {
     return Status::FailedPrecondition(
         "nothing ingested yet: Ingest at least one observation before "
         "relearning");
   }
   obs::TraceSpan span("core.relearn");
   Stopwatch watch;
-  SLIMFAST_RETURN_NOT_OK(RefreshDataset());
 
   // Every object with ingested truth is training data; the session has no
   // held-out split of its own (evaluation against withheld truth is the
   // caller's concern, e.g. `slimfast_cli replay`).
+  const std::vector<ValueId>& truth = instance_->store.truth();
   TrainTestSplit split;
-  split.is_train.assign(static_cast<size_t>(num_objects_), 0);
-  for (ObjectId o : dataset_.ObjectsWithTruth()) {
+  split.is_train.assign(truth.size(), 0);
+  for (ObjectId o = 0; o < static_cast<ObjectId>(truth.size()); ++o) {
+    if (truth[static_cast<size_t>(o)] == kNoValue) continue;
     split.train_objects.push_back(o);
     split.is_train[static_cast<size_t>(o)] = 1;
   }
 
-  const bool warm = options_.warm_start && has_model();
   SLIMFAST_ASSIGN_OR_RETURN(
       SlimFastFit fit,
-      slimfast_->FitCompiled(dataset_, split, options_.seed, instance_,
-                             warm ? &weights_ : nullptr, exec_.get()));
+      slimfast_->FitCompiled(split, options_.seed, instance_,
+                             has_model() ? &weights_ : nullptr,
+                             exec_.get()));
 
   weights_ = fit.model.weights();
   predictions_ = fit.model.PredictAll();
@@ -272,13 +225,14 @@ Result<RelearnStats> FusionSession::Relearn() {
 }
 
 void FusionSession::RefreshPosteriors(const SlimFastModel& model) {
-  posterior_begin_.assign(static_cast<size_t>(num_objects_) + 1, 0);
+  const CompiledInstance& inst = model.instance();
+  const int32_t num_objects = inst.store.num_objects();
+  posterior_begin_.assign(static_cast<size_t>(num_objects) + 1, 0);
   posterior_values_.clear();
   posterior_probs_.clear();
-  max_posterior_.assign(static_cast<size_t>(num_objects_), 0.0);
-  const CompiledInstance& inst = model.instance();
+  max_posterior_.assign(static_cast<size_t>(num_objects), 0.0);
   std::vector<double> probs;
-  for (ObjectId o = 0; o < num_objects_; ++o) {
+  for (ObjectId o = 0; o < num_objects; ++o) {
     const int32_t row = inst.RowIndex(o);
     if (row >= 0) {
       model.Posterior(row, &probs);
@@ -307,12 +261,13 @@ FusionSession::Stats FusionSession::stats() const {
 }
 
 FusionSnapshotPtr FusionSession::ExportSnapshot() const {
+  const ObservationStore& store = instance_->store;
   auto snapshot = std::make_shared<FusionSnapshot>();
   snapshot->version = num_relearns_;
-  snapshot->store_fingerprint = instance_->store.content_fingerprint();
-  snapshot->num_sources = num_sources_;
-  snapshot->num_objects = num_objects_;
-  snapshot->num_values = num_values_;
+  snapshot->store_fingerprint = store.content_fingerprint();
+  snapshot->num_sources = store.num_sources();
+  snapshot->num_objects = store.num_objects();
+  snapshot->num_values = store.num_values();
   snapshot->num_relearns = num_relearns_;
   snapshot->num_ingested_batches = num_ingested_batches_;
   snapshot->num_observations = num_observations();
@@ -323,14 +278,14 @@ FusionSnapshotPtr FusionSession::ExportSnapshot() const {
   snapshot->posterior_probs = posterior_probs_;
   snapshot->source_accuracies = source_accuracies_;
   snapshot->weights = weights_;
-  snapshot->claim_counts =
-      ObservationStoreView(&instance_->store).ClaimCounts();
+  snapshot->claim_counts = ObservationStoreView(&store).ClaimCounts();
   return snapshot;
 }
 
 ValueId FusionSession::Query(ObjectId object) const {
-  if (object < 0 || object >= num_objects_) return kNoValue;
-  if (predictions_.empty()) return kNoValue;
+  if (object < 0 || static_cast<size_t>(object) >= predictions_.size()) {
+    return kNoValue;
+  }
   return predictions_[static_cast<size_t>(object)];
 }
 

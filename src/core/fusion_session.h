@@ -23,16 +23,11 @@ struct FusionSessionOptions {
   /// facade. `exec.threads` sizes the session's executor, which shards
   /// both delta-compilation and relearning.
   SlimFastOptions slimfast;
-  /// Session name, used as the name of the datasets it rebuilds.
+  /// Session name, used as the name of its SlimFast learner.
   std::string name = "fusion-session";
   /// Seed for every relearn, so a session's trajectory is a pure function
   /// of its ingest sequence.
   uint64_t seed = 42;
-  /// Relearns after the first seed from the previous weight vector and run
-  /// the warm refinement schedule (`slimfast.warm_start` tuning knobs;
-  /// its `enabled` flag is set by the session from this switch). Off =
-  /// every relearn is a cold fit, for A/B comparison.
-  bool warm_start = true;
 };
 
 /// Per-ingest timing and size statistics.
@@ -50,7 +45,7 @@ struct IngestStats {
 struct RelearnStats {
   Algorithm algorithm_used = Algorithm::kErm;
   /// True when this relearn refined the previous weights on the short
-  /// schedule (false for the first fit and when warm_start is off).
+  /// schedule (false for the first fit).
   bool warm_started = false;
   int32_t num_train_objects = 0;
   double seconds = 0.0;
@@ -69,7 +64,9 @@ struct RelearnStats {
 /// serving-path counterpart of the one-shot `SlimFast::Run`.
 ///
 /// The session keeps a single `CompiledInstance` alive across its life.
-/// Each ingest extends it through `ObservationStore::AppendBatch` +
+/// Its `ObservationStore` is the session's only copy of the claim history
+/// and ground truth; relearning reads the store directly. Each ingest
+/// extends the instance through `ObservationStore::AppendBatch` and
 /// `DeltaCompile`: the expensive structural work — re-deriving a row's
 /// per-candidate term expressions — is paid only for the rows the batch
 /// touches, while untouched rows are carried over by one linear splice
@@ -77,7 +74,7 @@ struct RelearnStats {
 /// constant-factor win over recompiling, not an asymptotic one). The
 /// result is bitwise-equal to recompiling the concatenated history from
 /// scratch (asserted in tests and re-checked by `slimfast_cli bench`).
-/// Relearning warm-starts from the previous fit
+/// Every relearn after the first warm-starts from the previous fit
 /// (`SlimFast::FitCompiled`), cutting the epoch budget to
 /// `WarmStartOptions::budget_scale` of a cold run.
 ///
@@ -94,7 +91,7 @@ class FusionSession {
   /// batch is validated against) with optional per-source features.
   /// `features` must be sized to `num_sources` (or default-constructed,
   /// which the session resizes). The initial instance is the compiled
-  /// empty dataset; the first Ingest is already a delta.
+  /// empty store; the first Ingest is already a delta.
   static Result<FusionSession> Create(int32_t num_sources,
                                       int32_t num_objects,
                                       int32_t num_values,
@@ -141,11 +138,11 @@ class FusionSession {
 
   /// Rebuilds a session from a checkpointed store + State so that every
   /// subsequent Ingest/Relearn/Query is bit-identical to the session
-  /// that exported them. The claim history is re-ingested in the
-  /// store's canonical order and recompiled; the result must round-trip
-  /// to a store equal to `store` (learning depends only on per-object
-  /// claim order, which canonical order preserves) — Internal if not.
-  /// InvalidArgument on a structurally inconsistent `state`.
+  /// that exported them. `store` is compiled directly: its canonical
+  /// order keeps every object's claims in arrival order, the only order
+  /// compilation and learning observe, so the restored instance is
+  /// bitwise-equal to the exporting session's. InvalidArgument on a
+  /// structurally inconsistent `state`.
   static Result<FusionSession> Restore(const ObservationStore& store,
                                        State state,
                                        FusionSessionOptions options = {},
@@ -159,7 +156,7 @@ class FusionSession {
 
   /// Refits the model on everything ingested so far: all objects with
   /// ingested truth are training data. Warm-starts from the previous
-  /// weights when enabled. Fails if nothing has been ingested yet.
+  /// weights once a model exists. Fails if nothing has been ingested yet.
   Result<RelearnStats> Relearn();
 
   /// Current estimate for `object`: the last relearned model's MAP value,
@@ -221,39 +218,32 @@ class FusionSession {
   }
 
   int64_t num_observations() const {
-    return static_cast<int64_t>(observations_.size());
+    return instance_->store.num_observations();
   }
   int32_t num_ingested_batches() const { return num_ingested_batches_; }
   int32_t num_relearns() const { return num_relearns_; }
   bool has_model() const { return num_relearns_ > 0; }
 
  private:
-  FusionSession(FusionSessionOptions options, FeatureSpace features);
+  explicit FusionSession(FusionSessionOptions options);
 
-  /// Rebuilds dataset_ from the accumulated history when stale. The
-  /// learners consume the Dataset view; the instance is its compiled
-  /// twin (bitwise-identical store by construction).
-  Status RefreshDataset();
+  /// Validates the universe, features, and options, and compiles `store`
+  /// into the session's instance; the shared tail of Create and Restore.
+  static Result<FusionSession> Open(ObservationStore store,
+                                    FusionSessionOptions options,
+                                    FeatureSpace features);
 
   /// Recomputes the flattened per-object posteriors (and per-object
   /// confidence) from the freshly fit model; called by Relearn.
   void RefreshPosteriors(const SlimFastModel& model);
 
   FusionSessionOptions options_;
-  FeatureSpace features_;
-  int32_t num_sources_ = 0;
-  int32_t num_objects_ = 0;
-  int32_t num_values_ = 0;
 
   std::unique_ptr<Executor> exec_;
   std::unique_ptr<SlimFast> slimfast_;
 
-  // Accumulated history (the Dataset view is rebuilt lazily from these).
-  std::vector<Observation> observations_;
-  std::vector<ValueId> truth_;
-  Dataset dataset_;
-  bool dataset_stale_ = false;
-
+  // The compiled history; instance_->store holds every ingested claim
+  // and truth label.
   std::shared_ptr<const CompiledInstance> instance_;
 
   // Last-relearn outputs.

@@ -21,14 +21,12 @@ std::string OptimizerDecision::ToString() const {
   return out.str();
 }
 
-double EmUnits(const Dataset& dataset, double avg_accuracy) {
+double EmUnits(const ObservationStore& store, double avg_accuracy) {
   double total_units = 0.0;
-  for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
-    const auto& claims = dataset.ClaimsOnObject(o);
-    if (claims.empty()) continue;
-    int64_t m = static_cast<int64_t>(claims.size());
-    int64_t num_distinct =
-        static_cast<int64_t>(dataset.DomainOf(o).size());
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    int64_t m = store.ObjectRange(o).size();
+    if (m == 0) continue;
+    int64_t num_distinct = store.DomainRange(o).size();
     if (num_distinct < 1) continue;
     // Majority vote wins when the true value gets more than m/|D_o| votes.
     int64_t threshold = m / num_distinct;
@@ -40,19 +38,29 @@ double EmUnits(const Dataset& dataset, double avg_accuracy) {
   return total_units;
 }
 
-double ErmUnits(const Dataset& dataset, const TrainTestSplit& split) {
-  return static_cast<double>(CountLabeledObservations(dataset, split));
+double ErmUnits(const ObservationStore& store, const TrainTestSplit& split) {
+  int64_t count = 0;
+  for (ObjectId o : split.train_objects) count += store.ObjectRange(o).size();
+  return static_cast<double>(count);
 }
 
 OptimizerDecision DecideAlgorithm(const Dataset& dataset,
                                   const TrainTestSplit& split,
                                   int32_t num_params,
                                   const OptimizerOptions& options) {
+  return DecideAlgorithm(ObservationStore::FromDataset(dataset), split,
+                         num_params, options);
+}
+
+OptimizerDecision DecideAlgorithm(const ObservationStore& store,
+                                  const TrainTestSplit& split,
+                                  int32_t num_params,
+                                  const OptimizerOptions& options) {
   OptimizerDecision decision;
-  double g = ErmUnits(dataset, split);
+  double g = ErmUnits(store, split);
   decision.erm_units = g;
 
-  if (dataset.num_observations() == 0) {
+  if (store.num_observations() == 0) {
     decision.algorithm = Algorithm::kErm;
     return decision;
   }
@@ -60,8 +68,8 @@ OptimizerDecision DecideAlgorithm(const Dataset& dataset,
     // No ground truth at all: ERM is undefined, EM is the only option.
     decision.algorithm = Algorithm::kEm;
     decision.erm_bound = std::numeric_limits<double>::infinity();
-    decision.estimated_avg_accuracy = EstimateAccuracyForUnits(dataset);
-    decision.em_units = EmUnits(dataset, decision.estimated_avg_accuracy);
+    decision.estimated_avg_accuracy = EstimateAccuracyForUnits(store);
+    decision.em_units = EmUnits(store, decision.estimated_avg_accuracy);
     return decision;
   }
 
@@ -73,16 +81,16 @@ OptimizerDecision DecideAlgorithm(const Dataset& dataset,
     return decision;
   }
 
-  decision.estimated_avg_accuracy = EstimateAccuracyForUnits(dataset);
+  decision.estimated_avg_accuracy = EstimateAccuracyForUnits(store);
   // Mean pairwise co-observations per source: how much evidence the
   // agreement estimate rests on.
   double coobservations = 0.0;
-  if (dataset.num_sources() > 0) {
-    for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
-      double m = static_cast<double>(dataset.ClaimsOnObject(o).size());
+  if (store.num_sources() > 0) {
+    for (ObjectId o = 0; o < store.num_objects(); ++o) {
+      double m = static_cast<double>(store.ObjectRange(o).size());
       coobservations += m * (m - 1.0);
     }
-    coobservations /= static_cast<double>(dataset.num_sources());
+    coobservations /= static_cast<double>(store.num_sources());
   }
   // Theorem 3's error bound scales as 1/δ and assumes enough overlap to
   // estimate agreement; with a vanishing estimated margin or almost no
@@ -91,7 +99,7 @@ OptimizerDecision DecideAlgorithm(const Dataset& dataset,
       coobservations < options.min_coobservations) {
     decision.em_units = 0.0;
   } else {
-    decision.em_units = EmUnits(dataset, decision.estimated_avg_accuracy);
+    decision.em_units = EmUnits(store, decision.estimated_avg_accuracy);
   }
   decision.algorithm =
       decision.erm_units < decision.em_units ? Algorithm::kEm
@@ -99,8 +107,8 @@ OptimizerDecision DecideAlgorithm(const Dataset& dataset,
   return decision;
 }
 
-double EstimateAccuracyForUnits(const Dataset& dataset) {
-  AgreementMatrix matrix(dataset);
+double EstimateAccuracyForUnits(const ObservationStore& store) {
+  AgreementMatrix matrix(store);
   if (matrix.TotalOverlap() == 0) return 0.5;
   // Overlap-weighted mean agreement rate q̄, inverted through the uniform
   // chance-agreement model
@@ -112,9 +120,9 @@ double EstimateAccuracyForUnits(const Dataset& dataset) {
   double q = matrix.MeanAgreementRate();
   double mean_domain = 0.0;
   int64_t conflicted = 0;
-  for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
-    if (dataset.ClaimsOnObject(o).size() < 2) continue;
-    mean_domain += static_cast<double>(dataset.DomainOf(o).size());
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    if (store.ObjectRange(o).size() < 2) continue;
+    mean_domain += static_cast<double>(store.DomainRange(o).size());
     ++conflicted;
   }
   if (conflicted == 0) return 0.5;

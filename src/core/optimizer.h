@@ -5,6 +5,7 @@
 
 #include "core/options.h"
 #include "data/dataset.h"
+#include "data/observation_store.h"
 #include "data/split.h"
 #include "util/result.h"
 
@@ -41,16 +42,24 @@ struct OptimizerDecision {
 /// worked Example 8 multiplies the per-object gain (1 - H) by the number of
 /// observing sources; we follow the example so that EM units and ERM units
 /// (which count labeled *observations*) are in the same currency.
-double EmUnits(const Dataset& dataset, double avg_accuracy);
+double EmUnits(const ObservationStore& store, double avg_accuracy);
 
-/// ERM's units: the number of labeled observations induced by the split.
-double ErmUnits(const Dataset& dataset, const TrainTestSplit& split);
+/// ERM's units: the number of labeled observations induced by the split —
+/// the count of claims on training objects, the sample size |G| entering
+/// the ERM bounds.
+double ErmUnits(const ObservationStore& store, const TrainTestSplit& split);
 
 /// SLiMFast's optimizer (Algorithm 2): chooses ERM when the generalization
 /// bound sqrt(|K|/|G|) log |G| is below τ, otherwise compares ERM and EM
 /// information units. `num_params` is the trainable parameter count of the
 /// model ( |S| + |K| in the default configuration). Never fails: with no
 /// ground truth it returns EM, with no observations ERM.
+OptimizerDecision DecideAlgorithm(const ObservationStore& store,
+                                  const TrainTestSplit& split,
+                                  int32_t num_params,
+                                  const OptimizerOptions& options);
+
+/// DecideAlgorithm over the columnar store of `dataset`.
 OptimizerDecision DecideAlgorithm(const Dataset& dataset,
                                   const TrainTestSplit& split,
                                   int32_t num_params,
@@ -61,7 +70,7 @@ OptimizerDecision DecideAlgorithm(const Dataset& dataset,
 /// q(A) = A² + (1-A)²/(n̄-1) (the multiclass generalization of the paper's
 /// E[X] = (2A-1)² identity). Returns 0.5 when sources agree no better than
 /// chance (the adversarial regime) or no pairs overlap.
-double EstimateAccuracyForUnits(const Dataset& dataset);
+double EstimateAccuracyForUnits(const ObservationStore& store);
 
 }  // namespace slimfast
 

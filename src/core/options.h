@@ -145,11 +145,11 @@ struct OptimizerOptions {
 /// near-optimal starting point — the batch perturbed only part of the
 /// model — so the relearn seeds from it and runs a short refinement
 /// schedule instead of the full cold-start epoch budget.
+///
+/// `SlimFast::FitCompiled` warm-starts exactly when its caller passes a
+/// previous weight vector that fits the parameter layout; `Fit` and `Run`
+/// never pass one, so batch runs are untouched by this schedule.
 struct WarmStartOptions {
-  /// Master switch. When off (the default), `SlimFast::FitCompiled`
-  /// ignores any previous weights and runs the cold schedule, so batch
-  /// runs are untouched by this feature.
-  bool enabled = false;
   /// Fraction of the cold-start budget a warm refinement runs: ERM epochs
   /// and EM iterations are scaled by this factor (floors below).
   double budget_scale = 0.25;
@@ -187,7 +187,7 @@ struct SlimFastOptions {
   /// CompiledInstanceCache::Global().Clear() when done with a dataset, or
   /// set this to false to keep compilation scoped to the fit.
   bool use_compilation_cache = true;
-  /// Warm-start refinement for incremental relearning (see
+  /// Warm-start refinement budget for incremental relearning (see
   /// `WarmStartOptions`). Consulted by `SlimFast::FitCompiled` when the
   /// caller supplies a previous weight vector; plain `Run`/`Fit` calls
   /// never warm-start.

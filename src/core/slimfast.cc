@@ -57,14 +57,21 @@ Result<SlimFastFit> SlimFast::Fit(const Dataset& dataset,
   }
   SLIMFAST_ASSIGN_OR_RETURN(
       SlimFastFit fit,
-      FitCompiled(dataset, split, seed, std::move(instance),
-                  /*warm_weights=*/nullptr, exec));
+      FitCompiled(split, seed, std::move(instance), /*warm_weights=*/nullptr,
+                  exec));
   fit.compile_seconds = compile_seconds;
   return fit;
 }
 
 Result<SlimFastFit> SlimFast::FitCompiled(
-    const Dataset& dataset, const TrainTestSplit& split, uint64_t seed,
+    const Dataset& /*dataset*/, const TrainTestSplit& split, uint64_t seed,
+    std::shared_ptr<const CompiledInstance> instance,
+    const std::vector<double>* warm_weights, Executor* exec) const {
+  return FitCompiled(split, seed, std::move(instance), warm_weights, exec);
+}
+
+Result<SlimFastFit> SlimFast::FitCompiled(
+    const TrainTestSplit& split, uint64_t seed,
     std::shared_ptr<const CompiledInstance> instance,
     const std::vector<double>* warm_weights, Executor* exec) const {
   if (instance == nullptr) {
@@ -74,7 +81,7 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   OptimizerDecision decision;
   Algorithm algorithm = options_.algorithm;
   if (algorithm == Algorithm::kAuto) {
-    decision = DecideAlgorithm(dataset, split,
+    decision = DecideAlgorithm(instance->store, split,
                                instance->model->layout.num_params,
                                options_.optimizer);
     algorithm = decision.algorithm;
@@ -85,10 +92,9 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   // Warm start: seed from the previous fit's weights and shrink the
   // learning budget. A layout mismatch (the parameter universe changed)
   // silently falls back to a cold fit — correctness first.
-  const bool warm =
-      options_.warm_start.enabled && warm_weights != nullptr &&
-      warm_weights->size() ==
-          static_cast<size_t>(instance->model->layout.num_params);
+  const bool warm = warm_weights != nullptr &&
+                    warm_weights->size() ==
+                        static_cast<size_t>(instance->model->layout.num_params);
   ErmOptions erm_options = options_.erm;
   EmOptions em_options = options_.em;
   if (warm) {
@@ -112,15 +118,14 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   double learn_objective = 0.0;
   if (algorithm == Algorithm::kErm) {
     ErmLearner learner(erm_options);
-    auto stats =
-        learner.Fit(dataset, split.train_objects, &model, &rng, exec);
+    auto stats = learner.Fit(split.train_objects, &model, &rng, exec);
     if (!stats.ok()) {
       // No usable ground truth for ERM (e.g. 0% training data with a
       // forced-ERM preset): fall back to EM rather than failing the run.
       EmLearner em(em_options);
-      SLIMFAST_ASSIGN_OR_RETURN(EmStats em_stats,
-                                em.Fit(dataset, split.train_objects, &model,
-                                       &rng, exec, warm));
+      SLIMFAST_ASSIGN_OR_RETURN(
+          EmStats em_stats,
+          em.Fit(split.train_objects, &model, &rng, exec, warm));
       learn_iterations = em_stats.iterations;
       learn_converged = em_stats.converged;
       learn_objective = em_stats.final_expected_nll;
@@ -135,7 +140,7 @@ Result<SlimFastFit> SlimFast::FitCompiled(
     EmLearner learner(em_options);
     SLIMFAST_ASSIGN_OR_RETURN(
         EmStats em_stats,
-        learner.Fit(dataset, split.train_objects, &model, &rng, exec, warm));
+        learner.Fit(split.train_objects, &model, &rng, exec, warm));
     learn_iterations = em_stats.iterations;
     learn_converged = em_stats.converged;
     learn_objective = em_stats.final_expected_nll;
@@ -188,8 +193,8 @@ Result<FusionOutput> SlimFast::Run(const Dataset& dataset,
     calibration.batch = false;
     calibration.epochs = std::max<int32_t>(30, calibration.epochs / 2);
     ErmLearner learner(calibration);
-    auto examples =
-        ErmLearner::ObservationExamples(dataset, split.train_objects);
+    auto examples = ErmLearner::ObservationExamples(
+        calibrated.instance().store, split.train_objects);
     Rng rng(seed ^ 0xc2b2ae3d27d4eb4fULL);
     auto stats = learner.FitAccuracyLoss(examples, &calibrated, &rng);
     if (stats.ok()) {

@@ -65,13 +65,22 @@ class SlimFast : public FusionMethod {
   /// behind Fit, and the incremental relearning entry point used by
   /// `FusionSession`. Compilation is skipped entirely (`instance`
   /// typically comes from `DeltaCompile` or the CompiledInstanceCache);
-  /// `dataset` must be the data `instance` was compiled from.
+  /// the optimizer and the learners read the claims and ground truth from
+  /// `instance->store`.
   ///
-  /// When `warm_weights` is non-null, its size matches the instance's
-  /// parameter layout, and `options().warm_start.enabled` is set, the fit
-  /// seeds from those weights and runs the warm refinement schedule
-  /// (`WarmStartOptions::budget_scale` of the cold epoch/iteration
-  /// budget) instead of the full cold start; otherwise it learns cold.
+  /// When `warm_weights` is non-null and its size matches the instance's
+  /// parameter layout, the fit seeds from those weights and runs the warm
+  /// refinement schedule (`WarmStartOptions::budget_scale` of the cold
+  /// epoch/iteration budget) instead of the full cold start; otherwise it
+  /// learns cold.
+  Result<SlimFastFit> FitCompiled(
+      const TrainTestSplit& split, uint64_t seed,
+      std::shared_ptr<const CompiledInstance> instance,
+      const std::vector<double>* warm_weights = nullptr,
+      Executor* exec = nullptr) const;
+
+  /// FitCompiled for callers that hold the source dataset; `dataset` is
+  /// not read — `instance` carries everything learning needs.
   Result<SlimFastFit> FitCompiled(
       const Dataset& dataset, const TrainTestSplit& split, uint64_t seed,
       std::shared_ptr<const CompiledInstance> instance,

@@ -364,11 +364,15 @@ Result<ObservationStore> ObservationStore::FromColumns(Columns columns) {
     return Status::InvalidArgument("store truth column is mis-sized");
   }
 
-  // Recompute the fingerprint from scratch while validating ranges; a
-  // match at the end certifies the columns describe exactly the store
-  // that was serialized.
+  // Recompute the fingerprint from scratch while validating ranges and
+  // the one-claim-per-(source, object) rule AppendBatch enforces; a
+  // fingerprint match at the end certifies the columns describe exactly
+  // the store that was serialized.
   uint64_t fingerprint = DimensionDigest(
       columns.num_sources, columns.num_objects, columns.num_values);
+  // last_object[s]: the last object source s was seen claiming.
+  std::vector<ObjectId> last_object(static_cast<size_t>(columns.num_sources),
+                                    -1);
   for (ObjectId o = 0; o < columns.num_objects; ++o) {
     const int64_t begin = columns.object_offsets[static_cast<size_t>(o)];
     const int64_t end = columns.object_offsets[static_cast<size_t>(o) + 1];
@@ -389,6 +393,13 @@ Result<ObservationStore> ObservationStore::FromColumns(Columns columns) {
         return Status::InvalidArgument(
             "store columns carry out-of-range ids");
       }
+      ObjectId& last = last_object[static_cast<size_t>(source)];
+      if (last == o) {
+        return Status::InvalidArgument(
+            "store columns carry a duplicate observation for object " +
+            std::to_string(o) + " by source " + std::to_string(source));
+      }
+      last = o;
       fingerprint += ObservationDigest(o, i - begin, source, value);
     }
   }

@@ -60,8 +60,8 @@ std::vector<ObservationBatch> ChunkDatasetForReplay(const Dataset& dataset,
 /// dataset's insertion order within each object — exactly the order
 /// Dataset::ClaimsOnObject walks, so iterating an object's range of the
 /// columnar arrays visits the same claims in the same order as the
-/// Dataset's per-object vectors (compilation reads the store; the copy-pair
-/// scan and the learners' example builders read the Dataset).
+/// Dataset's per-object vectors. Compilation, the optimizer, and the
+/// learners all read the store; no Dataset is kept beside it.
 ///
 /// Three contiguous id arrays hold the observations (objects()[i],
 /// sources()[i], values()[i] describe observation i); per-object and
@@ -96,12 +96,12 @@ class ObservationStore {
 
   /// Rebuilds a store from serialized columns (the snapshot bulk-load
   /// path). Validates the structure (offset shape, ids in range, the
-  /// object column consistent with its offsets), rebuilds the derived
-  /// by-source index and domains, then recomputes the content
-  /// fingerprint from scratch and requires it to match
-  /// `columns.fingerprint` — the end-to-end integrity oracle: a store
-  /// loaded this way is bitwise equal to the one that was serialized,
-  /// or the load fails.
+  /// object column consistent with its offsets, at most one claim per
+  /// (source, object) pair), rebuilds the derived by-source index and
+  /// domains, then recomputes the content fingerprint from scratch and
+  /// requires it to match `columns.fingerprint` — the end-to-end
+  /// integrity oracle: a store loaded this way is bitwise equal to the one
+  /// that was serialized, or the load fails.
   static Result<ObservationStore> FromColumns(Columns columns);
 
   /// Exports the primary columns (see Columns); the inverse of

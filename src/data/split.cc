@@ -38,13 +38,4 @@ Result<TrainTestSplit> MakeSplit(const Dataset& dataset,
   return split;
 }
 
-int64_t CountLabeledObservations(const Dataset& dataset,
-                                 const TrainTestSplit& split) {
-  int64_t count = 0;
-  for (ObjectId o : split.train_objects) {
-    count += static_cast<int64_t>(dataset.ClaimsOnObject(o).size());
-  }
-  return count;
-}
-
 }  // namespace slimfast

@@ -34,13 +34,6 @@ struct TrainTestSplit {
 Result<TrainTestSplit> MakeSplit(const Dataset& dataset,
                                  double train_fraction, Rng* rng);
 
-/// Number of labeled source observations induced by a split: the total
-/// count of claims made on training objects. This is the sample size |G|
-/// entering the ERM bounds (each (s, o) pair on a labeled object is one
-/// training example for the accuracy model).
-int64_t CountLabeledObservations(const Dataset& dataset,
-                                 const TrainTestSplit& split);
-
 }  // namespace slimfast
 
 #endif  // SLIMFAST_DATA_SPLIT_H_

@@ -9,22 +9,25 @@
 
 namespace slimfast {
 
-AgreementMatrix::AgreementMatrix(const Dataset& dataset)
-    : num_sources_(dataset.num_sources()) {
+AgreementMatrix::AgreementMatrix(const ObservationStore& store)
+    : num_sources_(store.num_sources()) {
   size_t pairs =
       static_cast<size_t>(num_sources_) * (num_sources_ - 1) / 2;
   agree_sum_.assign(pairs, 0.0);
   overlap_.assign(pairs, 0);
 
-  for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
-    const auto& claims = dataset.ClaimsOnObject(o);
-    for (size_t a = 0; a < claims.size(); ++a) {
-      for (size_t b = a + 1; b < claims.size(); ++b) {
-        SourceId i = claims[a].source;
-        SourceId j = claims[b].source;
+  const std::vector<SourceId>& sources = store.sources();
+  const std::vector<ValueId>& values = store.values();
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    const IndexRange claims = store.ObjectRange(o);
+    for (size_t a = static_cast<size_t>(claims.begin);
+         a < static_cast<size_t>(claims.end); ++a) {
+      for (size_t b = a + 1; b < static_cast<size_t>(claims.end); ++b) {
+        SourceId i = sources[a];
+        SourceId j = sources[b];
         if (i == j) continue;
         size_t idx = PairIndex(std::min(i, j), std::max(i, j));
-        double score = claims[a].value == claims[b].value ? 1.0 : -1.0;
+        double score = values[a] == values[b] ? 1.0 : -1.0;
         agree_sum_[idx] += score;
         total_agreement_score_ += score;
         ++overlap_[idx];
@@ -78,11 +81,6 @@ Result<double> EstimateAverageAccuracy(const AgreementMatrix& matrix) {
   double mu_sq = std::max(0.0, mean_agreement);
   double mu = std::sqrt(mu_sq);
   return (mu + 1.0) / 2.0;
-}
-
-Result<double> EstimateAverageAccuracy(const Dataset& dataset) {
-  AgreementMatrix matrix(dataset);
-  return EstimateAverageAccuracy(matrix);
 }
 
 Result<std::vector<double>> EstimatePerSourceAccuracy(

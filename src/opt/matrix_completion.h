@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "data/dataset.h"
+#include "data/observation_store.h"
 #include "util/result.h"
 
 namespace slimfast {
@@ -16,9 +16,9 @@ namespace slimfast {
 /// only use observed entries.
 class AgreementMatrix {
  public:
-  /// Builds the agreement statistics of `dataset` (O(Σ_o m_o²) over
+  /// Builds the agreement statistics of `store` (O(Σ_o m_o²) over
   /// per-object claim pairs; cheap for realistic densities).
-  explicit AgreementMatrix(const Dataset& dataset);
+  explicit AgreementMatrix(const ObservationStore& store);
 
   int32_t num_sources() const { return num_sources_; }
 
@@ -74,9 +74,6 @@ class AgreementMatrix {
 /// before the square root, so adversarial instances degrade to A = 0.5.
 /// Fails if no source pair overlaps.
 Result<double> EstimateAverageAccuracy(const AgreementMatrix& matrix);
-
-/// Convenience overload building the agreement matrix internally.
-Result<double> EstimateAverageAccuracy(const Dataset& dataset);
 
 /// Options for the generalized rank-1 completion (per-source accuracies).
 struct Rank1CompletionOptions {

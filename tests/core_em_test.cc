@@ -13,8 +13,7 @@ TEST(EmTest, FailsWithoutObservations) {
   SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   EmLearner learner(EmOptions{});
   Rng rng(1);
-  EXPECT_TRUE(
-      learner.Fit(d, {}, &model, &rng).status().IsFailedPrecondition());
+  EXPECT_TRUE(learner.Fit({}, &model, &rng).status().IsFailedPrecondition());
 }
 
 TEST(EmTest, UnsupervisedRecoversTruthOnDenseAccurateInstance) {
@@ -27,7 +26,7 @@ TEST(EmTest, UnsupervisedRecoversTruthOnDenseAccurateInstance) {
   SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   EmLearner learner(EmOptions{});
   Rng rng(5);
-  auto stats = learner.Fit(d, {}, &model, &rng).ValueOrDie();
+  auto stats = learner.Fit({}, &model, &rng).ValueOrDie();
   EXPECT_GE(stats.iterations, 1);
 
   auto predictions = model.PredictAll();
@@ -46,7 +45,7 @@ TEST(EmTest, UnsupervisedSourceAccuraciesAreReasonable) {
   SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   EmLearner learner(EmOptions{});
   Rng rng(6);
-  ASSERT_TRUE(learner.Fit(d, {}, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit({}, &model, &rng).ok());
   // Order should be respected: best sources above the weak ones.
   EXPECT_GT(model.SourceAccuracy(0), model.SourceAccuracy(2));
   EXPECT_GT(model.SourceAccuracy(1), model.SourceAccuracy(3));
@@ -67,7 +66,7 @@ TEST(EmTest, SemiSupervisedClampsTrainingLabels) {
   SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   EmLearner learner(EmOptions{});
   Rng rng(8);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &model, &rng).ok());
   auto predictions = model.PredictAll();
   double test_accuracy =
       ObjectValueAccuracy(d, predictions, split.test_objects).ValueOrDie();
@@ -88,7 +87,7 @@ TEST(EmTest, SoftEmAlsoConverges) {
   options.soft = true;
   EmLearner learner(options);
   Rng rng(9);
-  auto stats = learner.Fit(d, {}, &model, &rng).ValueOrDie();
+  auto stats = learner.Fit({}, &model, &rng).ValueOrDie();
   EXPECT_GE(stats.iterations, 1);
   auto predictions = model.PredictAll();
   double accuracy =
@@ -109,7 +108,7 @@ TEST(EmTest, InitAccuracySeedsMajorityVote) {
   options.m_step.epochs = 0;  // E-step only: pure majority vote
   EmLearner learner(options);
   Rng rng(10);
-  ASSERT_TRUE(learner.Fit(d, {}, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit({}, &model, &rng).ok());
   // With init logit(0.7) on every source, MAP = majority value.
   auto predictions = model.PredictAll();
   int64_t majority_matches = 0;
@@ -146,7 +145,7 @@ TEST(EmTest, DensityImprovesEmQuality) {
     SlimFastModel model(CompileInstance(d, config).ValueOrDie());
     EmLearner learner(EmOptions{});
     Rng rng(3);
-    SLIMFAST_CHECK_OK(learner.Fit(d, {}, &model, &rng).status());
+    SLIMFAST_CHECK_OK(learner.Fit({}, &model, &rng).status());
     double error = 0.0;
     int64_t count = 0;
     for (SourceId s = 0; s < d.num_sources(); ++s) {
@@ -174,15 +173,13 @@ TEST(EmTest, ExpectedNllDecreasesOrConverges) {
   few.max_iterations = 2;
   SlimFastModel model_few(CompileInstance(d, config).ValueOrDie());
   Rng rng1(1);
-  auto stats_few =
-      EmLearner(few).Fit(d, {}, &model_few, &rng1).ValueOrDie();
+  auto stats_few = EmLearner(few).Fit({}, &model_few, &rng1).ValueOrDie();
 
   EmOptions many;
   many.max_iterations = 15;
   SlimFastModel model_many(CompileInstance(d, config).ValueOrDie());
   Rng rng2(1);
-  auto stats_many =
-      EmLearner(many).Fit(d, {}, &model_many, &rng2).ValueOrDie();
+  auto stats_many = EmLearner(many).Fit({}, &model_many, &rng2).ValueOrDie();
 
   EXPECT_LE(stats_many.final_expected_nll,
             stats_few.final_expected_nll + 1e-6);

@@ -32,7 +32,8 @@ TEST(ErmExamplesTest, SkipsTruthOutsideDomain) {
 
 TEST(ErmExamplesTest, ObservationExamplesLabelCorrectness) {
   Dataset d = testutil::MakeFigure1Dataset();
-  auto examples = ErmLearner::ObservationExamples(d, {0});
+  auto examples =
+      ErmLearner::ObservationExamples(ObservationStore::FromDataset(d), {0});
   // Object 0 truth=0: source 0 claims 0 (correct), source 1 claims 1
   // (wrong), source 2 claims 0 (correct).
   ASSERT_EQ(examples.size(), 3u);
@@ -66,7 +67,7 @@ TEST(ErmTest, LearnsToSeparateGoodFromBadSources) {
   ErmLearner learner(ErmOptions{});
   Rng rng(7);
   auto split = testutil::MakePrefixSplit(d, 150);
-  auto stats = learner.Fit(d, split.train_objects, &model, &rng);
+  auto stats = learner.Fit(split.train_objects, &model, &rng);
   ASSERT_TRUE(stats.ok()) << stats.status();
 
   // Note: the object-posterior loss is discriminative — once the labeled
@@ -96,7 +97,7 @@ TEST(ErmTest, PredictionsBeatMajorityOnAdversarialInstance) {
   ErmLearner learner(ErmOptions{});
   Rng rng(3);
   auto split = testutil::MakePrefixSplit(d, 80);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &model, &rng).ok());
 
   auto predictions = model.PredictAll();
   double accuracy =
@@ -118,7 +119,7 @@ TEST(ErmTest, AccuracyLossRecoverEmpiricalRates) {
   ErmLearner learner(options);
   Rng rng(5);
   auto split = testutil::MakePrefixSplit(d, 400);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &model, &rng).ok());
   for (SourceId s = 0; s < 3; ++s) {
     double empirical = d.EmpiricalSourceAccuracy(s).ValueOrDie();
     EXPECT_NEAR(model.SourceAccuracy(s), empirical, 0.08) << s;
@@ -137,7 +138,7 @@ TEST(ErmTest, BatchAndSgdAgreeOnPredictions) {
   sgd_options.epochs = 80;
   Rng rng1(1);
   ASSERT_TRUE(ErmLearner(sgd_options)
-                  .Fit(d, split.train_objects, &sgd_model, &rng1)
+                  .Fit(split.train_objects, &sgd_model, &rng1)
                   .ok());
 
   SlimFastModel batch_model(CompileInstance(d, config).ValueOrDie());
@@ -147,7 +148,7 @@ TEST(ErmTest, BatchAndSgdAgreeOnPredictions) {
   batch_options.learning_rate = 2.0;
   Rng rng2(2);
   ASSERT_TRUE(ErmLearner(batch_options)
-                  .Fit(d, split.train_objects, &batch_model, &rng2)
+                  .Fit(split.train_objects, &batch_model, &rng2)
                   .ok());
 
   auto p1 = sgd_model.PredictAll();
@@ -184,7 +185,7 @@ TEST(ErmTest, L1ZeroesFeatureWeightsOnly) {
   ErmLearner learner(options);
   Rng rng(3);
   auto split = testutil::MakePrefixSplit(d, 40);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &model, &rng).ok());
 
   const ParamLayout& layout = model.layout();
   EXPECT_DOUBLE_EQ(
@@ -235,8 +236,7 @@ TEST(ErmTest, ConvergenceStopsEarly) {
   ErmLearner learner(options);
   Rng rng(4);
   auto split = testutil::MakePrefixSplit(d, 30);
-  auto stats =
-      learner.Fit(d, split.train_objects, &model, &rng).ValueOrDie();
+  auto stats = learner.Fit(split.train_objects, &model, &rng).ValueOrDie();
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(stats.epochs, 5000);
 }
@@ -254,7 +254,7 @@ TEST_P(ErmSampleSizeSweep, MoreLabelsNeverMuchWorse) {
   ErmLearner learner(ErmOptions{});
   Rng rng(GetParam());
   auto split = testutil::MakePrefixSplit(d, GetParam());
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &model, &rng).ok());
   // Source-accuracy estimation error should be modest once |G| >= 100.
   double error_sum = 0.0;
   for (SourceId s = 0; s < 10; ++s) {

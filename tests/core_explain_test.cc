@@ -150,7 +150,7 @@ TEST(ExplainIntegrationTest, TrainedModelExplainsSensibly) {
   ErmLearner learner(ErmOptions{});
   Rng rng(5);
   auto split = testutil::MakePrefixSplit(d, 200);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &model, &rng).ok());
 
   ObjectId target = split.test_objects.front();
   auto explanation = ExplainObject(model, d, target).ValueOrDie();

@@ -54,7 +54,7 @@ TEST(SourceInitTest, PredictsUnseenSourceAccuracyFromFeatures) {
   ErmLearner learner(ErmOptions{});
   Rng rng(1);
   auto split = testutil::MakePrefixSplit(d, 200);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &model, &rng).ok());
 
   auto predictor = SourceQualityPredictor::FromModel(model).ValueOrDie();
   // An unseen "high quality" source should be predicted clearly above an
@@ -74,7 +74,7 @@ TEST(SourceInitTest, PredictAccuracyOfUsesDatasetFeatures) {
   ErmLearner learner(ErmOptions{});
   Rng rng(2);
   auto split = testutil::MakePrefixSplit(d, 150);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &model, &rng).ok());
   auto predictor = SourceQualityPredictor::FromModel(model).ValueOrDie();
   // Source 0 is "high", source 1 is "low".
   EXPECT_GT(predictor.PredictAccuracyOf(d, 0),
@@ -128,7 +128,7 @@ TEST(CopyingTest, TopRelationsIdentifyCopiers) {
   ErmLearner learner(erm);
   Rng rng(3);
   auto split = testutil::MakePrefixSplit(d, 200);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &model, &rng).ok());
 
   auto relations = TopCopyingRelations(model, 3);
   ASSERT_FALSE(relations.empty());
@@ -149,15 +149,13 @@ TEST(CopyingTest, CopyModelAtLeastMatchesPlainErm) {
   plain.use_feature_weights = false;
   SlimFastModel plain_model(CompileInstance(d, plain).ValueOrDie());
   ErmLearner learner{ErmOptions{}};
-  ASSERT_TRUE(
-      learner.Fit(d, split.train_objects, &plain_model, &rng1).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &plain_model, &rng1).ok());
 
   ModelConfig copying = plain;
   copying.use_copying_features = true;
   copying.copying_min_agreements = 30;
   SlimFastModel copy_model(CompileInstance(d, copying).ValueOrDie());
-  ASSERT_TRUE(
-      learner.Fit(d, split.train_objects, &copy_model, &rng2).ok());
+  ASSERT_TRUE(learner.Fit(split.train_objects, &copy_model, &rng2).ok());
 
   double plain_acc =
       ObjectValueAccuracy(d, plain_model.PredictAll(), split.test_objects)

@@ -121,29 +121,33 @@ TEST(FusionSessionTest, ThreadCountNeverChangesTheTrajectory) {
 
 TEST(FusionSessionTest, ColdSessionMatchesWarmPredictionsClosely) {
   // Warm-starting is a speed optimization; the *estimates* it serves must
-  // stay at batch quality. Compare a warm session against a cold one on
-  // the same stream: both should solve the planted instance.
+  // stay at batch quality. Compare a warm session against a cold fit on
+  // the session's final instance: both should solve the planted instance.
   const std::vector<double> planted = {0.9, 0.85, 0.75, 0.6};
   Dataset dataset = MakePlantedDataset(planted, 120, 0.5, 99);
   TrainTestSplit split = MakePrefixSplit(dataset, 20);
 
-  auto run = [&](bool warm) {
-    FusionSessionOptions options;
-    options.warm_start = warm;
-    FusionSession session =
-        FusionSession::Create(dataset.num_sources(), dataset.num_objects(),
-                              dataset.num_values(), options)
-            .ValueOrDie();
-    for (const ObservationBatch& chunk :
-         TrainOnlyChunks(dataset, split, 4)) {
-      SLIMFAST_CHECK_OK(session.Ingest(chunk).status());
-      SLIMFAST_CHECK_OK(session.Relearn().status());
-    }
-    return TestAccuracy(dataset, session.predictions(), split).ValueOrDie();
-  };
+  FusionSessionOptions options;
+  FusionSession session =
+      FusionSession::Create(dataset.num_sources(), dataset.num_objects(),
+                            dataset.num_values(), options)
+          .ValueOrDie();
+  for (const ObservationBatch& chunk : TrainOnlyChunks(dataset, split, 4)) {
+    SLIMFAST_CHECK_OK(session.Ingest(chunk).status());
+    SLIMFAST_CHECK_OK(session.Relearn().status());
+  }
+  double warm_accuracy =
+      TestAccuracy(dataset, session.predictions(), split).ValueOrDie();
 
-  double warm_accuracy = run(true);
-  double cold_accuracy = run(false);
+  // The session trains on exactly the split's training objects (the only
+  // truth it ingested), with its own seed.
+  SlimFast cold_method(options.slimfast);
+  SlimFastFit cold =
+      cold_method.FitCompiled(split, options.seed, session.instance())
+          .ValueOrDie();
+  EXPECT_FALSE(cold.warm_started);
+  double cold_accuracy =
+      TestAccuracy(dataset, cold.model.PredictAll(), split).ValueOrDie();
   EXPECT_GE(warm_accuracy, cold_accuracy - 0.01);
 }
 

@@ -18,7 +18,7 @@ TEST(EmUnitsTest, MatchesExample8ByHand) {
     SLIMFAST_CHECK_OK(builder.AddObservation(0, s, s < 6 ? 0 : 1));
   }
   Dataset d = std::move(builder).Build().ValueOrDie();
-  double units = EmUnits(d, 0.7);
+  double units = EmUnits(ObservationStore::FromDataset(d), 0.7);
   EXPECT_NEAR(units, 3.89, 0.02);
 }
 
@@ -29,28 +29,31 @@ TEST(EmUnitsTest, SkipsLowConfidenceObjects) {
     SLIMFAST_CHECK_OK(builder.AddObservation(0, s, s < 5 ? 0 : 1));
   }
   Dataset d = std::move(builder).Build().ValueOrDie();
-  EXPECT_DOUBLE_EQ(EmUnits(d, 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(EmUnits(ObservationStore::FromDataset(d), 0.5), 0.0);
 }
 
 TEST(EmUnitsTest, HigherAccuracyGivesMoreUnits) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(10, 0.7),
                                            100, 1.0, 5);
-  EXPECT_GT(EmUnits(d, 0.9), EmUnits(d, 0.65));
+  ObservationStore store = ObservationStore::FromDataset(d);
+  EXPECT_GT(EmUnits(store, 0.9), EmUnits(store, 0.65));
 }
 
 TEST(EmUnitsTest, DenserInstanceGivesMoreUnits) {
   std::vector<double> accuracies(50, 0.7);
   Dataset sparse = testutil::MakePlantedDataset(accuracies, 200, 0.1, 5);
   Dataset dense = testutil::MakePlantedDataset(accuracies, 200, 0.6, 5);
-  EXPECT_GT(EmUnits(dense, 0.7), EmUnits(sparse, 0.7));
+  EXPECT_GT(EmUnits(ObservationStore::FromDataset(dense), 0.7),
+            EmUnits(ObservationStore::FromDataset(sparse), 0.7));
 }
 
 TEST(ErmUnitsTest, CountsLabeledObservations) {
   Dataset d = testutil::MakeFigure1Dataset();
   auto split = testutil::MakePrefixSplit(d, 1);
-  EXPECT_DOUBLE_EQ(ErmUnits(d, split), 3.0);  // object 0 has 3 claims
+  ObservationStore store = ObservationStore::FromDataset(d);
+  EXPECT_DOUBLE_EQ(ErmUnits(store, split), 3.0);  // object 0 has 3 claims
   auto split2 = testutil::MakePrefixSplit(d, 2);
-  EXPECT_DOUBLE_EQ(ErmUnits(d, split2), 5.0);
+  EXPECT_DOUBLE_EQ(ErmUnits(store, split2), 5.0);
 }
 
 TEST(OptimizerTest, NoGroundTruthForcesEm) {

@@ -21,7 +21,8 @@ TEST(AccuracyForUnitsTest, RecoversPlantedBinaryAccuracy) {
   // Binary, uniform accuracy 0.75: q = A² + (1-A)² = 0.625.
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(25, 0.75),
                                            800, 0.8, 901);
-  EXPECT_NEAR(EstimateAccuracyForUnits(d), 0.75, 0.03);
+  EXPECT_NEAR(EstimateAccuracyForUnits(ObservationStore::FromDataset(d)),
+              0.75, 0.03);
 }
 
 TEST(AccuracyForUnitsTest, RecoversPlantedMulticlassAccuracy) {
@@ -30,13 +31,15 @@ TEST(AccuracyForUnitsTest, RecoversPlantedMulticlassAccuracy) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(25, 0.6),
                                            800, 0.8, 903,
                                            /*num_values=*/4);
-  EXPECT_NEAR(EstimateAccuracyForUnits(d), 0.6, 0.05);
+  EXPECT_NEAR(EstimateAccuracyForUnits(ObservationStore::FromDataset(d)),
+              0.6, 0.05);
 }
 
 TEST(AccuracyForUnitsTest, CoinFlipSourcesDegradeToHalf) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(25, 0.5),
                                            600, 0.8, 905);
-  EXPECT_NEAR(EstimateAccuracyForUnits(d), 0.5, 0.04);
+  EXPECT_NEAR(EstimateAccuracyForUnits(ObservationStore::FromDataset(d)),
+              0.5, 0.04);
 }
 
 TEST(AccuracyForUnitsTest, AdversarialSourcesDegradeToHalf) {
@@ -46,7 +49,8 @@ TEST(AccuracyForUnitsTest, AdversarialSourcesDegradeToHalf) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(25, 0.2),
                                            600, 0.8, 907,
                                            /*num_values=*/3);
-  EXPECT_NEAR(EstimateAccuracyForUnits(d), 0.5, 0.05);
+  EXPECT_NEAR(EstimateAccuracyForUnits(ObservationStore::FromDataset(d)),
+              0.5, 0.05);
 }
 
 TEST(AccuracyForUnitsTest, NoOverlapReturnsHalf) {
@@ -55,7 +59,8 @@ TEST(AccuracyForUnitsTest, NoOverlapReturnsHalf) {
   SLIMFAST_CHECK_OK(builder.AddObservation(1, 1, 0));
   SLIMFAST_CHECK_OK(builder.AddObservation(2, 2, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  EXPECT_DOUBLE_EQ(EstimateAccuracyForUnits(d), 0.5);
+  EXPECT_DOUBLE_EQ(
+      EstimateAccuracyForUnits(ObservationStore::FromDataset(d)), 0.5);
 }
 
 // ---------- AgreementMatrix weighted accessors ----------
@@ -69,7 +74,7 @@ TEST(AgreementMatrixTest, TotalsTrackCoObservations) {
     }
   }
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   EXPECT_EQ(m.TotalOverlap(), 12);
   EXPECT_DOUBLE_EQ(m.TotalAgreementScore(), 12.0);
   EXPECT_DOUBLE_EQ(m.MeanAgreementRate(), 1.0);
@@ -83,7 +88,7 @@ TEST(AgreementMatrixTest, MeanAgreementRateMixes) {
   SLIMFAST_CHECK_OK(builder.AddObservation(1, 0, 0));
   SLIMFAST_CHECK_OK(builder.AddObservation(1, 1, 1));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   EXPECT_EQ(m.TotalOverlap(), 2);
   EXPECT_DOUBLE_EQ(m.MeanAgreementRate(), 0.5);
 }
@@ -91,7 +96,7 @@ TEST(AgreementMatrixTest, MeanAgreementRateMixes) {
 TEST(AgreementMatrixTest, EmptyMatrixRateIsHalf) {
   DatasetBuilder builder("empty", 2, 1, 2);
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   EXPECT_DOUBLE_EQ(m.MeanAgreementRate(), 0.5);
 }
 
@@ -104,7 +109,7 @@ TEST(Rank1OptionsTest, RidgeShrinksSparseEvidence) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 0));
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 1, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
 
   Rank1CompletionOptions ridged;
   ridged.ridge = 30.0;
@@ -129,7 +134,7 @@ TEST(Rank1OptionsTest, OverlapWeightingPrefersReliableEntries) {
   SLIMFAST_CHECK_OK(builder.AddObservation(50, 0, 0));
   SLIMFAST_CHECK_OK(builder.AddObservation(50, 2, 1));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   Rank1CompletionOptions options;
   options.ridge = 1.0;
   auto acc = EstimatePerSourceAccuracy(m, options).ValueOrDie();

@@ -338,6 +338,28 @@ TEST(ObservationStoreColumnsTest, RejectsStructuralDamage) {
   EXPECT_FALSE(ObservationStore::FromColumns(nonmonotone).ok());
 }
 
+TEST(ObservationStoreColumnsTest, RejectsDuplicateClaim) {
+  Dataset dataset = MakeFigure1Dataset();
+  ObservationStore store = ObservationStore::FromDataset(dataset);
+
+  // A second claim by the same source on one object breaks the
+  // one-claim-per-(source, object) rule every other store constructor
+  // enforces; the structural pass names the pair before the fingerprint
+  // comparison can report a generic mismatch.
+  ObservationStore::Columns duplicated = store.ToColumns();
+  const IndexRange range = store.ObjectRange(0);
+  ASSERT_GE(range.size(), 2);
+  const size_t first = static_cast<size_t>(range.begin);
+  duplicated.sources[first + 1] = duplicated.sources[first];
+  auto result = ObservationStore::FromColumns(duplicated);
+  EXPECT_TRUE(result.status().IsInvalidArgument());
+  const std::string expected =
+      "duplicate observation for object 0 by source " +
+      std::to_string(duplicated.sources[first]);
+  EXPECT_NE(result.status().ToString().find(expected), std::string::npos)
+      << result.status().ToString();
+}
+
 TEST(ChunkDatasetForReplayTest, ChunksPartitionTheDataset) {
   const std::vector<double> planted = {0.9, 0.7, 0.6};
   Dataset dataset = MakePlantedDataset(planted, 30, 0.5, 3);

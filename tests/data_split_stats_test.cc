@@ -106,14 +106,6 @@ TEST(SplitTest, DifferentSeedsGiveDifferentSplits) {
   EXPECT_NE(a.train_objects, b.train_objects);
 }
 
-TEST(SplitTest, CountLabeledObservations) {
-  Dataset d = MakeLabeledDataset(10, 4);
-  Rng rng(12);
-  auto split = MakeSplit(d, 0.3, &rng).ValueOrDie();
-  EXPECT_EQ(CountLabeledObservations(d, split),
-            static_cast<int64_t>(split.train_objects.size()) * 4);
-}
-
 TEST(StatsTest, ComputesBasicCounts) {
   Dataset d = MakeLabeledDataset(50, 4);
   DatasetStats stats = ComputeStats(d);

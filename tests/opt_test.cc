@@ -206,7 +206,7 @@ Dataset MakeAgreementDataset() {
 
 TEST(AgreementMatrixTest, ComputesAgreementRates) {
   Dataset d = MakeAgreementDataset();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   EXPECT_EQ(m.num_sources(), 3);
   EXPECT_TRUE(m.HasOverlap(0, 1));
   EXPECT_DOUBLE_EQ(m.Agreement(0, 1), 1.0);
@@ -218,7 +218,7 @@ TEST(AgreementMatrixTest, ComputesAgreementRates) {
 
 TEST(AgreementMatrixTest, SymmetricAccess) {
   Dataset d = MakeAgreementDataset();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   EXPECT_DOUBLE_EQ(m.Agreement(1, 0), m.Agreement(0, 1));
   EXPECT_EQ(m.OverlapCount(2, 0), m.OverlapCount(0, 2));
 }
@@ -228,7 +228,7 @@ TEST(AgreementMatrixTest, NoOverlap) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 0));
   SLIMFAST_CHECK_OK(builder.AddObservation(1, 1, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   EXPECT_FALSE(m.HasOverlap(0, 1));
   EXPECT_EQ(m.NumObservedPairs(), 0);
   EXPECT_TRUE(EstimateAverageAccuracy(m).status().IsFailedPrecondition());
@@ -250,14 +250,16 @@ TEST(AverageAccuracyTest, RecoversPlantedAccuracy) {
     }
   }
   Dataset d = std::move(builder).Build().ValueOrDie();
-  double estimate = EstimateAverageAccuracy(d).ValueOrDie();
+  AgreementMatrix m(ObservationStore::FromDataset(d));
+  double estimate = EstimateAverageAccuracy(m).ValueOrDie();
   EXPECT_NEAR(estimate, kTrueAccuracy, 0.03);
 }
 
 TEST(AverageAccuracyTest, AdversarialAgreementClampsToHalf) {
   Dataset d = MakeAgreementDataset();
   // Mean agreement is (1 - 1 - 1)/3 < 0 -> mu clamps to 0 -> A = 0.5.
-  double estimate = EstimateAverageAccuracy(d).ValueOrDie();
+  AgreementMatrix m(ObservationStore::FromDataset(d));
+  double estimate = EstimateAverageAccuracy(m).ValueOrDie();
   EXPECT_DOUBLE_EQ(estimate, 0.5);
 }
 
@@ -276,7 +278,7 @@ TEST(PerSourceAccuracyTest, SeparatesGoodFromBadSources) {
     }
   }
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   Rank1CompletionOptions options;
   auto accuracies = EstimatePerSourceAccuracy(m, options).ValueOrDie();
   ASSERT_EQ(accuracies.size(), static_cast<size_t>(kGood + kBad));

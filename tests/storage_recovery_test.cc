@@ -117,6 +117,9 @@ TEST_F(RecoveryTest, SessionStateRoundTripsBitwise) {
           .ValueOrDie();
   EXPECT_TRUE(restored.ExportState() == session.ExportState());
   EXPECT_TRUE(restored.instance()->store == session.instance()->store);
+  // Restore compiles the checkpointed store directly; the result must be
+  // the delta-maintained instance of the exporting session, bit for bit.
+  EXPECT_TRUE(BitwiseEqual(*restored.instance(), *session.instance()));
   EXPECT_TRUE(*restored.ExportSnapshot() == *session.ExportSnapshot());
 
   // The restored session resumes the exact warm-start trajectory: same

@@ -35,7 +35,7 @@ TEST(CoObservationTest, PiggybackRaisesClusterOverlap) {
   auto synth_without = GenerateSynthetic(without, 21).ValueOrDie();
 
   auto cluster_overlap = [](const SyntheticDataset& synth) {
-    AgreementMatrix m(synth.dataset);
+    AgreementMatrix m(ObservationStore::FromDataset(synth.dataset));
     int64_t total = 0;
     // Leader 0 with copiers 1, 2 (cluster 0).
     total += m.OverlapCount(0, 1);
@@ -117,8 +117,8 @@ TEST(DifficultyTest, RaisesAgreementWithoutRaisingAccuracy) {
               0.03);
 
   // ...but cross-source agreement rises (easy objects are consensual).
-  AgreementMatrix m_flat(synth_flat.dataset);
-  AgreementMatrix m_bumpy(synth_bumpy.dataset);
+  AgreementMatrix m_flat(ObservationStore::FromDataset(synth_flat.dataset));
+  AgreementMatrix m_bumpy(ObservationStore::FromDataset(synth_bumpy.dataset));
   EXPECT_GT(m_bumpy.MeanAgreementRate(),
             m_flat.MeanAgreementRate() + 0.01);
 }

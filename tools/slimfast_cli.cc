@@ -1084,7 +1084,6 @@ int RunBench(const CliOptions& options) {
   SlimFastOptions relearn_options;
   relearn_options.exec.threads = threads;
   relearn_options.algorithm = Algorithm::kErm;
-  relearn_options.warm_start.enabled = true;
   SlimFast relearner(relearn_options, "bench-relearner");
   SlimFastFit cold_fit =
       relearner
