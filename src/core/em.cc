@@ -11,30 +11,22 @@ namespace slimfast {
 
 namespace {
 
-/// Per-shard accumulator of the E-step: imputed per-claim correctness
-/// targets plus the shard's expected negative log-likelihood contribution.
-struct EStepAcc {
-  std::vector<ObservationExample> examples;
-  double nll = 0.0;
-};
-
-/// Emits one unclamped row's imputed examples and NLL contribution.
-/// `probs` is the row's posterior; `soft_entropy` is its precomputed
-/// entropy (ignored on the hard path); claims arrive as parallel arrays
-/// of source and within-row candidate index (-1 = claimed value outside
-/// the domain).
-inline void EmitRow(const double* probs, int64_t domain_size, bool soft,
-                    double soft_entropy, const SourceId* claim_src,
-                    const int32_t* claim_di, int64_t num_claims,
-                    EStepAcc* acc) {
+/// Counts one unclamped row's imputed targets and adds its NLL
+/// contribution. `probs` is the row's posterior; `soft_entropy` is its
+/// precomputed entropy (ignored on the hard path); claims arrive as
+/// parallel arrays of source and within-row candidate index (-1 = claimed
+/// value outside the domain).
+inline void CountRow(const double* probs, int64_t domain_size, bool soft,
+                     double soft_entropy, const SourceId* claim_src,
+                     const int32_t* claim_di, int64_t num_claims,
+                     EStepCounts* acc) {
   if (domain_size == 0) return;  // degenerate row: nothing to impute
+  double* mass = acc->counts.mass.data();
+  double* correct = acc->counts.correct.data();
   if (soft) {
     // Soft target per claim: q = P(To = claimed value).
-    for (int64_t i = 0; i < num_claims; ++i) {
-      const int32_t di = claim_di[i];
-      const double q = di >= 0 ? probs[di] : 0.0;
-      acc->examples.push_back(ObservationExample{claim_src[i], q, 1.0});
-    }
+    simd::AccumulateWeightedCounts(claim_src, claim_di, num_claims, probs,
+                                   mass, correct);
     acc->nll += soft_entropy;
   } else {
     int32_t map_index = 0;
@@ -42,8 +34,8 @@ inline void EmitRow(const double* probs, int64_t domain_size, bool soft,
       if (probs[di] > probs[map_index]) map_index = static_cast<int32_t>(di);
     }
     for (int64_t i = 0; i < num_claims; ++i) {
-      acc->examples.push_back(ObservationExample{
-          claim_src[i], claim_di[i] == map_index ? 1.0 : 0.0, 1.0});
+      mass[claim_src[i]] += 1.0;
+      if (claim_di[i] == map_index) correct[claim_src[i]] += 1.0;
     }
     acc->nll += -std::log(std::max(probs[map_index], 1e-300));
   }
@@ -53,15 +45,15 @@ inline void EmitRow(const double* probs, int64_t domain_size, bool soft,
 /// time, the whole shard's CSR span runs as four kernel passes —
 /// TermProducts over every term, FoldRanges into per-candidate scores,
 /// SoftmaxRows over every row at once, and (soft mode) BatchEntropyTerms
-/// + FoldRanges for the per-row entropies — before a scalar emission walk
+/// + FoldRanges for the per-row entropies — before a scalar counting walk
 /// over the claims. Clamped rows' posteriors are computed and discarded:
 /// keeping the spans contiguous beats compacting them (clamped rows are a
-/// small training fraction), and emission skips them. The scores are
+/// small training fraction), and counting skips them. The scores are
 /// bit-identical to SlimFastModel::Scores by the lane-stable kernel
 /// contract (see src/simd/simd.h).
 void EStepShard(const SlimFastModel& model, const EmOptions& options,
                 const std::vector<uint8_t>& clamped, const ShardRange& range,
-                EStepAcc* acc) {
+                EStepCounts* acc) {
   const int64_t num_rows = range.end - range.begin;
   if (num_rows <= 0) return;
   const CompiledInstance& inst = model.instance();
@@ -96,20 +88,49 @@ void EStepShard(const SlimFastModel& model, const EmOptions& options,
     if (clamped[static_cast<size_t>(r)]) continue;
     const int64_t row_base = row_begin[r];
     const int64_t cb = claim_begin[r];
-    EmitRow(scores.data() + (row_base - cand_b), row_begin[r + 1] - row_base,
-            options.soft,
-            options.soft ? row_ent[static_cast<size_t>(r - range.begin)]
-                         : 0.0,
-            inst.claim_sources.data() + cb, inst.claim_cand.data() + cb,
-            claim_begin[r + 1] - cb, acc);
+    CountRow(scores.data() + (row_base - cand_b), row_begin[r + 1] - row_base,
+             options.soft,
+             options.soft ? row_ent[static_cast<size_t>(r - range.begin)]
+                          : 0.0,
+             inst.claim_sources.data() + cb, inst.claim_cand.data() + cb,
+             claim_begin[r + 1] - cb, acc);
   }
 }
 
 }  // namespace
 
+EStepCounts EmLearner::EStep(const SlimFastModel& model,
+                             const std::vector<ObjectId>& train_objects,
+                             Executor* exec) const {
+  // Rows are sharded contiguously and the per-shard counts are folded in
+  // shard order, so the counts are identical for every thread count. The
+  // rows of labeled train objects are counted against their truth (last
+  // line), never imputed.
+  const CompiledInstance& inst = model.instance();
+  std::vector<uint8_t> clamped(static_cast<size_t>(inst.num_rows()), 0);
+  for (ObjectId o : train_objects) {
+    const int32_t row = inst.RowIndex(o);
+    if (row >= 0 && inst.store.HasTruth(o)) {
+      clamped[static_cast<size_t>(row)] = 1;
+    }
+  }
+  EStepCounts estep = DeterministicReduce(
+      exec, inst.num_rows(),
+      EStepCounts{SourceClaimCounts(inst.model->num_sources), 0.0},
+      [&](const ShardRange& range, EStepCounts* acc) {
+        EStepShard(model, options_, clamped, range, acc);
+      },
+      [](EStepCounts* total, const EStepCounts& shard) {
+        total->counts.Add(shard.counts);
+        total->nll += shard.nll;
+      });
+  estep.counts.Add(ErmLearner::ObservationCounts(inst.store, train_objects));
+  return estep;
+}
+
 void EmLearner::Initialize(const std::vector<LabeledExample>& labeled,
                            const std::vector<ObjectId>& train_objects,
-                           SlimFastModel* model, Rng* rng) const {
+                           SlimFastModel* model) const {
   const ParamLayout& layout = model->layout();
   if (layout.num_source_params > 0) {
     double w0 = Logit(options_.init_accuracy);
@@ -121,20 +142,19 @@ void EmLearner::Initialize(const std::vector<LabeledExample>& labeled,
   if (!labeled.empty()) {
     // Seed from the available ground truth (accuracy log-loss, matching
     // the M-step); errors here are non-fatal — EM proceeds from the prior.
-    ErmLearner erm(options_.m_step);
-    auto examples = ErmLearner::ObservationExamples(model->instance().store,
-                                                    train_objects);
-    auto st = erm.FitAccuracyLoss(examples, model, rng);
+    auto st = ErmLearner(options_.m_step).FitAccuracyLoss(
+        ErmLearner::ObservationCounts(model->instance().store, train_objects),
+        model);
     (void)st;
   }
 }
 
 Result<EmStats> EmLearner::Fit(const std::vector<ObjectId>& train_objects,
-                               SlimFastModel* model, Rng* rng, Executor* exec,
-                               bool warm_start) const {
+                               SlimFastModel* model, Rng* /*rng*/,
+                               Executor* exec, bool warm_start) const {
   SLIMFAST_ASSIGN_OR_RETURN(
-      EmStats stats, FitOnce(train_objects, model, rng,
-                             /*seed_from_labels=*/true, warm_start, exec));
+      EmStats stats, FitOnce(train_objects, model, /*seed_from_labels=*/true,
+                             warm_start, exec));
   // Inversion guard: EM has a symmetric fixed point where most trust
   // scores flip sign (every label is anti-predicted). The ground-truth
   // objects are clamped during the E-step, so a healthy run predicts them
@@ -147,7 +167,7 @@ Result<EmStats> EmLearner::Fit(const std::vector<ObjectId>& train_objects,
       SlimFastModel retry(model->shared_instance());
       SLIMFAST_ASSIGN_OR_RETURN(
           EmStats retry_stats,
-          FitOnce(train_objects, &retry, rng, /*seed_from_labels=*/false,
+          FitOnce(train_objects, &retry, /*seed_from_labels=*/false,
                   /*warm_start=*/false, exec));
       if (TrainAccuracy(train_objects, retry) > accuracy) {
         model->SetWeights(retry.weights());
@@ -181,7 +201,7 @@ double EmLearner::TrainAccuracy(const std::vector<ObjectId>& train_objects,
 }
 
 Result<EmStats> EmLearner::FitOnce(const std::vector<ObjectId>& train_objects,
-                                   SlimFastModel* model, Rng* rng,
+                                   SlimFastModel* model,
                                    bool seed_from_labels, bool warm_start,
                                    Executor* exec) const {
   const int32_t num_rows = model->instance().num_rows();
@@ -189,25 +209,16 @@ Result<EmStats> EmLearner::FitOnce(const std::vector<ObjectId>& train_objects,
     return Status::FailedPrecondition("EM requires at least one observation");
   }
 
-  std::vector<LabeledExample> labeled =
+  const std::vector<LabeledExample> labeled =
       ErmLearner::ObjectExamples(model->instance(), train_objects);
-  // Rows clamped to ground truth (never re-imputed by the E-step).
-  std::vector<uint8_t> clamped(static_cast<size_t>(num_rows), 0);
-  for (const LabeledExample& ex : labeled) {
-    clamped[static_cast<size_t>(ex.row)] = 1;
-  }
 
   // A warm-started relearn refines the model's current weights (the
   // previous fit); clobbering them with the prior would throw away the
   // state the short refinement schedule depends on.
   if (!warm_start) {
     Initialize(seed_from_labels ? labeled : std::vector<LabeledExample>{},
-               train_objects, model, rng);
+               train_objects, model);
   }
-
-  // Observation examples for clamped objects are fixed across iterations.
-  std::vector<ObservationExample> clamped_examples =
-      ErmLearner::ObservationExamples(model->instance().store, train_objects);
 
   ErmLearner m_step(options_.m_step);
   ConvergenceTracker tracker(options_.tolerance, options_.patience);
@@ -221,42 +232,16 @@ Result<EmStats> EmLearner::FitOnce(const std::vector<ObjectId>& train_objects,
           : options_.max_iterations;
 
   EmStats stats;
-  std::vector<ObservationExample> examples;
   for (int32_t iter = 0; iter < max_iterations; ++iter) {
-    // ---- E-step: impute value posteriors for unclamped rows and turn
-    // them into per-claim correctness targets. Given an assignment (or
-    // posterior) for To, the likelihood of the observations factors per
-    // claim as Bernoulli(A_s), so the M-step below is exactly the
-    // "maximum likelihood values given v_o" of Sec. 3.2 — and, unlike
-    // refitting the object posterior on its own MAP labels, it cannot
-    // merely re-confirm the current predictions.
-    // Rows are sharded contiguously and the per-shard example lists are
-    // concatenated in shard order, so the imputed example sequence (and
-    // hence the M-step) is identical to a serial row-order pass for every
-    // thread count.
-    examples = clamped_examples;
-    EStepAcc estep = DeterministicReduce(
-        exec, num_rows, EStepAcc{},
-        [&](const ShardRange& range, EStepAcc* acc) {
-          EStepShard(*model, options_, clamped, range, acc);
-        },
-        [](EStepAcc* total, const EStepAcc& shard) {
-          total->examples.insert(total->examples.end(),
-                                 shard.examples.begin(),
-                                 shard.examples.end());
-          total->nll += shard.nll;
-        });
-    examples.insert(examples.end(), estep.examples.begin(),
-                    estep.examples.end());
+    const EStepCounts estep = EStep(*model, train_objects, exec);
     double expected_nll = estep.nll;
     for (const LabeledExample& ex : labeled) {
       expected_nll += model->ObjectNll(ex.row, ex.target_index);
     }
 
     // ---- M-step: warm-started accuracy-loss fit on all claim targets. ----
-    SLIMFAST_ASSIGN_OR_RETURN(
-        FitStats m_stats,
-        m_step.FitAccuracyLoss(examples, model, rng));
+    SLIMFAST_ASSIGN_OR_RETURN(FitStats m_stats,
+                              m_step.FitAccuracyLoss(estep.counts, model));
     (void)m_stats;
 
     stats.iterations = iter + 1;

@@ -20,22 +20,31 @@ struct EmStats {
   double final_expected_nll = 0.0;
 };
 
+/// Output of one E-step: the claim counts the M-step fits (a claim on a
+/// labeled train object is correct when it matches the truth; any other
+/// claim by its imputed value: 1 when it is the MAP value in hard EM, the
+/// claimed value's posterior in soft EM) and the expected negative
+/// log-likelihood of the imputed rows.
+struct EStepCounts {
+  SourceClaimCounts counts;
+  double nll = 0.0;
+};
+
 /// Semi-supervised expectation maximization (Sec. 3.2).
 ///
 /// E-step: compute the posterior of every unlabeled object under the
 /// current weights; labeled (ground-truth) objects stay clamped — exactly
 /// the evidence semantics of the compiled factor graph. The paper's E-step
 /// assigns MAP values (hard EM, the default); soft EM keeps the full
-/// posterior as example weights.
+/// posterior. Either way it emits per-source claim counts (EStepCounts).
 ///
-/// M-step: given the (hard or soft) assignments, the likelihood of the
-/// observations factors per claim as Bernoulli(A_s); the M-step therefore
-/// fits the accuracy log-loss (Definition 7) over all claims, warm-started
-/// from the previous weights. This matches the paper's "parameters are
-/// estimated via their maximum likelihood values given v_o" and, unlike
-/// re-fitting the object posterior on its own MAP labels, makes real
-/// progress each round (the per-claim loss is not saturated by the model's
-/// own predictions).
+/// M-step: given the assignments, the likelihood of the observations
+/// factors per claim as Bernoulli(A_s); the M-step therefore fits the
+/// accuracy log-loss (Definition 7) of the counts, warm-started from the
+/// previous weights and solved to ErmOptions::tolerance. This matches the
+/// paper's "parameters are estimated via their maximum likelihood values
+/// given v_o" and, unlike re-fitting the object posterior on its own MAP
+/// labels, makes real progress each round.
 ///
 /// Initialization: with no usable ground truth, source weights start at
 /// logit(init_accuracy) so the first E-step reduces to (weighted) majority
@@ -59,15 +68,22 @@ class EmLearner {
   /// warm-started relearn refines the previous fit instead of restarting.
   /// The warm run honors `EmOptions::warm_max_iterations`; the
   /// inversion-guard retry, if triggered, still initializes cold and
-  /// keeps the full cold iteration budget.
+  /// keeps the full cold iteration budget. EM draws no random numbers;
+  /// `rng` is accepted for the learners' common call shape and unused.
   Result<EmStats> Fit(const std::vector<ObjectId>& train_objects,
                       SlimFastModel* model, Rng* rng, Executor* exec = nullptr,
                       bool warm_start = false) const;
 
+  /// One E-step at the model's current weights, sharded across `exec`
+  /// with a deterministic reduce.
+  EStepCounts EStep(const SlimFastModel& model,
+                    const std::vector<ObjectId>& train_objects,
+                    Executor* exec = nullptr) const;
+
  private:
   /// One complete EM run (Fit adds the inversion-guard restart on top).
   Result<EmStats> FitOnce(const std::vector<ObjectId>& train_objects,
-                          SlimFastModel* model, Rng* rng, bool seed_from_labels,
+                          SlimFastModel* model, bool seed_from_labels,
                           bool warm_start, Executor* exec) const;
 
   /// MAP accuracy of `model` on the clamped training objects.
@@ -77,7 +93,7 @@ class EmLearner {
   /// Seeds weights before the first E-step.
   void Initialize(const std::vector<LabeledExample>& labeled,
                   const std::vector<ObjectId>& train_objects,
-                  SlimFastModel* model, Rng* rng) const;
+                  SlimFastModel* model) const;
 
   EmOptions options_;
 };

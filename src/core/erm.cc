@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "simd/simd.h"
 #include "opt/adagrad.h"
 #include "opt/convergence.h"
 #include "opt/proximal.h"
 #include "opt/schedule.h"
 #include "opt/sparse_grad.h"
-#include "util/math.h"
+#include "simd/simd.h"
 
 namespace slimfast {
 
@@ -28,20 +27,28 @@ std::vector<LabeledExample> ErmLearner::ObjectExamples(
   return examples;
 }
 
-std::vector<ObservationExample> ErmLearner::ObservationExamples(
+void SourceClaimCounts::Add(const SourceClaimCounts& other) {
+  for (size_t s = 0; s < mass.size(); ++s) {
+    mass[s] += other.mass[s];
+    correct[s] += other.correct[s];
+  }
+}
+
+SourceClaimCounts ErmLearner::ObservationCounts(
     const ObservationStore& store, const std::vector<ObjectId>& train_objects) {
-  std::vector<ObservationExample> examples;
+  SourceClaimCounts counts(store.num_sources());
   for (ObjectId o : train_objects) {
     if (!store.HasTruth(o)) continue;
     const ValueId truth = store.truth()[static_cast<size_t>(o)];
     const IndexRange claims = store.ObjectRange(o);
-    for (int64_t i = claims.begin; i < claims.end; ++i) {
-      examples.push_back(ObservationExample{
-          store.sources()[static_cast<size_t>(i)],
-          store.values()[static_cast<size_t>(i)] == truth ? 1.0 : 0.0, 1.0});
+    for (size_t i = static_cast<size_t>(claims.begin);
+         i < static_cast<size_t>(claims.end); ++i) {
+      const auto s = static_cast<size_t>(store.sources()[i]);
+      counts.mass[s] += 1.0;
+      if (store.values()[i] == truth) counts.correct[s] += 1.0;
     }
   }
-  return examples;
+  return counts;
 }
 
 namespace {
@@ -291,214 +298,151 @@ Result<FitStats> FitObjectLossBatch(
   return stats;
 }
 
-/// The accuracy log-loss SGD loop (Definition 7).
-Result<FitStats> FitAccuracyLossSgd(
-    const ErmOptions& options,
-    const std::vector<ObservationExample>& examples, SlimFastModel* model,
-    Rng* rng) {
-  const CompiledInstance& inst = model->instance();
-  const int64_t* sg_begin = inst.sigma_begin.data();
-  const double* sg_coeff = inst.sigma_coeff.data();
-  const ParamId* sg_param = inst.sigma_param.data();
-  std::vector<double>& w = *model->mutable_weights();
-  const ParamLayout& layout = model->layout();
-
-  LearningRateSchedule schedule(options.learning_rate, options.decay);
-  ConvergenceTracker tracker(options.tolerance, options.patience);
-  AdaGrad adagrad(layout.num_params);
-
-  std::vector<size_t> order(examples.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  double total_weight = 0.0;
-  for (const ObservationExample& ex : examples) total_weight += ex.weight;
-
-  FitStats stats;
-  for (int32_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng->Shuffle(&order);
-    double eta = schedule.At(epoch);
-    double loss_sum = 0.0;
-    for (size_t idx : order) {
-      const ObservationExample& ex = examples[static_cast<size_t>(idx)];
-      const int64_t sb = sg_begin[ex.source];
-      const int64_t se = sg_begin[ex.source + 1];
-      double sigma = 0.0;
-      for (int64_t t = sb; t < se; ++t) {
-        sigma += sg_coeff[t] * w[static_cast<size_t>(sg_param[t])];
+/// The accuracy-loss objective of erm.h over per-source claim counts. The
+/// sources with claim mass are compacted, with their sigma terms, into
+/// rows of a CSR of their own; each weight's logistic prior is one more
+/// row, a pseudo-source with σ = w_j, mass 2c and correct mass c (its loss
+/// 2c·softplus(−w_j) + c·w_j is c·[softplus(w_j) + softplus(−w_j)]).
+/// An evaluation costs O(their terms): σ = A·w, then per-row
+/// transcendentals through the lane-stable kernels, which keeps a fit
+/// bitwise the same in SIMD and scalar builds.
+class AccuracyLossProblem {
+ public:
+  AccuracyLossProblem(const ErmOptions& options,
+                      const SourceClaimCounts& counts,
+                      const SlimFastModel& model, double total_mass)
+      : inv_mass_(1.0 / total_mass),
+        l2_(static_cast<size_t>(model.layout().num_params), 0.0),
+        l1_(l2_.size(), 0.0) {
+    const CompiledInstance& inst = model.instance();
+    const ParamLayout& layout = model.layout();
+    std::vector<double> touching(l2_.size(), 0.0);  // m_j·M
+    auto end_row = [&](double mass, double correct) {
+      mass_.push_back(mass);
+      correct_.push_back(correct);
+      begin_.push_back(static_cast<int64_t>(coeff_.size()));
+    };
+    begin_.push_back(0);
+    for (size_t s = 0; s < counts.mass.size(); ++s) {
+      if (!(counts.mass[s] > 0.0)) continue;
+      for (int64_t t = inst.sigma_begin[s]; t < inst.sigma_begin[s + 1];
+           ++t) {
+        const ParamId p = inst.sigma_param[static_cast<size_t>(t)];
+        if (touching[static_cast<size_t>(p)] == 0.0) params_.push_back(p);
+        touching[static_cast<size_t>(p)] += counts.mass[s];
+        coeff_.push_back(inst.sigma_coeff[static_cast<size_t>(t)]);
+        param_.push_back(p);
       }
-      double a = Sigmoid(sigma);
-      // Binary cross-entropy with (possibly fractional) label; d/dσ = a - y.
-      loss_sum += -ex.weight *
-                  (ex.label * std::log(std::max(a, 1e-300)) +
-                   (1.0 - ex.label) * std::log(std::max(1.0 - a, 1e-300)));
-      double g_sigma = ex.weight * (a - ex.label);
-      for (int64_t t = sb; t < se; ++t) {
-        const ParamId p = sg_param[t];
-        const size_t pi = static_cast<size_t>(p);
-        double g = g_sigma * sg_coeff[t] + options.l2 * w[pi];
-        double step = eta;
-        if (options.use_adagrad) step *= adagrad.Step(p, g);
-        w[pi] -= step * g;
-        if (options.l1 > 0.0 &&
-            (layout.IsFeatureParam(p) || layout.IsCopyParam(p))) {
-          w[pi] = SoftThreshold(w[pi], step * options.l1);
-        }
-      }
+      end_row(counts.mass[s], counts.correct[s]);
     }
-    stats.epochs = epoch + 1;
-    stats.final_loss = loss_sum / total_weight;
-    if (tracker.Update(stats.final_loss)) {
-      stats.converged = true;
-      break;
+    std::sort(params_.begin(), params_.end());
+    for (ParamId p : params_) {
+      const size_t j = static_cast<size_t>(p);
+      l2_[j] = options.l2 * touching[j] * inv_mass_;
+      const bool feature = !layout.IsSourceParam(p);
+      l1_[j] = feature ? options.l1 * touching[j] * inv_mass_ : 0.0;
+      const double prior = feature ? 0.03 : 1.0;  // c_j of erm.h
+      coeff_.push_back(1.0);  // the prior's row: σ = w_j
+      param_.push_back(p);
+      end_row(2.0 * prior, prior);
     }
-  }
-  return stats;
-}
-
-/// Full-batch accuracy log-loss: the example stream is lowered once into
-/// SoA arrays and every epoch runs as batched kernel passes — trust
-/// scores via TermProducts + FoldRanges over the sigma CSR, then one
-/// BatchSigmoid and one BatchSoftplusNeg over all examples at once, a
-/// per-source gradient scatter, and a fused AdaGradProx update over the
-/// compact set of touched parameters. This is where learn_erm_simd's
-/// wide-vs-scalar speedup lives: the SGD loop above interleaves one
-/// sigmoid with one parameter update per example, while this loop gives
-/// the vectorizer tens of thousands of independent transcendentals per
-/// epoch.
-///
-/// Serial by design, like every M-step: each epoch reads the previous
-/// epoch's weights.
-///
-/// Loss per example uses the algebraic form of binary cross-entropy,
-///   -y·log a - (1-y)·log(1-a)  =  log(1+exp(-σ)) + (1-y)·σ,
-/// which never needs the 1e-300 clamps of the SGD loop. Like the batch
-/// object loss, the gradient is normalized to mean (dataset-size
-/// independent steps) and L2/L1 apply once per epoch.
-Result<FitStats> FitAccuracyLossBatch(
-    const ErmOptions& options,
-    const std::vector<ObservationExample>& examples, SlimFastModel* model) {
-  std::vector<double>& w = *model->mutable_weights();
-  const ParamLayout& layout = model->layout();
-  const CompiledInstance& inst = model->instance();
-  const int64_t num_sources = inst.model->num_sources;
-  const int64_t* sg_begin = inst.sigma_begin.data();
-  const double* sg_coeff = inst.sigma_coeff.data();
-  const ParamId* sg_param = inst.sigma_param.data();
-  const int64_t num_sg = static_cast<int64_t>(inst.sigma_coeff.size());
-
-  // Compact parameter set touched by sigma terms, in first-touch order,
-  // plus each term's index into it.
-  std::vector<ParamId> params;
-  std::vector<int32_t> pidx(static_cast<size_t>(layout.num_params), -1);
-  std::vector<int32_t> term_cidx(static_cast<size_t>(num_sg));
-  for (int64_t t = 0; t < num_sg; ++t) {
-    const ParamId p = sg_param[t];
-    if (pidx[static_cast<size_t>(p)] < 0) {
-      pidx[static_cast<size_t>(p)] = static_cast<int32_t>(params.size());
-      params.push_back(p);
-    }
-    term_cidx[static_cast<size_t>(t)] = pidx[static_cast<size_t>(p)];
-  }
-  const int64_t num_cparams = static_cast<int64_t>(params.size());
-
-  // Example stream in SoA form.
-  const int64_t n = static_cast<int64_t>(examples.size());
-  std::vector<int32_t> ex_src(static_cast<size_t>(n));
-  std::vector<double> ex_y(static_cast<size_t>(n)), ex_w(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const ObservationExample& ex = examples[static_cast<size_t>(i)];
-    ex_src[static_cast<size_t>(i)] = ex.source;
-    ex_y[static_cast<size_t>(i)] = ex.label;
-    ex_w[static_cast<size_t>(i)] = ex.weight;
-  }
-  const double total_weight = simd::Sum(ex_w.data(), n);
-
-  // Compact optimizer state (synced back to w after every epoch).
-  std::vector<double> w_c(static_cast<size_t>(num_cparams));
-  std::vector<double> accum_c(static_cast<size_t>(num_cparams), 0.0);
-  std::vector<double> g_c(static_cast<size_t>(num_cparams));
-  std::vector<double> l1_c(static_cast<size_t>(num_cparams), 0.0);
-  for (int64_t j = 0; j < num_cparams; ++j) {
-    const ParamId p = params[static_cast<size_t>(j)];
-    w_c[static_cast<size_t>(j)] = w[static_cast<size_t>(p)];
-    if (options.l1 > 0.0 &&
-        (layout.IsFeatureParam(p) || layout.IsCopyParam(p))) {
-      l1_c[static_cast<size_t>(j)] = options.l1;
-    }
+    sigma_.resize(mass_.size());
+    aux_.resize(mass_.size());
+    prod_.resize(coeff_.size());
   }
 
-  std::vector<double> sg_prod(static_cast<size_t>(num_sg));
-  std::vector<double> sigma(static_cast<size_t>(num_sources));
-  std::vector<double> sig_ex(static_cast<size_t>(n));
-  std::vector<double> a_ex(static_cast<size_t>(n));
-  std::vector<double> sp_ex(static_cast<size_t>(n));
-  std::vector<double> loss_terms(static_cast<size_t>(n));
-  std::vector<double> gsrc(static_cast<size_t>(num_sources));
+  /// The parameters the objective depends on, ascending.
+  const std::vector<ParamId>& params() const { return params_; }
+  double l1(ParamId p) const { return l1_[static_cast<size_t>(p)]; }
 
-  LearningRateSchedule schedule(options.learning_rate, options.decay);
-  ConvergenceTracker tracker(options.tolerance, options.patience);
-  const double inv = 1.0 / total_weight;
+  /// Smooth part of the objective (loss, priors, L2) at `w`; leaves σ(w)
+  /// in sigma_.
+  double Smooth(const std::vector<double>& w) {
+    const int64_t n = static_cast<int64_t>(mass_.size());
+    simd::TermProducts(coeff_.data(), param_.data(), w.data(), prod_.data(),
+                       static_cast<int64_t>(prod_.size()));
+    simd::FoldRanges(begin_.data(), n, 0, prod_.data(), nullptr,
+                     sigma_.data());
+    simd::BatchSoftplusNeg(sigma_.data(), aux_.data(), n);
+    double loss = 0.0;
+    for (size_t i = 0; i < mass_.size(); ++i) {
+      loss += mass_[i] * aux_[i] + (mass_[i] - correct_[i]) * sigma_[i];
+    }
+    double penalty = 0.0;
+    for (ParamId p : params_) {
+      const size_t j = static_cast<size_t>(p);
+      penalty += l2_[j] * w[j] * w[j];
+    }
+    return loss * inv_mass_ + 0.5 * penalty;
+  }
 
-  FitStats stats;
-  for (int32_t epoch = 0; epoch < options.epochs; ++epoch) {
-    // Trust score per source.
-    simd::TermProducts(sg_coeff, sg_param, w.data(), sg_prod.data(), num_sg);
-    simd::FoldRanges(sg_begin, num_sources, 0, sg_prod.data(), nullptr,
-                     sigma.data());
-    // Broadcast to the example stream, then batch the transcendentals.
-    for (int64_t i = 0; i < n; ++i) {
-      sig_ex[static_cast<size_t>(i)] =
-          sigma[static_cast<size_t>(ex_src[static_cast<size_t>(i)])];
+  /// L1 penalty at `w`.
+  double L1Penalty(const std::vector<double>& w) const {
+    double penalty = 0.0;
+    for (ParamId p : params_) {
+      const size_t j = static_cast<size_t>(p);
+      penalty += l1_[j] * std::fabs(w[j]);
     }
-    simd::BatchSigmoid(sig_ex.data(), a_ex.data(), n);
-    simd::BatchSoftplusNeg(sig_ex.data(), sp_ex.data(), n);
-    for (int64_t i = 0; i < n; ++i) {
-      const size_t si = static_cast<size_t>(i);
-      loss_terms[si] = ex_w[si] * (sp_ex[si] + (1.0 - ex_y[si]) * sig_ex[si]);
+    return penalty;
+  }
+
+  /// Gradient of the smooth part at `w` into `grad` (entries of params()
+  /// only); returns the smooth value.
+  double SmoothGradient(const std::vector<double>& w,
+                        std::vector<double>* grad) {
+    const double value = Smooth(w);
+    simd::BatchSigmoid(sigma_.data(), aux_.data(),
+                       static_cast<int64_t>(mass_.size()));
+    for (ParamId p : params_) {
+      const size_t j = static_cast<size_t>(p);
+      (*grad)[j] = l2_[j] * w[j];
     }
-    const double loss_sum = simd::Sum(loss_terms.data(), n);
-    // dL/dσ_s = Σ_i w_i (a_i - y_i), scattered per source then per param.
-    std::fill(gsrc.begin(), gsrc.end(), 0.0);
-    for (int64_t i = 0; i < n; ++i) {
-      const size_t si = static_cast<size_t>(i);
-      gsrc[static_cast<size_t>(ex_src[si])] += ex_w[si] * (a_ex[si] - ex_y[si]);
-    }
-    std::fill(g_c.begin(), g_c.end(), 0.0);
-    for (int64_t s = 0; s < num_sources; ++s) {
-      const double gs = gsrc[static_cast<size_t>(s)];
-      for (int64_t t = sg_begin[s]; t < sg_begin[s + 1]; ++t) {
-        g_c[static_cast<size_t>(term_cidx[static_cast<size_t>(t)])] +=
-            gs * sg_coeff[t];
+    const double* coeff = coeff_.data();
+    const ParamId* param = param_.data();
+    for (size_t i = 0; i < mass_.size(); ++i) {
+      const double d = (mass_[i] * aux_[i] - correct_[i]) * inv_mass_;
+      for (int64_t t = begin_[i]; t < begin_[i + 1]; ++t) {
+        (*grad)[static_cast<size_t>(param[t])] += coeff[t] * d;
       }
     }
-    for (int64_t j = 0; j < num_cparams; ++j) {
-      const size_t sj = static_cast<size_t>(j);
-      g_c[sj] = g_c[sj] * inv + options.l2 * w_c[sj];
-    }
-    const double eta = schedule.At(epoch);
-    if (options.use_adagrad) {
-      simd::AdaGradProx(w_c.data(), accum_c.data(), g_c.data(), l1_c.data(),
-                        num_cparams, eta, 1e-8);
-    } else {
-      for (int64_t j = 0; j < num_cparams; ++j) {
-        const size_t sj = static_cast<size_t>(j);
-        w_c[sj] -= eta * g_c[sj];
-        if (l1_c[sj] > 0.0) w_c[sj] = SoftThreshold(w_c[sj], eta * l1_c[sj]);
+    return value;
+  }
+
+  /// Largest row sum of (1/4M)·|A|ᵀW|A| + diag(l2 weights): an upper
+  /// bound on the curvature of the smooth part.
+  double CurvatureBound() const {
+    const double* coeff = coeff_.data();
+    const ParamId* param = param_.data();
+    std::vector<double> row(l2_);
+    for (size_t i = 0; i < mass_.size(); ++i) {
+      double abs_sum = 0.0;
+      for (int64_t t = begin_[i]; t < begin_[i + 1]; ++t) {
+        abs_sum += std::fabs(coeff[t]);
+      }
+      for (int64_t t = begin_[i]; t < begin_[i + 1]; ++t) {
+        row[static_cast<size_t>(param[t])] +=
+            0.25 * mass_[i] * inv_mass_ * std::fabs(coeff[t]) * abs_sum;
       }
     }
-    for (int64_t j = 0; j < num_cparams; ++j) {
-      w[static_cast<size_t>(params[static_cast<size_t>(j)])] =
-          w_c[static_cast<size_t>(j)];
-    }
-    stats.epochs = epoch + 1;
-    stats.final_loss = loss_sum * inv;
-    if (tracker.Update(stats.final_loss)) {
-      stats.converged = true;
-      break;
-    }
+    return row.empty() ? 0.0 : *std::max_element(row.begin(), row.end());
   }
-  return stats;
-}
+
+ private:
+  const double inv_mass_;
+  // One row per source with claim mass, then one per prior: counts and
+  // sigma terms, CSR.
+  std::vector<double> mass_;
+  std::vector<double> correct_;
+  std::vector<int64_t> begin_;
+  std::vector<double> coeff_;
+  std::vector<ParamId> param_;
+  std::vector<ParamId> params_;
+  std::vector<double> l2_;  // per parameter: l2·m_j
+  std::vector<double> l1_;  // per parameter: l1·m_j on features
+  std::vector<double> sigma_;
+  std::vector<double> aux_;
+  std::vector<double> prod_;
+};
 
 }  // namespace
 
@@ -515,17 +459,85 @@ Result<FitStats> ErmLearner::FitObjectLoss(
   return FitObjectLossSgd(options_, examples, model, rng);
 }
 
-Result<FitStats> ErmLearner::FitAccuracyLoss(
-    const std::vector<ObservationExample>& examples, SlimFastModel* model,
-    Rng* rng) const {
-  if (examples.empty()) {
+Result<FitStats> ErmLearner::FitAccuracyLoss(const SourceClaimCounts& counts,
+                                              SlimFastModel* model) const {
+  const auto num_sources =
+      static_cast<size_t>(model->instance().store.num_sources());
+  if (counts.mass.size() != num_sources ||
+      counts.correct.size() != num_sources) {
+    return Status::InvalidArgument(
+        "accuracy-loss counts do not match the model's source count");
+  }
+  double total_mass = 0.0;
+  for (double m : counts.mass) total_mass += m;
+  if (!(total_mass > 0.0)) {
     return Status::FailedPrecondition(
         "accuracy-loss ERM requires at least one labeled observation");
   }
-  if (options_.batch) {
-    return FitAccuracyLossBatch(options_, examples, model);
+  AccuracyLossProblem problem(options_, counts, *model, total_mass);
+  const std::vector<ParamId>& params = problem.params();
+  std::vector<double>& x = *model->mutable_weights();
+
+  // Accelerated proximal gradient: Beck & Teboulle's FISTA with
+  // backtracking on the step 1/L. L only grows; it starts well below the
+  // curvature bound, which saturated sigmoids leave loose.
+  constexpr int32_t kMaxDoublings = 64;
+  double lipschitz = std::max(problem.CurvatureBound() / 64.0, 1e-12);
+  double momentum = 1.0;
+  double objective = problem.Smooth(x) + problem.L1Penalty(x);
+  std::vector<double> y = x;
+  std::vector<double> z = x;
+  std::vector<double> grad(x.size(), 0.0);
+  ConvergenceTracker tracker(options_.tolerance, options_.patience);
+  FitStats stats;
+  for (int32_t iter = 0; iter < options_.epochs; ++iter) {
+    stats.epochs = iter + 1;
+    const double smooth_y = problem.SmoothGradient(y, &grad);
+    double smooth_z = 0.0;
+    for (int32_t doubling = 0; doubling < kMaxDoublings; ++doubling) {
+      double linear = 0.0;
+      double quadratic = 0.0;
+      for (ParamId p : params) {
+        const size_t j = static_cast<size_t>(p);
+        z[j] = SoftThreshold(y[j] - grad[j] / lipschitz,
+                             problem.l1(p) / lipschitz);
+        const double d = z[j] - y[j];
+        linear += grad[j] * d;
+        quadratic += d * d;
+      }
+      smooth_z = problem.Smooth(z);
+      // The slack absorbs rounding once steps reach machine precision.
+      if (smooth_z <= smooth_y + linear + 0.5 * lipschitz * quadratic +
+                          1e-15 * std::fabs(smooth_y)) {
+        break;
+      }
+      lipschitz *= 2.0;
+    }
+    const double objective_z = smooth_z + problem.L1Penalty(z);
+    if (objective_z > objective && momentum > 1.0) {
+      // Monotone restart: drop the momentum; the next iteration is a plain
+      // proximal-gradient step from x, which cannot increase F.
+      momentum = 1.0;
+      y = x;
+      continue;
+    }
+    const double next =
+        0.5 * (1.0 + std::sqrt(1.0 + 4.0 * momentum * momentum));
+    const double beta = (momentum - 1.0) / next;
+    momentum = next;
+    for (ParamId p : params) {
+      const size_t j = static_cast<size_t>(p);
+      y[j] = z[j] + beta * (z[j] - x[j]);
+      x[j] = z[j];
+    }
+    objective = objective_z;
+    if (tracker.Update(objective)) {
+      stats.converged = true;
+      break;
+    }
   }
-  return FitAccuracyLossSgd(options_, examples, model, rng);
+  stats.final_loss = objective;
+  return stats;
 }
 
 Result<FitStats> ErmLearner::Fit(const std::vector<ObjectId>& train_objects,
@@ -536,11 +548,9 @@ Result<FitStats> ErmLearner::Fit(const std::vector<ObjectId>& train_objects,
       auto examples = ObjectExamples(model->instance(), train_objects);
       return FitObjectLoss(examples, model, rng, exec);
     }
-    case ErmLoss::kAccuracyLogLoss: {
-      auto examples =
-          ObservationExamples(model->instance().store, train_objects);
-      return FitAccuracyLoss(examples, model, rng);
-    }
+    case ErmLoss::kAccuracyLogLoss:
+      return FitAccuracyLoss(
+          ObservationCounts(model->instance().store, train_objects), model);
   }
   return Status::Internal("unknown ERM loss");
 }

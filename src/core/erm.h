@@ -22,28 +22,63 @@ struct LabeledExample {
   double weight = 1.0;
 };
 
-/// One labeled observation for the accuracy log-loss of Definition 7:
-/// source `source` made a claim that is correct (label 1) or not (label 0).
-struct ObservationExample {
-  SourceId source;
-  double label;
-  double weight = 1.0;
+/// Sufficient statistics of the accuracy log-loss (Definition 7). Every
+/// claim is a Bernoulli(A_s) example of its source with a (possibly
+/// fractional) correctness target, so the loss and its gradient depend on
+/// the claims only through two numbers per source: the claim mass W_s
+/// (`mass`) and the correct mass Y_s <= W_s (`correct`).
+struct SourceClaimCounts {
+  explicit SourceClaimCounts(int32_t num_sources = 0)
+      : mass(static_cast<size_t>(num_sources), 0.0),
+        correct(static_cast<size_t>(num_sources), 0.0) {}
+
+  /// Adds `other` elementwise (the per-shard fold of the E-step).
+  void Add(const SourceClaimCounts& other);
+
+  std::vector<double> mass;
+  std::vector<double> correct;
 };
 
 /// Statistics of a learner run.
 struct FitStats {
-  double final_loss = 0.0;  ///< mean weighted loss of the last epoch
-  int32_t epochs = 0;
+  double final_loss = 0.0;  ///< last mean loss (accuracy loss: F below)
+  int32_t epochs = 0;       ///< epochs (SGD, batch) or solver iterations
   bool converged = false;
 };
 
 /// Empirical risk minimization (Sec. 3.2): fits the model weights to
-/// labeled data by minimizing a convex loss with SGD (optionally AdaGrad)
-/// or full-batch proximal gradient descent.
+/// labeled data by minimizing a convex loss.
 ///
-/// L2 regularization applies to every parameter; L1 applies only to the
-/// feature and copying parameters (SLiMFast's Lasso analysis operates on
-/// domain features, Sec. 5.3.1).
+/// The object-posterior loss (Eq. 4) runs SGD (optionally AdaGrad) or
+/// full-batch proximal gradient descent over the labeled objects. L2
+/// applies to every parameter; L1 only to the feature and copying
+/// parameters (SLiMFast's Lasso analysis operates on domain features,
+/// Sec. 5.3.1).
+///
+/// The accuracy log-loss (Definition 7) has one solver, over per-source
+/// claim counts (SourceClaimCounts). With σ_s the trust score of source s
+/// (the sigma CSR), M = Σ_s W_s, and w the weights, it minimizes
+///
+///   F(w) = (1/M) Σ_s [W_s·log(1 + e^(−σ_s)) + (W_s − Y_s)·σ_s]
+///        + (1/M) Σ_j c_j·[log(1 + e^(w_j)) + log(1 + e^(−w_j))]
+///        + Σ_j (l2·m_j/2)·w_j² + Σ_{j feature} l1·m_j·|w_j|
+///
+/// over the parameters of the sources with claim mass (every other weight
+/// is left as it is); m_j is the share of claim mass whose σ_s contains j.
+/// The l2 and l1 weights are what SGD applied in expectation: one penalty
+/// step per claim that touches the parameter. The second line is a
+/// logistic prior. On a source weight (c_j = 1) it is a uniform prior on
+/// the accuracy sigmoid(w_s): a featureless source fits Laplace's rule
+/// (Y_s + 1) / (W_s + 2), and one with one or two claims cannot fit them
+/// exactly and leave the shared features nothing to explain. On a feature
+/// weight c_j = 0.03 keeps a handful of labeled claims (EM's label-seeded
+/// start) from driving it to extremes yet leaves features free where they
+/// carry the signal (genomics). Copying parameters are in no σ_s.
+///
+/// The solver is FISTA with backtracking and a monotone restart, warm-
+/// started from the model's weights; it stops when the objective's change
+/// stays below ErmOptions::tolerance for `patience` iterations, or after
+/// `epochs`. An iteration costs O(sigma terms of sources with claim mass).
 class ErmLearner {
  public:
   explicit ErmLearner(ErmOptions options) : options_(options) {}
@@ -58,9 +93,10 @@ class ErmLearner {
       const CompiledInstance& instance,
       const std::vector<ObjectId>& train_objects);
 
-  /// Builds accuracy-loss examples: one per claim in `store` made on a
-  /// labeled train object, in the store's per-object claim order.
-  static std::vector<ObservationExample> ObservationExamples(
+  /// Counts the accuracy-loss targets of the labeled train objects in
+  /// `store`: every claim adds 1 to its source's mass, and 1 to its
+  /// correct mass when it matches the object's truth.
+  static SourceClaimCounts ObservationCounts(
       const ObservationStore& store,
       const std::vector<ObjectId>& train_objects);
 
@@ -73,16 +109,11 @@ class ErmLearner {
                                  SlimFastModel* model, Rng* rng,
                                  Executor* exec = nullptr) const;
 
-  /// Fits `model` in place on accuracy log-loss examples (Definition 7).
-  /// With options().batch set, runs the full-batch fit instead of SGD:
-  /// every epoch batches the per-example sigmoids/softplus through the
-  /// SIMD kernels and applies one fused AdaGrad + proximal update per
-  /// touched parameter (`rng` is unused — no shuffling). Batch and SGD
-  /// optimize the same objective but take different paths to it; each is
-  /// bit-deterministic on its own.
-  Result<FitStats> FitAccuracyLoss(
-      const std::vector<ObservationExample>& examples, SlimFastModel* model,
-      Rng* rng) const;
+  /// Fits `model` in place on the accuracy log-loss of `counts` (one entry
+  /// per source) with the solver of the class comment; bitwise the same in
+  /// SIMD and scalar builds. epochs == 0 leaves the weights as they are.
+  Result<FitStats> FitAccuracyLoss(const SourceClaimCounts& counts,
+                                   SlimFastModel* model) const;
 
   /// Convenience dispatch on options().loss building examples internally
   /// from the model's compiled instance (its rows and its store).

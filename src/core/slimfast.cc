@@ -184,19 +184,15 @@ Result<FusionOutput> SlimFast::Run(const Dataset& dataset,
       fit.algorithm_used == Algorithm::kErm &&
       !split.train_objects.empty()) {
     // Definition 7 calibration pass: warm-start a copy of the model and
-    // fit the accuracy log-loss on the labeled claims. Only the reported
+    // fit the accuracy log-loss on the labeled claims, with the solver
+    // settings EM's M-step uses (run to tolerance). Only the reported
     // accuracies change; predictions keep the discriminative optimum.
     SlimFastModel calibrated(fit.model.shared_instance());
     calibrated.SetWeights(fit.model.weights());
-    ErmOptions calibration = options_.erm;
-    calibration.loss = ErmLoss::kAccuracyLogLoss;
-    calibration.batch = false;
-    calibration.epochs = std::max<int32_t>(30, calibration.epochs / 2);
-    ErmLearner learner(calibration);
-    auto examples = ErmLearner::ObservationExamples(
-        calibrated.instance().store, split.train_objects);
-    Rng rng(seed ^ 0xc2b2ae3d27d4eb4fULL);
-    auto stats = learner.FitAccuracyLoss(examples, &calibrated, &rng);
+    auto stats = ErmLearner(options_.em.m_step).FitAccuracyLoss(
+        ErmLearner::ObservationCounts(calibrated.instance().store,
+                                      split.train_objects),
+        &calibrated);
     if (stats.ok()) {
       output.source_accuracies = calibrated.AllSourceAccuracies();
     }

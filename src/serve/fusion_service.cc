@@ -1,5 +1,9 @@
 #include "serve/fusion_service.h"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -18,6 +22,16 @@
 namespace slimfast {
 
 namespace {
+
+/// Hands the heap pages the process has freed back to the OS; glibc keeps
+/// them, per thread arena, otherwise. A service's driver thread allocates
+/// in an arena of its own, so without this, memory freed before a service
+/// starts (a batch fit, a stopped service) stays resident beside it.
+void ReleaseFreedHeap() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
 
 /// The per-shard session configuration both the live service and the
 /// offline oracle build from — one definition, so the replayed shard is
@@ -81,6 +95,7 @@ FusionService::FusionService(FusionServiceOptions options,
 Result<std::unique_ptr<FusionService>> FusionService::Create(
     int32_t num_sources, int32_t num_objects, int32_t num_values,
     FusionServiceOptions options, FeatureSpace features) {
+  ReleaseFreedHeap();
   if (options.num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1, got " +
                                    std::to_string(options.num_shards));
@@ -429,7 +444,10 @@ void FusionService::Stop() {
   // here until the winner's join completes, so *every* Stop returns
   // only after the driver has drained, flushed, and exited.
   std::lock_guard<std::mutex> lock(stop_mu_);
-  if (driver_.joinable()) driver_.join();
+  if (driver_.joinable()) {
+    driver_.join();
+    ReleaseFreedHeap();
+  }
 }
 
 void FusionService::DriverLoop() {

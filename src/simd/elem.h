@@ -161,12 +161,6 @@ inline double Log1pExpElem(double x) {
   return m + l;
 }
 
-/// Soft-threshold (the L1 proximal map), branchless select form mirroring
-/// opt/proximal.h's SoftThreshold: sign(x)·max(|x|-t, 0).
-inline double SoftThresholdElem(double x, double t) {
-  return x > t ? x - t : (x < -t ? x + t : 0.0);
-}
-
 }  // namespace simd
 }  // namespace slimfast
 

@@ -83,15 +83,6 @@ struct Kernels {
     }
   }
 
-  static void BatchMul(const double* a, const double* b, double* y,
-                       int64_t n) {
-    int64_t i = 0;
-    for (; i + W <= n; i += W) {
-      for (int j = 0; j < W; ++j) y[i + j] = a[i + j] * b[i + j];
-    }
-    for (; i < n; ++i) y[i] = a[i] * b[i];
-  }
-
   // prod[i] = coeff[i] * w[param[i]] — the flat score-product pass over a
   // CSR term range. The gather is memory-bound; it lives here so both
   // tables execute the identical multiply.
@@ -195,45 +186,17 @@ struct Kernels {
       for (int64_t c = b; c < e; ++c) buf[c] *= inv;
     }
   }
-
-  // Fused AdaGrad + L1 proximal step over compact parameter arrays:
-  //   accum[i] += g[i]^2
-  //   step      = eta / sqrt(accum[i] + eps)      (AdaGrad::Step * eta)
-  //   w[i]      = SoftThreshold(w[i] - step*g[i], step*l1[i])
-  // sqrt is the IEEE-exact hardware op, so scalar and vector agree
-  // bitwise. l1[i] is a per-parameter L1 weight (0 disables shrinkage).
-  static void AdaGradProx(double* w, double* accum, const double* g,
-                          const double* l1, int64_t n, double eta,
-                          double eps) {
-    int64_t i = 0;
-    for (; i + W <= n; i += W) {
-      for (int j = 0; j < W; ++j) {
-        const int64_t k = i + j;
-        const double a = accum[k] + g[k] * g[k];
-        accum[k] = a;
-        const double step = eta / std::sqrt(a + eps);
-        w[k] = SoftThresholdElem(w[k] - step * g[k], step * l1[k]);
-      }
-    }
-    for (; i < n; ++i) {
-      const double a = accum[i] + g[i] * g[i];
-      accum[i] = a;
-      const double step = eta / std::sqrt(a + eps);
-      w[i] = SoftThresholdElem(w[i] - step * g[i], step * l1[i]);
-    }
-  }
 };
 
 template <int W>
 constexpr KernelTable MakeTable() {
   return KernelTable{
-      &Kernels<W>::BatchExp,        &Kernels<W>::BatchLog,
-      &Kernels<W>::BatchSigmoid,    &Kernels<W>::BatchSoftplusNeg,
-      &Kernels<W>::BatchEntropyTerms, &Kernels<W>::BatchMul,
-      &Kernels<W>::TermProducts,    &Kernels<W>::FoldRanges,
-      &Kernels<W>::SoftmaxRows,     &Kernels<W>::Sum,
-      &Kernels<W>::MaxVal,          &Kernels<W>::Dot,
-      &Kernels<W>::AdaGradProx,
+      &Kernels<W>::BatchExp,          &Kernels<W>::BatchLog,
+      &Kernels<W>::BatchSigmoid,      &Kernels<W>::BatchSoftplusNeg,
+      &Kernels<W>::BatchEntropyTerms, &Kernels<W>::TermProducts,
+      &Kernels<W>::FoldRanges,        &Kernels<W>::SoftmaxRows,
+      &Kernels<W>::Sum,               &Kernels<W>::MaxVal,
+      &Kernels<W>::Dot,
   };
 }
 

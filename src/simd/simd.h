@@ -52,7 +52,6 @@ struct KernelTable {
   void (*batch_sigmoid)(const double* x, double* y, int64_t n);
   void (*batch_softplus_neg)(const double* x, double* y, int64_t n);
   void (*batch_entropy_terms)(const double* p, double* y, int64_t n);
-  void (*batch_mul)(const double* a, const double* b, double* y, int64_t n);
   void (*term_products)(const double* coeff, const int32_t* param,
                         const double* w, double* prod, int64_t n);
   void (*fold_ranges)(const int64_t* begins, int64_t nranges, int64_t base,
@@ -62,8 +61,6 @@ struct KernelTable {
   double (*sum)(const double* x, int64_t n);
   double (*max_val)(const double* x, int64_t n);
   double (*dot)(const double* a, const double* b, int64_t n);
-  void (*adagrad_prox)(double* w, double* accum, const double* g,
-                       const double* l1, int64_t n, double eta, double eps);
 };
 
 extern const KernelTable kScalarTable;  // kernels_scalar.cc, always present
@@ -116,9 +113,6 @@ inline void BatchSoftplusNeg(const double* x, double* y, int64_t n) {
 inline void BatchEntropyTerms(const double* p, double* y, int64_t n) {
   internal::Active().batch_entropy_terms(p, y, n);
 }
-inline void BatchMul(const double* a, const double* b, double* y, int64_t n) {
-  internal::Active().batch_mul(a, b, y, n);
-}
 /// prod[i] = coeff[i] * w[param[i]]
 inline void TermProducts(const double* coeff, const int32_t* param,
                          const double* w, double* prod, int64_t n) {
@@ -136,9 +130,6 @@ inline void SoftmaxRows(const int64_t* begins, int64_t nrows, int64_t base,
                         double* buf) {
   internal::Active().softmax_rows(begins, nrows, base, buf);
 }
-inline double Sum(const double* x, int64_t n) {
-  return internal::Active().sum(x, n);
-}
 /// Max over n >= 1 elements (select semantics: a non-leading NaN loses).
 inline double MaxVal(const double* x, int64_t n) {
   return internal::Active().max_val(x, n);
@@ -146,14 +137,6 @@ inline double MaxVal(const double* x, int64_t n) {
 inline double Dot(const double* a, const double* b, int64_t n) {
   return internal::Active().dot(a, b, n);
 }
-/// Fused AdaGrad + L1 proximal update over compact arrays; see
-/// kernels_impl.h.
-inline void AdaGradProx(double* w, double* accum, const double* g,
-                        const double* l1, int64_t n, double eta,
-                        double eps) {
-  internal::Active().adagrad_prox(w, accum, g, l1, n, eta, eps);
-}
-
 /// Lane-stable sum of value_at(0..n-1) for call sites that accumulate
 /// one range at a time (model scores, sigma dots) rather than through a
 /// materialized product buffer. Produces exactly the bits of the kernels'
@@ -178,21 +161,19 @@ inline double LaneStableSum(int64_t n, F&& value_at) {
   return s;
 }
 
-/// Weighted-count accumulation over one row's claim range: for claim i,
-/// wsum[src[i]] += weight and ysum[src[i]] += weight * q_i where q_i is
-/// the posterior probability of the claimed candidate (0 for claims on
-/// values outside the candidate domain, cand[i] < 0). A scatter with
-/// data-dependent conflicts — scalar in both tables by design, inline so
-/// every TU runs identical code. `probs` is the row's posterior slice,
-/// indexed by the within-row candidate index in `cand`.
+/// Soft-EM claim counts over one row's claim range: for claim i,
+/// wsum[src[i]] += 1 and ysum[src[i]] += q_i where q_i is the posterior
+/// probability of the claimed candidate (0 for claims on values outside
+/// the candidate domain, cand[i] < 0). A scatter with data-dependent
+/// conflicts — scalar in both tables by design, inline so every TU runs
+/// identical code. `probs` is the row's posterior slice, indexed by the
+/// within-row candidate index in `cand`.
 inline void AccumulateWeightedCounts(const int32_t* src, const int32_t* cand,
                                      int64_t n, const double* probs,
-                                     double weight, double* wsum,
-                                     double* ysum) {
+                                     double* wsum, double* ysum) {
   for (int64_t i = 0; i < n; ++i) {
-    const double q = cand[i] >= 0 ? probs[cand[i]] : 0.0;
-    wsum[src[i]] += weight;
-    ysum[src[i]] += weight * q;
+    wsum[src[i]] += 1.0;
+    ysum[src[i]] += cand[i] >= 0 ? probs[cand[i]] : 0.0;
   }
 }
 

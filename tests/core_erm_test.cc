@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/em.h"
 #include "core/erm.h"
 #include "eval/metrics.h"
 #include "test_util.h"
@@ -30,16 +31,15 @@ TEST(ErmExamplesTest, SkipsTruthOutsideDomain) {
   EXPECT_TRUE(ErmLearner::ObjectExamples(*instance, {0}).empty());
 }
 
-TEST(ErmExamplesTest, ObservationExamplesLabelCorrectness) {
+TEST(ErmExamplesTest, ObservationCountsLabelCorrectness) {
   Dataset d = testutil::MakeFigure1Dataset();
-  auto examples =
-      ErmLearner::ObservationExamples(ObservationStore::FromDataset(d), {0});
+  SourceClaimCounts counts =
+      ErmLearner::ObservationCounts(ObservationStore::FromDataset(d), {0});
   // Object 0 truth=0: source 0 claims 0 (correct), source 1 claims 1
   // (wrong), source 2 claims 0 (correct).
-  ASSERT_EQ(examples.size(), 3u);
-  EXPECT_DOUBLE_EQ(examples[0].label, 1.0);
-  EXPECT_DOUBLE_EQ(examples[1].label, 0.0);
-  EXPECT_DOUBLE_EQ(examples[2].label, 1.0);
+  ASSERT_EQ(counts.mass.size(), 3u);
+  EXPECT_EQ(counts.mass, (std::vector<double>{1.0, 1.0, 1.0}));
+  EXPECT_EQ(counts.correct, (std::vector<double>{1.0, 0.0, 1.0}));
 }
 
 TEST(ErmTest, FailsWithoutExamples) {
@@ -50,7 +50,10 @@ TEST(ErmTest, FailsWithoutExamples) {
   EXPECT_TRUE(learner.FitObjectLoss({}, &model, &rng)
                   .status()
                   .IsFailedPrecondition());
-  EXPECT_TRUE(learner.FitAccuracyLoss({}, &model, &rng)
+  EXPECT_TRUE(learner
+                  .FitAccuracyLoss(
+                      SourceClaimCounts(model.instance().model->num_sources),
+                      &model)
                   .status()
                   .IsFailedPrecondition());
 }
@@ -239,6 +242,167 @@ TEST(ErmTest, ConvergenceStopsEarly) {
   auto stats = learner.Fit(split.train_objects, &model, &rng).ValueOrDie();
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(stats.epochs, 5000);
+}
+
+/// A planted binary instance whose sources carry features: "good" on the
+/// accurate sources, "bad" on the inaccurate ones, and a "noise" feature
+/// with no signal, so an L1-penalized fit leaves some feature weights at
+/// zero and others away from it.
+Dataset MakeFeaturedDataset() {
+  const std::vector<double> accuracy = {0.9, 0.85, 0.9, 0.8,
+                                        0.35, 0.3, 0.6, 0.65};
+  const int32_t num_sources = static_cast<int32_t>(accuracy.size());
+  DatasetBuilder builder("featured", num_sources, 150, 2);
+  FeatureSpace* fs = builder.mutable_features();
+  const FeatureId good = fs->RegisterFeature("good");
+  const FeatureId bad = fs->RegisterFeature("bad");
+  const FeatureId noise = fs->RegisterFeature("noise");
+  for (SourceId s : {0, 1, 2, 3}) SLIMFAST_CHECK_OK(fs->SetFeature(s, good));
+  for (SourceId s : {4, 5}) SLIMFAST_CHECK_OK(fs->SetFeature(s, bad));
+  for (SourceId s : {0, 4, 6}) SLIMFAST_CHECK_OK(fs->SetFeature(s, noise));
+  Rng rng(17);
+  for (ObjectId o = 0; o < 150; ++o) {
+    const ValueId truth = static_cast<ValueId>(rng.UniformInt(2));
+    for (SourceId s = 0; s < num_sources; ++s) {
+      if (!rng.Bernoulli(0.7)) continue;
+      const bool correct = rng.Bernoulli(accuracy[static_cast<size_t>(s)]);
+      SLIMFAST_CHECK_OK(
+          builder.AddObservation(o, s, correct ? truth : 1 - truth));
+    }
+    SLIMFAST_CHECK_OK(builder.SetTruth(o, truth));
+  }
+  return std::move(builder).Build().ValueOrDie();
+}
+
+// The accuracy-loss fit reaches the optimum of the objective erm.h
+// defines. The gradient is recomputed here by brute force, one Bernoulli
+// example per labeled claim, with the penalty weights rebuilt from their
+// definition; the fit must satisfy the L1 optimality (KKT) conditions.
+TEST(ErmTest, AccuracyLossFitSatisfiesKktConditions) {
+  Dataset d = MakeFeaturedDataset();
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
+  ErmOptions options;
+  options.loss = ErmLoss::kAccuracyLogLoss;
+  options.l1 = 0.01;
+  options.l2 = 1e-3;
+  options.tolerance = 1e-15;
+  options.epochs = 20000;
+  auto split = testutil::MakePrefixSplit(d, 100);
+  Rng rng(2);
+  ASSERT_TRUE(ErmLearner(options).Fit(split.train_objects, &model, &rng).ok());
+
+  const CompiledInstance& inst = model.instance();
+  const ParamLayout& layout = model.layout();
+  const std::vector<double>& w = model.weights();
+  auto sigma = [&](SourceId s) {
+    double sum = 0.0;
+    for (int64_t t = inst.sigma_begin[static_cast<size_t>(s)];
+         t < inst.sigma_begin[static_cast<size_t>(s) + 1]; ++t) {
+      sum += inst.sigma_coeff[static_cast<size_t>(t)] *
+             w[static_cast<size_t>(inst.sigma_param[static_cast<size_t>(t)])];
+    }
+    return sum;
+  };
+  std::vector<double> loss_grad(w.size(), 0.0);
+  std::vector<double> touching(w.size(), 0.0);
+  double total = 0.0;
+  for (ObjectId o : split.train_objects) {
+    const ValueId truth = d.Truth(o);
+    for (const auto& claim : d.ClaimsOnObject(o)) {
+      const double y = claim.value == truth ? 1.0 : 0.0;
+      const double a = 1.0 / (1.0 + std::exp(-sigma(claim.source)));
+      for (int64_t t = inst.sigma_begin[static_cast<size_t>(claim.source)];
+           t < inst.sigma_begin[static_cast<size_t>(claim.source) + 1]; ++t) {
+        const size_t j =
+            static_cast<size_t>(inst.sigma_param[static_cast<size_t>(t)]);
+        loss_grad[j] += inst.sigma_coeff[static_cast<size_t>(t)] * (a - y);
+        touching[j] += 1.0;
+      }
+      total += 1.0;
+    }
+  }
+  int32_t zeros = 0;
+  int32_t nonzero_features = 0;
+  for (size_t j = 0; j < w.size(); ++j) {
+    if (touching[j] == 0.0) continue;
+    const ParamId p = static_cast<ParamId>(j);
+    const double share = touching[j] / total;
+    const double l1 = layout.IsSourceParam(p) ? 0.0 : options.l1 * share;
+    double g = loss_grad[j] / total + options.l2 * share * w[j];
+    // The logistic prior: c·d/dw [log(1 + e^w) + log(1 + e^-w)] / M.
+    const double c = layout.IsSourceParam(p) ? 1.0 : 0.03;
+    g += c * (2.0 / (1.0 + std::exp(-w[j])) - 1.0) / total;
+    if (w[j] == 0.0) {
+      ++zeros;
+      EXPECT_LE(std::fabs(g), l1 + 1e-6) << "param " << j;
+    } else {
+      if (!layout.IsSourceParam(p)) ++nonzero_features;
+      EXPECT_NEAR(g + l1 * (w[j] > 0.0 ? 1.0 : -1.0), 0.0, 1e-6)
+          << "param " << j;
+    }
+  }
+  // Both branches of the conditions are exercised.
+  EXPECT_GT(zeros, 0);
+  EXPECT_GT(nonzero_features, 0);
+}
+
+// The E-step's per-source counts equal a per-claim recount: labeled train
+// claims against the truth, every other claim against its object's MAP
+// value (hard EM) or the posterior of the claimed value (soft EM).
+TEST(ErmTest, EStepCountsEqualPerClaimRecount) {
+  Dataset d = MakeFeaturedDataset();
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
+  std::vector<double> weights(model.weights().size());
+  for (size_t j = 0; j < weights.size(); ++j) {
+    weights[j] = 0.3 * std::sin(static_cast<double>(j) + 1.0);
+  }
+  model.SetWeights(weights);
+  auto split = testutil::MakePrefixSplit(d, 40);
+  std::vector<uint8_t> labeled(static_cast<size_t>(d.num_objects()), 0);
+  for (ObjectId o : split.train_objects) labeled[static_cast<size_t>(o)] = 1;
+
+  for (bool soft : {false, true}) {
+    SCOPED_TRACE(soft ? "soft" : "hard");
+    EmOptions options;
+    options.soft = soft;
+    Executor exec(ExecOptions{4});
+    const EStepCounts estep =
+        EmLearner(options).EStep(model, split.train_objects, &exec);
+    SourceClaimCounts recount(d.num_sources());
+    std::vector<double> probs;
+    for (ObjectId o = 0; o < d.num_objects(); ++o) {
+      const ValueId truth = d.Truth(o);
+      const bool is_labeled = labeled[static_cast<size_t>(o)] != 0;
+      ASSERT_TRUE(model.PosteriorOf(o, &probs) || d.ClaimsOnObject(o).empty());
+      const int32_t row = model.instance().RowIndex(o);
+      for (const auto& claim : d.ClaimsOnObject(o)) {
+        const size_t s = static_cast<size_t>(claim.source);
+        recount.mass[s] += 1.0;
+        if (is_labeled) {
+          recount.correct[s] += claim.value == truth ? 1.0 : 0.0;
+          continue;
+        }
+        const int64_t base =
+            model.instance().row_begin[static_cast<size_t>(row)];
+        for (int32_t di = 0; di < model.instance().DomainSize(row); ++di) {
+          if (model.instance().cand_values[static_cast<size_t>(base + di)] !=
+              claim.value) {
+            continue;
+          }
+          if (soft) {
+            recount.correct[s] += probs[static_cast<size_t>(di)];
+          } else if (di == model.MapIndex(row)) {
+            recount.correct[s] += 1.0;
+          }
+        }
+      }
+    }
+    for (size_t s = 0; s < recount.mass.size(); ++s) {
+      EXPECT_EQ(estep.counts.mass[s], recount.mass[s]) << "source " << s;
+      EXPECT_NEAR(estep.counts.correct[s], recount.correct[s], 1e-12)
+          << "source " << s;
+    }
+  }
 }
 
 /// Theorem 1/2 shape check: ERM loss decreases as |G| grows.

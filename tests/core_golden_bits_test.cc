@@ -85,58 +85,61 @@ std::string ToInitializer(const std::string& name, const GoldenRecord& r) {
 }
 
 // Expected records, captured from the release build with gcc. Names are
-// "<dataset>/<configuration>".
+// "<dataset>/<configuration>". Re-pinned once when the accuracy-loss
+// learner changed (ROADMAP item C): EM's M-step and Run's calibration pass
+// moved from SGD over every claim to the solver over per-source claim
+// counts, which moves every EM record and every reported accuracy.
 const std::map<std::string, GoldenRecord>& Expected() {
   static const auto* expected = new std::map<std::string, GoldenRecord>{
       {"figure1/SLiMFast",
        {0x692558b056101a44ULL,
-        {0x3feacc3540efdcd1ULL, 0x3fe0000000000000ULL, 0x3feacc3540efdcd1ULL},
+        {0x3fe5552563d3395dULL, 0x3fe0000000000000ULL, 0x3fe5552563d3395dULL},
         4}},
       {"figure1/SLiMFast-EM",
        {0x692558b056101a44ULL,
-        {0x3feffa1381572c83ULL, 0x3f68a80b11b4d0b2ULL, 0x3feffa1381572c83ULL},
-        5}},
+        {0x3fe7ff8cd56e95d4ULL, 0x3fd555b6383d125aULL, 0x3fe7ff8cd56e95d4ULL},
+        4}},
       {"figure1/SLiMFast-ERM",
        {0x692558b056101a44ULL,
-        {0x3feacc3540efdcd1ULL, 0x3fe0000000000000ULL, 0x3feacc3540efdcd1ULL},
+        {0x3fe5552563d3395dULL, 0x3fe0000000000000ULL, 0x3fe5552563d3395dULL},
         4}},
       {"figure1/Sources-EM",
        {0x692558b056101a44ULL,
-        {0x3feffa1381572c83ULL, 0x3f68a80b11b4d0b2ULL, 0x3feffa1381572c83ULL},
-        5}},
+        {0x3fe7ff8cd56e95d4ULL, 0x3fd555b6383d125aULL, 0x3fe7ff8cd56e95d4ULL},
+        4}},
       {"figure1/Sources-ERM",
        {0x692558b056101a44ULL,
-        {0x3feacc3540efdcd1ULL, 0x3fe0000000000000ULL, 0x3feacc3540efdcd1ULL},
+        {0x3fe5552563d3395dULL, 0x3fe0000000000000ULL, 0x3fe5552563d3395dULL},
         4}},
       {"multiclass/SLiMFast",
-       {0x3aa071e73c5df544ULL,
-        {0x3fede97c85d42455ULL, 0x3fea0064c298b512ULL, 0x3fe432a947342d47ULL,
-         0x3fef3a3a8c3114a5ULL, 0x3fdfa7ebcdf4f824ULL, 0x3feb88ba5ad3e80fULL},
-        30}},
+       {0x324e5cd8b2a84784ULL,
+        {0x3feebc92f0302509ULL, 0x3fec21b82db0bdb8ULL, 0x3fe3cb60cf6d4f23ULL,
+         0x3feda08d7a2f2549ULL, 0x3fe0124f2dd5aa23ULL, 0x3fe8778b0b7a7351ULL},
+        5}},
       {"multiclass/SLiMFast-EM",
-       {0x3aa071e73c5df544ULL,
-        {0x3fede97c85d42455ULL, 0x3fea0064c298b512ULL, 0x3fe432a947342d47ULL,
-         0x3fef3a3a8c3114a5ULL, 0x3fdfa7ebcdf4f824ULL, 0x3feb88ba5ad3e80fULL},
-        30}},
+       {0x324e5cd8b2a84784ULL,
+        {0x3feebc92f0302509ULL, 0x3fec21b82db0bdb8ULL, 0x3fe3cb60cf6d4f23ULL,
+         0x3feda08d7a2f2549ULL, 0x3fe0124f2dd5aa23ULL, 0x3fe8778b0b7a7351ULL},
+        5}},
       {"multiclass/SLiMFast-ERM",
        {0x7e3d9549db106dc6ULL,
-        {0x3feff4690a7b736dULL, 0x3fed2286a46a429bULL, 0x3fe44b06e92da6e8ULL,
-         0x3feff660d825fc82ULL, 0x3fd720ffd2a12fceULL, 0x3fef7dd30a89aae6ULL},
+        {0x3fef4f96fa8172ddULL, 0x3fede7c2c6e01069ULL, 0x3fe332d6a77e22a1ULL,
+         0x3fef3d4449b08d8fULL, 0x3fd999fa1e74d758ULL, 0x3feaa99fcd33e50aULL},
         60}},
       {"multiclass/Sources-EM",
        {0xbf73548b39b1847ULL,
-        {0x3feeb3057f86e51dULL, 0x3fea07ea594d6954ULL, 0x3fe5275586a2b45fULL,
-         0x3fed41abab23085aULL, 0x3fdf5c48d6b7206aULL, 0x3fecee00bafcd298ULL},
-        30}},
+        {0x3fede4b7ca057a18ULL, 0x3fe9b14efd89923eULL, 0x3fe4cc4f594f1da3ULL,
+         0x3fec909ccd9ce906ULL, 0x3fe000000000000fULL, 0x3fec3aa6a01ee273ULL},
+        6}},
       {"multiclass/Sources-ERM",
        {0x60a090d376cedbe6ULL,
-        {0x3fefd69723080f6fULL, 0x3fec892b58db79e0ULL, 0x3fe3974ba6d95b7fULL,
-         0x3fefcfd72e773960ULL, 0x3fd50efb3ca3b5d9ULL, 0x3fef941363393e3fULL},
+        {0x3fed53a83e7f9277ULL, 0x3feaa9822d6d2449ULL, 0x3fe332ef30ef9c45ULL,
+         0x3fec7073eebeecaaULL, 0x3fd99a21ad51e6b8ULL, 0x3feaa9cab9c1db9dULL},
         60}},
       {"multiclass/batch-ERM",
        {0xc61111984c5575e5ULL,
-        {0x3fefe2fe4241164cULL, 0x3fed3e22f63623b1ULL, 0x3fe403d157ff14a9ULL,
-         0x3fefbb5fd8a5fc18ULL, 0x3fd7fa65f97b4a19ULL, 0x3feea3ac5e088b05ULL},
+        {0x3fef4f8222e2db01ULL, 0x3fede7fa4ff373d0ULL, 0x3fe332f0c393444dULL,
+         0x3fef3d2d2bb8756aULL, 0x3fd99a232c6fdb52ULL, 0x3feaa8ff2306add9ULL},
         60}},
       {"multiclass/session-4-chunks",
        {0x251d9d5b4154306bULL,
@@ -145,9 +148,9 @@ const std::map<std::string, GoldenRecord>& Expected() {
         15}},
       {"multiclass/soft-EM-batch-M-step",
        {0x61b21896e6513404ULL,
-        {0x3febb88e5b7fbb60ULL, 0x3fec09c3975c525fULL, 0x3fe525aeb32e03edULL,
-         0x3fedb1b1dd890271ULL, 0x3fe01d96678ea829ULL, 0x3fea416be64cd2fcULL},
-        30}},
+        {0x3febe72974b07aa5ULL, 0x3fec458d1963d7cfULL, 0x3fe4cc075ffe0ceeULL,
+         0x3fed95ab3b3eed65ULL, 0x3fe0121c932f4ed9ULL, 0x3fe98d02639ec086ULL},
+        21}},
   };
   return *expected;
 }
@@ -256,7 +259,6 @@ TEST(GoldenBitsTest, BatchErmAndSoftEmBatchMStep) {
     SlimFastOptions soft_em;
     soft_em.exec.threads = threads;
     soft_em.em.soft = true;
-    soft_em.em.m_step.batch = true;
     ExpectGolden("multiclass/soft-EM-batch-M-step",
                  RunRecord(*MakeSlimFastEm(soft_em), dataset, split, 77));
   }

@@ -256,15 +256,13 @@ TEST(FractionalLabelTest, SoftTargetsCalibrateAccuracy) {
   ModelConfig config;
   config.use_feature_weights = false;
   SlimFastModel model(CompileInstance(d, config).ValueOrDie());
-  std::vector<ObservationExample> examples;
-  for (int i = 0; i < 50; ++i) {
-    examples.push_back(ObservationExample{0, 0.7, 1.0});
-  }
+  SourceClaimCounts counts(1);
+  counts.mass[0] = 50.0;
+  counts.correct[0] = 50.0 * 0.7;
   ErmOptions options;
   options.epochs = 200;
   ErmLearner learner(options);
-  Rng rng(5);
-  ASSERT_TRUE(learner.FitAccuracyLoss(examples, &model, &rng).ok());
+  ASSERT_TRUE(learner.FitAccuracyLoss(counts, &model).ok());
   EXPECT_NEAR(model.SourceAccuracy(0), 0.7, 0.02);
 }
 

@@ -170,7 +170,6 @@ TEST(PropertyTest, RunInvariantsBatchLearners) {
       options.exec.threads = threads;
       options.use_compilation_cache = false;
       options.em.soft = true;
-      options.em.m_step.batch = true;
       options.erm.batch = true;
       return em ? MakeSlimFastEm(options) : MakeSlimFastErm(options);
     };

@@ -173,27 +173,6 @@ TEST_F(SimdKernelsTest, CsrPipelineMatchesScalarBitwise) {
   for (size_t i = 0; i < s.size(); ++i) EXPECT_BITEQ(s[i], v[i]);
 }
 
-TEST_F(SimdKernelsTest, AdaGradProxMatchesScalarBitwise) {
-  const KernelTable& wide = Wide();
-  const int n = 1003;
-  const auto g = TestInputs(n, 5, false);
-  std::vector<double> l1(n);
-  for (int i = 0; i < n; ++i) l1[i] = (i % 3 == 0) ? 0.005 : 0.0;
-  auto run = [&](const KernelTable& t) {
-    auto w = TestInputs(n, 9, false);
-    std::vector<double> accum(n, 0.0);
-    for (int epoch = 0; epoch < 3; ++epoch) {
-      t.adagrad_prox(w.data(), accum.data(), g.data(), l1.data(), n, 0.5,
-                     1e-8);
-    }
-    w.insert(w.end(), accum.begin(), accum.end());
-    return w;
-  };
-  const auto s = run(kScalarTable);
-  const auto v = run(wide);
-  for (int i = 0; i < 2 * n; ++i) EXPECT_BITEQ(s[i], v[i]);
-}
-
 // The n <= kAccLanes sequential fast path inside LaneSum must be
 // bit-identical to the padded kAccLanes-accumulator fold it shortcuts —
 // including signed zeros, subnormals, infinities, and NaN payloads.

@@ -892,9 +892,9 @@ int RunBench(const CliOptions& options) {
   // determinism contract a per-commit gate, not a tolerance. The two
   // configs are the learners whose hot loops stream the kernels:
   //   learn_em_simd    soft EM (batched E-step posterior + entropy
-  //                    pipeline, batch M-step)
-  //   learn_erm_simd   full-batch accuracy-log-loss ERM (batched
-  //                    sigmoid/softplus epochs, fused AdaGrad update)
+  //                    pipeline, per-source-count M-step)
+  //   learn_erm_simd   accuracy-log-loss ERM (the per-source-count
+  //                    solver: batched sigmoid/softplus per iteration)
   // Process-default dispatch: wide only when compiled in, permitted by
   // the SLIMFAST_SIMD environment switch, and supported by this CPU. A
   // kill-switched run compares scalar vs scalar (the honest ~1.0x)
@@ -910,7 +910,6 @@ int RunBench(const CliOptions& options) {
     o.exec.threads = phase_threads;
     o.use_compilation_cache = false;
     o.em.soft = true;
-    o.em.m_step.batch = true;
     // Pin the iteration budget so the phase measures steady per-sweep
     // cost, not when convergence happens to trigger.
     o.em.tolerance = 0.0;
@@ -966,7 +965,6 @@ int RunBench(const CliOptions& options) {
         o.exec.threads = threads;
         o.use_compilation_cache = false;
         o.erm.loss = ErmLoss::kAccuracyLogLoss;
-        o.erm.batch = true;
         o.erm.tolerance = 0.0;
         o.erm.epochs = quick ? 30 : 60;
         // Accuracy-loss fits report calibrated accuracies already; the
