@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "data/store_view.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
@@ -278,7 +277,11 @@ FusionSnapshotPtr FusionSession::ExportSnapshot() const {
   snapshot->posterior_probs = posterior_probs_;
   snapshot->source_accuracies = source_accuracies_;
   snapshot->weights = weights_;
-  snapshot->claim_counts = ObservationStoreView(&store).ClaimCounts();
+  snapshot->claim_counts.resize(static_cast<size_t>(store.num_objects()));
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    snapshot->claim_counts[static_cast<size_t>(o)] =
+        static_cast<int32_t>(store.ObjectRange(o).size());
+  }
   return snapshot;
 }
 

@@ -476,7 +476,12 @@ void FusionService::DriverLoop() {
       MaybeRecordSample();
       continue;
     }
-    for (Command& command : group) {
+    // The group's batches before logged_end have been written to the
+    // WAL, with outcome `logged`.
+    size_t logged_end = 0;
+    Status logged = Status::OK();
+    for (size_t i = 0; i < group.size(); ++i) {
+      Command& command = group[i];
       if (command.flush) {
         FlushPending("drain");
         // Refresh the exported per-shard counters before acking: a
@@ -502,17 +507,27 @@ void FusionService::DriverLoop() {
         continue;
       }
       // Log before applying: a batch is only acknowledged (applied,
-      // counted, relearned against) once it is in the WAL, so the WAL
-      // sequence of the last record always equals applied_batches_ —
-      // the invariant checkpoint and recovery key off.
-      if (wal_ != nullptr) {
-        Result<uint64_t> logged = wal_->Append(command.batch);
-        if (!logged.ok()) {
-          std::lock_guard<std::mutex> lock(state_mu_);
-          ++stats_.ingest_failures;
-          stats_.last_error = "wal append: " + logged.status().ToString();
-          continue;
+      // counted, relearned against) once it is in the WAL, so at every
+      // flush and checkpoint the WAL sequence of the last record equals
+      // applied_batches_ — the invariant checkpoint and recovery key
+      // off. The run of batches queued back to back from here is logged
+      // as one group under one fsync (group commit), and every batch of
+      // the run is applied before the next flush or checkpoint.
+      if (wal_ != nullptr && i >= logged_end) {
+        std::vector<const ObservationBatch*> run;
+        for (logged_end = i; logged_end < group.size() &&
+                             !group[logged_end].flush &&
+                             !group[logged_end].checkpoint;
+             ++logged_end) {
+          run.push_back(&group[logged_end].batch);
         }
+        logged = wal_->AppendGroup(run).status();
+      }
+      if (!logged.ok()) {
+        std::lock_guard<std::mutex> lock(state_mu_);
+        ++stats_.ingest_failures;
+        stats_.last_error = "wal append: " + logged.ToString();
+        continue;
       }
       ApplyBatch(command.batch, command.arrival_ns);
       ++applied_batches_;

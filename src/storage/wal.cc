@@ -407,14 +407,15 @@ Status WalWriter::CloseSegment() {
   return synced;
 }
 
-Status WalWriter::MaybeFsync() {
+Status WalWriter::MaybeFsync(int32_t records) {
   switch (options_.fsync) {
     case WalFsync::kNone:
       return Status::OK();
     case WalFsync::kEveryBatch:
       return Sync();
     case WalFsync::kEveryN:
-      if (++records_since_sync_ >= options_.fsync_every_n) {
+      records_since_sync_ += records;
+      if (records_since_sync_ >= options_.fsync_every_n) {
         return Sync();
       }
       return Status::OK();
@@ -423,11 +424,26 @@ Status WalWriter::MaybeFsync() {
 }
 
 Result<uint64_t> WalWriter::Append(const ObservationBatch& batch) {
+  return AppendGroup({&batch});
+}
+
+Result<uint64_t> WalWriter::AppendGroup(
+    const std::vector<const ObservationBatch*>& batches) {
   static obs::LatencyHistogram* append_hist =
       obs::GetHistogram("slimfast_storage_wal_append_seconds");
+  obs::ScopedTimer timer(append_hist);
+  const uint64_t first = next_sequence_;
+  for (const ObservationBatch* batch : batches) {
+    SLIMFAST_RETURN_NOT_OK(WriteRecord(*batch));
+  }
+  SLIMFAST_RETURN_NOT_OK(
+      MaybeFsync(static_cast<int32_t>(batches.size())));
+  return first;
+}
+
+Status WalWriter::WriteRecord(const ObservationBatch& batch) {
   static obs::ShardedCounter* bytes_total =
       obs::GetCounter("slimfast_storage_wal_bytes_written_total");
-  obs::ScopedTimer timer(append_hist);
   if (poisoned_) {
     return Status::IOError(
         "wal writer is poisoned by an earlier write failure");
@@ -453,8 +469,7 @@ Result<uint64_t> WalWriter::Append(const ObservationBatch& batch) {
   if (obs::Enabled()) bytes_total->Add(static_cast<int64_t>(record.size()));
   ++segment_records_;
   ++next_sequence_;
-  SLIMFAST_RETURN_NOT_OK(MaybeFsync());
-  return sequence;
+  return Status::OK();
 }
 
 Status WalWriter::Sync() {

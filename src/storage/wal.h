@@ -20,8 +20,9 @@ namespace slimfast {
 enum class WalFsync {
   /// Never fsync. Fastest; durable against process crash only.
   kNone,
-  /// fsync after every appended record (the default): a batch is on
-  /// stable storage before the service acknowledges it downstream.
+  /// fsync after every Append (the default): a batch is on stable
+  /// storage before the service acknowledges it downstream. An
+  /// AppendGroup shares one fsync among its records.
   kEveryBatch,
   /// fsync once every `WalOptions::fsync_every_n` records: bounded loss
   /// window under power failure, amortized syscall cost.
@@ -120,6 +121,13 @@ class WalWriter {
   /// record must not get successors behind it).
   Result<uint64_t> Append(const ObservationBatch& batch);
 
+  /// Appends `batches` as consecutive records, then applies the fsync
+  /// policy once for all of them (group commit): under kEveryBatch one
+  /// fsync makes the whole group durable. Returns the first record's
+  /// sequence. On failure no record of the group counts as durable.
+  Result<uint64_t> AppendGroup(
+      const std::vector<const ObservationBatch*>& batches);
+
   /// Forces everything appended so far to stable storage.
   Status Sync();
 
@@ -142,7 +150,10 @@ class WalWriter {
 
   Status CreateSegment(uint64_t first_sequence);
   Status CloseSegment();
-  Status MaybeFsync();
+  /// Writes one record (rotating first if due) without syncing it.
+  Status WriteRecord(const ObservationBatch& batch);
+  /// Applies the fsync policy after `records` newly written records.
+  Status MaybeFsync(int32_t records);
 
   std::string dir_;
   WalOptions options_;

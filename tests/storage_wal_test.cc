@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "data/observation_store.h"
+#include "obs/metrics.h"
+#include "obs/registry.h"
 #include "storage/wal.h"
 
 namespace slimfast {
@@ -90,6 +92,36 @@ TEST_F(WalTest, AppendReplayRoundtrip) {
   std::vector<WalRecord> tail = ReplayAll(dir_, 4);
   ASSERT_EQ(tail.size(), static_cast<size_t>(n - 4));
   EXPECT_EQ(tail[0].sequence, 5u);
+}
+
+TEST_F(WalTest, AppendGroupLogsConsecutiveRecordsUnderOneFsync) {
+  const bool prior = obs::SetEnabledForTest(true);
+  obs::LatencyHistogram* fsyncs =
+      obs::GetHistogram("slimfast_storage_wal_fsync_seconds");
+  WalOptions options;
+  options.segment_bytes = 64;  // the group crosses segment boundaries
+  {
+    std::unique_ptr<WalWriter> writer =
+        WalWriter::Open(dir_, options).ValueOrDie();
+    SLIMFAST_CHECK_OK(writer->Append(MakeBatch(0)).status());
+    std::vector<ObservationBatch> batches;
+    for (int32_t i = 1; i <= 5; ++i) batches.push_back(MakeBatch(i));
+    std::vector<const ObservationBatch*> group;
+    for (const ObservationBatch& batch : batches) group.push_back(&batch);
+    const int64_t before = fsyncs->Count();
+    EXPECT_EQ(writer->AppendGroup(group).ValueOrDie(), 2u);
+    EXPECT_EQ(fsyncs->Count() - before, 1);
+    EXPECT_EQ(writer->next_sequence(), 7u);
+  }
+  obs::SetEnabledForTest(prior);
+  std::vector<WalRecord> records = ReplayAll(dir_);
+  ASSERT_EQ(records.size(), 6u);
+  for (int32_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(records[static_cast<size_t>(i)].sequence,
+              static_cast<uint64_t>(i + 1));
+    EXPECT_TRUE(
+        BatchEquals(records[static_cast<size_t>(i)].batch, MakeBatch(i)));
+  }
 }
 
 TEST_F(WalTest, ReopenResumesSequenceAndKeepsHistory) {
