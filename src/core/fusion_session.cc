@@ -5,6 +5,7 @@
 
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "util/math.h"
 #include "util/stopwatch.h"
 
 namespace slimfast {
@@ -199,7 +200,6 @@ Result<RelearnStats> FusionSession::Relearn() {
                              exec_.get()));
 
   weights_ = fit.model.weights();
-  predictions_ = fit.model.PredictAll();
   source_accuracies_ = fit.model.AllSourceAccuracies();
   RefreshPosteriors(fit.model);
   ++num_relearns_;
@@ -226,6 +226,7 @@ Result<RelearnStats> FusionSession::Relearn() {
 void FusionSession::RefreshPosteriors(const SlimFastModel& model) {
   const CompiledInstance& inst = model.instance();
   const int32_t num_objects = inst.store.num_objects();
+  predictions_.assign(static_cast<size_t>(num_objects), kNoValue);
   posterior_begin_.assign(static_cast<size_t>(num_objects) + 1, 0);
   posterior_values_.clear();
   posterior_probs_.clear();
@@ -234,9 +235,18 @@ void FusionSession::RefreshPosteriors(const SlimFastModel& model) {
   for (ObjectId o = 0; o < num_objects; ++o) {
     const int32_t row = inst.RowIndex(o);
     if (row >= 0) {
-      model.Posterior(row, &probs);
+      probs.resize(static_cast<size_t>(inst.DomainSize(row)));
+      model.Scores(row, probs.data());
+      // MapIndex's argmax (the first strictly greatest score) over the
+      // same scores, then Posterior's softmax in place.
+      size_t best = 0;
+      for (size_t i = 1; i < probs.size(); ++i) {
+        if (probs[i] > probs[best]) best = i;
+      }
       const auto domain =
           inst.cand_values.begin() + inst.row_begin[static_cast<size_t>(row)];
+      predictions_[static_cast<size_t>(o)] = domain[static_cast<int64_t>(best)];
+      SoftmaxInPlace(&probs);
       posterior_values_.insert(posterior_values_.end(), domain,
                                domain + static_cast<int64_t>(probs.size()));
       posterior_probs_.insert(posterior_probs_.end(), probs.begin(),

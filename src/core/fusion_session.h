@@ -233,8 +233,9 @@ class FusionSession {
                                     FusionSessionOptions options,
                                     FeatureSpace features);
 
-  /// Recomputes the flattened per-object posteriors (and per-object
-  /// confidence) from the freshly fit model; called by Relearn.
+  /// Recomputes the MAP predictions and the flattened per-object
+  /// posteriors (and per-object confidence) from the freshly fit model,
+  /// scoring each row once; called by Relearn.
   void RefreshPosteriors(const SlimFastModel& model);
 
   FusionSessionOptions options_;

@@ -65,6 +65,29 @@ OptimizerDecision DecideAlgorithm(const Dataset& dataset,
                                   int32_t num_params,
                                   const OptimizerOptions& options);
 
+/// The agreement evidence the optimizer reads, counted in one O(claims)
+/// pass over the store. For an object with m claims of which n_v claim
+/// value v, every claim pair co-observes the object and the pairs inside
+/// each value group agree, so the totals need no source-pair matrix: they
+/// equal AgreementMatrix's TotalOverlap() and TotalAgreementScore() exactly
+/// (a source claims an object at most once, so no pair is a self-pair).
+struct AgreementTotals {
+  /// Co-observing claim pairs Σ_o C(m_o, 2).
+  int64_t overlap = 0;
+  /// Pairs among them claiming the same value, Σ_o Σ_v C(n_{o,v}, 2).
+  int64_t agreeing = 0;
+  /// Objects with at least two claims.
+  int64_t conflicted_objects = 0;
+  /// Σ |D_o| over those objects, the numerator of the mean domain size.
+  int64_t conflicted_domain_sum = 0;
+
+  /// Σ (±1) over co-observing pairs: agreeing minus disagreeing pairs.
+  int64_t AgreementScore() const { return 2 * agreeing - overlap; }
+};
+
+/// Counts the AgreementTotals of `store` in O(claims + |values|).
+AgreementTotals CountAgreement(const ObservationStore& store);
+
 /// Average-accuracy estimate feeding Algorithm 1: the overlap-weighted
 /// mean agreement rate inverted through the uniform chance-agreement model
 /// q(A) = A² + (1-A)²/(n̄-1) (the multiclass generalization of the paper's

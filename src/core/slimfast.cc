@@ -81,9 +81,15 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   OptimizerDecision decision;
   Algorithm algorithm = options_.algorithm;
   if (algorithm == Algorithm::kAuto) {
+    Stopwatch decide_watch;
     decision = DecideAlgorithm(instance->store, split,
                                instance->model->layout.num_params,
                                options_.optimizer);
+    if (obs::Enabled()) {
+      static obs::LatencyHistogram* optimizer_hist =
+          obs::GetHistogram("slimfast_core_optimizer_seconds");
+      optimizer_hist->RecordSeconds(decide_watch.ElapsedSeconds());
+    }
     algorithm = decision.algorithm;
   } else {
     decision.algorithm = algorithm;

@@ -16,8 +16,11 @@ namespace slimfast {
 /// only use observed entries.
 class AgreementMatrix {
  public:
-  /// Builds the agreement statistics of `store` (O(Σ_o m_o²) over
-  /// per-object claim pairs; cheap for realistic densities).
+  /// Builds the agreement statistics of `store`: O(Σ_o m_o²) pair visits
+  /// plus a zero-filled |S|²/2-entry table (16 bytes per entry). That is
+  /// 60 MB for the genomics simulator's 2,750 sources, so the optimizer
+  /// does not build one; it reads the same totals from CountAgreement
+  /// (core/optimizer.h) in O(claims).
   explicit AgreementMatrix(const ObservationStore& store);
 
   int32_t num_sources() const { return num_sources_; }
@@ -57,8 +60,8 @@ class AgreementMatrix {
   size_t PairIndex(SourceId i, SourceId j) const;
 
   int32_t num_sources_;
-  // Dense upper-triangular storage; fine for the source counts in the
-  // paper's datasets (up to a few thousand sources).
+  // Dense upper-triangular storage: |S|(|S|-1)/2 entries of each array,
+  // 60 MB together at 2,750 sources. For per-pair estimates only.
   std::vector<double> agree_sum_;
   std::vector<int64_t> overlap_;
   int64_t num_observed_pairs_ = 0;
