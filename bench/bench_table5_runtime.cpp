@@ -8,9 +8,6 @@
 // features costs little over Sources-only variants.
 //
 // Thread budget: SLIMFAST_THREADS (default 1) parallelizes the sweep grid.
-// Per-phase timings are also written as BENCH_table5_runtime.json — the
-// same schema `slimfast_cli bench` emits — so runtime trajectories are
-// machine-comparable across commits.
 
 #include <cstdio>
 
@@ -44,25 +41,17 @@ int main() {
   spec.num_seeds = 1;  // timing runs; single split per fraction
 
   Executor exec{ExecOptions{}};  // SLIMFAST_THREADS, default serial
-  bench::BenchReporter reporter("table5_runtime");
-  reporter.set_threads(exec.threads());
 
   for (const std::string& name : SimulatorNames()) {
     auto synth = MakeSimulatorByName(name, /*seed=*/42).ValueOrDie();
-    std::vector<CellResult> cells;
-    double seconds = bench::TimeSeconds([&] {
-      cells = SweepMethods(synth.dataset, methods, spec, &exec).ValueOrDie();
-    });
-    reporter.AddPhase("sweep_" + name, seconds, exec.threads());
+    std::vector<CellResult> cells =
+        SweepMethods(synth.dataset, methods, spec, &exec).ValueOrDie();
     std::printf("%s", RenderSweep("Runtime (s) — " + name, cells,
                                   SweepMetric::kTotalSeconds)
                           .c_str());
     std::printf("\n");
   }
-  reporter.WriteJson("BENCH_table5_runtime.json");
-  std::printf("Per-phase JSON written to BENCH_table5_runtime.json "
-              "(threads=%d)\n\n",
-              exec.threads());
+  std::printf("Sweep threads: %d\n\n", exec.threads());
   std::printf(
       "Paper shape check: EM-based configurations are the most expensive; "
       "the\nfeature-augmented SLiMFast costs little over Sources-ERM/EM; "

@@ -482,6 +482,7 @@ Status WalWriter::Sync() {
                            std::strerror(errno));
   }
   records_since_sync_ = 0;
+  ++sync_count_;
   return Status::OK();
 }
 

@@ -144,6 +144,10 @@ class WalWriter {
   /// Sequence the next Append will assign.
   uint64_t next_sequence() const { return next_sequence_; }
 
+  /// Successful Sync() calls so far: the fsync policy's own syncs and
+  /// explicit ones (segment-close fsyncs are not counted).
+  int64_t sync_count() const { return sync_count_; }
+
  private:
   WalWriter(std::string dir, WalOptions options)
       : dir_(std::move(dir)), options_(options) {}
@@ -163,6 +167,7 @@ class WalWriter {
   int64_t segment_bytes_written_ = 0;
   int64_t segment_records_ = 0;
   int32_t records_since_sync_ = 0;
+  int64_t sync_count_ = 0;
   /// (first_sequence, path) of every live segment, ascending; the last
   /// entry is the active one.
   std::vector<std::pair<uint64_t, std::string>> segments_;

@@ -65,32 +65,43 @@ TEST(FusionSessionTest, WarmStartReachesBatchAccuracyWithinOnePercent) {
   Dataset dataset = MakePlantedDataset(planted, 200, 0.6, 67);
   TrainTestSplit split = MakePrefixSplit(dataset, 30);
 
-  // One-shot batch run: the accuracy bar.
-  auto method = MakeSlimFast();
-  double batch_accuracy =
-      testutil::RunHeldOutAccuracy(method.get(), dataset, split, 5);
+  // The optimizer's choice, and ERM forced.
+  for (Algorithm algorithm : {Algorithm::kAuto, Algorithm::kErm}) {
+    SCOPED_TRACE(algorithm == Algorithm::kErm ? "ERM" : "auto");
+    FusionSessionOptions options;
+    options.seed = 5;
+    options.slimfast.algorithm = algorithm;
 
-  // Incremental run: 5 chunks, relearn after each, warm-started.
-  FusionSessionOptions options;
-  options.seed = 5;
-  FusionSession session =
-      FusionSession::Create(dataset.num_sources(), dataset.num_objects(),
-                            dataset.num_values(), options)
-          .ValueOrDie();
-  bool any_warm = false;
-  for (const ObservationBatch& chunk : TrainOnlyChunks(dataset, split, 5)) {
-    SLIMFAST_CHECK_OK(session.Ingest(chunk).status());
-    RelearnStats stats = session.Relearn().ValueOrDie();
-    any_warm = any_warm || stats.warm_started;
+    // One-shot batch run: the accuracy bar.
+    auto method = algorithm == Algorithm::kErm
+                      ? MakeSlimFastErm(options.slimfast)
+                      : MakeSlimFast(options.slimfast);
+    double batch_accuracy =
+        testutil::RunHeldOutAccuracy(method.get(), dataset, split, 5);
+
+    // Incremental run: 5 chunks, relearn after each, warm-started.
+    FusionSession session =
+        FusionSession::Create(dataset.num_sources(), dataset.num_objects(),
+                              dataset.num_values(), options)
+            .ValueOrDie();
+    bool any_warm = false;
+    for (const ObservationBatch& chunk : TrainOnlyChunks(dataset, split, 5)) {
+      SLIMFAST_CHECK_OK(session.Ingest(chunk).status());
+      RelearnStats stats = session.Relearn().ValueOrDie();
+      if (algorithm == Algorithm::kErm) {
+        EXPECT_EQ(stats.algorithm_used, Algorithm::kErm);
+      }
+      any_warm = any_warm || stats.warm_started;
+    }
+    EXPECT_TRUE(any_warm);  // relearns after the first ran warm
+
+    double session_accuracy =
+        TestAccuracy(dataset, session.predictions(), split).ValueOrDie();
+    EXPECT_GE(session_accuracy, batch_accuracy - 0.01)
+        << "warm-started incremental accuracy " << session_accuracy
+        << " fell more than 1% below one-shot batch accuracy "
+        << batch_accuracy;
   }
-  EXPECT_TRUE(any_warm);  // relearns after the first ran warm
-
-  double session_accuracy =
-      TestAccuracy(dataset, session.predictions(), split).ValueOrDie();
-  EXPECT_GE(session_accuracy, batch_accuracy - 0.01)
-      << "warm-started incremental accuracy " << session_accuracy
-      << " fell more than 1% below one-shot batch accuracy "
-      << batch_accuracy;
 }
 
 TEST(FusionSessionTest, ThreadCountNeverChangesTheTrajectory) {

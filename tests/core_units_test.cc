@@ -100,48 +100,6 @@ TEST(AgreementMatrixTest, EmptyMatrixRateIsHalf) {
   EXPECT_DOUBLE_EQ(m.MeanAgreementRate(), 0.5);
 }
 
-// ---------- Rank-1 completion options ----------
-
-TEST(Rank1OptionsTest, RidgeShrinksSparseEvidence) {
-  // Two sources sharing a single object (one ±1 agreement): with a strong
-  // ridge the fitted reliability stays near 0.5.
-  DatasetBuilder builder("thin", 2, 1, 2);
-  SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 0));
-  SLIMFAST_CHECK_OK(builder.AddObservation(0, 1, 0));
-  Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(ObservationStore::FromDataset(d));
-
-  Rank1CompletionOptions ridged;
-  ridged.ridge = 30.0;
-  auto shrunk = EstimatePerSourceAccuracy(m, ridged).ValueOrDie();
-  Rank1CompletionOptions loose;
-  loose.ridge = 0.0;
-  auto free = EstimatePerSourceAccuracy(m, loose).ValueOrDie();
-  // The unridged fit chases the single +1 entry much harder.
-  EXPECT_LT(std::fabs(shrunk[0] - 0.5), std::fabs(free[0] - 0.5));
-  EXPECT_LT(shrunk[0], 0.6);
-}
-
-TEST(Rank1OptionsTest, OverlapWeightingPrefersReliableEntries) {
-  // Source pair (0,1) agrees over 50 co-observations; pair (0,2) disagrees
-  // on a single one. With overlap weighting, source 0's reliability is
-  // driven by the well-supported pair.
-  DatasetBuilder builder("weights", 3, 51, 2);
-  for (ObjectId o = 0; o < 50; ++o) {
-    SLIMFAST_CHECK_OK(builder.AddObservation(o, 0, 0));
-    SLIMFAST_CHECK_OK(builder.AddObservation(o, 1, 0));
-  }
-  SLIMFAST_CHECK_OK(builder.AddObservation(50, 0, 0));
-  SLIMFAST_CHECK_OK(builder.AddObservation(50, 2, 1));
-  Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(ObservationStore::FromDataset(d));
-  Rank1CompletionOptions options;
-  options.ridge = 1.0;
-  auto acc = EstimatePerSourceAccuracy(m, options).ValueOrDie();
-  EXPECT_GT(acc[0], 0.8);
-  EXPECT_GT(acc[1], 0.8);
-}
-
 // ---------- Multiclass offsets in the compiled model ----------
 
 TEST(MulticlassOffsetTest, BinaryDomainsHaveZeroOffsets) {

@@ -4,12 +4,10 @@
 
 #include "opt/adagrad.h"
 #include "opt/convergence.h"
-#include "opt/gradient_descent.h"
 #include "opt/matrix_completion.h"
 #include "opt/proximal.h"
 #include "opt/schedule.h"
 #include "opt/sparse_grad.h"
-#include "util/random.h"
 
 namespace slimfast {
 namespace {
@@ -127,70 +125,7 @@ TEST(ConvergenceTest, ResetsOnLargeChange) {
   EXPECT_TRUE(tracker.Update(100.0));   // stable 2
 }
 
-TEST(GradientDescentTest, MinimizesQuadratic) {
-  // f(w) = (w0 - 3)^2 + (w1 + 1)^2.
-  auto objective = [](const std::vector<double>& w,
-                      std::vector<double>* grad) {
-    (*grad)[0] = 2.0 * (w[0] - 3.0);
-    (*grad)[1] = 2.0 * (w[1] + 1.0);
-    return (w[0] - 3.0) * (w[0] - 3.0) + (w[1] + 1.0) * (w[1] + 1.0);
-  };
-  GradientDescentOptions options;
-  options.learning_rate = 0.1;
-  options.max_iterations = 2000;
-  auto result = MinimizeBatch(objective, {0.0, 0.0}, options).ValueOrDie();
-  EXPECT_NEAR(result.weights[0], 3.0, 1e-4);
-  EXPECT_NEAR(result.weights[1], -1.0, 1e-4);
-  EXPECT_TRUE(result.converged);
-}
-
-TEST(GradientDescentTest, L2PullsTowardZero) {
-  auto objective = [](const std::vector<double>& w,
-                      std::vector<double>* grad) {
-    (*grad)[0] = 2.0 * (w[0] - 10.0);
-    return (w[0] - 10.0) * (w[0] - 10.0);
-  };
-  GradientDescentOptions options;
-  options.learning_rate = 0.05;
-  options.max_iterations = 5000;
-  options.l2 = 2.0;
-  auto result = MinimizeBatch(objective, {0.0}, options).ValueOrDie();
-  // Analytic optimum of (w-10)^2 + w^2: w = 10 * 2 / (2 + 2) = 5.
-  EXPECT_NEAR(result.weights[0], 5.0, 1e-3);
-}
-
-TEST(GradientDescentTest, L1ProducesExactZero) {
-  // f(w) = 0.5 (w - 0.3)^2 with l1 = 1.0: optimum is exactly 0.
-  auto objective = [](const std::vector<double>& w,
-                      std::vector<double>* grad) {
-    (*grad)[0] = w[0] - 0.3;
-    return 0.5 * (w[0] - 0.3) * (w[0] - 0.3);
-  };
-  GradientDescentOptions options;
-  options.learning_rate = 0.1;
-  options.max_iterations = 1000;
-  options.l1 = 1.0;
-  auto result = MinimizeBatch(objective, {2.0}, options).ValueOrDie();
-  EXPECT_DOUBLE_EQ(result.weights[0], 0.0);
-}
-
-TEST(GradientDescentTest, ValidatesOptions) {
-  auto objective = [](const std::vector<double>& w,
-                      std::vector<double>* grad) {
-    (*grad)[0] = w[0];
-    return 0.5 * w[0] * w[0];
-  };
-  GradientDescentOptions bad_lr;
-  bad_lr.learning_rate = 0.0;
-  EXPECT_TRUE(
-      MinimizeBatch(objective, {1.0}, bad_lr).status().IsInvalidArgument());
-  GradientDescentOptions options;
-  EXPECT_TRUE(MinimizeBatch(objective, {}, options)
-                  .status()
-                  .IsInvalidArgument());
-}
-
-// --- Agreement matrix & matrix completion (Sec. 4.3). ---
+// --- Agreement matrix (Sec. 4.3). ---
 
 Dataset MakeAgreementDataset() {
   // Three sources over 4 objects; sources 0 and 1 always agree, source 2
@@ -231,63 +166,6 @@ TEST(AgreementMatrixTest, NoOverlap) {
   AgreementMatrix m(ObservationStore::FromDataset(d));
   EXPECT_FALSE(m.HasOverlap(0, 1));
   EXPECT_EQ(m.NumObservedPairs(), 0);
-  EXPECT_TRUE(EstimateAverageAccuracy(m).status().IsFailedPrecondition());
-}
-
-TEST(AverageAccuracyTest, RecoversPlantedAccuracy) {
-  // Generate many sources with identical accuracy A on binary objects; the
-  // expected pairwise agreement is (2A-1)^2, so the estimator should
-  // recover A.
-  const double kTrueAccuracy = 0.8;
-  Rng rng(77);
-  const int32_t kSources = 30;
-  const int32_t kObjects = 400;
-  DatasetBuilder builder("planted", kSources, kObjects, 2);
-  for (ObjectId o = 0; o < kObjects; ++o) {
-    for (SourceId s = 0; s < kSources; ++s) {
-      ValueId v = rng.Bernoulli(kTrueAccuracy) ? 0 : 1;  // truth := 0
-      SLIMFAST_CHECK_OK(builder.AddObservation(o, s, v));
-    }
-  }
-  Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(ObservationStore::FromDataset(d));
-  double estimate = EstimateAverageAccuracy(m).ValueOrDie();
-  EXPECT_NEAR(estimate, kTrueAccuracy, 0.03);
-}
-
-TEST(AverageAccuracyTest, AdversarialAgreementClampsToHalf) {
-  Dataset d = MakeAgreementDataset();
-  // Mean agreement is (1 - 1 - 1)/3 < 0 -> mu clamps to 0 -> A = 0.5.
-  AgreementMatrix m(ObservationStore::FromDataset(d));
-  double estimate = EstimateAverageAccuracy(m).ValueOrDie();
-  EXPECT_DOUBLE_EQ(estimate, 0.5);
-}
-
-TEST(PerSourceAccuracyTest, SeparatesGoodFromBadSources) {
-  // 10 good sources (A=0.9) and 5 bad ones (A=0.55) on binary objects.
-  Rng rng(11);
-  const int32_t kGood = 10;
-  const int32_t kBad = 5;
-  const int32_t kObjects = 500;
-  DatasetBuilder builder("mixed", kGood + kBad, kObjects, 2);
-  for (ObjectId o = 0; o < kObjects; ++o) {
-    for (SourceId s = 0; s < kGood + kBad; ++s) {
-      double a = s < kGood ? 0.9 : 0.55;
-      SLIMFAST_CHECK_OK(
-          builder.AddObservation(o, s, rng.Bernoulli(a) ? 0 : 1));
-    }
-  }
-  Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(ObservationStore::FromDataset(d));
-  Rank1CompletionOptions options;
-  auto accuracies = EstimatePerSourceAccuracy(m, options).ValueOrDie();
-  ASSERT_EQ(accuracies.size(), static_cast<size_t>(kGood + kBad));
-  for (SourceId s = 0; s < kGood; ++s) {
-    EXPECT_NEAR(accuracies[static_cast<size_t>(s)], 0.9, 0.08) << s;
-  }
-  for (SourceId s = kGood; s < kGood + kBad; ++s) {
-    EXPECT_LT(accuracies[static_cast<size_t>(s)], 0.75) << s;
-  }
 }
 
 }  // namespace

@@ -155,31 +155,41 @@ TEST(PropertyTest, RunInvariantsThreadsSimd) {
   }
 }
 
-/// The batch code paths (batched soft-EM M-step, sharded batch-ERM) are
-/// not exercised by the default presets; sweep them explicitly on a
-/// smaller universe budget with both variations.
+/// The batch code paths (batched soft-EM M-step, sharded batch-ERM) and
+/// the accuracy-loss ERM fit (the per-source-count solver on its own,
+/// without the calibration pass) are not exercised by the default
+/// presets; sweep them explicitly on a smaller universe budget with both
+/// variations.
 TEST(PropertyTest, RunInvariantsBatchLearners) {
   const bool wide_default = simd::WideEnabled();
   for (uint64_t seed = 0; seed < kNumUniverses; seed += 4) {
     Dataset dataset = RandomUniverse(seed);
     TrainTestSplit split = UniverseSplit(dataset);
-    SCOPED_TRACE("seed=" + std::to_string(seed));
     const bool em = (seed / 4) % 2 == 0;
-    auto make = [&](int32_t threads) {
-      SlimFastOptions options = FastOptions();
-      options.exec.threads = threads;
-      options.use_compilation_cache = false;
-      options.em.soft = true;
-      options.erm.batch = true;
-      return em ? MakeSlimFastEm(options) : MakeSlimFastErm(options);
-    };
-    auto baseline = make(1)->Run(dataset, split, seed).ValueOrDie();
-    auto threaded = make(4)->Run(dataset, split, seed).ValueOrDie();
-    testutil::ExpectSameFusionOutput(baseline, threaded);
-    simd::SetWideEnabledForTest(false);
-    auto scalar = make(1)->Run(dataset, split, seed).ValueOrDie();
-    simd::SetWideEnabledForTest(wide_default);
-    testutil::ExpectSameFusionOutput(baseline, scalar);
+    for (const bool accuracy_loss : {false, true}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   (accuracy_loss ? " accuracy-loss ERM" : ""));
+      auto make = [&](int32_t threads) {
+        SlimFastOptions options = FastOptions();
+        options.exec.threads = threads;
+        options.use_compilation_cache = false;
+        if (accuracy_loss) {
+          options.erm.loss = ErmLoss::kAccuracyLogLoss;
+          options.calibrate_accuracies = false;
+          return MakeSlimFastErm(options);
+        }
+        options.em.soft = true;
+        options.erm.batch = true;
+        return em ? MakeSlimFastEm(options) : MakeSlimFastErm(options);
+      };
+      auto baseline = make(1)->Run(dataset, split, seed).ValueOrDie();
+      auto threaded = make(4)->Run(dataset, split, seed).ValueOrDie();
+      testutil::ExpectSameFusionOutput(baseline, threaded);
+      simd::SetWideEnabledForTest(false);
+      auto scalar = make(1)->Run(dataset, split, seed).ValueOrDie();
+      simd::SetWideEnabledForTest(wide_default);
+      testutil::ExpectSameFusionOutput(baseline, scalar);
+    }
   }
 }
 

@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "data/observation_store.h"
-#include "obs/metrics.h"
-#include "obs/registry.h"
 #include "storage/wal.h"
 
 namespace slimfast {
@@ -95,9 +93,6 @@ TEST_F(WalTest, AppendReplayRoundtrip) {
 }
 
 TEST_F(WalTest, AppendGroupLogsConsecutiveRecordsUnderOneFsync) {
-  const bool prior = obs::SetEnabledForTest(true);
-  obs::LatencyHistogram* fsyncs =
-      obs::GetHistogram("slimfast_storage_wal_fsync_seconds");
   WalOptions options;
   options.segment_bytes = 64;  // the group crosses segment boundaries
   {
@@ -108,12 +103,11 @@ TEST_F(WalTest, AppendGroupLogsConsecutiveRecordsUnderOneFsync) {
     for (int32_t i = 1; i <= 5; ++i) batches.push_back(MakeBatch(i));
     std::vector<const ObservationBatch*> group;
     for (const ObservationBatch& batch : batches) group.push_back(&batch);
-    const int64_t before = fsyncs->Count();
+    const int64_t before = writer->sync_count();
     EXPECT_EQ(writer->AppendGroup(group).ValueOrDie(), 2u);
-    EXPECT_EQ(fsyncs->Count() - before, 1);
+    EXPECT_EQ(writer->sync_count() - before, 1);
     EXPECT_EQ(writer->next_sequence(), 7u);
   }
-  obs::SetEnabledForTest(prior);
   std::vector<WalRecord> records = ReplayAll(dir_);
   ASSERT_EQ(records.size(), 6u);
   for (int32_t i = 0; i < 6; ++i) {

@@ -3,14 +3,12 @@
 // Usage:
 //   slimfast_cli <dataset_dir> [options]
 //   slimfast_cli --demo <stocks|demos|crowd|genomics> [options]
-//   slimfast_cli bench [--quick] [--threads N] [--seed N] [--out FILE]
 //   slimfast_cli replay (<dataset_dir> | --demo NAME) [--chunks K] [options]
 //   slimfast_cli serve (<dataset_dir> | --demo NAME | --dims S O V)
 //                [--shards N] [--relearn-every K] [--preload]
 //                [--wal-dir DIR] [--fsync-every N] [options]
 //   slimfast_cli loadgen (<dataset_dir> | --demo NAME) [--quick]
-//                [--shards N] [--chunks K] [--readers R] [--out FILE]
-//   slimfast_cli storagebench [--quick] [--seed N] [--out FILE]
+//                [--shards N] [--chunks K] [--readers R]
 //
 // The dataset directory uses the CSV layout of data/io.h (meta.csv,
 // observations.csv, truth.csv, features.csv, source_features.csv) — the
@@ -34,14 +32,6 @@
 //   --trace-out FILE      serve/loadgen/replay: write stage spans as a
 //                         chrome://tracing JSON timeline to FILE on exit
 //
-// The `bench` subcommand runs the Table-5-style runtime scenario (synthetic
-// generation, compilation cold vs cached, ERM + EM learning, SIMD wide vs
-// scalar learning, the per-core scaling curve, the eval grid, incremental
-// delta-compilation vs full recompiles, and warm vs cold relearning) and
-// writes per-phase seconds as BENCH_runtime.json
-// (override with --out). --quick shrinks the scenario to CI size; the JSON
-// schema is identical and checked by scripts/check_bench_schema.py.
-//
 // The `replay` subcommand feeds a dataset through a long-lived
 // FusionSession in K chunks — delta-compile on ingest, warm-started
 // relearn after every chunk — and reports the per-chunk latency and
@@ -60,19 +50,11 @@
 // The `loadgen` subcommand replays a dataset through a FusionService as
 // a mixed ingest/query workload (reader threads hammer queries during
 // ingest and relearning), reports QPS and p50/p95/p99 query latency,
-// cross-checks the final sharded snapshots against the offline replay
-// (the sharded-replay determinism contract), and writes the serve_qps /
-// query_latency phases as BENCH JSON (--out, default BENCH_serve.json,
-// schema-checked by scripts/check_bench_schema.py).
-//
-// The `storagebench` subcommand measures the durability layer on a
-// synthetic stream: WAL append throughput (wal_append), full-log replay
-// into a store (wal_replay), and the snapshot bulk-load that replaces
-// replay after a checkpoint (snapshot_load) — every path cross-checked
-// against direct in-memory ingestion by store fingerprint. Writes
-// BENCH_storage.json (--out), schema-checked like the other benches.
-
-#include <unistd.h>
+// and cross-checks the final sharded snapshots against the offline replay
+// (the sharded-replay determinism contract). It then gates the metrics
+// overhead on query p99 and runs the skewed-scheduler scenario; any
+// failed check is a non-zero exit. The repository benchmark
+// (slimbench/) measures the service; loadgen writes no report file.
 
 #include <algorithm>
 #include <charconv>
@@ -85,28 +67,24 @@
 #include <string>
 
 #include "baselines/registry.h"
-#include "bench_common.h"
 #include "core/explain.h"
 #include "core/fusion_session.h"
 #include "core/slimfast.h"
 #include "core/streaming.h"
 #include "data/io.h"
 #include "data/stats.h"
-#include "eval/harness.h"
 #include "eval/metrics.h"
-#include "exec/parallel.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
 #include "serve/fusion_service.h"
 #include "serve/line_protocol.h"
 #include "serve/loadgen.h"
-#include "simd/simd.h"
-#include "storage/snapshot_io.h"
 #include "storage/wal.h"
 #include "synth/simulators.h"
 #include "synth/synthetic.h"
 #include "util/csv.h"
 #include "util/random.h"
+#include "util/stopwatch.h"
 
 using namespace slimfast;
 
@@ -124,9 +102,7 @@ struct CliOptions {
   bool help = false;
   /// Worker threads; 0 defers to SLIMFAST_THREADS (default 1).
   int32_t threads = 0;
-  /// `bench` subcommand: run the runtime scenario and write JSON.
-  bool bench = false;
-  /// Shrink the bench scenario to CI size (same phases, same schema).
+  /// Shrink the loadgen scenario to CI size (same phases and gates).
   bool quick = false;
   /// `replay` subcommand: incremental ingest/relearn trajectory.
   bool replay = false;
@@ -150,11 +126,9 @@ struct CliOptions {
   bool preload = false;
   /// loadgen: skip the offline-replay cross-check.
   bool no_verify = false;
-  /// `storagebench` subcommand: WAL/snapshot durability micro-bench.
-  bool storagebench = false;
   /// serve: durability directory ("" = in-memory only).
   std::string wal_dir;
-  /// serve/storagebench WAL fsync cadence: 1 = every batch (default),
+  /// serve WAL fsync cadence: 1 = every batch (default),
   /// 0 = never (OS-crash durable only), N > 1 = every N batches.
   int32_t fsync_every = 1;
   /// serve/loadgen/replay: write a chrome://tracing JSON timeline of the
@@ -234,8 +208,6 @@ void PrintUsage(std::FILE* stream) {
                "[--stats]\n"
                "       slimfast_cli --demo <stocks|demos|crowd|genomics> "
                "[options]\n"
-               "       slimfast_cli bench [--quick] [--threads N] [--seed N] "
-               "[--out FILE]\n"
                "       slimfast_cli serve (<dataset_dir> | --demo NAME | "
                "--dims S O V)\n"
                "                    [--shards N] [--relearn-every K] "
@@ -250,10 +222,7 @@ void PrintUsage(std::FILE* stream) {
                "                    [--slo-stall S] [--slo-queue F]\n"
                "       slimfast_cli loadgen (<dataset_dir> | --demo NAME) "
                "[--quick]\n"
-               "                    [--shards N] [--chunks K] [--readers R] "
-               "[--out FILE]\n"
-               "       slimfast_cli storagebench [--quick] [--seed N] "
-               "[--out FILE]\n"
+               "                    [--shards N] [--chunks K] [--readers R]\n"
                "\n"
                "options:\n"
                "  --method NAME        fusion method (default SLiMFast); one "
@@ -290,7 +259,7 @@ void PrintUsage(std::FILE* stream) {
                "WAL in DIR and\n"
                "                       recover checkpoint + WAL tail from "
                "it on startup\n"
-               "  --fsync-every N      serve/storagebench: fsync the WAL "
+               "  --fsync-every N      serve: fsync the WAL "
                "every N batches\n"
                "                       (default 1 = every batch; 0 = "
                "never)\n"
@@ -339,12 +308,6 @@ void PrintUsage(std::FILE* stream) {
                "  --help, -h           show this message and exit\n"
                "\n"
                "subcommands:\n"
-               "  bench                run the Table-5-style runtime "
-               "scenario and write\n"
-               "                       per-phase seconds to "
-               "BENCH_runtime.json (see --out);\n"
-               "                       --quick shrinks it to CI size, same "
-               "schema\n"
                "  replay               feed the dataset through a "
                "FusionSession in K\n"
                "                       chunks (delta-compile + warm-start "
@@ -366,18 +329,8 @@ void PrintUsage(std::FILE* stream) {
                "ingest/query\n"
                "                       workload, report QPS + p50/p95/p99 "
                "query latency,\n"
-               "                       verify the sharded-replay "
-               "determinism contract,\n"
-               "                       and write serve_qps/query_latency "
-               "BENCH phases\n"
-               "  storagebench         measure WAL append, WAL replay, and "
-               "snapshot\n"
-               "                       bulk-load on a synthetic stream "
-               "(fingerprint\n"
-               "                       cross-checked) and write "
-               "wal_append/wal_replay/\n"
-               "                       snapshot_load BENCH phases to "
-               "BENCH_storage.json\n");
+               "                       and verify the sharded-replay "
+               "determinism contract\n");
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
@@ -477,27 +430,22 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       return true;
     } else if (arg.rfind("--", 0) == 0) {
       return UsageError("unknown option '" + arg + "'");
-    } else if (arg == "bench" && i == 1) {
-      // Subcommands are recognized in argv[1] only, so a dataset directory
-      // that happens to be named "bench" still works as a later positional
-      // (or as "./bench").
-      options->bench = true;
     } else if (arg == "replay" && i == 1) {
+      // Subcommands are recognized in argv[1] only, so a dataset directory
+      // that happens to be named "replay" still works as a later positional
+      // (or as "./replay").
       options->replay = true;
     } else if (arg == "serve" && i == 1) {
       options->serve = true;
     } else if (arg == "loadgen" && i == 1) {
       options->loadgen = true;
-    } else if (arg == "storagebench" && i == 1) {
-      options->storagebench = true;
     } else {
       options->dataset_dir = arg;
     }
   }
-  // bench and storagebench generate their own data; serve can run on
-  // bare --dims; replay, loadgen, and plain runs need a dataset.
-  if (options->bench || options->storagebench ||
-      !options->dataset_dir.empty() || !options->demo.empty() ||
+  // serve can run on bare --dims; replay, loadgen, and plain runs need
+  // a dataset.
+  if (!options->dataset_dir.empty() || !options->demo.empty() ||
       (options->serve && options->dim_sources >= 0)) {
     return true;
   }
@@ -522,8 +470,8 @@ Result<Dataset> LoadCliDataset(const CliOptions& options) {
 /// rebuilds the data-so-far (untimed — both paths share ingestion) and
 /// recompiles it from scratch (timed — exactly what DeltaCompile
 /// replaces), cross-checking the result bitwise-equal to the
-/// delta-maintained instance. Shared by `replay` and `bench`, so the
-/// delta-maintenance contract is re-checked at runtime by both.
+/// delta-maintained instance, so `replay` re-checks the
+/// delta-maintenance contract at runtime.
 class FullRecompileOracle {
  public:
   FullRecompileOracle(const Dataset& dataset, const ModelConfig& config)
@@ -549,9 +497,10 @@ class FullRecompileOracle {
       SLIMFAST_CHECK_OK(builder.SetTruth(label.object, label.value));
     }
     Dataset grown = std::move(builder).Build().ValueOrDie();
-    std::shared_ptr<const CompiledInstance> full;
-    *seconds = bench::TimeSeconds(
-        [&] { full = CompileInstance(grown, config_).ValueOrDie(); });
+    Stopwatch watch;
+    std::shared_ptr<const CompiledInstance> full =
+        CompileInstance(grown, config_).ValueOrDie();
+    *seconds = watch.ElapsedSeconds();
     if (!BitwiseEqual(delta, *full)) {
       std::fprintf(stderr,
                    "%s: delta-compiled instance differs from full "
@@ -751,379 +700,6 @@ int RunReplay(const CliOptions& options) {
   return 0;
 }
 
-/// The Table-5-style runtime scenario behind `slimfast_cli bench`.
-///
-/// Phases (each timed and recorded in the shared BenchReporter schema):
-///   generate_replicas  parallel synthetic dataset generation (src/synth)
-///   compile            cold compilation into a CompiledInstance (flat
-///                      sparse structure + columnar ObservationStore)
-///   compile_cached     the same lookup served by CompiledInstanceCache —
-///                      the cost every re-fit pays after the first
-///   learn_erm_sparse   batch ERM over the CompiledInstance CSR ranges
-///   learn_em_sparse    EM over the CompiledInstance CSR ranges
-///   learn_em_simd      soft EM over the flat ranges with the wide SIMD
-///                      kernel table, vs the same fit forced scalar —
-///                      outputs bit-identical (the lane-stable contract)
-///   learn_erm_simd     batch accuracy-log-loss ERM, wide vs scalar,
-///                      same bitwise cross-check
-///   eval_grid          parallel method×fraction sweep (src/eval)
-///   ingest_delta       incremental ingest in 4 chunks: store splice +
-///                      DeltaCompile of the touched rows, vs recompiling
-///                      the data-so-far from scratch after every chunk
-///   relearn_warm       warm-started refinement from the previous weight
-///                      vector, vs the cold-start learning schedule
-///
-/// Serial-vs-parallel, SIMD-vs-scalar, and delta-vs-full runs are
-/// cross-checked for bit-identical output (the exec determinism,
-/// lane-stable SIMD, and delta-maintenance contracts); the bench fails on
-/// any mismatch. The
-/// JSON additionally records a per-core scaling curve — the learn_em_simd
-/// fit re-timed at every thread count 1..HardwareCores() — under the
-/// top-level "scaling" key.
-int RunBench(const CliOptions& options) {
-  ExecOptions exec_options;
-  exec_options.threads = options.threads;
-  Executor parallel(exec_options);
-  const int32_t threads = parallel.threads();
-  const bool quick = options.quick;
-
-  bench::BenchReporter reporter("runtime");
-  reporter.set_threads(threads);
-  std::printf("slimfast bench: runtime scenario%s (threads=%d, seed=%llu)\n",
-              quick ? " [quick]" : "", threads,
-              static_cast<unsigned long long>(options.seed));
-
-  // --- Phase 1: parallel synthetic generation. ---
-  SyntheticConfig config;
-  config.name = "bench-runtime";
-  config.num_sources = quick ? 40 : 150;
-  config.num_objects = quick ? 1200 : 5000;
-  config.density = quick ? 0.08 : 0.05;
-  config.num_feature_groups = 4;
-  config.values_per_group = 8;
-  config.feature_effect = 0.1;
-  const int32_t num_replicas = quick ? 2 : 8;
-  std::vector<SyntheticDataset> replicas;
-  double generate_seconds = bench::TimeSeconds([&] {
-    replicas = GenerateSyntheticReplicas(config, options.seed, num_replicas,
-                                         &parallel)
-                   .ValueOrDie();
-  });
-  reporter.AddPhase("generate_replicas", generate_seconds, threads);
-  std::printf("  generate_replicas  %7.3fs (%d replicas, %d threads)\n",
-              generate_seconds, num_replicas, threads);
-
-  const Dataset& dataset = replicas[0].dataset;
-  Rng split_rng(options.seed);
-  TrainTestSplit split =
-      MakeSplit(dataset, 0.1, &split_rng).ValueOrDie();
-
-  // --- Phase 2: compilation, cold vs cached. ---
-  // Cold = fingerprint + full Compile + flatten (a cache miss); cached =
-  // fingerprint + lookup (what every ERM epoch loop, EM re-fit, or grid
-  // cell pays after the first run on a dataset).
-  CompiledInstanceCache& cache = CompiledInstanceCache::Global();
-  cache.Clear();
-  ModelConfig model_config;  // the SLiMFast preset's model structure
-  std::shared_ptr<const CompiledInstance> instance;
-  double compile_seconds = bench::TimeSeconds([&] {
-    instance = cache.GetOrCompile(dataset, model_config).ValueOrDie();
-  });
-  std::shared_ptr<const CompiledInstance> cached_instance;
-  double compile_cached_seconds = bench::TimeSeconds([&] {
-    cached_instance = cache.GetOrCompile(dataset, model_config).ValueOrDie();
-  });
-  if (cached_instance.get() != instance.get()) {
-    std::fprintf(stderr,
-                 "bench: compilation cache failed to return the shared "
-                 "instance\n");
-    return 1;
-  }
-  double compile_speedup = compile_cached_seconds > 0.0
-                               ? compile_seconds / compile_cached_seconds
-                               : 0.0;
-  reporter.AddPhase("compile", compile_seconds, 1);
-  reporter.AddPhase("compile_cached", compile_cached_seconds, 1);
-  reporter.AddSpeedup("compile_cached_vs_cold", 1, 1, compile_speedup);
-  std::printf("  compile            %7.3fs cold, %.6fs cached (%.0fx)\n",
-              compile_seconds, compile_cached_seconds, compile_speedup);
-
-  // --- Phases 3+4: ERM and EM learn time. ---
-  // The recorded seconds are the *learning* stage only
-  // (FusionOutput::learn_seconds); compilation is measured by the compile
-  // phases above, and the runs bypass the cache so every rep compiles its
-  // own structure.
-  auto learn_phase = [&](const char* name, bool batch_erm,
-                         auto&& make_method) {
-    SlimFastOptions learn_options;
-    learn_options.exec.threads = threads;
-    learn_options.use_compilation_cache = false;
-    learn_options.erm.batch = batch_erm;
-    if (batch_erm) {
-      // Pin the epoch count so the phase measures steady per-epoch cost
-      // instead of when early convergence happens to trigger.
-      learn_options.erm.tolerance = 0.0;
-      learn_options.erm.epochs = quick ? 30 : 60;
-    }
-    auto method = make_method(learn_options);
-    // Sub-10ms phases (batch ERM) drown in scheduler noise on one
-    // measurement; min-of-reps is the standard low-noise estimator.
-    const int reps = batch_erm ? 5 : 1;
-    double seconds = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-      const double learn_seconds =
-          method->Run(dataset, split, options.seed).ValueOrDie().learn_seconds;
-      if (rep == 0 || learn_seconds < seconds) seconds = learn_seconds;
-    }
-    reporter.AddPhase(name, seconds, threads);
-    std::printf("  %-18s %7.3fs (learn-only)\n", name, seconds);
-  };
-  learn_phase("learn_erm_sparse", /*batch_erm=*/true,
-              [](SlimFastOptions o) { return MakeSlimFastErm(o); });
-  learn_phase("learn_em_sparse", /*batch_erm=*/false,
-              [](SlimFastOptions o) { return MakeSlimFastEm(o); });
-
-  // --- Phase 4b: SIMD wide vs scalar on the vectorized learners. ---
-  // Same sparse representation, same seed; the only variable is the
-  // kernel table the simd layer dispatches to. The wide and scalar
-  // tables are width-8 and width-1 instantiations of one template with a
-  // lane-stable reduction, so the outputs must be bit-identical — the
-  // bench fails (non-zero exit) on any divergence, making the SIMD
-  // determinism contract a per-commit gate, not a tolerance. The two
-  // configs are the learners whose hot loops stream the kernels:
-  //   learn_em_simd    soft EM (batched E-step posterior + entropy
-  //                    pipeline, per-source-count M-step)
-  //   learn_erm_simd   accuracy-log-loss ERM (the per-source-count
-  //                    solver: batched sigmoid/softplus per iteration)
-  // Process-default dispatch: wide only when compiled in, permitted by
-  // the SLIMFAST_SIMD environment switch, and supported by this CPU. A
-  // kill-switched run compares scalar vs scalar (the honest ~1.0x)
-  // rather than forcing the table the user disabled.
-  const bool simd_wide_available = simd::WideEnabled();
-  if (!simd_wide_available) {
-    std::printf("  note: wide SIMD table unavailable (compiled out, "
-                "SLIMFAST_SIMD=0, or unsupported CPU); simd phases "
-                "compare scalar vs scalar\n");
-  }
-  auto make_em_simd_options = [&](int32_t phase_threads) {
-    SlimFastOptions o;
-    o.exec.threads = phase_threads;
-    o.use_compilation_cache = false;
-    o.em.soft = true;
-    // Pin the iteration budget so the phase measures steady per-sweep
-    // cost, not when convergence happens to trigger.
-    o.em.tolerance = 0.0;
-    o.em.max_iterations = quick ? 10 : 20;
-    return o;
-  };
-  auto simd_phase = [&](const char* name,
-                        auto&& make_method) -> int {
-    auto method = make_method();
-    FusionOutput wide_output;
-    FusionOutput scalar_output;
-    double wide_seconds = 0.0;
-    double scalar_seconds = 0.0;
-    const int reps = 3;  // min-of-reps, as in the learn phases
-    for (int rep = 0; rep < reps; ++rep) {
-      simd::SetWideEnabledForTest(simd_wide_available);
-      wide_output = method->Run(dataset, split, options.seed).ValueOrDie();
-      simd::SetWideEnabledForTest(false);
-      scalar_output = method->Run(dataset, split, options.seed).ValueOrDie();
-      if (rep == 0 || wide_output.learn_seconds < wide_seconds) {
-        wide_seconds = wide_output.learn_seconds;
-      }
-      if (rep == 0 || scalar_output.learn_seconds < scalar_seconds) {
-        scalar_seconds = scalar_output.learn_seconds;
-      }
-    }
-    simd::SetWideEnabledForTest(simd_wide_available);  // process default
-    if (wide_output.predicted_values != scalar_output.predicted_values ||
-        wide_output.source_accuracies != scalar_output.source_accuracies) {
-      std::fprintf(stderr,
-                   "bench: %s wide and scalar outputs differ (lane-stable "
-                   "SIMD contract violated)\n",
-                   name);
-      return 1;
-    }
-    double speedup = wide_seconds > 0.0 ? scalar_seconds / wide_seconds : 0.0;
-    reporter.AddPhase(name, wide_seconds, threads);
-    reporter.AddSpeedup(std::string(name) + "_vs_scalar", threads, threads,
-                        speedup);
-    std::printf("  %-18s %7.3fs wide, %7.3fs scalar (%.2fx learn-only, "
-                "bit-identical, width=%d)\n",
-                name, wide_seconds, scalar_seconds, speedup,
-                simd_wide_available ? simd::kWideWidth : 1);
-    return 0;
-  };
-  if (simd_phase("learn_em_simd", [&] {
-        return MakeSlimFastEm(make_em_simd_options(threads));
-      }) != 0) {
-    return 1;
-  }
-  if (simd_phase("learn_erm_simd", [&] {
-        SlimFastOptions o;
-        o.exec.threads = threads;
-        o.use_compilation_cache = false;
-        o.erm.loss = ErmLoss::kAccuracyLogLoss;
-        o.erm.tolerance = 0.0;
-        o.erm.epochs = quick ? 30 : 60;
-        // Accuracy-loss fits report calibrated accuracies already; the
-        // extra calibration pass would re-run the same fit.
-        o.calibrate_accuracies = false;
-        return MakeSlimFastErm(o);
-      }) != 0) {
-    return 1;
-  }
-
-  // --- Per-core scaling curve: the learn_em_simd fit re-timed at every
-  // thread count 1..HardwareCores(). Thread count never changes the
-  // result (the exec determinism contract), only the wall clock; the
-  // curve records how far the shard structure actually scales on this
-  // box. Emitted under the top-level "scaling" key and required by
-  // scripts/check_bench_schema.py for the runtime scenario. ---
-  {
-    const int32_t cores = bench::BenchReporter::HardwareCores();
-    std::vector<ValueId> scaling_reference;
-    for (int32_t t = 1; t <= cores; ++t) {
-      auto method = MakeSlimFastEm(make_em_simd_options(t));
-      FusionOutput out =
-          method->Run(dataset, split, options.seed).ValueOrDie();
-      if (t == 1) {
-        scaling_reference = out.predicted_values;
-      } else if (out.predicted_values != scaling_reference) {
-        std::fprintf(stderr,
-                     "bench: scaling run at %d threads diverged from the "
-                     "1-thread result (exec determinism contract "
-                     "violated)\n",
-                     t);
-        return 1;
-      }
-      reporter.AddScalingPoint("learn_em_simd", t, out.learn_seconds);
-      std::printf("  scaling            %7.3fs learn @%d thread(s)\n",
-                  out.learn_seconds, t);
-    }
-  }
-
-  if (threads > bench::BenchReporter::HardwareCores()) {
-    std::printf("  note: %d threads on %d hardware core(s); wall-clock "
-                "speedup is capped by the hardware\n",
-                threads, bench::BenchReporter::HardwareCores());
-  }
-
-  // --- Phase 5: parallel eval grid. ---
-  // Every SLiMFast cell shares the dataset, so the grid hits the
-  // compilation cache after the first cell.
-  std::vector<std::unique_ptr<FusionMethod>> methods_owned;
-  SlimFastOptions grid_options;
-  grid_options.exec.threads = 1;  // grid parallelism lives in the harness
-  for (const char* name : {"SLiMFast", "MajorityVote", "ACCU"}) {
-    methods_owned.push_back(
-        MakeMethodByName(name, grid_options).ValueOrDie());
-  }
-  std::vector<FusionMethod*> methods;
-  for (auto& m : methods_owned) methods.push_back(m.get());
-  SweepSpec spec;
-  spec.train_fractions = quick ? std::vector<double>{0.20}
-                               : std::vector<double>{0.05, 0.20};
-  spec.num_seeds = quick ? 1 : 2;
-  spec.base_seed = options.seed;
-  double grid_seconds = bench::TimeSeconds([&] {
-    SweepMethods(dataset, methods, spec, &parallel).ValueOrDie();
-  });
-  reporter.AddPhase("eval_grid", grid_seconds, threads);
-  std::printf("  eval_grid          %7.3fs (3 methods x %zu fractions x %d "
-              "seeds)\n",
-              grid_seconds, spec.train_fractions.size(), spec.num_seeds);
-
-  // --- Phase 6: incremental ingest — delta-compilation vs recompiling
-  // the data-so-far from scratch after every chunk. Every chunk's delta
-  // result is cross-checked bitwise-equal to the full recompilation (the
-  // delta-maintenance contract); the bench fails on mismatch. ---
-  const int32_t ingest_chunks = 4;
-  std::vector<ObservationBatch> chunks =
-      ChunkDatasetForReplay(dataset, ingest_chunks);
-  DatasetBuilder empty_builder("bench-ingest", dataset.num_sources(),
-                               dataset.num_objects(), dataset.num_values());
-  *empty_builder.mutable_features() = dataset.features();
-  Dataset empty_twin = std::move(empty_builder).Build().ValueOrDie();
-  std::shared_ptr<const CompiledInstance> delta_instance =
-      CompileInstance(empty_twin, model_config).ValueOrDie();
-
-  FullRecompileOracle oracle(dataset, model_config);
-  double ingest_delta_seconds = 0.0;
-  double ingest_full_seconds = 0.0;
-  for (int32_t c = 0; c < ingest_chunks; ++c) {
-    const ObservationBatch& chunk = chunks[static_cast<size_t>(c)];
-    ingest_delta_seconds += bench::TimeSeconds([&] {
-      delta_instance =
-          DeltaCompile(*delta_instance, chunk, &parallel).ValueOrDie();
-    });
-    double full_seconds = 0.0;
-    if (!oracle.AbsorbAndCheck(chunk, *delta_instance, c, "bench",
-                               &full_seconds)) {
-      return 1;
-    }
-    ingest_full_seconds += full_seconds;
-  }
-  double ingest_speedup = ingest_delta_seconds > 0.0
-                              ? ingest_full_seconds / ingest_delta_seconds
-                              : 0.0;
-  reporter.AddPhase("ingest_delta", ingest_delta_seconds, threads);
-  reporter.AddSpeedup("ingest_delta_vs_recompile", threads, threads,
-                      ingest_speedup);
-  std::printf("  ingest_delta       %7.3fs delta vs %7.3fs full recompile "
-              "over %d chunks (%.2fx, bit-identical)\n",
-              ingest_delta_seconds, ingest_full_seconds, ingest_chunks,
-              ingest_speedup);
-
-  // --- Phase 7: warm-started relearning vs the cold schedule. The warm
-  // fit seeds from the cold fit's weights and runs the refinement budget
-  // (WarmStartOptions::budget_scale of the cold epochs). ---
-  SlimFastOptions relearn_options;
-  relearn_options.exec.threads = threads;
-  relearn_options.algorithm = Algorithm::kErm;
-  SlimFast relearner(relearn_options, "bench-relearner");
-  SlimFastFit cold_fit =
-      relearner
-          .FitCompiled(dataset, split, options.seed, instance, nullptr,
-                       &parallel)
-          .ValueOrDie();
-  std::vector<double> warm_weights = cold_fit.model.weights();
-  SlimFastFit warm_fit =
-      relearner
-          .FitCompiled(dataset, split, options.seed, instance,
-                       &warm_weights, &parallel)
-          .ValueOrDie();
-  if (!warm_fit.warm_started) {
-    std::fprintf(stderr, "bench: warm fit did not warm-start\n");
-    return 1;
-  }
-  double relearn_cold_seconds = cold_fit.learn_seconds;
-  double relearn_warm_seconds = warm_fit.learn_seconds;
-  double relearn_speedup = relearn_warm_seconds > 0.0
-                               ? relearn_cold_seconds / relearn_warm_seconds
-                               : 0.0;
-  auto heldout_accuracy = [&](const SlimFastModel& model) {
-    return TestAccuracy(dataset, model.PredictAll(), split).ValueOrDie();
-  };
-  double cold_accuracy = heldout_accuracy(cold_fit.model);
-  double warm_accuracy = heldout_accuracy(warm_fit.model);
-  reporter.AddPhase("relearn_warm", relearn_warm_seconds, threads);
-  reporter.AddSpeedup("relearn_warm_vs_cold", threads, threads,
-                      relearn_speedup);
-  std::printf("  relearn_warm       %7.3fs warm vs %7.3fs cold (%.2fx; "
-              "held-out accuracy %.4f warm / %.4f cold)\n",
-              relearn_warm_seconds, relearn_cold_seconds, relearn_speedup,
-              warm_accuracy, cold_accuracy);
-
-  std::string out_path =
-      options.out_file.empty() ? "BENCH_runtime.json" : options.out_file;
-  if (!reporter.WriteJson(out_path)) return 1;
-  std::printf("Per-phase JSON written to %s (git %s)\n", out_path.c_str(),
-              bench::BenchReporter::GitDescribe().c_str());
-  return 0;
-}
-
 /// The `serve` subcommand: a sharded FusionService speaking the line
 /// protocol over stdin/stdout. The universe comes from a dataset (whose
 /// observations are only ingested with --preload) or bare --dims;
@@ -1249,178 +825,10 @@ int RunServe(const CliOptions& options) {
   return 0;
 }
 
-/// The `storagebench` subcommand: the durability layer's three costs on
-/// one synthetic stream. wal_append is the logging overhead every
-/// durable ingest pays; wal_replay is recovery from a bare log (decode +
-/// re-ingest every batch); snapshot_load is recovery from a checkpoint
-/// (one bulk column load) — the speedup between the last two is exactly
-/// what Checkpoint() buys. Every path is cross-checked against direct
-/// in-memory ingestion: the bench fails unless the replayed and loaded
-/// stores are bitwise equal to the reference (fingerprint included).
-int RunStorageBench(const CliOptions& options) {
-  const bool quick = options.quick;
-  SyntheticConfig config;
-  config.name = "bench-storage";
-  config.num_sources = quick ? 40 : 120;
-  config.num_objects = quick ? 1500 : 8000;
-  config.density = quick ? 0.08 : 0.05;
-  auto synth = GenerateSynthetic(config, options.seed);
-  if (!synth.ok()) {
-    std::fprintf(stderr, "cannot generate dataset: %s\n",
-                 synth.status().ToString().c_str());
-    return 1;
-  }
-  Dataset dataset = std::move(synth).ValueOrDie().dataset;
-  const int32_t num_batches = quick ? 32 : 128;
-  std::vector<ObservationBatch> batches =
-      ChunkDatasetForReplay(dataset, num_batches);
-
-  std::printf("slimfast storagebench%s: %lld observations in %d batches "
-              "(seed %llu, fsync every %d)\n",
-              quick ? " [quick]" : "",
-              static_cast<long long>(dataset.num_observations()),
-              num_batches,
-              static_cast<unsigned long long>(options.seed),
-              options.fsync_every);
-
-  // Scratch directory; removed on every exit path below.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("slimfast-storagebench-" + std::to_string(::getpid())))
-          .string();
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  auto cleanup = [&] { std::filesystem::remove_all(dir, ec); };
-  auto fail = [&](const std::string& what, const Status& status) {
-    std::fprintf(stderr, "storagebench: %s: %s\n", what.c_str(),
-                 status.ToString().c_str());
-    cleanup();
-    return 1;
-  };
-
-  // --- Phase 1: WAL append (the per-batch durable-ingest overhead). ---
-  const WalOptions wal_options = WalOptionsFor(options.fsync_every);
-  double wal_append_seconds = 0.0;
-  {
-    auto opened = WalWriter::Open(dir, wal_options);
-    if (!opened.ok()) return fail("cannot open WAL", opened.status());
-    std::unique_ptr<WalWriter> writer = std::move(opened).ValueOrDie();
-    Status append_status;
-    wal_append_seconds = bench::TimeSeconds([&] {
-      for (const ObservationBatch& batch : batches) {
-        auto logged = writer->Append(batch);
-        if (!logged.ok()) {
-          append_status = logged.status();
-          return;
-        }
-      }
-      append_status = writer->Sync();
-    });
-    if (!append_status.ok()) return fail("WAL append", append_status);
-  }
-  std::printf("  wal_append         %7.3fs (%d batches -> %s)\n",
-              wal_append_seconds, num_batches, dir.c_str());
-
-  // The reference the durable paths must reproduce: the same batches
-  // ingested directly in memory (untimed).
-  DatasetBuilder empty_builder("bench-storage-empty", dataset.num_sources(),
-                               dataset.num_objects(), dataset.num_values());
-  Dataset empty_twin = std::move(empty_builder).Build().ValueOrDie();
-  ObservationStore reference = ObservationStore::FromDataset(empty_twin);
-  for (const ObservationBatch& batch : batches) {
-    auto appended = reference.AppendBatch(batch);
-    if (!appended.ok()) return fail("reference ingest", appended.status());
-    reference = std::move(appended).ValueOrDie();
-  }
-
-  // --- Phase 2: recovery from a bare log — decode + re-ingest all. ---
-  ObservationStore replayed = ObservationStore::FromDataset(empty_twin);
-  Status replay_status;
-  double wal_replay_seconds = bench::TimeSeconds([&] {
-    replay_status = ReplayWal(dir, 0, [&](const WalRecord& record) {
-      SLIMFAST_ASSIGN_OR_RETURN(replayed,
-                                replayed.AppendBatch(record.batch));
-      return Status::OK();
-    });
-  });
-  if (!replay_status.ok()) return fail("WAL replay", replay_status);
-  if (!(replayed == reference)) {
-    std::fprintf(stderr,
-                 "storagebench: replayed store differs from direct "
-                 "ingestion (fingerprint %016llx vs %016llx)\n",
-                 static_cast<unsigned long long>(
-                     replayed.content_fingerprint()),
-                 static_cast<unsigned long long>(
-                     reference.content_fingerprint()));
-    cleanup();
-    return 1;
-  }
-  std::printf("  wal_replay         %7.3fs (store fingerprint %016llx, "
-              "bit-identical)\n",
-              wal_replay_seconds,
-              static_cast<unsigned long long>(
-                  replayed.content_fingerprint()));
-
-  // --- Phase 3: recovery from a checkpoint — one bulk column load. ---
-  const std::string snap_path = dir + "/store.snap";
-  std::string payload;
-  AppendStoreColumns(reference, &payload);
-  Status written = WriteSnapshotFile(snap_path, payload);
-  if (!written.ok()) return fail("snapshot write", written);
-  ObservationStore loaded;
-  Status load_status;
-  double snapshot_load_seconds = bench::TimeSeconds([&] {
-    load_status = [&]() -> Status {
-      SLIMFAST_ASSIGN_OR_RETURN(std::string bytes,
-                                ReadSnapshotFile(snap_path));
-      ByteReader in(bytes);
-      SLIMFAST_ASSIGN_OR_RETURN(loaded, ReadStoreColumns(&in));
-      if (in.remaining() != 0) {
-        return Status::IOError("trailing bytes after store columns");
-      }
-      return Status::OK();
-    }();
-  });
-  if (!load_status.ok()) return fail("snapshot load", load_status);
-  if (!(loaded == reference)) {
-    std::fprintf(stderr,
-                 "storagebench: snapshot-loaded store differs from direct "
-                 "ingestion\n");
-    cleanup();
-    return 1;
-  }
-  double load_speedup = snapshot_load_seconds > 0.0
-                            ? wal_replay_seconds / snapshot_load_seconds
-                            : 0.0;
-  std::printf("  snapshot_load      %7.3fs (%.2fx faster than replaying "
-              "the log, bit-identical)\n",
-              snapshot_load_seconds, load_speedup);
-  cleanup();
-
-  // Sub-resolution phases record the 1ns floor, not a dead-timer 0 (the
-  // schema checker rejects non-positive seconds for required phases).
-  auto floored = [](double seconds) {
-    return seconds > 0.0 ? seconds : 1e-9;
-  };
-  bench::BenchReporter reporter("storage");
-  reporter.set_threads(1);
-  reporter.AddPhase("wal_append", floored(wal_append_seconds), 1);
-  reporter.AddPhase("wal_replay", floored(wal_replay_seconds), 1);
-  reporter.AddPhase("snapshot_load", floored(snapshot_load_seconds), 1);
-  reporter.AddSpeedup("snapshot_load_vs_wal_replay", 1, 1, load_speedup);
-  std::string out_path =
-      options.out_file.empty() ? "BENCH_storage.json" : options.out_file;
-  if (!reporter.WriteJson(out_path)) return 1;
-  std::printf("Storage bench JSON written to %s (git %s)\n",
-              out_path.c_str(),
-              bench::BenchReporter::GitDescribe().c_str());
-  return 0;
-}
-
 /// The `loadgen` subcommand: mixed ingest/query workload against a
-/// FusionService, QPS + latency percentiles as serve BENCH phases, and
-/// the offline-replay cross-check. Non-zero exit on a failed cross-check
-/// or any out-of-universe read.
+/// FusionService, QPS + latency percentiles on stdout, and the
+/// offline-replay cross-check. Non-zero exit on a failed cross-check, any
+/// out-of-universe read, or a failed overhead or scheduler gate.
 int RunLoadgenCli(const CliOptions& options) {
   auto loaded = LoadCliDataset(options);
   if (!loaded.ok()) {
@@ -1433,7 +841,7 @@ int RunLoadgenCli(const CliOptions& options) {
   LoadgenOptions loadgen_options;
   loadgen_options.num_shards = options.shards;
   // --quick is the CI-sized scenario: fewer chunks/readers and a smaller
-  // latency sample, same phases, same schema.
+  // latency sample, same phases, same gates.
   loadgen_options.num_chunks = options.quick ? 6 : options.chunks;
   loadgen_options.reader_threads = options.quick ? 2 : options.readers;
   loadgen_options.min_queries_per_reader = options.quick ? 500 : 5000;
@@ -1550,64 +958,6 @@ int RunLoadgenCli(const CliOptions& options) {
                 skew.sched.verified ? "bit-identical" : "DIFFERS");
   }
 
-  // Percentiles below the clock's resolution record the 1ns floor rather
-  // than a dead-timer 0 (the schema checker rejects non-positive values
-  // for required phases).
-  auto floored = [](double seconds) {
-    return seconds > 0.0 ? seconds : 1e-9;
-  };
-  bench::BenchReporter reporter("serve");
-  reporter.set_threads(ResolveThreads(loadgen_options.exec));
-  reporter.AddQpsPhase("serve_qps", floored(report.run_wall_seconds),
-                       report.reader_threads, report.qps);
-  reporter.AddLatencyPhase(
-      "query_latency", floored(report.query_latency.p50),
-      report.reader_threads, floored(report.query_latency.p50),
-      floored(report.query_latency.p95), floored(report.query_latency.p99));
-  // Observability fields: lifetime counters plus the overhead-gate
-  // gauges, carried in the optional "metrics" object the schema checker
-  // validates for serve benches.
-  reporter.AddLatencyPhase(
-      "flat_hot_staleness_p99", floored(skew.flat.wall_seconds),
-      skew_options.reader_threads, floored(skew.flat.hot_staleness.p50),
-      floored(skew.flat.hot_staleness.p95),
-      floored(skew.flat.hot_staleness.p99));
-  reporter.AddLatencyPhase(
-      "sched_hot_staleness_p99", floored(skew.sched.wall_seconds),
-      skew_options.reader_threads, floored(skew.sched.hot_staleness.p50),
-      floored(skew.sched.hot_staleness.p95),
-      floored(skew.sched.hot_staleness.p99));
-  reporter.AddCounter("queries_total", report.total_queries);
-  reporter.AddCounter("relearns_total", report.relearns);
-  reporter.AddCounter("publishes_total", report.publishes);
-  reporter.AddCounter("sheds_total", skew.admission_sheds);
-  // Flight-recorder health fields: the event ring must not be dropping
-  // (a nonzero value means the EVENTS ring overflowed faster than it
-  // was drained) and no SLO rule may be latched at the end of the run
-  // (loadgen configures no watchdog, so this is 0 unless a future
-  // change wires one up — the schema checker requires both fields).
-  reporter.AddCounter("events_dropped_total",
-                      obs::EventLog::Global().dropped());
-  reporter.AddGauge("slo_breached_rules", 0.0);
-  reporter.AddGauge("sched_gate_passed", skew.gate_passed ? 1.0 : 0.0);
-  if (report.overhead_ran) {
-    reporter.AddGauge("obs_overhead_base_p99_seconds",
-                      floored(report.overhead_base_p99_seconds));
-    reporter.AddGauge("obs_overhead_obs_p99_seconds",
-                      floored(report.overhead_obs_p99_seconds));
-    reporter.AddGauge("obs_overhead_gate_passed",
-                      report.overhead_gate_passed ? 1.0 : 0.0);
-  }
-  // Default to a serve-specific file: the committed BENCH_runtime.json
-  // baseline is the *runtime* scenario, and a serve-schema document
-  // would still pass the schema checker (required phases key off the
-  // embedded bench name) — an easy file to clobber silently.
-  std::string out_path =
-      options.out_file.empty() ? "BENCH_serve.json" : options.out_file;
-  if (!reporter.WriteJson(out_path)) return 1;
-  std::printf("Serve bench JSON written to %s (git %s)\n", out_path.c_str(),
-              bench::BenchReporter::GitDescribe().c_str());
-
   if (report.overhead_ran && !report.overhead_gate_passed) {
     std::fprintf(stderr,
                  "loadgen: observability overhead gate FAILED (p99 %.3fus "
@@ -1647,13 +997,11 @@ int main(int argc, char** argv) {
     PrintUsage(stdout);
     return 0;
   }
-  if (options.bench) return RunBench(options);
-  if (options.storagebench) return RunStorageBench(options);
-  // A first positional that names no existing path is a typoed
-  // subcommand (or a missing dataset directory) — fail fast with a hint
-  // instead of falling through to "cannot load dataset".
+  // A positional without a meta.csv is a typoed subcommand or not a
+  // dataset directory (like the source tree's bench/) — fail fast with a
+  // hint instead of falling through to "cannot load dataset".
   if (!options.dataset_dir.empty() && options.demo.empty() &&
-      !std::filesystem::exists(options.dataset_dir)) {
+      !std::filesystem::exists(options.dataset_dir + "/meta.csv")) {
     std::fprintf(stderr,
                  "slimfast_cli: unknown subcommand or dataset directory "
                  "'%s' (run 'slimfast_cli --help' for usage)\n",
