@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <unordered_map>
 #include <utility>
 
 #include "exec/parallel.h"
+#include "util/csr.h"
 #include "util/hash.h"
 
 namespace slimfast {
@@ -198,84 +200,75 @@ void AppendRow(const ObservationStore& store, ObjectId object,
   out->row_begin.push_back(static_cast<int64_t>(out->cand_values.size()));
 }
 
-/// Appends rows [lo, hi) of `src` to `out` as contiguous range copies,
-/// rebasing the candidate and term offsets.
-void CopyRows(const CompiledInstance& src, int32_t lo, int32_t hi,
-              CompiledInstance* out) {
-  if (lo >= hi) return;
+/// Appends the candidate and term ranges of rows [lo, hi) of `src` to
+/// `out` as contiguous range copies, rebasing the candidate and term
+/// offsets.
+void CopyTermRows(const CompiledInstance& src, int32_t lo, int32_t hi,
+                  CompiledInstance* out) {
   const int64_t cb = src.row_begin[static_cast<size_t>(lo)];
   const int64_t ce = src.row_begin[static_cast<size_t>(hi)];
   const int64_t tb = src.term_begin[static_cast<size_t>(cb)];
   const int64_t te = src.term_begin[static_cast<size_t>(ce)];
-  const int64_t cand_shift = out->num_candidates() - cb;
-  const int64_t term_shift =
-      static_cast<int64_t>(out->term_coeff.size()) - tb;
-  for (int32_t r = lo + 1; r <= hi; ++r) {
-    out->row_begin.push_back(src.row_begin[static_cast<size_t>(r)] +
-                             cand_shift);
-  }
-  out->cand_values.insert(out->cand_values.end(),
-                          src.cand_values.begin() + cb,
-                          src.cand_values.begin() + ce);
-  out->cand_offsets.insert(out->cand_offsets.end(),
-                           src.cand_offsets.begin() + cb,
-                           src.cand_offsets.begin() + ce);
-  for (int64_t c = cb + 1; c <= ce; ++c) {
-    out->term_begin.push_back(src.term_begin[static_cast<size_t>(c)] +
-                              term_shift);
-  }
-  out->term_coeff.insert(out->term_coeff.end(), src.term_coeff.begin() + tb,
-                         src.term_coeff.begin() + te);
-  out->term_param.insert(out->term_param.end(), src.term_param.begin() + tb,
-                         src.term_param.begin() + te);
+  AppendShifted(src.row_begin, lo + 1, hi + 1, out->num_candidates() - cb,
+                &out->row_begin);
+  AppendRange(src.cand_values, cb, ce, &out->cand_values);
+  AppendRange(src.cand_offsets, cb, ce, &out->cand_offsets);
+  AppendShifted(src.term_begin, cb + 1, ce + 1,
+                static_cast<int64_t>(out->term_coeff.size()) - tb,
+                &out->term_begin);
+  AppendRange(src.term_coeff, tb, te, &out->term_coeff);
+  AppendRange(src.term_param, tb, te, &out->term_param);
 }
 
-/// Fills the per-row claim arrays (canonical order) and truth targets from
-/// `instance->store`. The claimed value's domain index is resolved once
-/// here so per-iteration walks never binary-search.
-void ResolveClaims(CompiledInstance* instance) {
+/// Appends the claim ranges and truth targets of rows [lo, hi) of `src`
+/// to `out`, rebasing the claim offsets. Valid only for rows whose claims,
+/// domain, and truth are unchanged in `out->store`.
+void CopyClaimRows(const CompiledInstance& src, int32_t lo, int32_t hi,
+                   CompiledInstance* out) {
+  const int64_t qb = src.claim_begin[static_cast<size_t>(lo)];
+  const int64_t qe = src.claim_begin[static_cast<size_t>(hi)];
+  AppendShifted(src.claim_begin, lo + 1, hi + 1,
+                static_cast<int64_t>(out->claim_sources.size()) - qb,
+                &out->claim_begin);
+  AppendRange(src.claim_sources, qb, qe, &out->claim_sources);
+  AppendRange(src.claim_cand, qb, qe, &out->claim_cand);
+  AppendRange(src.truth_cand, lo, hi, &out->truth_cand);
+}
+
+/// The one row resolver: appends row `r`'s claims (canonical order) and
+/// truth target, read from `instance->store`. The row's candidates must
+/// already be in place; each claimed value's domain index is resolved
+/// once here so per-iteration walks never binary-search.
+/// CompileInstance resolves every row through it, DeltaCompile only the
+/// rows whose claims or truth changed.
+void ResolveRow(int32_t r, CompiledInstance* instance) {
   const ObservationStore& store = instance->store;
-  const int32_t num_rows = instance->num_rows();
-  instance->claim_begin.reserve(static_cast<size_t>(num_rows) + 1);
-  instance->claim_begin.push_back(0);
-  instance->claim_sources.reserve(
-      static_cast<size_t>(store.num_observations()));
-  instance->claim_cand.reserve(static_cast<size_t>(store.num_observations()));
-  instance->truth_cand.reserve(static_cast<size_t>(num_rows));
-  for (int32_t r = 0; r < num_rows; ++r) {
-    const ObjectId object = instance->row_object[static_cast<size_t>(r)];
-    IndexRange range = store.ObjectRange(object);
-    for (int64_t i = range.begin; i < range.end; ++i) {
-      instance->claim_sources.push_back(
-          store.sources()[static_cast<size_t>(i)]);
-      instance->claim_cand.push_back(instance->DomainIndex(
-          r, store.values()[static_cast<size_t>(i)]));
-    }
-    instance->claim_begin.push_back(
-        static_cast<int64_t>(instance->claim_sources.size()));
-    ValueId truth = store.truth()[static_cast<size_t>(object)];
-    instance->truth_cand.push_back(
-        truth == kNoValue ? -1 : instance->DomainIndex(r, truth));
+  const ObjectId object = instance->row_object[static_cast<size_t>(r)];
+  const IndexRange range = store.ObjectRange(object);
+  for (int64_t i = range.begin; i < range.end; ++i) {
+    instance->claim_sources.push_back(store.sources()[static_cast<size_t>(i)]);
+    instance->claim_cand.push_back(
+        instance->DomainIndex(r, store.values()[static_cast<size_t>(i)]));
   }
+  instance->claim_begin.push_back(
+      static_cast<int64_t>(instance->claim_sources.size()));
+  const ValueId truth = store.truth()[static_cast<size_t>(object)];
+  instance->truth_cand.push_back(
+      truth == kNoValue ? -1 : instance->DomainIndex(r, truth));
 }
 
-/// Empty row and candidate axes (the leading CSR offsets only), with room
-/// for `num_candidates` candidates.
-void StartRows(int32_t num_objects, size_t num_candidates,
+/// Empty row, candidate, and claim axes (the leading CSR offsets only),
+/// with room for `num_candidates` candidates and `num_claims` claims.
+void StartRows(size_t num_candidates, size_t num_claims,
                CompiledInstance* instance) {
-  instance->object_row.assign(static_cast<size_t>(num_objects), -1);
   instance->row_begin.assign(1, 0);
   instance->term_begin.assign(1, 0);
+  instance->claim_begin.assign(1, 0);
   instance->cand_values.reserve(num_candidates);
   instance->cand_offsets.reserve(num_candidates);
   instance->term_begin.reserve(num_candidates + 1);
-}
-
-/// Registers `object` as the next row.
-void AddRowObject(ObjectId object, CompiledInstance* instance) {
-  instance->object_row[static_cast<size_t>(object)] =
-      static_cast<int32_t>(instance->row_object.size());
-  instance->row_object.push_back(object);
+  instance->claim_sources.reserve(num_claims);
+  instance->claim_cand.reserve(num_claims);
 }
 
 }  // namespace
@@ -359,16 +352,23 @@ Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
   instance->model = std::make_shared<const CompiledModel>(std::move(header));
 
   // Per-object posterior expressions, one AppendRow per observed object
-  // (the same call DeltaCompile makes for touched rows).
-  StartRows(store.num_objects(), store.domain_values().size(),
-            instance.get());
+  // (the same call DeltaCompile makes for rows with new claims), then
+  // every row's claims through the one row resolver.
+  StartRows(store.domain_values().size(),
+            static_cast<size_t>(store.num_observations()), instance.get());
+  instance->object_row.assign(static_cast<size_t>(store.num_objects()), -1);
   for (ObjectId o = 0; o < store.num_objects(); ++o) {
     if (store.ObjectRange(o).empty()) continue;
-    AddRowObject(o, instance.get());
+    instance->object_row[static_cast<size_t>(o)] =
+        static_cast<int32_t>(instance->row_object.size());
+    instance->row_object.push_back(o);
     AppendRow(store, o, *instance, pair_index, instance.get());
   }
   instance->store = std::move(store);
-  ResolveClaims(instance.get());
+  instance->truth_cand.reserve(instance->row_object.size());
+  for (int32_t r = 0; r < instance->num_rows(); ++r) {
+    ResolveRow(r, instance.get());
+  }
   return std::shared_ptr<const CompiledInstance>(std::move(instance));
 }
 
@@ -389,7 +389,9 @@ Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
   }
 
   auto instance = std::make_shared<CompiledInstance>();
-  SLIMFAST_ASSIGN_OR_RETURN(instance->store, base.store.AppendBatch(batch));
+  std::vector<ObjectId> touched;
+  SLIMFAST_ASSIGN_OR_RETURN(instance->store,
+                            base.store.AppendBatch(batch, &touched));
   const ObservationStore& store = instance->store;
 
   // Structural context carries over unchanged: new observations cannot
@@ -402,9 +404,8 @@ Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
 
   // Recompile exactly the rows with new claims, one fragment per row,
   // sharded across `exec` (each row writes its own fragment, so thread
-  // count never changes the result). Truth-only updates never enter a
-  // row's term expressions — ResolveClaims re-resolves every truth_cand
-  // from the new store — so a labels-only batch recompiles nothing.
+  // count never changes the result). Truth never enters a row's term
+  // expressions, so a truth-only row keeps its base terms.
   std::vector<ObjectId> recompile;
   recompile.reserve(batch.observations.size());
   for (const Observation& obs : batch.observations) {
@@ -422,37 +423,67 @@ Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
               &fragment);
   });
 
-  // Assemble the rows in ObjectId order: recompiled rows splice in where
-  // their object sits; runs of untouched rows are copied from the base as
-  // contiguous ranges.
-  StartRows(store.num_objects(), store.domain_values().size(),
-            instance.get());
-  instance->term_coeff.reserve(base.term_coeff.size());
-  instance->term_param.reserve(base.term_param.size());
-  int32_t run_begin = 0;  // pending run [run_begin, run_end) of base rows
-  int32_t run_end = 0;
+  // Assemble the rows in ObjectId order. Only the touched objects (new
+  // claims or new truth) are visited: between two of them, the objects'
+  // row mapping and the base rows' candidate, term, and claim ranges move
+  // as one run each. A touched row takes its candidates and terms from
+  // its fragment (new claims) or the base (truth only), then re-resolves
+  // its claims and truth target.
+  StartRows(store.domain_values().size(),
+            static_cast<size_t>(store.num_observations()), instance.get());
+  instance->object_row.reserve(static_cast<size_t>(store.num_objects()));
+  instance->row_object.reserve(base.row_object.size() + recompile.size());
+  instance->truth_cand.reserve(base.truth_cand.size() + recompile.size());
+  // Room for the base terms plus every fragment's (an upper bound: a
+  // recompiled row's base terms are not copied), so assembly never
+  // reallocates.
+  size_t num_terms = base.term_coeff.size();
+  for (const CompiledInstance& fragment : fragments) {
+    num_terms += fragment.term_coeff.size();
+  }
+  instance->term_coeff.reserve(num_terms);
+  instance->term_param.reserve(num_terms);
+  ObjectId run_object = 0;  // pending run: objects [run_object, o) ...
+  int32_t run_row = 0;      // ... and their base rows [run_row, row_end)
+  auto copy_run = [&](ObjectId object_end, int32_t row_end) {
+    const int32_t row_shift =
+        static_cast<int32_t>(instance->row_object.size()) - run_row;
+    std::transform(base.object_row.begin() + run_object,
+                   base.object_row.begin() + object_end,
+                   std::back_inserter(instance->object_row),
+                   [row_shift](int32_t row) {
+                     return row < 0 ? row : row + row_shift;
+                   });
+    AppendRange(base.row_object, run_row, row_end, &instance->row_object);
+    CopyTermRows(base, run_row, row_end, instance.get());
+    CopyClaimRows(base, run_row, row_end, instance.get());
+  };
   size_t next_recompiled = 0;
-  for (ObjectId o = 0; o < store.num_objects(); ++o) {
-    if (store.ObjectRange(o).empty()) continue;
-    AddRowObject(o, instance.get());
+  for (ObjectId o : touched) {
+    if (store.ObjectRange(o).empty()) continue;  // truth only, no row yet
+    const int32_t base_row = base.RowIndex(o);
+    const int32_t row_end =
+        base_row >= 0
+            ? base_row
+            : static_cast<int32_t>(std::lower_bound(base.row_object.begin(),
+                                                    base.row_object.end(),
+                                                    o) -
+                                   base.row_object.begin());
+    copy_run(o, row_end);
+    const int32_t r = static_cast<int32_t>(instance->row_object.size());
+    instance->object_row.push_back(r);
+    instance->row_object.push_back(o);
     if (next_recompiled < recompile.size() &&
         recompile[next_recompiled] == o) {
-      CopyRows(base, run_begin, run_end, instance.get());
-      run_begin = run_end;
-      CopyRows(fragments[next_recompiled], 0, 1, instance.get());
-      ++next_recompiled;
-      continue;
+      CopyTermRows(fragments[next_recompiled++], 0, 1, instance.get());
+    } else {
+      CopyTermRows(base, base_row, base_row + 1, instance.get());
     }
-    // An untouched row had claims before the batch, so it has a base row.
-    const int32_t base_row = base.RowIndex(o);
-    if (base_row != run_end) {
-      CopyRows(base, run_begin, run_end, instance.get());
-      run_begin = base_row;
-    }
-    run_end = base_row + 1;
+    ResolveRow(r, instance.get());
+    run_object = o + 1;
+    run_row = base_row >= 0 ? base_row + 1 : row_end;
   }
-  CopyRows(base, run_begin, run_end, instance.get());
-  ResolveClaims(instance.get());
+  copy_run(store.num_objects(), base.num_rows());
   if (recompiled_rows != nullptr) *recompiled_rows = std::move(recompile);
   return std::shared_ptr<const CompiledInstance>(std::move(instance));
 }

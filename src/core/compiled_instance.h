@@ -178,16 +178,20 @@ class Executor;
 /// engine.
 ///
 /// The patched `ObservationStore` comes from `ObservationStore::AppendBatch`
-/// (CSR range splice + incremental fingerprint); only the rows with new
+/// (CSR range splice + incremental fingerprint), which also names the
+/// touched objects: those with new claims or new truth. Only rows with new
 /// claims are re-derived, through the same row compiler the full compiler
-/// runs, and every other row's candidate and term ranges are copied from
-/// the base in contiguous runs. The result is **bitwise-equal** to
-/// `CompileInstance` over the concatenated data — same structure, same
-/// term coefficients, same offsets to the last bit — which
-/// `core_delta_compile_test` asserts for every preset and chunking, and
-/// the bench re-checks on every run. Touched-row recompilation is sharded
-/// across `exec` (null = serial; rows are independent, so thread count
-/// never changes the result).
+/// runs; only touched rows re-resolve their claims and truth target,
+/// through the same row resolver. Every other row's candidate, term, and
+/// claim ranges are copied from the base in contiguous runs with their
+/// offsets rebased in bulk, so beyond those copies an ingest costs
+/// O(batch). The result is **bitwise-equal** to `CompileInstance` over the
+/// concatenated data — same structure, same term coefficients, same
+/// offsets to the last bit — which `core_delta_compile_test` asserts for
+/// every preset and chunking, and `slimfast_cli replay` re-checks after
+/// every chunk. Touched-row recompilation is sharded across `exec` (null =
+/// serial; rows are independent, so thread count never changes the
+/// result).
 ///
 /// Returns NotImplemented when the base config enables the copying
 /// extension: copy-pair selection is a global agreement scan, so a batch
@@ -197,8 +201,8 @@ class Executor;
 /// When `recompiled_rows` is non-null it receives the ascending list of
 /// objects whose rows were actually re-derived: the objects with new
 /// claims in the batch. Truth-only updates re-derive nothing — truth
-/// never enters a row's term expressions, and the claim/truth pass
-/// re-resolves every truth target from the patched store.
+/// never enters a row's term expressions; the row only re-resolves its
+/// truth target.
 Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
     const CompiledInstance& base, const ObservationBatch& batch,
     Executor* exec = nullptr,

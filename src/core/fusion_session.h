@@ -67,13 +67,12 @@ struct RelearnStats {
 /// Its `ObservationStore` is the session's only copy of the claim history
 /// and ground truth; relearning reads the store directly. Each ingest
 /// extends the instance through `ObservationStore::AppendBatch` and
-/// `DeltaCompile`: the expensive structural work — re-deriving a row's
-/// per-candidate term expressions — is paid only for the rows the batch
-/// touches, while untouched rows are carried over by one linear splice
-/// pass (the O(history) memcpy-style assembly that remains; ingest is a
-/// constant-factor win over recompiling, not an asymptotic one). The
-/// result is bitwise-equal to recompiling the concatenated history from
-/// scratch (asserted in tests and re-checked by `slimfast_cli bench`).
+/// `DeltaCompile`: re-deriving a row's per-candidate term expressions and
+/// resolving its claims are paid only for the rows the batch touches,
+/// while runs of untouched objects and rows are carried over as block
+/// copies with their offsets rebased in bulk. The result is bitwise-equal
+/// to recompiling the concatenated history from scratch (asserted in
+/// tests and re-checked after every chunk by `slimfast_cli replay`).
 /// Every relearn after the first warm-starts from the previous fit
 /// (`SlimFast::FitCompiled`), cutting the epoch budget to
 /// `WarmStartOptions::budget_scale` of a cold run.

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
+#include "util/csr.h"
 #include "util/hash.h"
 
 namespace slimfast {
@@ -46,24 +46,6 @@ uint64_t TruthDigest(ObjectId object, ValueId value) {
 
 }  // namespace
 
-void ObservationStore::BuildSourceIndex() {
-  source_offsets_.assign(static_cast<size_t>(num_sources_) + 1, 0);
-  for (SourceId s : sources_) {
-    ++source_offsets_[static_cast<size_t>(s) + 1];
-  }
-  for (size_t s = 1; s < source_offsets_.size(); ++s) {
-    source_offsets_[s] += source_offsets_[s - 1];
-  }
-  source_observations_.assign(sources_.size(), 0);
-  std::vector<int64_t> cursor(source_offsets_.begin(),
-                              source_offsets_.end() - 1);
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    size_t s = static_cast<size_t>(sources_[i]);
-    source_observations_[static_cast<size_t>(cursor[s]++)] =
-        static_cast<int64_t>(i);
-  }
-}
-
 ObservationStore ObservationStore::FromDataset(const Dataset& dataset) {
   ObservationStore store;
   store.num_sources_ = dataset.num_sources();
@@ -97,8 +79,6 @@ ObservationStore ObservationStore::FromDataset(const Dataset& dataset) {
   store.object_offsets_[static_cast<size_t>(store.num_objects_)] =
       static_cast<int64_t>(store.objects_.size());
 
-  store.BuildSourceIndex();
-
   // Flattened domains and truth.
   store.domain_offsets_.assign(static_cast<size_t>(store.num_objects_) + 1,
                                0);
@@ -124,11 +104,7 @@ ObservationStore ObservationStore::FromDataset(const Dataset& dataset) {
 Result<ObservationStore> ObservationStore::AppendBatch(
     const ObservationBatch& batch, std::vector<ObjectId>* touched) const {
   // ---- Validate everything before touching any state. ----
-  // Claims grouped per object, preserving batch order within each object
-  // (the order they will occupy in the object's extended range).
-  std::unordered_map<ObjectId, std::vector<size_t>> by_object;
-  for (size_t i = 0; i < batch.observations.size(); ++i) {
-    const Observation& obs = batch.observations[i];
+  for (const Observation& obs : batch.observations) {
     if (obs.object < 0 || obs.object >= num_objects_) {
       return Status::OutOfRange("batch object id " +
                                 std::to_string(obs.object) + " out of range");
@@ -141,35 +117,53 @@ Result<ObservationStore> ObservationStore::AppendBatch(
       return Status::OutOfRange("batch value id " +
                                 std::to_string(obs.value) + " out of range");
     }
-    by_object[obs.object].push_back(i);
   }
+  // The batch's claims in object order, batch order within each object
+  // (the order they will occupy at the end of the object's range).
+  std::vector<Observation> claims = batch.observations;
+  std::stable_sort(claims.begin(), claims.end(),
+                   [](const Observation& a, const Observation& b) {
+                     return a.object < b.object;
+                   });
+  // claimed[g] is the g-th object with new claims (ascending);
+  // claims[group_begin[g] .. group_begin[g + 1]) are its claims.
+  std::vector<ObjectId> claimed;
+  std::vector<size_t> group_begin;
+  for (size_t k = 0; k < claims.size(); ++k) {
+    if (claimed.empty() || claimed.back() != claims[k].object) {
+      claimed.push_back(claims[k].object);
+      group_begin.push_back(k);
+    }
+  }
+  group_begin.push_back(claims.size());
+
   // One claim per (source, object) across the whole history, matching
   // DatasetBuilder::AddObservation. The object's existing sources go into
-  // a hash set once, so validating a batch costs O(existing + batch) per
-  // touched object instead of rescanning the claim range for every claim
-  // (quadratic on hot objects under sustained ingest).
-  std::unordered_set<SourceId> seen_sources;
-  for (const auto& [object, indexes] : by_object) {
-    IndexRange range = ObjectRange(object);
+  // a hash map once (flagged as history), so validating a batch costs
+  // O(existing + batch) per touched object instead of rescanning the
+  // claim range for every claim (quadratic on hot objects under
+  // sustained ingest).
+  std::unordered_map<SourceId, bool> seen_sources;  // source -> in history
+  for (size_t g = 0; g < claimed.size(); ++g) {
+    const ObjectId object = claimed[g];
+    const IndexRange range = ObjectRange(object);
     seen_sources.clear();
-    seen_sources.reserve(static_cast<size_t>(range.size()) + indexes.size());
+    seen_sources.reserve(static_cast<size_t>(range.size()) +
+                         (group_begin[g + 1] - group_begin[g]));
     for (int64_t i = range.begin; i < range.end; ++i) {
-      seen_sources.insert(sources_[static_cast<size_t>(i)]);
+      seen_sources.emplace(sources_[static_cast<size_t>(i)], true);
     }
-    for (size_t a = 0; a < indexes.size(); ++a) {
-      SourceId source = batch.observations[indexes[a]].source;
-      if (seen_sources.count(source) > 0) {
-        return Status::AlreadyExists(
-            "duplicate observation for object " + std::to_string(object) +
-            " by source " + std::to_string(source));
-      }
-      for (size_t b = a + 1; b < indexes.size(); ++b) {
-        if (batch.observations[indexes[b]].source == source) {
-          return Status::AlreadyExists(
-              "batch claims object " + std::to_string(object) +
-              " twice for source " + std::to_string(source));
-        }
-      }
+    for (size_t k = group_begin[g]; k < group_begin[g + 1]; ++k) {
+      const SourceId source = claims[k].source;
+      auto [it, inserted] = seen_sources.emplace(source, false);
+      if (inserted) continue;
+      const bool in_history = it->second;
+      return Status::AlreadyExists(
+          in_history ? "duplicate observation for object " +
+                           std::to_string(object) + " by source " +
+                           std::to_string(source)
+                     : "batch claims object " + std::to_string(object) +
+                           " twice for source " + std::to_string(source));
     }
   }
   // Truth labels must be in range and consistent with recorded truth; a
@@ -201,78 +195,82 @@ Result<ObservationStore> ObservationStore::AppendBatch(
     if (existing != kNoValue) new_truth.erase(label.object);  // no-op label
   }
 
-  // ---- Splice the columnar arrays (single merge pass). ----
+  // ---- Splice the claim and domain columns. ----
+  // Each maximal run of untouched objects moves as one block copy per
+  // column, its offsets rebased by the claims and domain values inserted
+  // before it; a claimed object gets its new claims after its existing
+  // range and its domain re-merged (sorted, deduplicated — the Dataset
+  // domain contract).
   ObservationStore out;
   out.num_sources_ = num_sources_;
   out.num_objects_ = num_objects_;
   out.num_values_ = num_values_;
   out.fingerprint_ = fingerprint_;
 
-  const size_t total =
-      objects_.size() + batch.observations.size();
+  const size_t total = objects_.size() + batch.observations.size();
   out.objects_.reserve(total);
   out.sources_.reserve(total);
   out.values_.reserve(total);
-  out.object_offsets_.assign(static_cast<size_t>(num_objects_) + 1, 0);
-  for (ObjectId o = 0; o < num_objects_; ++o) {
-    out.object_offsets_[static_cast<size_t>(o)] =
-        static_cast<int64_t>(out.objects_.size());
-    IndexRange range = ObjectRange(o);
-    out.objects_.insert(out.objects_.end(),
-                        objects_.begin() + range.begin,
-                        objects_.begin() + range.end);
-    out.sources_.insert(out.sources_.end(),
-                        sources_.begin() + range.begin,
-                        sources_.begin() + range.end);
-    out.values_.insert(out.values_.end(),
-                       values_.begin() + range.begin,
-                       values_.begin() + range.end);
-    auto it = by_object.find(o);
-    if (it == by_object.end()) continue;
+  out.object_offsets_.reserve(object_offsets_.size());
+  out.domain_offsets_.reserve(domain_offsets_.size());
+  out.domain_values_.reserve(domain_values_.size() +
+                             batch.observations.size());
+  // Copies objects [begin, end) unchanged.
+  auto copy_untouched = [&](size_t begin, size_t end) {
+    AppendShifted(object_offsets_, begin, end,
+                  static_cast<int64_t>(out.objects_.size()) -
+                      object_offsets_[begin],
+                  &out.object_offsets_);
+    AppendShifted(domain_offsets_, begin, end,
+                  static_cast<int64_t>(out.domain_values_.size()) -
+                      domain_offsets_[begin],
+                  &out.domain_offsets_);
+    AppendRange(objects_, object_offsets_[begin], object_offsets_[end],
+                &out.objects_);
+    AppendRange(sources_, object_offsets_[begin], object_offsets_[end],
+                &out.sources_);
+    AppendRange(values_, object_offsets_[begin], object_offsets_[end],
+                &out.values_);
+    AppendRange(domain_values_, domain_offsets_[begin], domain_offsets_[end],
+                &out.domain_values_);
+  };
+  std::vector<ValueId> merged;
+  size_t run_begin = 0;  // first object of the pending untouched run
+  for (size_t g = 0; g < claimed.size(); ++g) {
+    const ObjectId object = claimed[g];
+    const size_t o = static_cast<size_t>(object);
+    copy_untouched(run_begin, o);
+    run_begin = o + 1;
+
+    const IndexRange range = ObjectRange(object);
+    out.object_offsets_.push_back(static_cast<int64_t>(out.objects_.size()));
+    AppendRange(objects_, range.begin, range.end, &out.objects_);
+    AppendRange(sources_, range.begin, range.end, &out.sources_);
+    AppendRange(values_, range.begin, range.end, &out.values_);
+    const IndexRange domain = DomainRange(object);
+    merged.assign(domain_values_.begin() + domain.begin,
+                  domain_values_.begin() + domain.end);
     int64_t position = range.size();
-    for (size_t idx : it->second) {
-      const Observation& obs = batch.observations[idx];
-      out.objects_.push_back(obs.object);
+    for (size_t k = group_begin[g]; k < group_begin[g + 1]; ++k) {
+      const Observation& obs = claims[k];
+      out.objects_.push_back(object);
       out.sources_.push_back(obs.source);
       out.values_.push_back(obs.value);
       out.fingerprint_ +=
-          ObservationDigest(o, position++, obs.source, obs.value);
-    }
-  }
-  out.object_offsets_[static_cast<size_t>(num_objects_)] =
-      static_cast<int64_t>(out.objects_.size());
-
-  out.BuildSourceIndex();
-
-  // ---- Patch the flattened domains: untouched objects copy their range,
-  // touched objects re-merge (sorted, deduplicated — the Dataset domain
-  // contract). ----
-  out.domain_offsets_.assign(static_cast<size_t>(num_objects_) + 1, 0);
-  out.domain_values_.reserve(domain_values_.size());
-  std::vector<ValueId> merged;
-  for (ObjectId o = 0; o < num_objects_; ++o) {
-    out.domain_offsets_[static_cast<size_t>(o)] =
-        static_cast<int64_t>(out.domain_values_.size());
-    IndexRange range = DomainRange(o);
-    auto it = by_object.find(o);
-    if (it == by_object.end()) {
-      out.domain_values_.insert(out.domain_values_.end(),
-                                domain_values_.begin() + range.begin,
-                                domain_values_.begin() + range.end);
-      continue;
-    }
-    merged.assign(domain_values_.begin() + range.begin,
-                  domain_values_.begin() + range.end);
-    for (size_t idx : it->second) {
-      merged.push_back(batch.observations[idx].value);
+          ObservationDigest(object, position++, obs.source, obs.value);
+      merged.push_back(obs.value);
     }
     std::sort(merged.begin(), merged.end());
     merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    out.domain_offsets_.push_back(
+        static_cast<int64_t>(out.domain_values_.size()));
     out.domain_values_.insert(out.domain_values_.end(), merged.begin(),
                               merged.end());
   }
-  out.domain_offsets_[static_cast<size_t>(num_objects_)] =
-      static_cast<int64_t>(out.domain_values_.size());
+  copy_untouched(run_begin, static_cast<size_t>(num_objects_));
+  out.object_offsets_.push_back(static_cast<int64_t>(out.objects_.size()));
+  out.domain_offsets_.push_back(
+      static_cast<int64_t>(out.domain_values_.size()));
 
   // ---- Truth. ----
   out.truth_ = truth_;
@@ -283,10 +281,8 @@ Result<ObservationStore> ObservationStore::AppendBatch(
 
   if (touched != nullptr) {
     touched->clear();
-    touched->reserve(by_object.size() + new_truth.size());
-    for (const auto& [object, indexes] : by_object) {
-      touched->push_back(object);
-    }
+    touched->reserve(claimed.size() + new_truth.size());
+    touched->insert(touched->end(), claimed.begin(), claimed.end());
     for (const auto& [object, value] : new_truth) {
       touched->push_back(object);
     }
@@ -428,7 +424,6 @@ Result<ObservationStore> ObservationStore::FromColumns(Columns columns) {
   store.object_offsets_ = std::move(columns.object_offsets);
   store.truth_ = std::move(columns.truth);
   store.fingerprint_ = fingerprint;
-  store.BuildSourceIndex();
 
   // Domains are derived state: the sorted, deduplicated claimed values of
   // each object (the Dataset domain contract), rebuilt rather than

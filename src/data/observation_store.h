@@ -54,7 +54,7 @@ std::vector<ObservationBatch> ChunkDatasetForReplay(const Dataset& dataset,
                                                     int32_t num_chunks);
 
 /// Columnar (structure-of-arrays) view of a Dataset's observation multiset
-/// Ω with CSR-style secondary indexes.
+/// Ω with CSR-style per-object ranges.
 ///
 /// The canonical observation order sorts by object id, preserving the
 /// dataset's insertion order within each object — exactly the order
@@ -64,12 +64,14 @@ std::vector<ObservationBatch> ChunkDatasetForReplay(const Dataset& dataset,
 /// learners all read the store; no Dataset is kept beside it.
 ///
 /// Three contiguous id arrays hold the observations (objects()[i],
-/// sources()[i], values()[i] describe observation i); per-object and
-/// per-source CSR offset arrays give O(1) range lookup without hashing or
-/// pointer chasing. Domains and ground truth are flattened the same way.
-/// The store is immutable after construction and holds no reference to the
-/// Dataset it was built from; growth happens by value through AppendBatch,
-/// which returns a patched copy (the incremental-fusion ingest path).
+/// sources()[i], values()[i] describe observation i); a per-object CSR
+/// offset array gives O(1) range lookup without hashing or pointer
+/// chasing. Domains and ground truth are flattened the same way. There is
+/// no by-source index: a reader that needs one derives it from the
+/// sources column. The store is immutable after construction and holds no
+/// reference to the Dataset it was built from; growth happens by value
+/// through AppendBatch, which returns a patched copy (the
+/// incremental-fusion ingest path).
 class ObservationStore {
  public:
   ObservationStore() = default;
@@ -78,10 +80,9 @@ class ObservationStore {
   static ObservationStore FromDataset(const Dataset& dataset);
 
   /// The raw columnar content of a store — its serialization surface.
-  /// Only the primary arrays travel: the by-source index and the
-  /// flattened domains are pure functions of the claims and are rebuilt
-  /// by FromColumns, so a snapshot cannot smuggle in an inconsistent
-  /// derived index.
+  /// Only the primary arrays travel: the flattened domains are a pure
+  /// function of the claims and are rebuilt by FromColumns, so a snapshot
+  /// cannot smuggle in an inconsistent derived index.
   struct Columns {
     int32_t num_sources = 0;
     int32_t num_objects = 0;
@@ -97,8 +98,7 @@ class ObservationStore {
   /// Rebuilds a store from serialized columns (the snapshot bulk-load
   /// path). Validates the structure (offset shape, ids in range, the
   /// object column consistent with its offsets, at most one claim per
-  /// (source, object) pair), rebuilds the derived by-source index and
-  /// domains, then recomputes the content fingerprint from scratch and
+  /// (source, object) pair), rebuilds the derived domains, then recomputes the content fingerprint from scratch and
   /// requires it to match `columns.fingerprint` — the end-to-end
   /// integrity oracle: a store loaded this way is bitwise equal to the one
   /// that was serialized, or the load fails.
@@ -110,9 +110,11 @@ class ObservationStore {
 
   /// Returns a new store extended with `batch`: each object's new claims
   /// are spliced onto the end of its existing CSR range (preserving the
-  /// canonical object-major, insertion-within-object order), the
-  /// per-source index is recounted, touched domains are re-merged, and the
-  /// content fingerprint is updated incrementally from the batch alone.
+  /// canonical object-major, insertion-within-object order), only the
+  /// claimed objects' domains are re-merged, and the content fingerprint
+  /// is updated incrementally from the batch alone. Every maximal run of
+  /// untouched objects moves as one block copy per column with its offsets
+  /// rebased in bulk, so beyond that copy an append costs O(batch).
   /// The result is indistinguishable — array for array, bit for bit — from
   /// a store rebuilt from scratch over the concatenated observations
   /// (asserted in data_observation_store_test).
@@ -163,18 +165,6 @@ class ObservationStore {
     return IndexRange{object_offsets_[o], object_offsets_[o + 1]};
   }
 
-  /// Range of `source`'s observations in source_observations(); entries
-  /// index into the columnar arrays, in canonical order.
-  IndexRange SourceRange(SourceId source) const {
-    size_t s = static_cast<size_t>(source);
-    return IndexRange{source_offsets_[s], source_offsets_[s + 1]};
-  }
-
-  /// CSR payload of SourceRange: indices into the columnar arrays.
-  const std::vector<int64_t>& source_observations() const {
-    return source_observations_;
-  }
-
   /// Range of `object`'s candidate domain in domain_values() (ascending,
   /// deduplicated — same contents as Dataset::DomainOf).
   IndexRange DomainRange(ObjectId object) const {
@@ -196,13 +186,10 @@ class ObservationStore {
 
   /// Structural equality over every columnar array, index, and the
   /// fingerprint — the "bitwise equal" check the delta-maintenance tests
-  /// and bench assertions rely on.
+  /// and the replay cross-check rely on.
   bool operator==(const ObservationStore&) const = default;
 
  private:
-  /// Rebuilds the by-source CSR index (counting sort over the canonical
-  /// arrays). Shared by FromDataset and AppendBatch.
-  void BuildSourceIndex();
   int32_t num_sources_ = 0;
   int32_t num_objects_ = 0;
   int32_t num_values_ = 0;
@@ -216,11 +203,6 @@ class ObservationStore {
   // CSR offsets: object_offsets_[o] .. object_offsets_[o+1] is object o's
   // slice of the columnar arrays. Size num_objects + 1.
   std::vector<int64_t> object_offsets_;
-
-  // CSR by source: source_offsets_ (size num_sources + 1) into
-  // source_observations_, whose entries index the columnar arrays.
-  std::vector<int64_t> source_offsets_;
-  std::vector<int64_t> source_observations_;
 
   // Flattened candidate domains: domain_offsets_ (size num_objects + 1)
   // into domain_values_.

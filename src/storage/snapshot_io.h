@@ -34,8 +34,8 @@ Result<std::string> ReadSnapshotFile(const std::string& path);
 void AppendStoreColumns(const ObservationStore& store, std::string* out);
 
 /// Reads the sections AppendStoreColumns wrote and rebuilds the store
-/// via ObservationStore::FromColumns (which re-derives the by-source
-/// index and domains and verifies the content fingerprint).
+/// via ObservationStore::FromColumns (which re-derives the domains and
+/// verifies the content fingerprint).
 Result<ObservationStore> ReadStoreColumns(ByteReader* in);
 
 }  // namespace slimfast

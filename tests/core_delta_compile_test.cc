@@ -193,6 +193,80 @@ TEST(DeltaCompileTest, TruthOnlyBatchRecompilesNoRows) {
   EXPECT_TRUE(BitwiseEqual(*instance, *full));
 }
 
+// The edges of the run copy, on 50 objects: a batch that touches the
+// first and the last observed row, one that opens a row inside an
+// untouched run, a truth-only label on an observed row that the same
+// batch does not re-derive, and a truth that arrives before its object's
+// first claims. After every batch the delta chain must equal a full
+// compile of the history so far, bitwise.
+TEST(DeltaCompileTest, RunCopyEdgesMatchFullCompile) {
+  constexpr int32_t kSources = 6;
+  constexpr int32_t kObjects = 50;
+  constexpr int32_t kValues = 4;
+  std::vector<Observation> history;
+  std::vector<TruthLabel> labels;
+  auto full_compile = [&]() {
+    DatasetBuilder builder("edges", kSources, kObjects, kValues);
+    for (const Observation& obs : history) {
+      SLIMFAST_CHECK_OK(
+          builder.AddObservation(obs.object, obs.source, obs.value));
+    }
+    for (const TruthLabel& label : labels) {
+      SLIMFAST_CHECK_OK(builder.SetTruth(label.object, label.value));
+    }
+    return CompileInstance(std::move(builder).Build().ValueOrDie(),
+                           ModelConfig{})
+        .ValueOrDie();
+  };
+
+  // Objects 0..47 are observed by sources 0..2, except 20 and 35; 48 and
+  // 49 are not observed yet.
+  for (ObjectId o = 0; o < 48; ++o) {
+    if (o == 20 || o == 35) continue;
+    for (SourceId s = 0; s < 3; ++s) {
+      history.push_back(Observation{o, s, (o + s) % kValues});
+    }
+    if (o % 5 == 0) labels.push_back(TruthLabel{o, o % kValues});
+  }
+  std::shared_ptr<const CompiledInstance> instance = full_compile();
+
+  std::vector<ObservationBatch> batches(4);
+  // The first and the last observed row.
+  batches[0].observations = {Observation{0, 3, 3}, Observation{47, 4, 0},
+                             Observation{0, 5, 1}};
+  // A new row in the middle of the untouched run 1..46.
+  batches[1].observations = {Observation{20, 1, 2}, Observation{20, 4, 3}};
+  // Object 12 is observed but gets only a truth (a value it was claimed
+  // with), so its row keeps its terms and re-resolves its truth target;
+  // object 35 gets a truth before its first claim.
+  batches[2].observations = {Observation{30, 3, 1}};
+  batches[2].truths = {TruthLabel{12, 1}, TruthLabel{35, 2}};
+  // Object 35's claims arrive after its truth; object 48 opens a row past
+  // the old last one; object 49 is labeled and stays unobserved.
+  batches[3].observations = {Observation{48, 0, 1}, Observation{35, 2, 2},
+                             Observation{35, 0, 3}};
+  batches[3].truths = {TruthLabel{49, 0}};
+  const std::vector<std::vector<ObjectId>> expected_recompiled = {
+      {0, 47}, {20}, {30}, {35, 48}};
+
+  for (size_t b = 0; b < batches.size(); ++b) {
+    std::vector<ObjectId> recompiled;
+    instance = DeltaCompile(*instance, batches[b], nullptr, &recompiled)
+                   .ValueOrDie();
+    history.insert(history.end(), batches[b].observations.begin(),
+                   batches[b].observations.end());
+    labels.insert(labels.end(), batches[b].truths.begin(),
+                  batches[b].truths.end());
+    EXPECT_EQ(recompiled, expected_recompiled[b]) << "batch " << b;
+    EXPECT_TRUE(BitwiseEqual(*instance, *full_compile())) << "batch " << b;
+  }
+  EXPECT_EQ(instance->num_rows(), 49);
+  EXPECT_EQ(instance->RowIndex(49), -1);
+  EXPECT_GE(instance->truth_cand[static_cast<size_t>(
+                instance->RowIndex(12))],
+            0);
+}
+
 TEST(DeltaCompileTest, RejectsCopyingConfiguration) {
   Dataset dataset = MakeFigure1Dataset();
   ModelConfig config;

@@ -42,25 +42,6 @@ TEST(ObservationStoreTest, MirrorsFigure1Dataset) {
   }
 }
 
-TEST(ObservationStoreTest, SourceRangesIndexTheColumnarArrays) {
-  const std::vector<double> planted = {0.9, 0.7, 0.6, 0.8};
-  Dataset dataset = MakePlantedDataset(planted, 60, 0.5, 11, 3);
-  ObservationStore store = ObservationStore::FromDataset(dataset);
-
-  int64_t total = 0;
-  for (SourceId s = 0; s < dataset.num_sources(); ++s) {
-    const auto& claims = dataset.ClaimsBySource(s);
-    IndexRange range = store.SourceRange(s);
-    ASSERT_EQ(range.size(), static_cast<int64_t>(claims.size()));
-    total += range.size();
-    for (int64_t i = range.begin; i < range.end; ++i) {
-      int64_t obs = store.source_observations()[static_cast<size_t>(i)];
-      EXPECT_EQ(store.sources()[static_cast<size_t>(obs)], s);
-    }
-  }
-  EXPECT_EQ(total, store.num_observations());
-}
-
 TEST(ObservationStoreTest, DomainsAndTruthMatchDataset) {
   const std::vector<double> planted = {0.9, 0.7, 0.6};
   Dataset dataset = MakePlantedDataset(planted, 40, 0.6, 7, 4);
@@ -92,9 +73,6 @@ TEST(ObservationStoreTest, EmptyDataset) {
   for (ObjectId o = 0; o < 3; ++o) {
     EXPECT_TRUE(store.ObjectRange(o).empty());
     EXPECT_TRUE(store.DomainRange(o).empty());
-  }
-  for (SourceId s = 0; s < 2; ++s) {
-    EXPECT_TRUE(store.SourceRange(s).empty());
   }
 }
 
@@ -284,8 +262,7 @@ TEST(ObservationStoreColumnsTest, RoundTripsBitwise) {
 
   ObservationStore loaded =
       ObservationStore::FromColumns(store.ToColumns()).ValueOrDie();
-  // Equality covers the rebuilt derived state too: by-source index,
-  // domains, fingerprint.
+  // Equality covers the rebuilt derived state too: domains, fingerprint.
   EXPECT_TRUE(loaded == store);
 
   // An empty store round-trips as well (the fresh-service checkpoint).

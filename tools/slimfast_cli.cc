@@ -220,6 +220,8 @@ void PrintUsage(std::FILE* stream) {
                "                    [--event-log FILE] [--slo-query-p99 S] "
                "[--slo-staleness S]\n"
                "                    [--slo-stall S] [--slo-queue F]\n"
+               "       slimfast_cli replay (<dataset_dir> | --demo NAME) "
+               "[--chunks K]\n"
                "       slimfast_cli loadgen (<dataset_dir> | --demo NAME) "
                "[--quick]\n"
                "                    [--shards N] [--chunks K] [--readers R]\n"
