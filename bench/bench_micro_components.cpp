@@ -1,14 +1,12 @@
 // Micro-benchmarks (google-benchmark) of the library's hot components:
-// model compilation, posterior evaluation, ERM epochs, EM iterations, and
-// agreement-matrix construction. These back the runtime
-// claims of Tables 5/6 with per-component numbers.
+// model compilation, posterior evaluation, ERM epochs and EM iterations.
+// These back the runtime claims of Tables 5/6 with per-component numbers.
 
 #include <benchmark/benchmark.h>
 
 #include "core/em.h"
 #include "core/erm.h"
 #include "core/model.h"
-#include "opt/matrix_completion.h"
 #include "synth/synthetic.h"
 #include "util/random.h"
 
@@ -92,17 +90,6 @@ void BM_EmIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EmIteration);
-
-void BM_AgreementMatrix(benchmark::State& state) {
-  auto synth = MakeBenchInstance(static_cast<int32_t>(state.range(0)),
-                                 1000, 0.02);
-  const ObservationStore store = ObservationStore::FromDataset(synth.dataset);
-  for (auto _ : state) {
-    AgreementMatrix matrix(store);
-    benchmark::DoNotOptimize(matrix.NumObservedPairs());
-  }
-}
-BENCHMARK(BM_AgreementMatrix)->Arg(100)->Arg(500)->Arg(1000);
 
 }  // namespace
 }  // namespace slimfast

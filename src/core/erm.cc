@@ -6,7 +6,6 @@
 #include "opt/adagrad.h"
 #include "opt/convergence.h"
 #include "opt/proximal.h"
-#include "opt/schedule.h"
 #include "opt/sparse_grad.h"
 #include "simd/simd.h"
 
@@ -53,6 +52,11 @@ SourceClaimCounts ErmLearner::ObservationCounts(
 
 namespace {
 
+/// Base step size η₀ of the object loss's epoch schedule
+/// η_t = η₀ / √(1 + t), for SGD (scaled per coordinate by AdaGrad) and
+/// batch descent alike. The golden bits pin both.
+constexpr double kBaseStep = 0.5;
+
 /// Adds `mult` × the posterior terms of global candidate `cand` to `grad`.
 /// The array bases are read into locals once: the loop interleaves them
 /// with writes through `grad`, and locals stay in registers.
@@ -73,7 +77,6 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
 
-  LearningRateSchedule schedule(options.learning_rate, options.decay);
   ConvergenceTracker tracker(options.tolerance, options.patience);
   AdaGrad adagrad(layout.num_params);
 
@@ -89,7 +92,7 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
   FitStats stats;
   for (int32_t epoch = 0; epoch < options.epochs; ++epoch) {
     rng->Shuffle(&order);
-    double eta = schedule.At(epoch);
+    double eta = kBaseStep / std::sqrt(1.0 + epoch);
     double loss_sum = 0.0;
     for (size_t idx : order) {
       const LabeledExample& ex = examples[static_cast<size_t>(idx)];
@@ -110,8 +113,7 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
       for (ParamId p : grad.touched()) {
         size_t pi = static_cast<size_t>(p);
         double g = grad.Slot(p) + options.l2 * w[pi];
-        double step = eta;
-        if (options.use_adagrad) step *= adagrad.Step(p, g);
+        double step = eta * adagrad.Step(p, g);
         w[pi] -= step * g;
         if (options.l1 > 0.0 &&
             (layout.IsFeatureParam(p) || layout.IsCopyParam(p))) {
@@ -164,7 +166,6 @@ Result<FitStats> FitObjectLossBatch(
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
 
-  LearningRateSchedule schedule(options.learning_rate, options.decay);
   ConvergenceTracker tracker(options.tolerance, options.patience);
 
   double total_weight = 0.0;
@@ -278,7 +279,7 @@ Result<FitStats> FitObjectLossBatch(
     }
     // Normalize to mean loss so step sizes are dataset-size independent.
     double inv = 1.0 / total_weight;
-    double eta = schedule.At(epoch);
+    double eta = kBaseStep / std::sqrt(1.0 + epoch);
     for (size_t pi = 0; pi < w.size(); ++pi) {
       double g = grad[pi] * inv + options.l2 * w[pi];
       w[pi] -= eta * g;

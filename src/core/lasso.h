@@ -26,7 +26,6 @@ struct LassoPathOptions {
   LassoPathOptions() {
     erm.batch = true;
     erm.epochs = 400;
-    erm.learning_rate = 0.5;
     erm.l2 = 0.0;
   }
 };

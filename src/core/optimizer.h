@@ -69,8 +69,9 @@ OptimizerDecision DecideAlgorithm(const Dataset& dataset,
 /// pass over the store. For an object with m claims of which n_v claim
 /// value v, every claim pair co-observes the object and the pairs inside
 /// each value group agree, so the totals need no source-pair matrix: they
-/// equal AgreementMatrix's TotalOverlap() and TotalAgreementScore() exactly
-/// (a source claims an object at most once, so no pair is a self-pair).
+/// equal the dense pair matrix's totals exactly (a source claims an object
+/// at most once, so no pair is a self-pair); the tests check this against
+/// a dense pair-matrix oracle.
 struct AgreementTotals {
   /// Co-observing claim pairs Σ_o C(m_o, 2).
   int64_t overlap = 0;

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "exec/options.h"
-#include "opt/schedule.h"
 
 namespace slimfast {
 
@@ -51,7 +50,8 @@ enum class ErmLoss {
 };
 
 /// Options for the ERM learner (convex). The object-posterior loss runs
-/// SGD or batch proximal descent; the accuracy log-loss runs the one
+/// AdaGrad-scaled SGD or batch proximal descent, both with the step size
+/// 0.5 / √(1 + epoch); the accuracy log-loss runs the one
 /// solver over per-source claim counts (see ErmLearner), which reads only
 /// `epochs`, `l2`, `l1`, `tolerance` and `patience`.
 struct ErmOptions {
@@ -59,11 +59,6 @@ struct ErmOptions {
   /// Object loss: full-batch proximal gradient descent instead of SGD.
   /// Batch mode gives exact sparsity patterns for the Lasso path.
   bool batch = false;
-  /// Object loss: base step size η₀ of the learning-rate schedule.
-  double learning_rate = 0.5;
-  /// Object loss: epoch-wise decay shape applied to the base step size
-  /// (see opt/schedule.h).
-  LrDecay decay = LrDecay::kInvSqrt;
   /// Cold-start budget: epochs of the object loss, solver iterations of
   /// the accuracy loss (warm-started relearns run
   /// `WarmStartOptions::budget_scale` of it).
@@ -76,8 +71,6 @@ struct ErmOptions {
   /// weights are never L1-shrunk so that the model retains per-source
   /// flexibility (the paper regularizes the domain-feature weights).
   double l1 = 0.0;
-  /// Per-coordinate AdaGrad step adaptation for object-loss SGD.
-  bool use_adagrad = true;
   /// Convergence: relative loss change below tolerance for `patience`
   /// consecutive epochs (accuracy loss: solver iterations) stops early.
   double tolerance = 1e-7;

@@ -148,7 +148,6 @@ TEST(ErmTest, BatchAndSgdAgreeOnPredictions) {
   ErmOptions batch_options;
   batch_options.batch = true;
   batch_options.epochs = 600;
-  batch_options.learning_rate = 2.0;
   Rng rng2(2);
   ASSERT_TRUE(ErmLearner(batch_options)
                   .Fit(split.train_objects, &batch_model, &rng2)

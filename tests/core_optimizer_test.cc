@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "agreement_matrix.h"
 #include "core/optimizer.h"
-#include "opt/matrix_completion.h"
 #include "synth/simulators.h"
 #include "test_util.h"
 #include "util/math.h"

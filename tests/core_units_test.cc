@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "agreement_matrix.h"
 #include "core/erm.h"
 #include "core/model.h"
 #include "core/optimizer.h"
-#include "opt/matrix_completion.h"
 #include "test_util.h"
 #include "util/math.h"
 

@@ -2,11 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "agreement_matrix.h"
 #include "opt/adagrad.h"
 #include "opt/convergence.h"
-#include "opt/matrix_completion.h"
 #include "opt/proximal.h"
-#include "opt/schedule.h"
 #include "opt/sparse_grad.h"
 
 namespace slimfast {
@@ -44,26 +43,6 @@ TEST(SparseGradTest, CancelledSlotDuplicatesAreZeroDrainSafe) {
     grad.ZeroSlot(p);
   }
   EXPECT_DOUBLE_EQ(total, -0.5);  // not -1.0
-}
-
-TEST(ScheduleTest, ConstantDecay) {
-  LearningRateSchedule s(0.5, LrDecay::kConstant);
-  EXPECT_DOUBLE_EQ(s.At(0), 0.5);
-  EXPECT_DOUBLE_EQ(s.At(100), 0.5);
-}
-
-TEST(ScheduleTest, InvSqrtDecay) {
-  LearningRateSchedule s(1.0, LrDecay::kInvSqrt);
-  EXPECT_DOUBLE_EQ(s.At(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.At(3), 0.5);
-  EXPECT_GT(s.At(10), s.At(100));
-}
-
-TEST(ScheduleTest, InvLinearDecay) {
-  LearningRateSchedule s(1.0, LrDecay::kInvLinear);
-  EXPECT_DOUBLE_EQ(s.At(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.At(1), 0.5);
-  EXPECT_DOUBLE_EQ(s.At(9), 0.1);
 }
 
 TEST(ProximalTest, SoftThreshold) {

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "opt/matrix_completion.h"
+#include "agreement_matrix.h"
 #include "synth/synthetic.h"
 #include "util/math.h"
 

@@ -32,11 +32,14 @@
 //   --trace-out FILE      serve/loadgen/replay: write stage spans as a
 //                         chrome://tracing JSON timeline to FILE on exit
 //
+// A flag applies only to the subcommands that read it (the kFlags table);
+// given to any other, it is a one-line usage error with exit code 2.
+//
 // The `replay` subcommand feeds a dataset through a long-lived
 // FusionSession in K chunks — delta-compile on ingest, warm-started
 // relearn after every chunk — and reports the per-chunk latency and
-// accuracy trajectory against (a) recompiling and relearning from scratch,
-// (b) the one-shot batch run, and (c) the StreamingFusion baseline.
+// accuracy trajectory against (a) recompiling from scratch and (b) the
+// one-shot batch run.
 //
 // The `serve` subcommand runs a sharded FusionService and speaks the
 // serve line protocol (src/serve/line_protocol.h) over stdin/stdout:
@@ -57,6 +60,7 @@
 // (slimbench/) measures the service; loadgen writes no report file.
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -65,12 +69,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 
 #include "baselines/registry.h"
 #include "core/explain.h"
 #include "core/fusion_session.h"
 #include "core/slimfast.h"
-#include "core/streaming.h"
 #include "data/io.h"
 #include "data/stats.h"
 #include "eval/metrics.h"
@@ -90,7 +94,33 @@ using namespace slimfast;
 
 namespace {
 
+/// The subcommands, as bits of a flag's scope (see kFlags).
+enum Command : unsigned {
+  kFuse = 1u << 0,  ///< no subcommand: one fusion run on a dataset
+  kReplay = 1u << 1,
+  kServe = 1u << 2,
+  kLoadgen = 1u << 3,
+};
+constexpr unsigned kServeOrLoadgen = kServe | kLoadgen;
+constexpr unsigned kSubcommands = kReplay | kServe | kLoadgen;
+constexpr unsigned kAllCommands = kFuse | kSubcommands;
+
+const char* CommandName(Command command) {
+  switch (command) {
+    case kFuse:
+      return "a fusion run";
+    case kReplay:
+      return "replay";
+    case kServe:
+      return "serve";
+    case kLoadgen:
+      return "loadgen";
+  }
+  return "?";
+}
+
 struct CliOptions {
+  Command command = kFuse;
   std::string dataset_dir;
   std::string demo;
   std::string method = "SLiMFast";
@@ -104,24 +134,17 @@ struct CliOptions {
   int32_t threads = 0;
   /// Shrink the loadgen scenario to CI size (same phases and gates).
   bool quick = false;
-  /// `replay` subcommand: incremental ingest/relearn trajectory.
-  bool replay = false;
-  /// Number of replay ingest batches.
+  /// Number of replay/loadgen ingest batches.
   int32_t chunks = 8;
-  /// `serve` subcommand: line-protocol service over stdin/stdout.
-  bool serve = false;
-  /// `loadgen` subcommand: mixed ingest/query workload + latency report.
-  bool loadgen = false;
   /// Shards of the FusionService (serve/loadgen).
   int32_t shards = 4;
   /// Query reader threads (loadgen).
   int32_t readers = 4;
   /// Relearn-every-K-batches policy (serve/loadgen).
   int32_t relearn_every = 2;
-  /// Explicit universe dimensions for `serve` without a dataset.
-  int32_t dim_sources = -1;
-  int32_t dim_objects = -1;
-  int32_t dim_values = -1;
+  /// Explicit universe dimensions (sources, objects, values) for `serve`
+  /// without a dataset; -1 = not given.
+  std::array<int32_t, 3> dims = {-1, -1, -1};
   /// serve: submit the whole dataset as one batch before reading stdin.
   bool preload = false;
   /// loadgen: skip the offline-replay cross-check.
@@ -215,11 +238,12 @@ void PrintUsage(std::FILE* stream) {
                "                    [--wal-dir DIR] [--fsync-every N]\n"
                "                    [--sched-warm-budget N] "
                "[--sched-cold-budget N]\n"
-               "                    [--shed-queue-watermark F] "
-               "[--shed-backlog N]\n"
-               "                    [--event-log FILE] [--slo-query-p99 S] "
-               "[--slo-staleness S]\n"
-               "                    [--slo-stall S] [--slo-queue F]\n"
+               "                    [--sched-max-defer N] "
+               "[--shed-queue-watermark F]\n"
+               "                    [--shed-backlog N] [--event-log FILE]\n"
+               "                    [--slo-query-p99 S] [--slo-staleness S] "
+               "[--slo-stall S]\n"
+               "                    [--slo-queue F]\n"
                "       slimfast_cli replay (<dataset_dir> | --demo NAME) "
                "[--chunks K]\n"
                "       slimfast_cli loadgen (<dataset_dir> | --demo NAME) "
@@ -227,6 +251,10 @@ void PrintUsage(std::FILE* stream) {
                "                    [--shards N] [--chunks K] [--readers R]\n"
                "\n"
                "options:\n"
+               "  --demo NAME          run on a simulator dataset (stocks, "
+               "demos, crowd,\n"
+               "                       genomics) instead of a dataset "
+               "directory\n"
                "  --method NAME        fusion method (default SLiMFast); one "
                "of SLiMFast,\n"
                "                       SLiMFast-ERM, SLiMFast-EM, Sources-ERM, "
@@ -316,9 +344,7 @@ void PrintUsage(std::FILE* stream) {
                "relearn) and\n"
                "                       report per-chunk latency and the "
                "accuracy\n"
-               "                       trajectory vs the one-shot batch run "
-               "and the\n"
-               "                       streaming baseline\n"
+               "                       trajectory vs the one-shot batch run\n"
                "  serve                run a sharded FusionService and "
                "speak the serve\n"
                "                       line protocol (OBS/TRUTH/COMMIT/"
@@ -335,120 +361,142 @@ void PrintUsage(std::FILE* stream) {
                "determinism contract\n");
 }
 
+/// One command-line flag: the CliOptions field it sets and the
+/// subcommands whose Run* path reads that field. A flag given to any other
+/// subcommand is a usage error, so no flag is silently ignored.
+struct Flag {
+  const char* name;
+  unsigned commands;
+  std::variant<bool CliOptions::*, std::string CliOptions::*,
+               int32_t CliOptions::*, int64_t CliOptions::*,
+               uint64_t CliOptions::*, double CliOptions::*,
+               std::optional<int32_t> CliOptions::*,
+               std::array<int32_t, 3> CliOptions::*>
+      field;
+};
+
+const Flag kFlags[] = {
+    {"--demo", kAllCommands, &CliOptions::demo},
+    {"--seed", kAllCommands, &CliOptions::seed},
+    {"--threads", kAllCommands, &CliOptions::threads},
+    {"--method", kFuse, &CliOptions::method},
+    {"--train-fraction", kFuse | kReplay, &CliOptions::train_fraction},
+    {"--explain", kFuse, &CliOptions::explain},
+    {"--out", kFuse, &CliOptions::out_file},
+    {"--stats", kFuse, &CliOptions::stats_only},
+    {"--chunks", kReplay | kLoadgen, &CliOptions::chunks},
+    {"--trace-out", kSubcommands, &CliOptions::trace_out},
+    {"--shards", kServeOrLoadgen, &CliOptions::shards},
+    {"--relearn-every", kServeOrLoadgen, &CliOptions::relearn_every},
+    {"--sched-warm-budget", kServeOrLoadgen, &CliOptions::sched_warm_budget},
+    {"--sched-cold-budget", kServeOrLoadgen, &CliOptions::sched_cold_budget},
+    {"--sched-max-defer", kServeOrLoadgen, &CliOptions::sched_max_defer},
+    {"--dims", kServe, &CliOptions::dims},
+    {"--preload", kServe, &CliOptions::preload},
+    {"--wal-dir", kServe, &CliOptions::wal_dir},
+    {"--fsync-every", kServe, &CliOptions::fsync_every},
+    {"--shed-queue-watermark", kServe, &CliOptions::shed_queue_watermark},
+    {"--shed-backlog", kServe, &CliOptions::shed_backlog},
+    {"--event-log", kServe, &CliOptions::event_log},
+    {"--slo-query-p99", kServe, &CliOptions::slo_query_p99},
+    {"--slo-staleness", kServe, &CliOptions::slo_staleness},
+    {"--slo-stall", kServe, &CliOptions::slo_stall},
+    {"--slo-queue", kServe, &CliOptions::slo_queue},
+    {"--quick", kLoadgen, &CliOptions::quick},
+    {"--readers", kLoadgen, &CliOptions::readers},
+    {"--no-verify", kLoadgen, &CliOptions::no_verify},
+};
+
+template <typename... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+
+/// Sets `flag`'s field from the values after argv[*i], advancing *i past
+/// them. Flag parse failures are one-line errors with an exit code of 2 —
+/// never a silent fall-through to the default run or the help text.
+bool ParseFlag(const Flag& flag, int argc, char** argv, int* i,
+               CliOptions* options) {
+  const std::string name = flag.name;
+  auto value_of = [&](const char** out) {
+    *out = *i + 1 < argc ? argv[++*i] : nullptr;
+    return *out != nullptr ||
+           UsageError("option '" + name + "' requires a value");
+  };
+  auto number_of = [&](auto* out) {
+    const char* text = nullptr;
+    return value_of(&text) && ParseNumber(name, text, out);
+  };
+  return std::visit(
+      Overloaded{
+          [&](bool CliOptions::*field) {
+            options->*field = true;
+            return true;
+          },
+          [&](std::string CliOptions::*field) {
+            const char* text = nullptr;
+            if (!value_of(&text)) return false;
+            options->*field = text;
+            return true;
+          },
+          [&](std::optional<int32_t> CliOptions::*field) {
+            return number_of(&(options->*field).emplace());
+          },
+          [&](std::array<int32_t, 3> CliOptions::*field) {
+            if (*i + 3 >= argc) {
+              return UsageError("option '--dims' requires three values: "
+                                "S O V");
+            }
+            for (int32_t& dim : options->*field) {
+              if (!ParseNumber(name, argv[++*i], &dim)) return false;
+            }
+            return true;
+          },
+          [&](auto CliOptions::*field) {
+            return number_of(&(options->*field));
+          },
+      },
+      flag.field);
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    // Flag parse failures are one-line errors with an exit code of 2 —
-    // never a silent fall-through to the default run or the help text.
-    auto value_of = [&](const char** out) {
-      *out = next();
-      return *out != nullptr ||
-             UsageError("option '" + arg + "' requires a value");
-    };
-    auto number_of = [&](auto* out) {
-      const char* text = nullptr;
-      return value_of(&text) && ParseNumber(arg, text, out);
-    };
-    const char* v = nullptr;
-    if (arg == "--method") {
-      if (!value_of(&v)) return false;
-      options->method = v;
-    } else if (arg == "--train-fraction") {
-      if (!number_of(&options->train_fraction)) return false;
-    } else if (arg == "--seed") {
-      if (!number_of(&options->seed)) return false;
-    } else if (arg == "--explain") {
-      if (!number_of(&options->explain)) return false;
-    } else if (arg == "--out") {
-      if (!value_of(&v)) return false;
-      options->out_file = v;
-    } else if (arg == "--demo") {
-      if (!value_of(&v)) return false;
-      options->demo = v;
-    } else if (arg == "--threads") {
-      if (!number_of(&options->threads)) return false;
-    } else if (arg == "--quick") {
-      options->quick = true;
-    } else if (arg == "--chunks") {
-      if (!number_of(&options->chunks)) return false;
-    } else if (arg == "--shards") {
-      if (!number_of(&options->shards)) return false;
-    } else if (arg == "--readers") {
-      if (!number_of(&options->readers)) return false;
-    } else if (arg == "--relearn-every") {
-      if (!number_of(&options->relearn_every)) return false;
-    } else if (arg == "--dims") {
-      const char* s = next();
-      const char* o = next();
-      const char* d = next();
-      if (s == nullptr || o == nullptr || d == nullptr) {
-        return UsageError("option '--dims' requires three values: S O V");
-      }
-      if (!ParseNumber(arg, s, &options->dim_sources) ||
-          !ParseNumber(arg, o, &options->dim_objects) ||
-          !ParseNumber(arg, d, &options->dim_values)) {
-        return false;
-      }
-    } else if (arg == "--preload") {
-      options->preload = true;
-    } else if (arg == "--wal-dir") {
-      if (!value_of(&v)) return false;
-      options->wal_dir = v;
-    } else if (arg == "--fsync-every") {
-      if (!number_of(&options->fsync_every)) return false;
-    } else if (arg == "--trace-out") {
-      if (!value_of(&v)) return false;
-      options->trace_out = v;
-    } else if (arg == "--sched-warm-budget") {
-      if (!number_of(&options->sched_warm_budget.emplace())) return false;
-    } else if (arg == "--sched-cold-budget") {
-      if (!number_of(&options->sched_cold_budget.emplace())) return false;
-    } else if (arg == "--sched-max-defer") {
-      if (!number_of(&options->sched_max_defer.emplace())) return false;
-    } else if (arg == "--shed-queue-watermark") {
-      if (!number_of(&options->shed_queue_watermark)) return false;
-    } else if (arg == "--shed-backlog") {
-      if (!number_of(&options->shed_backlog)) return false;
-    } else if (arg == "--event-log") {
-      if (!value_of(&v)) return false;
-      options->event_log = v;
-    } else if (arg == "--slo-query-p99") {
-      if (!number_of(&options->slo_query_p99)) return false;
-    } else if (arg == "--slo-staleness") {
-      if (!number_of(&options->slo_staleness)) return false;
-    } else if (arg == "--slo-stall") {
-      if (!number_of(&options->slo_stall)) return false;
-    } else if (arg == "--slo-queue") {
-      if (!number_of(&options->slo_queue)) return false;
-    } else if (arg == "--no-verify") {
-      options->no_verify = true;
-    } else if (arg == "--stats") {
-      options->stats_only = true;
-    } else if (arg == "--help" || arg == "-h") {
+  int i = 1;
+  // Subcommands are recognized in argv[1] only, so a dataset directory
+  // that happens to be named "replay" still works as a later positional
+  // (or as "./replay").
+  if (argc > 1) {
+    const std::string first = argv[1];
+    if (first == "replay") options->command = kReplay;
+    if (first == "serve") options->command = kServe;
+    if (first == "loadgen") options->command = kLoadgen;
+    if (options->command != kFuse) ++i;
+  }
+  for (; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
       options->help = true;
       return true;
-    } else if (arg.rfind("--", 0) == 0) {
-      return UsageError("unknown option '" + arg + "'");
-    } else if (arg == "replay" && i == 1) {
-      // Subcommands are recognized in argv[1] only, so a dataset directory
-      // that happens to be named "replay" still works as a later positional
-      // (or as "./replay").
-      options->replay = true;
-    } else if (arg == "serve" && i == 1) {
-      options->serve = true;
-    } else if (arg == "loadgen" && i == 1) {
-      options->loadgen = true;
-    } else {
-      options->dataset_dir = arg;
     }
+    if (arg.rfind("--", 0) != 0) {
+      options->dataset_dir = arg;
+      continue;
+    }
+    const Flag* flag =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&](const Flag& f) { return arg == f.name; });
+    if (flag == std::end(kFlags)) {
+      return UsageError("unknown option '" + arg + "'");
+    }
+    if ((flag->commands & options->command) == 0) {
+      return UsageError("option '" + arg + "' does not apply to " +
+                        CommandName(options->command));
+    }
+    if (!ParseFlag(*flag, argc, argv, &i, options)) return false;
   }
   // serve can run on bare --dims; replay, loadgen, and plain runs need
   // a dataset.
   if (!options->dataset_dir.empty() || !options->demo.empty() ||
-      (options->serve && options->dim_sources >= 0)) {
+      (options->command == kServe && options->dims[0] >= 0)) {
     return true;
   }
   return UsageError("missing dataset directory, --demo, or subcommand");
@@ -529,10 +577,10 @@ class FullRecompileOracle {
 /// ingested into a long-lived FusionSession (store splice + delta
 /// compilation of the touched rows), a full recompilation of the
 /// data-so-far is timed alongside for comparison (and cross-checked
-/// bitwise-equal — the delta-maintenance contract), the session relearns
-/// (warm-started from the previous weights after the first chunk), and a
-/// StreamingFusion baseline absorbs the same chunk. After the last chunk
-/// the one-shot batch run provides the accuracy bar.
+/// bitwise-equal — the delta-maintenance contract), and the session
+/// relearns (warm-started from the previous weights after the first
+/// chunk). After the last chunk the one-shot batch run provides the
+/// accuracy bar.
 int RunReplay(const CliOptions& options) {
   auto loaded = LoadCliDataset(options);
   if (!loaded.ok()) {
@@ -574,7 +622,6 @@ int RunReplay(const CliOptions& options) {
     return 1;
   }
   FusionSession session = std::move(session_result).ValueOrDie();
-  StreamingFusion streaming;
 
   std::printf("slimfast replay: %s in %d chunks (%lld observations, "
               "train fraction %.3f, seed %llu)\n",
@@ -584,7 +631,7 @@ int RunReplay(const CliOptions& options) {
               options.train_fraction,
               static_cast<unsigned long long>(options.seed));
   std::printf("  chunk  obs_total  ingest_delta  full_recompile  relearn   "
-              "session_acc  streaming_acc\n");
+              "session_acc\n");
 
   // Cumulative stream state for the full-recompile comparison and the
   // observed-so-far accuracy denominators.
@@ -592,13 +639,13 @@ int RunReplay(const CliOptions& options) {
                                 0);
   FullRecompileOracle oracle(dataset, session_options.slimfast.model);
 
-  auto observed_test_accuracy = [&](auto&& predict) {
+  auto observed_test_accuracy = [&]() {
     int64_t evaluated = 0;
     int64_t correct = 0;
     for (ObjectId o : split.test_objects) {
       if (!observed[static_cast<size_t>(o)]) continue;
       ++evaluated;
-      if (predict(o) == dataset.Truth(o)) ++correct;
+      if (session.Query(o) == dataset.Truth(o)) ++correct;
     }
     return evaluated == 0 ? 0.0
                           : static_cast<double>(correct) /
@@ -635,26 +682,15 @@ int RunReplay(const CliOptions& options) {
     total_relearn_seconds += relearn_stats.seconds;
 
     for (const Observation& obs : chunk.observations) {
-      SLIMFAST_CHECK_OK(
-          streaming.Observe(obs.object, obs.source, obs.value));
       observed[static_cast<size_t>(obs.object)] = 1;
     }
-    for (const TruthLabel& label : chunk.truths) {
-      SLIMFAST_CHECK_OK(streaming.ProvideTruth(label.object, label.value));
-    }
 
-    double session_accuracy = observed_test_accuracy(
-        [&](ObjectId o) { return session.Query(o); });
-    double streaming_accuracy = observed_test_accuracy(
-        [&](ObjectId o) { return streaming.CurrentEstimate(o); });
-    std::printf("  %5d  %9lld  %10.4fs  %12.4fs  %6.3fs%s  %11.4f  "
-                "%13.4f\n",
-                c + 1,
+    std::printf("  %5d  %9lld  %10.4fs  %12.4fs  %6.3fs%s  %11.4f\n", c + 1,
                 static_cast<long long>(session.num_observations()),
                 ingest.ValueOrDie().seconds, full_seconds,
                 relearn_stats.seconds,
                 relearn_stats.warm_started ? " (warm)" : " (cold)",
-                session_accuracy, streaming_accuracy);
+                observed_test_accuracy());
   }
 
   // The accuracy bar: the one-shot batch run on the full dataset.
@@ -668,27 +704,18 @@ int RunReplay(const CliOptions& options) {
     return 1;
   }
   // One denominator for the final comparison: every test object, with
-  // never-observed objects counting against all three (kNoValue for the
-  // session and streaming alike).
+  // never-observed objects counting against both (kNoValue for the
+  // session).
   double batch_accuracy =
       TestAccuracy(dataset, batch_output.ValueOrDie().predicted_values,
                    split)
           .ValueOrDie();
   double final_session_accuracy =
       TestAccuracy(dataset, session.predictions(), split).ValueOrDie();
-  std::vector<ValueId> streaming_predictions(
-      static_cast<size_t>(dataset.num_objects()), kNoValue);
-  for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
-    streaming_predictions[static_cast<size_t>(o)] =
-        streaming.CurrentEstimate(o);
-  }
-  double final_streaming_accuracy =
-      TestAccuracy(dataset, streaming_predictions, split).ValueOrDie();
 
   std::printf("\nFinal held-out accuracy: session %.4f, one-shot batch "
-              "%.4f, streaming %.4f\n",
-              final_session_accuracy, batch_accuracy,
-              final_streaming_accuracy);
+              "%.4f\n",
+              final_session_accuracy, batch_accuracy);
   std::printf("Compilation: %.4fs delta total vs %.4fs full-recompile "
               "total (%.2fx, bit-identical every chunk)\n",
               total_delta_seconds, total_full_seconds,
@@ -710,9 +737,9 @@ int RunReplay(const CliOptions& options) {
 /// line per command line), which makes the command scriptable:
 /// `printf 'QUERY 3\nQUIT\n' | slimfast_cli serve --demo crowd --preload`.
 int RunServe(const CliOptions& options) {
-  int32_t num_sources = options.dim_sources;
-  int32_t num_objects = options.dim_objects;
-  int32_t num_values = options.dim_values;
+  int32_t num_sources = options.dims[0];
+  int32_t num_objects = options.dims[1];
+  int32_t num_values = options.dims[2];
   FeatureSpace features;
   Dataset dataset;
   bool have_dataset = false;
@@ -1010,15 +1037,15 @@ int main(int argc, char** argv) {
                  options.dataset_dir.c_str());
     return 2;
   }
-  if (options.serve || options.loadgen || options.replay) {
+  if (options.command != kFuse) {
     // --trace-out: record stage spans for the whole run and dump the
     // chrome://tracing timeline on the way out (load it via
     // chrome://tracing or https://ui.perfetto.dev).
     const bool tracing = !options.trace_out.empty();
     if (tracing) obs::TraceRecorder::Global().Enable();
-    int rc = options.serve      ? RunServe(options)
-             : options.loadgen  ? RunLoadgenCli(options)
-                                : RunReplay(options);
+    int rc = options.command == kServe     ? RunServe(options)
+             : options.command == kLoadgen ? RunLoadgenCli(options)
+                                           : RunReplay(options);
     if (tracing) {
       obs::TraceRecorder::Global().Disable();
       if (obs::TraceRecorder::Global().WriteChromeTrace(options.trace_out)) {
