@@ -51,9 +51,9 @@ enum class ErmLoss {
 
 /// Options for the ERM learner (convex). The object-posterior loss runs
 /// AdaGrad-scaled SGD or batch proximal descent, both with the step size
-/// 0.5 / √(1 + epoch); the accuracy log-loss runs the one
-/// solver over per-source claim counts (see ErmLearner), which reads only
-/// `epochs`, `l2`, `l1`, `tolerance` and `patience`.
+/// 0.5 / √(1 + epoch); the accuracy log-loss runs the one solver over
+/// per-source claim counts (see ErmLearner), which reads only `epochs`,
+/// `l2`, `l1`, `tolerance` and `patience`.
 struct ErmOptions {
   ErmLoss loss = ErmLoss::kObjectPosterior;
   /// Object loss: full-batch proximal gradient descent instead of SGD.
