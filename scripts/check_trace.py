@@ -3,7 +3,8 @@
 
 The trace surface is only useful if the emitted file actually loads in
 chrome://tracing / Perfetto, so CI runs this after a `slimfast_cli
-replay --trace-out` run and fails on any malformation: not a JSON
+replay --trace-out` run and a durable `slimfast_cli serve --wal-dir
+--trace-out` session, and fails on any malformation: not a JSON
 object, missing or non-list "traceEvents", an event missing the
 complete-event fields (name/ph/ts/dur/pid/tid), a phase other than "X"
 (the writer only emits complete events), or negative timestamps or

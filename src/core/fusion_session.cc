@@ -4,9 +4,8 @@
 #include <utility>
 
 #include "obs/registry.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "util/math.h"
-#include "util/stopwatch.h"
 
 namespace slimfast {
 
@@ -145,8 +144,9 @@ Result<FusionSession> FusionSession::Restore(const ObservationStore& store,
 }
 
 Result<IngestStats> FusionSession::Ingest(const ObservationBatch& batch) {
-  obs::TraceSpan span("core.ingest");
-  Stopwatch watch;
+  static obs::LatencyHistogram* delta_hist =
+      obs::GetHistogram("slimfast_core_delta_compile_seconds");
+  obs::Stage stage("core.session.ingest", delta_hist);
   std::vector<ObjectId> recompiled_rows;
   // DeltaCompile validates the batch via AppendBatch and leaves the
   // session untouched on failure; the counters below only advance once
@@ -163,12 +163,7 @@ Result<IngestStats> FusionSession::Ingest(const ObservationBatch& batch) {
       static_cast<int64_t>(batch.observations.size());
   stats.batch_truths = static_cast<int64_t>(batch.truths.size());
   stats.touched_objects = static_cast<int32_t>(recompiled_rows.size());
-  stats.seconds = watch.ElapsedSeconds();
-  if (obs::Enabled()) {
-    static obs::LatencyHistogram* delta_hist =
-        obs::GetHistogram("slimfast_core_delta_compile_seconds");
-    delta_hist->RecordSeconds(stats.seconds);
-  }
+  stats.seconds = stage.End();
   return stats;
 }
 
@@ -178,8 +173,9 @@ Result<RelearnStats> FusionSession::Relearn() {
         "nothing ingested yet: Ingest at least one observation before "
         "relearning");
   }
-  obs::TraceSpan span("core.relearn");
-  Stopwatch watch;
+  static obs::LatencyHistogram* relearn_hist =
+      obs::GetHistogram("slimfast_core_relearn_seconds");
+  obs::Stage stage("core.session.relearn", relearn_hist);
 
   // Every object with ingested truth is training data; the session has no
   // held-out split of its own (evaluation against withheld truth is the
@@ -210,15 +206,10 @@ Result<RelearnStats> FusionSession::Relearn() {
   stats.warm_started = fit.warm_started;
   stats.num_train_objects =
       static_cast<int32_t>(split.train_objects.size());
-  stats.seconds = watch.ElapsedSeconds();
+  stats.seconds = stage.End();
   stats.learn_iterations = fit.learn_iterations;
   stats.learn_converged = fit.learn_converged;
   stats.learn_objective = fit.learn_objective;
-  if (obs::Enabled()) {
-    static obs::LatencyHistogram* relearn_hist =
-        obs::GetHistogram("slimfast_core_relearn_seconds");
-    relearn_hist->RecordSeconds(stats.seconds);
-  }
   last_relearn_seconds_ = stats.seconds;
   return stats;
 }

@@ -3,11 +3,10 @@
 #include "core/em.h"
 #include "core/erm.h"
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "obs/registry.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "util/stopwatch.h"
 
 namespace slimfast {
@@ -29,7 +28,9 @@ Result<SlimFastFit> SlimFast::Fit(const Dataset& dataset,
                                   uint64_t seed, Executor* exec) const {
   // Compilation (or a lookup in the process-wide cache) into the
   // immutable CompiledInstance every learning stage reads.
-  Stopwatch compile_watch;
+  static obs::LatencyHistogram* compile_hist =
+      obs::GetHistogram("slimfast_core_compile_seconds");
+  obs::Stage compile_stage("core.compile", compile_hist);
   std::shared_ptr<const CompiledInstance> instance;
   if (options_.use_compilation_cache) {
     SLIMFAST_ASSIGN_OR_RETURN(instance,
@@ -39,22 +40,7 @@ Result<SlimFastFit> SlimFast::Fit(const Dataset& dataset,
     SLIMFAST_ASSIGN_OR_RETURN(instance,
                               CompileInstance(dataset, options_.model));
   }
-  double compile_seconds = compile_watch.ElapsedSeconds();
-  if (obs::Enabled()) {
-    static obs::LatencyHistogram* compile_hist =
-        obs::GetHistogram("slimfast_core_compile_seconds");
-    compile_hist->RecordSeconds(compile_seconds);
-  }
-  if (obs::TraceRecorder::Global().enabled()) {
-    // Reconstruct the span from the stopwatch reading: a scoped
-    // TraceSpan here would also cover the learning stages below.
-    const auto end = std::chrono::steady_clock::now();
-    obs::TraceRecorder::Global().RecordComplete(
-        "core.compile",
-        end - std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(compile_seconds)),
-        end);
-  }
+  const double compile_seconds = compile_stage.End();
   SLIMFAST_ASSIGN_OR_RETURN(
       SlimFastFit fit,
       FitCompiled(split, seed, std::move(instance), /*warm_weights=*/nullptr,
@@ -77,19 +63,15 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   if (instance == nullptr) {
     return Status::InvalidArgument("FitCompiled requires an instance");
   }
-  obs::TraceSpan learn_span("core.learn");
   OptimizerDecision decision;
   Algorithm algorithm = options_.algorithm;
   if (algorithm == Algorithm::kAuto) {
-    Stopwatch decide_watch;
+    static obs::LatencyHistogram* optimizer_hist =
+        obs::GetHistogram("slimfast_core_optimizer_seconds");
+    obs::Stage stage("core.optimizer", optimizer_hist);
     decision = DecideAlgorithm(instance->store, split,
                                instance->model->layout.num_params,
                                options_.optimizer);
-    if (obs::Enabled()) {
-      static obs::LatencyHistogram* optimizer_hist =
-          obs::GetHistogram("slimfast_core_optimizer_seconds");
-      optimizer_hist->RecordSeconds(decide_watch.ElapsedSeconds());
-    }
     algorithm = decision.algorithm;
   } else {
     decision.algorithm = algorithm;
@@ -115,7 +97,15 @@ Result<SlimFastFit> SlimFast::FitCompiled(
                    options_.warm_start.min_em_iterations);
   }
 
-  Stopwatch learn_watch;
+  // Per-algorithm learn timings: EM runs ~200x longer than a warm ERM
+  // relearn, so folding them into one histogram would bury the signal
+  // the relearn scheduler needs.
+  static obs::LatencyHistogram* erm_hist =
+      obs::GetHistogram("slimfast_core_learn_seconds{algorithm=\"erm\"}");
+  static obs::LatencyHistogram* em_hist =
+      obs::GetHistogram("slimfast_core_learn_seconds{algorithm=\"em\"}");
+  obs::Stage learn_stage("core.learn",
+                         algorithm == Algorithm::kErm ? erm_hist : em_hist);
   SlimFastModel model(std::move(instance));
   if (warm) model.SetWeights(*warm_weights);
   Rng rng(seed);
@@ -136,6 +126,7 @@ Result<SlimFastFit> SlimFast::FitCompiled(
       learn_converged = em_stats.converged;
       learn_objective = em_stats.final_expected_nll;
       algorithm = Algorithm::kEm;
+      learn_stage.set_histogram(em_hist);
     } else {
       const FitStats& erm_stats = stats.ValueOrDie();
       learn_iterations = erm_stats.epochs;
@@ -152,18 +143,7 @@ Result<SlimFastFit> SlimFast::FitCompiled(
     learn_objective = em_stats.final_expected_nll;
   }
 
-  const double learn_seconds = learn_watch.ElapsedSeconds();
-  if (obs::Enabled()) {
-    // Per-algorithm learn timings: EM runs ~200x longer than a warm ERM
-    // relearn, so folding them into one histogram would bury the signal
-    // the relearn scheduler needs.
-    static obs::LatencyHistogram* erm_hist = obs::GetHistogram(
-        "slimfast_core_learn_seconds{algorithm=\"erm\"}");
-    static obs::LatencyHistogram* em_hist = obs::GetHistogram(
-        "slimfast_core_learn_seconds{algorithm=\"em\"}");
-    (algorithm == Algorithm::kErm ? erm_hist : em_hist)
-        ->RecordSeconds(learn_seconds);
-  }
+  const double learn_seconds = learn_stage.End();
   SlimFastFit fit{std::move(model), decision, algorithm,
                   /*compile_seconds=*/0.0, learn_seconds, warm};
   fit.learn_iterations = learn_iterations;

@@ -57,7 +57,9 @@ void Executor::RunShards(int32_t num_shards,
   // Per-shard wall times feed the pool task-latency histogram and the
   // imbalance gauge (slowest shard / mean shard). Only the pool path is
   // instrumented — the inline path above has no scheduling to observe —
-  // and when observability is off no clocks are read at all.
+  // and when observability is off no clocks are read at all. Timed by
+  // hand, not by obs::Stage: the imbalance gauge needs the raw per-shard
+  // readings before any of them is recorded.
   const bool obs_on = obs::Enabled();
   std::vector<int64_t> shard_ns;
   if (obs_on) shard_ns.assign(static_cast<size_t>(num_shards), 0);

@@ -31,9 +31,9 @@ bool ResolveEnabled();
 /// SLIMFAST_OBS environment variable ("0" = off, anything else or unset
 /// = on), resolved once per process; compiled to `false` outright under
 /// SLIMFAST_OBS_DISABLED. Every instrumentation site guards with this,
-/// so a disabled process pays one predictable branch per site and
-/// nothing else — no clock reads, no atomic traffic ("zero cost when
-/// off").
+/// so a disabled process pays one predictable branch per counter site
+/// and no atomic traffic; an obs::Stage still reads its two clocks
+/// (obs/stage.h).
 inline bool Enabled() {
   if constexpr (!kCompiledIn) return false;
   const int state = internal::g_enabled.load(std::memory_order_relaxed);

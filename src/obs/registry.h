@@ -1,7 +1,6 @@
 #ifndef SLIMFAST_OBS_REGISTRY_H_
 #define SLIMFAST_OBS_REGISTRY_H_
 
-#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -76,36 +75,6 @@ ShardedCounter* GetCounter(const std::string& name);
 Gauge* GetGauge(const std::string& name);
 /// Shorthand: Registry::Global().Histogram(name).
 LatencyHistogram* GetHistogram(const std::string& name);
-
-/// RAII latency timer for instrumentation sites: records the scope's
-/// wall time into `hist` on destruction. When observability is off (or
-/// `hist` is null) the constructor skips the clock read entirely, so a
-/// disabled site costs one branch and nothing else.
-class ScopedTimer {
- public:
-  /// Starts timing into `hist` if observability is enabled.
-  explicit ScopedTimer(LatencyHistogram* hist) {
-    if (hist != nullptr && Enabled()) {
-      hist_ = hist;
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-
-  ~ScopedTimer() {
-    if (hist_ != nullptr) {
-      hist_->Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count());
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  LatencyHistogram* hist_ = nullptr;
-  std::chrono::steady_clock::time_point start_{};
-};
 
 }  // namespace obs
 }  // namespace slimfast

@@ -41,10 +41,6 @@ void TraceRecorder::RecordComplete(
     std::chrono::steady_clock::time_point end) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!epoch_set_) {
-    epoch_ = start;
-    epoch_set_ = true;
-  }
   if (events_.size() >= kMaxEvents) {
     ++dropped_;
     return;

@@ -21,7 +21,8 @@ namespace obs {
 /// enabled explicitly (the `--trace-out FILE` CLI flag) because every
 /// span costs two clock reads plus a short mutex-protected append.
 /// Spans are therefore recorded at *stage* granularity (ingest,
-/// relearn, WAL append, compile...), never per query. The event buffer
+/// relearn, WAL append, compile...) by `obs::Stage` (obs/stage.h),
+/// never per query. The event buffer
 /// is capped; once full, further spans are counted as dropped rather
 /// than grown without bound.
 class TraceRecorder {
@@ -86,36 +87,6 @@ class TraceRecorder {
   std::vector<Event> events_;
   std::unordered_map<std::thread::id, int> tids_;
   int64_t dropped_ = 0;
-};
-
-/// RAII span: records the scope's wall time into the global recorder
-/// on destruction. Construction checks the recorder's enabled flag
-/// once and reads no clocks when tracing is off, so inactive spans
-/// cost a single branch.
-class TraceSpan {
- public:
-  /// Starts a span named `name` (must outlive the span; string
-  /// literals are the intended use).
-  explicit TraceSpan(const char* name) {
-    if (TraceRecorder::Global().enabled()) {
-      name_ = name;
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-
-  ~TraceSpan() {
-    if (name_ != nullptr) {
-      TraceRecorder::Global().RecordComplete(
-          name_, start_, std::chrono::steady_clock::now());
-    }
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_ = nullptr;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace obs

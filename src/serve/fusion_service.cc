@@ -14,10 +14,9 @@
 #include "obs/event_log.h"
 #include "obs/registry.h"
 #include "obs/slow_log.h"
+#include "obs/stage.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "serve/durability.h"
-#include "util/stopwatch.h"
 
 namespace slimfast {
 
@@ -176,7 +175,7 @@ Result<std::unique_ptr<FusionService>> FusionService::Recover(
 }
 
 Status FusionService::RecoverFromDir(const FeatureSpace& features) {
-  obs::TraceSpan span("serve.recover");
+  obs::Stage stage("serve.recover");
   const std::string& dir = options_.durability.wal_dir;
   if (obs::Enabled()) {
     obs::EventLog::Global().Emit(obs::EventSeverity::kInfo, "recovery",
@@ -406,7 +405,7 @@ Status FusionService::Checkpoint() {
 }
 
 Status FusionService::WriteCheckpoint() {
-  obs::TraceSpan span("serve.checkpoint");
+  obs::Stage stage("serve.checkpoint");
   const std::string& dir = options_.durability.wal_dir;
   const uint64_t applied = static_cast<uint64_t>(applied_batches_);
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -547,7 +546,7 @@ void FusionService::DriverLoop() {
 
 void FusionService::ApplyBatch(const ObservationBatch& batch,
                                int64_t arrival_ns) {
-  obs::TraceSpan span("serve.apply_batch");
+  obs::Stage stage("serve.apply_batch");
   if (arrival_ns == 0) arrival_ns = NowNanos();
   const std::vector<ObservationBatch> subs = router_.Split(batch);
   const int32_t num_shards = router_.num_shards();
@@ -557,8 +556,7 @@ void FusionService::ApplyBatch(const ObservationBatch& batch,
     const ObservationBatch& sub = subs[static_cast<size_t>(s)];
     if (sub.empty()) return;
     Shard& shard = shards_[static_cast<size_t>(s)];
-    obs::TraceSpan shard_span("serve.shard_ingest");
-    obs::ScopedTimer timer(shard.ingest_hist);
+    obs::Stage stage("serve.shard_ingest", shard.ingest_hist);
     Result<IngestStats> ingested = shard.session->Ingest(sub);
     if (!ingested.ok()) {
       statuses[static_cast<size_t>(s)] = ingested.status();
@@ -659,8 +657,7 @@ void FusionService::CountTriggerRelearn(const char* reason) {
 
 void FusionService::RelearnShards(const std::vector<int32_t>& order,
                                   const char* reason) {
-  obs::TraceSpan span("serve.relearn");
-  Stopwatch cycle_watch;
+  obs::Stage cycle_stage("serve.relearn");
   const int32_t num_shards = router_.num_shards();
   std::vector<Status> statuses(static_cast<size_t>(num_shards),
                                Status::OK());
@@ -672,10 +669,9 @@ void FusionService::RelearnShards(const std::vector<int32_t>& order,
     const int32_t s = order[static_cast<size_t>(i)];
     Shard& shard = shards_[static_cast<size_t>(s)];
     if (shard.pending == 0) return;
-    obs::TraceSpan shard_span("serve.shard_relearn");
     const bool can_fit = shard.session->num_observations() > 0;
     if (can_fit) {
-      obs::ScopedTimer timer(shard.relearn_hist);
+      obs::Stage stage("serve.shard_relearn", shard.relearn_hist);
       Result<RelearnStats> stats = shard.session->Relearn();
       if (!stats.ok()) {
         statuses[static_cast<size_t>(s)] = stats.status();
@@ -694,7 +690,7 @@ void FusionService::RelearnShards(const std::vector<int32_t>& order,
     const uint64_t fingerprint =
         shard.session->instance()->store.content_fingerprint();
     if (can_fit || fingerprint != shard.last_published_fingerprint) {
-      obs::ScopedTimer timer(shard.publish_hist);
+      obs::Stage stage("serve.shard_publish", shard.publish_hist);
       slots_[static_cast<size_t>(s)]->Store(
           shard.session->ExportSnapshot());
       shard.last_published_fingerprint = fingerprint;
@@ -753,10 +749,10 @@ void FusionService::RelearnShards(const std::vector<int32_t>& order,
   int64_t backlog = 0;
   for (const Shard& shard : shards_) backlog += shard.pending;
   relearn_backlog_.store(backlog, std::memory_order_relaxed);
+  const double cycle_seconds = cycle_stage.End();
   if (relearns > 0) {
     // EWMA of the relearn-cycle wall time (the ERR BUSY hint's unit).
-    const int64_t cycle_ns =
-        static_cast<int64_t>(cycle_watch.ElapsedSeconds() * 1e9);
+    const int64_t cycle_ns = static_cast<int64_t>(cycle_seconds * 1e9);
     const int64_t previous =
         ewma_cycle_ns_.load(std::memory_order_relaxed);
     ewma_cycle_ns_.store(

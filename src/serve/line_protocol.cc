@@ -92,6 +92,9 @@ obs::LatencyHistogram* VerbHistogram(const std::string& verb) {
 }  // namespace
 
 std::string LineProtocol::HandleLine(const std::string& line, bool* quit) {
+  // Timed by hand, not by obs::Stage: this is the query path, so with
+  // obs off it must read no clock, and it must never emit a span per
+  // query.
   if (!obs::Enabled()) return HandleLineInner(line, quit);
   const auto start = std::chrono::steady_clock::now();
   std::string reply = HandleLineInner(line, quit);

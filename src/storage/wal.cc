@@ -12,6 +12,7 @@
 
 #include "obs/event_log.h"
 #include "obs/registry.h"
+#include "obs/stage.h"
 #include "storage/codec.h"
 #include "storage/crc32.h"
 #include "storage/file_io.h"
@@ -266,7 +267,7 @@ Status ReplayWal(const std::string& dir, uint64_t after_sequence,
                  const std::function<Status(const WalRecord&)>& fn) {
   static obs::LatencyHistogram* replay_hist =
       obs::GetHistogram("slimfast_storage_wal_replay_seconds");
-  obs::ScopedTimer timer(replay_hist);
+  obs::Stage stage("storage.replay", replay_hist);
   obs::ShardedCounter* replayed =
       obs::Enabled()
           ? obs::GetCounter("slimfast_storage_wal_replay_records_total")
@@ -431,7 +432,7 @@ Result<uint64_t> WalWriter::AppendGroup(
     const std::vector<const ObservationBatch*>& batches) {
   static obs::LatencyHistogram* append_hist =
       obs::GetHistogram("slimfast_storage_wal_append_seconds");
-  obs::ScopedTimer timer(append_hist);
+  obs::Stage stage("storage.wal_append", append_hist);
   const uint64_t first = next_sequence_;
   for (const ObservationBatch* batch : batches) {
     SLIMFAST_RETURN_NOT_OK(WriteRecord(*batch));
@@ -476,7 +477,7 @@ Status WalWriter::Sync() {
   if (fd_ < 0) return Status::OK();
   static obs::LatencyHistogram* fsync_hist =
       obs::GetHistogram("slimfast_storage_wal_fsync_seconds");
-  obs::ScopedTimer timer(fsync_hist);
+  obs::Stage stage("storage.wal_sync", fsync_hist);
   if (::fsync(fd_) != 0) {
     return Status::IOError(std::string("fsync wal segment: ") +
                            std::strerror(errno));

@@ -189,19 +189,6 @@ TEST(LatencyHistogramTest, ResetClears) {
   EXPECT_EQ(hist.MaxNanos(), 0);
 }
 
-TEST(ScopedTimerTest, RecordsOnlyWhenEnabled) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
-  const bool prior = SetEnabledForTest(true);
-  LatencyHistogram hist;
-  { ScopedTimer timer(&hist); }
-  EXPECT_EQ(hist.Count(), 1);
-  SetEnabledForTest(false);
-  { ScopedTimer timer(&hist); }
-  EXPECT_EQ(hist.Count(), 1);  // disabled scope recorded nothing
-  { ScopedTimer timer(nullptr); }  // null target is a no-op, not a crash
-  SetEnabledForTest(prior);
-}
-
 TEST(RegistryTest, SameNameSameMetric) {
   Registry::Global().ResetForTest();
   ShardedCounter* counter = GetCounter("slimfast_test_total");
