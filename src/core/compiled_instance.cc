@@ -155,9 +155,8 @@ void AppendRow(const ObservationStore& store, ObjectId object,
   const std::vector<SourceId>& sources = store.sources();
   const std::vector<ValueId>& values = store.values();
   const double claim_offset =
-      (config.multiclass_offset && domain.size() > 2)
-          ? std::log(static_cast<double>(domain.size()) - 1.0)
-          : 0.0;
+      domain.size() > 2 ? std::log(static_cast<double>(domain.size()) - 1.0)
+                        : 0.0;
   TermAccumulator acc;
   for (int64_t k = domain.begin; k < domain.end; ++k) {
     const ValueId d = store.domain_values()[static_cast<size_t>(k)];

@@ -107,8 +107,9 @@ struct CompiledInstance {
   /// binary log-odds; with |D_o| > 2 candidates and wrong values spread
   /// uniformly, each claim's correct Naive-Bayes vote is
   /// log(A_s / ((1 - A_s) / (n - 1))) = σ_s + log(n - 1) — the same n
-  /// factor ACCU uses. Zero for binary domains, so the base model is
-  /// exactly Eq. 4 there.
+  /// factor ACCU uses; without it, sources whose agreement rate is below
+  /// 0.5 but above chance would look anti-informative. Zero for binary
+  /// domains, so the base model is exactly Eq. 4 there.
   std::vector<double> cand_offsets;
 
   // --- Posterior terms ---
@@ -225,6 +226,12 @@ uint64_t DatasetCompilationFingerprint(const Dataset& dataset);
 /// an eval-grid sweep, or a bench loop that re-fits the same dataset pays
 /// for compilation exactly once; all users share one immutable instance.
 /// Thread-safe.
+///
+/// Lifetime: SlimFast::Fit always compiles through Global(), which keeps
+/// up to its capacity (8) of compiled instances — each holding a columnar
+/// copy of the dataset's observations — for the life of the process. A
+/// long-running caller cycling through many large datasets calls
+/// Global().Clear() when done with one.
 class CompiledInstanceCache {
  public:
   /// The process-wide cache used by the SlimFast facade.

@@ -11,47 +11,47 @@ namespace slimfast {
 
 namespace {
 
-/// Counts one unclamped row's imputed targets and adds its NLL
-/// contribution. `probs` is the row's posterior; `soft_entropy` is its
-/// precomputed entropy (ignored on the hard path); claims arrive as
+/// Prior source accuracy: with no usable ground truth the source weights
+/// start at its logit, so the first E-step is a majority vote.
+constexpr double kInitAccuracy = 0.7;
+/// Convergence on the expected log-likelihood: a relative change below
+/// kTolerance for kPatience consecutive rounds stops EM.
+constexpr double kTolerance = 1e-5;
+constexpr int32_t kPatience = 2;
+/// Minimum rounds of a warm-started run (see WarmBudget).
+constexpr int32_t kMinWarmIterations = 2;
+
+/// Counts one unclamped row's MAP-imputed targets and adds its NLL
+/// contribution. `probs` is the row's posterior; claims arrive as
 /// parallel arrays of source and within-row candidate index (-1 = claimed
 /// value outside the domain).
-inline void CountRow(const double* probs, int64_t domain_size, bool soft,
-                     double soft_entropy, const SourceId* claim_src,
-                     const int32_t* claim_di, int64_t num_claims,
-                     EStepCounts* acc) {
+inline void CountRow(const double* probs, int64_t domain_size,
+                     const SourceId* claim_src, const int32_t* claim_di,
+                     int64_t num_claims, EStepCounts* acc) {
   if (domain_size == 0) return;  // degenerate row: nothing to impute
   double* mass = acc->counts.mass.data();
   double* correct = acc->counts.correct.data();
-  if (soft) {
-    // Soft target per claim: q = P(To = claimed value).
-    simd::AccumulateWeightedCounts(claim_src, claim_di, num_claims, probs,
-                                   mass, correct);
-    acc->nll += soft_entropy;
-  } else {
-    int32_t map_index = 0;
-    for (int64_t di = 1; di < domain_size; ++di) {
-      if (probs[di] > probs[map_index]) map_index = static_cast<int32_t>(di);
-    }
-    for (int64_t i = 0; i < num_claims; ++i) {
-      mass[claim_src[i]] += 1.0;
-      if (claim_di[i] == map_index) correct[claim_src[i]] += 1.0;
-    }
-    acc->nll += -std::log(std::max(probs[map_index], 1e-300));
+  int32_t map_index = 0;
+  for (int64_t di = 1; di < domain_size; ++di) {
+    if (probs[di] > probs[map_index]) map_index = static_cast<int32_t>(di);
   }
+  for (int64_t i = 0; i < num_claims; ++i) {
+    mass[claim_src[i]] += 1.0;
+    if (claim_di[i] == map_index) correct[claim_src[i]] += 1.0;
+  }
+  acc->nll += -std::log(std::max(probs[map_index], 1e-300));
 }
 
 /// The batched E-step over shard `range`: instead of one posterior at a
-/// time, the whole shard's CSR span runs as four kernel passes —
-/// TermProducts over every term, FoldRanges into per-candidate scores,
-/// SoftmaxRows over every row at once, and (soft mode) BatchEntropyTerms
-/// + FoldRanges for the per-row entropies — before a scalar counting walk
+/// time, the whole shard's CSR span runs as three kernel passes —
+/// TermProducts over every term, FoldRanges into per-candidate scores and
+/// SoftmaxRows over every row at once — before a scalar counting walk
 /// over the claims. Clamped rows' posteriors are computed and discarded:
 /// keeping the spans contiguous beats compacting them (clamped rows are a
 /// small training fraction), and counting skips them. The scores are
 /// bit-identical to SlimFastModel::Scores by the lane-stable kernel
 /// contract (see src/simd/simd.h).
-void EStepShard(const SlimFastModel& model, const EmOptions& options,
+void EStepShard(const SlimFastModel& model,
                 const std::vector<uint8_t>& clamped, const ShardRange& range,
                 EStepCounts* acc) {
   const int64_t num_rows = range.end - range.begin;
@@ -75,23 +75,11 @@ void EStepShard(const SlimFastModel& model, const EmOptions& options,
                    inst.cand_offsets.data() + cand_b, scores.data());
   simd::SoftmaxRows(row_begin + range.begin, num_rows, cand_b, scores.data());
 
-  std::vector<double> row_ent;
-  if (options.soft) {
-    std::vector<double> ent_terms(static_cast<size_t>(ncand));
-    simd::BatchEntropyTerms(scores.data(), ent_terms.data(), ncand);
-    row_ent.resize(static_cast<size_t>(num_rows));
-    simd::FoldRanges(row_begin + range.begin, num_rows, cand_b,
-                     ent_terms.data(), nullptr, row_ent.data());
-  }
-
   for (int64_t r = range.begin; r < range.end; ++r) {
     if (clamped[static_cast<size_t>(r)]) continue;
     const int64_t row_base = row_begin[r];
     const int64_t cb = claim_begin[r];
     CountRow(scores.data() + (row_base - cand_b), row_begin[r + 1] - row_base,
-             options.soft,
-             options.soft ? row_ent[static_cast<size_t>(r - range.begin)]
-                          : 0.0,
              inst.claim_sources.data() + cb, inst.claim_cand.data() + cb,
              claim_begin[r + 1] - cb, acc);
   }
@@ -118,7 +106,7 @@ EStepCounts EmLearner::EStep(const SlimFastModel& model,
       exec, inst.num_rows(),
       EStepCounts{SourceClaimCounts(inst.model->num_sources), 0.0},
       [&](const ShardRange& range, EStepCounts* acc) {
-        EStepShard(model, options_, clamped, range, acc);
+        EStepShard(model, clamped, range, acc);
       },
       [](EStepCounts* total, const EStepCounts& shard) {
         total->counts.Add(shard.counts);
@@ -133,7 +121,7 @@ void EmLearner::Initialize(const std::vector<LabeledExample>& labeled,
                            SlimFastModel* model) const {
   const ParamLayout& layout = model->layout();
   if (layout.num_source_params > 0) {
-    double w0 = Logit(options_.init_accuracy);
+    double w0 = Logit(kInitAccuracy);
     std::vector<double>& w = *model->mutable_weights();
     for (int32_t i = 0; i < layout.num_source_params; ++i) {
       w[static_cast<size_t>(layout.source_offset + i)] = w0;
@@ -221,15 +209,13 @@ Result<EmStats> EmLearner::FitOnce(const std::vector<ObjectId>& train_objects,
   }
 
   ErmLearner m_step(options_.m_step);
-  ConvergenceTracker tracker(options_.tolerance, options_.patience);
+  ConvergenceTracker tracker(kTolerance, kPatience);
 
-  // A warm-started run refines on its own (shorter) budget; cold runs —
-  // including the inversion-guard retry inside a warm relearn — get the
-  // full cold cap.
+  // A warm-started run refines on a shorter budget; cold runs — including
+  // the inversion-guard retry inside a warm relearn — get the full cap.
   const int32_t max_iterations =
-      (warm_start && options_.warm_max_iterations > 0)
-          ? options_.warm_max_iterations
-          : options_.max_iterations;
+      warm_start ? WarmBudget(options_.max_iterations, kMinWarmIterations)
+                 : options_.max_iterations;
 
   EmStats stats;
   for (int32_t iter = 0; iter < max_iterations; ++iter) {

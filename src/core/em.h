@@ -21,10 +21,9 @@ struct EmStats {
 };
 
 /// Output of one E-step: the claim counts the M-step fits (a claim on a
-/// labeled train object is correct when it matches the truth; any other
-/// claim by its imputed value: 1 when it is the MAP value in hard EM, the
-/// claimed value's posterior in soft EM) and the expected negative
-/// log-likelihood of the imputed rows.
+/// labeled train object is correct when it matches the truth, any other
+/// claim when it matches its object's MAP value) and the negative
+/// log-likelihood of the imputed MAP values.
 struct EStepCounts {
   SourceClaimCounts counts;
   double nll = 0.0;
@@ -34,9 +33,9 @@ struct EStepCounts {
 ///
 /// E-step: compute the posterior of every unlabeled object under the
 /// current weights; labeled (ground-truth) objects stay clamped — exactly
-/// the evidence semantics of the compiled factor graph. The paper's E-step
-/// assigns MAP values (hard EM, the default); soft EM keeps the full
-/// posterior. Either way it emits per-source claim counts (EStepCounts).
+/// the evidence semantics of the compiled factor graph. As in the paper,
+/// the E-step assigns each unlabeled object its MAP value (hard EM) and
+/// emits per-source claim counts (EStepCounts).
 ///
 /// M-step: given the assignments, the likelihood of the observations
 /// factors per claim as Bernoulli(A_s); the M-step therefore fits the
@@ -46,10 +45,13 @@ struct EStepCounts {
 /// given v_o" and, unlike re-fitting the object posterior on its own MAP
 /// labels, makes real progress each round.
 ///
-/// Initialization: with no usable ground truth, source weights start at
-/// logit(init_accuracy) so the first E-step reduces to (weighted) majority
-/// vote; with ground truth, an initial ERM fit on the labels seeds the
-/// weights.
+/// Initialization: source weights start at logit(0.7), so with no usable
+/// ground truth the first E-step reduces to majority vote; with ground
+/// truth, an initial accuracy-loss fit on the labels seeds the weights.
+///
+/// Convergence: a relative change of the expected negative
+/// log-likelihood below 1e-5 for two consecutive rounds stops the run,
+/// as does EmOptions::max_iterations.
 class EmLearner {
  public:
   explicit EmLearner(EmOptions options) : options_(options) {}
@@ -66,7 +68,7 @@ class EmLearner {
   /// starting point — initialization (the logit-prior source weights and
   /// the label-seeded fit) is skipped for the first run, so a
   /// warm-started relearn refines the previous fit instead of restarting.
-  /// The warm run honors `EmOptions::warm_max_iterations`; the
+  /// The warm run gets WarmBudget(max_iterations, 2) rounds; the
   /// inversion-guard retry, if triggered, still initializes cold and
   /// keeps the full cold iteration budget. EM draws no random numbers;
   /// `rng` is accepted for the learners' common call shape and unused.

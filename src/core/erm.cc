@@ -21,9 +21,15 @@ std::vector<LabeledExample> ErmLearner::ObjectExamples(
     if (row < 0) continue;
     const int32_t target = instance.truth_cand[static_cast<size_t>(row)];
     if (target < 0) continue;  // unlabeled, or truth never claimed
-    examples.push_back(LabeledExample{row, target, 1.0});
+    examples.push_back(LabeledExample{row, target});
   }
   return examples;
+}
+
+int32_t WarmBudget(int32_t cold, int32_t floor) {
+  const auto scaled =
+      static_cast<int32_t>(std::lround(static_cast<double>(cold) * 0.25));
+  return std::min(cold, std::max(floor, scaled));
 }
 
 void SourceClaimCounts::Add(const SourceClaimCounts& other) {
@@ -86,8 +92,7 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
   SparseGradAccumulator<ParamId> grad(layout.num_params);
   std::vector<double> probs;
 
-  double total_weight = 0.0;
-  for (const LabeledExample& ex : examples) total_weight += ex.weight;
+  const auto num_examples = static_cast<double>(examples.size());
 
   FitStats stats;
   for (int32_t epoch = 0; epoch < options.epochs; ++epoch) {
@@ -100,15 +105,15 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
       model->Posterior(ex.row, &probs);
       double p_target =
           std::max(probs[static_cast<size_t>(ex.target_index)], 1e-300);
-      loss_sum += -ex.weight * std::log(p_target);
+      loss_sum += -std::log(p_target);
 
       // d(-log p_target)/dw = Σ_d p_d * x_d - x_target.
       grad.Clear();
       const int64_t cand = inst.row_begin[static_cast<size_t>(ex.row)];
-      ScatterTerms(inst, cand + ex.target_index, -ex.weight, &grad);
+      ScatterTerms(inst, cand + ex.target_index, -1.0, &grad);
       for (size_t di = 0; di < probs.size(); ++di) {
-        ScatterTerms(inst, cand + static_cast<int64_t>(di),
-                     ex.weight * probs[di], &grad);
+        ScatterTerms(inst, cand + static_cast<int64_t>(di), probs[di],
+                     &grad);
       }
       for (ParamId p : grad.touched()) {
         size_t pi = static_cast<size_t>(p);
@@ -123,7 +128,7 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
       }
     }
     stats.epochs = epoch + 1;
-    stats.final_loss = loss_sum / total_weight;
+    stats.final_loss = loss_sum / num_examples;
     if (tracker.Update(stats.final_loss)) {
       stats.converged = true;
       break;
@@ -133,7 +138,7 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
 }
 
 /// Per-shard accumulator of the batch gradient pass: a sparse gradient
-/// (dense slots + touched list) plus the shard's weighted loss. Folded in
+/// (dense slots + touched list) plus the shard's loss. Folded in
 /// fixed shard order, so the epoch gradient is bit-identical for any
 /// thread count.
 struct BatchGradAcc {
@@ -147,18 +152,16 @@ struct BatchGradAcc {
 /// The epoch is organized around the rows the examples touch, not the
 /// examples themselves. Per-example work factors by row: every example
 /// on row r reads the same posterior, and its gradient contribution to
-/// candidate di is weight·(p_di − [di == target]). Summing the bracketed
-/// terms over a row's examples once, up front, turns the epoch into
+/// candidate di is p_di − [di == target]. Summing the bracketed terms
+/// over a row's examples once, up front, turns the epoch into
 ///
 ///   per used row:  scores → softmax → one scatter of
-///                  (row_weight·p_di − target_mass_di)·terms(di)
+///                  (row_count·p_di − target_count_di)·terms(di)
 ///
-/// which visits each row's terms once per epoch instead of once per
-/// example (soft EM attaches one example per claim, so this is the
-/// difference between one and a per-row claim count of scatter passes),
-/// and batches every softmax/log through the SIMD kernels over a packed
-/// candidate buffer. Sharding is over used rows; the shard-order fold
-/// keeps the epoch gradient bit-identical for any thread count.
+/// which visits each row's terms once per epoch however many examples
+/// share it, and batches every softmax/log through the SIMD kernels over
+/// a packed candidate buffer. Sharding is over used rows; the shard-order
+/// fold keeps the epoch gradient bit-identical for any thread count.
 Result<FitStats> FitObjectLossBatch(
     const ErmOptions& options, const std::vector<LabeledExample>& examples,
     SlimFastModel* model, Executor* exec) {
@@ -167,9 +170,6 @@ Result<FitStats> FitObjectLossBatch(
   const ParamLayout& layout = model->layout();
 
   ConvergenceTracker tracker(options.tolerance, options.patience);
-
-  double total_weight = 0.0;
-  for (const LabeledExample& ex : examples) total_weight += ex.weight;
 
   // ---- Fixed per-fit structure (the example set never changes). ----
   // Used rows in first-appearance order; their candidate domains are
@@ -193,16 +193,15 @@ Result<FitStats> FitObjectLossBatch(
         inst.DomainSize(used_rows[static_cast<size_t>(s)]);
   }
   const int64_t num_packed = packed_begin[static_cast<size_t>(num_used)];
-  // Grouped example constants: total example weight per used row, and
-  // summed target weight per packed candidate.
-  std::vector<double> row_weight(static_cast<size_t>(num_used), 0.0);
-  std::vector<double> target_mass(static_cast<size_t>(num_packed), 0.0);
+  // Grouped example constants: example count per used row, and target
+  // count per packed candidate.
+  std::vector<double> row_count(static_cast<size_t>(num_used), 0.0);
+  std::vector<double> target_count(static_cast<size_t>(num_packed), 0.0);
   for (const LabeledExample& ex : examples) {
     const int32_t s = slice_of_row[static_cast<size_t>(ex.row)];
-    row_weight[static_cast<size_t>(s)] += ex.weight;
-    target_mass[static_cast<size_t>(
-        packed_begin[static_cast<size_t>(s)] + ex.target_index)] +=
-        ex.weight;
+    row_count[static_cast<size_t>(s)] += 1.0;
+    target_count[static_cast<size_t>(
+        packed_begin[static_cast<size_t>(s)] + ex.target_index)] += 1.0;
   }
 
   // Per-shard accumulators persist across epochs (cleared in place by each
@@ -235,8 +234,8 @@ Result<FitStats> FitObjectLossBatch(
           // 2. One softmax pass over the shard's packed rows.
           simd::SoftmaxRows(packed_begin.data() + range.begin,
                             range.end - range.begin, pb, probs.data() + pb);
-          // 3. Loss: -Σ target_mass·log(max(p, 1e-300)), with the log
-          // batched. Candidates that are never a target carry mass 0 and
+          // 3. Loss: -Σ target_count·log(max(p, 1e-300)), with the log
+          // batched. Candidates that are never a target count 0 and
           // contribute nothing (the clamp keeps every log finite).
           for (int64_t c = pb; c < pe; ++c) {
             const double p = probs[static_cast<size_t>(c)];
@@ -244,19 +243,19 @@ Result<FitStats> FitObjectLossBatch(
           }
           simd::BatchLog(logp.data() + pb, logp.data() + pb, pe - pb);
           for (int64_t c = pb; c < pe; ++c) {
-            acc.loss += -target_mass[static_cast<size_t>(c)] *
+            acc.loss += -target_count[static_cast<size_t>(c)] *
                         logp[static_cast<size_t>(c)];
           }
           // 4. One gradient scatter per candidate.
           for (int64_t i = range.begin; i < range.end; ++i) {
             const int32_t row = used_rows[static_cast<size_t>(i)];
             const int64_t base = packed_begin[static_cast<size_t>(i)];
-            const double rw = row_weight[static_cast<size_t>(i)];
+            const double rc = row_count[static_cast<size_t>(i)];
             const int64_t cand = inst.row_begin[static_cast<size_t>(row)];
             const int32_t domain_size = inst.DomainSize(row);
             for (int32_t di = 0; di < domain_size; ++di) {
               const size_t k = static_cast<size_t>(base + di);
-              ScatterTerms(inst, cand + di, rw * probs[k] - target_mass[k],
+              ScatterTerms(inst, cand + di, rc * probs[k] - target_count[k],
                            &acc.grad);
             }
           }
@@ -278,7 +277,7 @@ Result<FitStats> FitObjectLossBatch(
       }
     }
     // Normalize to mean loss so step sizes are dataset-size independent.
-    double inv = 1.0 / total_weight;
+    double inv = 1.0 / static_cast<double>(examples.size());
     double eta = kBaseStep / std::sqrt(1.0 + epoch);
     for (size_t pi = 0; pi < w.size(); ++pi) {
       double g = grad[pi] * inv + options.l2 * w[pi];

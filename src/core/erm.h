@@ -12,15 +12,17 @@
 
 namespace slimfast {
 
-/// One (possibly weighted) labeled object: compiled row index and the index
-/// of the target value within the object's domain. ERM consumes true
-/// labels (weight 1); soft EM's M-step consumes posterior-weighted
-/// pseudo-labels.
+/// One labeled object: compiled row index and the index of the target
+/// value within the object's domain.
 struct LabeledExample {
   int32_t row;
   int32_t target_index;
-  double weight = 1.0;
 };
+
+/// Budget of a warm-started refinement: a quarter of the cold-start
+/// budget `cold` (ERM epochs, EM rounds), at least `floor` but never more
+/// than `cold`.
+int32_t WarmBudget(int32_t cold, int32_t floor);
 
 /// Sufficient statistics of the accuracy log-loss (Definition 7). Every
 /// claim is a Bernoulli(A_s) example of its source with a (possibly

@@ -74,8 +74,8 @@ struct RelearnStats {
 /// to recompiling the concatenated history from scratch (asserted in
 /// tests and re-checked after every chunk by `slimfast_cli replay`).
 /// Every relearn after the first warm-starts from the previous fit
-/// (`SlimFast::FitCompiled`), cutting the epoch budget to
-/// `WarmStartOptions::budget_scale` of a cold run.
+/// (`SlimFast::FitCompiled`), cutting the epoch budget to a quarter of a
+/// cold run (`WarmBudget`).
 ///
 /// Determinism: with a fixed options seed, the sequence of predictions is
 /// a pure function of the ingest sequence — delta compilation is sharded

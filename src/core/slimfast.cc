@@ -2,9 +2,6 @@
 
 #include "core/em.h"
 #include "core/erm.h"
-#include <algorithm>
-#include <cmath>
-
 #include "obs/registry.h"
 #include "obs/stage.h"
 #include "util/stopwatch.h"
@@ -13,13 +10,8 @@ namespace slimfast {
 
 namespace {
 
-/// Warm refinement budget: `budget_scale` of the cold budget, floored at
-/// `floor` but never above the cold budget itself.
-int32_t WarmBudget(int32_t cold, double scale, int32_t floor) {
-  int32_t scaled = static_cast<int32_t>(
-      std::lround(static_cast<double>(cold) * scale));
-  return std::min(cold, std::max(floor, scaled));
-}
+/// Minimum ERM epochs of a warm-started relearn (see WarmBudget).
+constexpr int32_t kMinWarmErmEpochs = 8;
 
 }  // namespace
 
@@ -31,15 +23,9 @@ Result<SlimFastFit> SlimFast::Fit(const Dataset& dataset,
   static obs::LatencyHistogram* compile_hist =
       obs::GetHistogram("slimfast_core_compile_seconds");
   obs::Stage compile_stage("core.compile", compile_hist);
-  std::shared_ptr<const CompiledInstance> instance;
-  if (options_.use_compilation_cache) {
-    SLIMFAST_ASSIGN_OR_RETURN(instance,
-                              CompiledInstanceCache::Global().GetOrCompile(
-                                  dataset, options_.model));
-  } else {
-    SLIMFAST_ASSIGN_OR_RETURN(instance,
-                              CompileInstance(dataset, options_.model));
-  }
+  SLIMFAST_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CompiledInstance> instance,
+      CompiledInstanceCache::Global().GetOrCompile(dataset, options_.model));
   const double compile_seconds = compile_stage.End();
   SLIMFAST_ASSIGN_OR_RETURN(
       SlimFastFit fit,
@@ -78,23 +64,15 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   }
 
   // Warm start: seed from the previous fit's weights and shrink the
-  // learning budget. A layout mismatch (the parameter universe changed)
-  // silently falls back to a cold fit — correctness first.
+  // learning budget (EM shrinks its own, given the warm flag). A layout
+  // mismatch (the parameter universe changed) silently falls back to a
+  // cold fit — correctness first.
   const bool warm = warm_weights != nullptr &&
                     warm_weights->size() ==
                         static_cast<size_t>(instance->model->layout.num_params);
   ErmOptions erm_options = options_.erm;
-  EmOptions em_options = options_.em;
   if (warm) {
-    erm_options.epochs =
-        WarmBudget(erm_options.epochs, options_.warm_start.budget_scale,
-                   options_.warm_start.min_erm_epochs);
-    // The warm cap lives in its own field: EM's inversion-guard retry is
-    // a cold restart and must keep the full max_iterations budget.
-    em_options.warm_max_iterations =
-        WarmBudget(em_options.max_iterations,
-                   options_.warm_start.budget_scale,
-                   options_.warm_start.min_em_iterations);
+    erm_options.epochs = WarmBudget(erm_options.epochs, kMinWarmErmEpochs);
   }
 
   // Per-algorithm learn timings: EM runs ~200x longer than a warm ERM
@@ -118,7 +96,7 @@ Result<SlimFastFit> SlimFast::FitCompiled(
     if (!stats.ok()) {
       // No usable ground truth for ERM (e.g. 0% training data with a
       // forced-ERM preset): fall back to EM rather than failing the run.
-      EmLearner em(em_options);
+      EmLearner em(options_.em);
       SLIMFAST_ASSIGN_OR_RETURN(
           EmStats em_stats,
           em.Fit(split.train_objects, &model, &rng, exec, warm));
@@ -134,7 +112,7 @@ Result<SlimFastFit> SlimFast::FitCompiled(
       learn_objective = erm_stats.final_loss;
     }
   } else {
-    EmLearner learner(em_options);
+    EmLearner learner(options_.em);
     SLIMFAST_ASSIGN_OR_RETURN(
         EmStats em_stats,
         learner.Fit(split.train_objects, &model, &rng, exec, warm));
@@ -166,13 +144,14 @@ Result<FusionOutput> SlimFast::Run(const Dataset& dataset,
 
   output.predicted_values = fit.model.PredictAll();
   output.source_accuracies = fit.model.AllSourceAccuracies();
-  if (options_.calibrate_accuracies &&
-      fit.algorithm_used == Algorithm::kErm &&
-      !split.train_objects.empty()) {
+  if (fit.algorithm_used == Algorithm::kErm && !split.train_objects.empty()) {
     // Definition 7 calibration pass: warm-start a copy of the model and
     // fit the accuracy log-loss on the labeled claims, with the solver
-    // settings EM's M-step uses (run to tolerance). Only the reported
-    // accuracies change; predictions keep the discriminative optimum.
+    // settings EM's M-step uses (run to tolerance). The object loss can
+    // leave accuracies uncalibrated once the labeled posteriors saturate
+    // (weights stop moving while A_s is still far from the empirical
+    // rate). Only the reported accuracies change; predictions keep the
+    // discriminative optimum.
     SlimFastModel calibrated(fit.model.shared_instance());
     calibrated.SetWeights(fit.model.weights());
     auto stats = ErmLearner(options_.em.m_step).FitAccuracyLoss(

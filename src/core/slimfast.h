@@ -53,8 +53,9 @@ class SlimFast : public FusionMethod {
   std::string name() const override { return name_; }
   const SlimFastOptions& options() const { return options_; }
 
-  /// Compiles, decides the algorithm, and learns; returns the trained
-  /// model with metadata. `exec` shards the parallelizable learning stages
+  /// Compiles (through CompiledInstanceCache::Global(), so re-fits of one
+  /// dataset compile once), decides the algorithm, and learns; returns
+  /// the trained model with metadata. `exec` shards the parallelizable learning stages
   /// (null = serial; pass one to share a thread pool across calls — Run
   /// builds its own from options().exec). Thread count never changes the
   /// fit (see exec/parallel.h).
@@ -70,9 +71,9 @@ class SlimFast : public FusionMethod {
   ///
   /// When `warm_weights` is non-null and its size matches the instance's
   /// parameter layout, the fit seeds from those weights and runs the warm
-  /// refinement schedule (`WarmStartOptions::budget_scale` of the cold
-  /// epoch/iteration budget) instead of the full cold start; otherwise it
-  /// learns cold.
+  /// refinement schedule (a quarter of the cold epoch/iteration budget,
+  /// see WarmBudget) instead of the full cold start; otherwise it learns
+  /// cold. Batch `Fit` and `Run` never warm-start.
   Result<SlimFastFit> FitCompiled(
       const TrainTestSplit& split, uint64_t seed,
       std::shared_ptr<const CompiledInstance> instance,

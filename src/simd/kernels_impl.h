@@ -60,29 +60,6 @@ struct Kernels {
     for (; i < n; ++i) y[i] = Log1pExpElem(-x[i]);
   }
 
-  // y[i] = p > 1e-12 ? -p*log(p) : 0 — the per-candidate entropy term of
-  // the soft-EM objective. The log argument is sanitized to 1.0 in a
-  // separate select pass before the log pass: feeding LogElem only safe
-  // inputs keeps the block as straightforwardly vectorizable as BatchLog
-  // (a ternary wrapped around the whole LogElem body defeats
-  // if-conversion), and the final select still discards the dropped
-  // lanes bit-for-bit (LogElem(1.0) is exactly 0 and never selected).
-  static void BatchEntropyTerms(const double* p, double* y, int64_t n) {
-    int64_t i = 0;
-    double q[W];
-    for (; i + W <= n; i += W) {
-      for (int j = 0; j < W; ++j) q[j] = p[i + j] > 1e-12 ? p[i + j] : 1.0;
-      for (int j = 0; j < W; ++j) q[j] = LogElem(q[j]);
-      for (int j = 0; j < W; ++j) {
-        y[i + j] = p[i + j] > 1e-12 ? -p[i + j] * q[j] : 0.0;
-      }
-    }
-    for (; i < n; ++i) {
-      const double v = p[i];
-      y[i] = v > 1e-12 ? -v * LogElem(v) : 0.0;
-    }
-  }
-
   // prod[i] = coeff[i] * w[param[i]] — the flat score-product pass over a
   // CSR term range. The gather is memory-bound; it lives here so both
   // tables execute the identical multiply.
@@ -121,25 +98,6 @@ struct Kernels {
     return s;
   }
 
-  static double Sum(const double* x, int64_t n) { return LaneSum(x, n); }
-
-  static double Dot(const double* a, const double* b, int64_t n) {
-    if (n <= kAccLanes) {
-      double s = 0.0;
-      for (int64_t i = 0; i < n; ++i) s += a[i] * b[i];
-      return s;
-    }
-    double acc[kAccLanes] = {0.0};
-    int64_t i = 0;
-    for (; i + kAccLanes <= n; i += kAccLanes) {
-      for (int j = 0; j < kAccLanes; ++j) acc[j] += a[i + j] * b[i + j];
-    }
-    for (int j = 0; i + j < n; ++j) acc[j] += a[i + j] * b[i + j];
-    double s = 0.0;
-    for (int j = 0; j < kAccLanes; ++j) s += acc[j];
-    return s;
-  }
-
   // max over n >= 1 elements; a NaN that is not first is skipped (x > m
   // is false), matching the select the vector code blends with.
   static double MaxVal(const double* x, int64_t n) {
@@ -150,8 +108,8 @@ struct Kernels {
 
   // out[r] = (init ? init[r] : 0) + LaneSum(values over range r), where
   // range r is [begins[r] - base, begins[r+1] - base). This is the
-  // per-candidate score fold (init = candidate offsets) and the per-row
-  // entropy fold (init = nullptr).
+  // per-candidate score fold (init = candidate offsets) and the
+  // accuracy loss's per-source sigma fold (init = nullptr).
   static void FoldRanges(const int64_t* begins, int64_t nranges,
                          int64_t base, const double* values,
                          const double* init, double* out) {
@@ -191,12 +149,10 @@ struct Kernels {
 template <int W>
 constexpr KernelTable MakeTable() {
   return KernelTable{
-      &Kernels<W>::BatchExp,          &Kernels<W>::BatchLog,
-      &Kernels<W>::BatchSigmoid,      &Kernels<W>::BatchSoftplusNeg,
-      &Kernels<W>::BatchEntropyTerms, &Kernels<W>::TermProducts,
-      &Kernels<W>::FoldRanges,        &Kernels<W>::SoftmaxRows,
-      &Kernels<W>::Sum,               &Kernels<W>::MaxVal,
-      &Kernels<W>::Dot,
+      &Kernels<W>::BatchExp,     &Kernels<W>::BatchLog,
+      &Kernels<W>::BatchSigmoid, &Kernels<W>::BatchSoftplusNeg,
+      &Kernels<W>::TermProducts, &Kernels<W>::FoldRanges,
+      &Kernels<W>::SoftmaxRows,  &Kernels<W>::MaxVal,
   };
 }
 

@@ -51,16 +51,13 @@ struct KernelTable {
   void (*batch_log)(const double* x, double* y, int64_t n);
   void (*batch_sigmoid)(const double* x, double* y, int64_t n);
   void (*batch_softplus_neg)(const double* x, double* y, int64_t n);
-  void (*batch_entropy_terms)(const double* p, double* y, int64_t n);
   void (*term_products)(const double* coeff, const int32_t* param,
                         const double* w, double* prod, int64_t n);
   void (*fold_ranges)(const int64_t* begins, int64_t nranges, int64_t base,
                       const double* values, const double* init, double* out);
   void (*softmax_rows)(const int64_t* begins, int64_t nrows, int64_t base,
                        double* buf);
-  double (*sum)(const double* x, int64_t n);
   double (*max_val)(const double* x, int64_t n);
-  double (*dot)(const double* a, const double* b, int64_t n);
 };
 
 extern const KernelTable kScalarTable;  // kernels_scalar.cc, always present
@@ -109,10 +106,6 @@ inline void BatchSigmoid(const double* x, double* y, int64_t n) {
 inline void BatchSoftplusNeg(const double* x, double* y, int64_t n) {
   internal::Active().batch_softplus_neg(x, y, n);
 }
-/// y[i] = p[i] > 1e-12 ? -p[i]*log(p[i]) : 0
-inline void BatchEntropyTerms(const double* p, double* y, int64_t n) {
-  internal::Active().batch_entropy_terms(p, y, n);
-}
 /// prod[i] = coeff[i] * w[param[i]]
 inline void TermProducts(const double* coeff, const int32_t* param,
                          const double* w, double* prod, int64_t n) {
@@ -133,9 +126,6 @@ inline void SoftmaxRows(const int64_t* begins, int64_t nrows, int64_t base,
 /// Max over n >= 1 elements (select semantics: a non-leading NaN loses).
 inline double MaxVal(const double* x, int64_t n) {
   return internal::Active().max_val(x, n);
-}
-inline double Dot(const double* a, const double* b, int64_t n) {
-  return internal::Active().dot(a, b, n);
 }
 /// Lane-stable sum of value_at(0..n-1) for call sites that accumulate
 /// one range at a time (model scores, sigma dots) rather than through a
@@ -159,22 +149,6 @@ inline double LaneStableSum(int64_t n, F&& value_at) {
   double s = 0.0;
   for (int j = 0; j < kAccLanes; ++j) s += acc[j];
   return s;
-}
-
-/// Soft-EM claim counts over one row's claim range: for claim i,
-/// wsum[src[i]] += 1 and ysum[src[i]] += q_i where q_i is the posterior
-/// probability of the claimed candidate (0 for claims on values outside
-/// the candidate domain, cand[i] < 0). A scatter with data-dependent
-/// conflicts — scalar in both tables by design, inline so every TU runs
-/// identical code. `probs` is the row's posterior slice, indexed by the
-/// within-row candidate index in `cand`.
-inline void AccumulateWeightedCounts(const int32_t* src, const int32_t* cand,
-                                     int64_t n, const double* probs,
-                                     double* wsum, double* ysum) {
-  for (int64_t i = 0; i < n; ++i) {
-    wsum[src[i]] += 1.0;
-    ysum[src[i]] += cand[i] >= 0 ? probs[cand[i]] : 0.0;
-  }
 }
 
 }  // namespace simd

@@ -388,9 +388,7 @@ Status WalWriter::CreateSegment(uint64_t first_sequence) {
   segment_records_ = 0;
   segments_.emplace_back(first_sequence, path);
   if (options_.fsync != WalFsync::kNone) {
-    if (::fsync(fd_) != 0) {
-      return Status::IOError(ErrnoMessage("fsync wal segment", path));
-    }
+    SLIMFAST_RETURN_NOT_OK(Sync());
     SLIMFAST_RETURN_NOT_OK(FsyncDir(dir_));
   }
   return Status::OK();
@@ -398,11 +396,8 @@ Status WalWriter::CreateSegment(uint64_t first_sequence) {
 
 Status WalWriter::CloseSegment() {
   if (fd_ < 0) return Status::OK();
-  Status synced = Status::OK();
-  if (options_.fsync != WalFsync::kNone && ::fsync(fd_) != 0) {
-    synced = Status::IOError(std::string("fsync wal segment: ") +
-                             std::strerror(errno));
-  }
+  const Status synced =
+      options_.fsync != WalFsync::kNone ? Sync() : Status::OK();
   ::close(fd_);
   fd_ = -1;
   return synced;
@@ -504,7 +499,6 @@ Status WalWriter::Rotate() {
             " records=" + std::to_string(segment_records_));
   }
   SLIMFAST_RETURN_NOT_OK(CloseSegment());
-  records_since_sync_ = 0;
   return CreateSegment(next_sequence_);
 }
 

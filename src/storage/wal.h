@@ -144,8 +144,9 @@ class WalWriter {
   /// Sequence the next Append will assign.
   uint64_t next_sequence() const { return next_sequence_; }
 
-  /// Successful Sync() calls so far: the fsync policy's own syncs and
-  /// explicit ones (segment-close fsyncs are not counted).
+  /// Successful Sync() calls so far: the fsync policy's own syncs,
+  /// explicit ones, and the two of every segment rotation (closing the
+  /// old segment, creating the new one) under a policy other than kNone.
   int64_t sync_count() const { return sync_count_; }
 
  private:

@@ -9,12 +9,12 @@
 
 namespace slimfast {
 
-// Sigmoid, LogSumExp, SoftmaxInPlace and Dot route through src/simd so
+// Sigmoid, LogSumExp and SoftmaxInPlace route through src/simd so
 // every caller — per-row model scores, batched E-step pipelines,
 // baselines — computes the exact same bits regardless of vector width or
 // thread count. SoftmaxInPlace dispatches to the batched kernel (it is
-// the single-row case of simd::SoftmaxRows); the reductions use the
-// lane-stable fold described in simd/simd.h.
+// the single-row case of simd::SoftmaxRows); LogSumExp's reduction uses
+// the lane-stable fold described in simd/simd.h.
 
 double Sigmoid(double x) { return simd::SigmoidElem(x); }
 
@@ -201,11 +201,6 @@ double Variance(const std::vector<double>& xs) {
 }
 
 double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
-
-double Dot(const std::vector<double>& a, const std::vector<double>& b) {
-  SLIMFAST_DCHECK(a.size() == b.size(), "Dot requires equal lengths");
-  return simd::Dot(a.data(), b.data(), static_cast<int64_t>(a.size()));
-}
 
 double L2Norm(const std::vector<double>& xs) {
   double ss = 0.0;

@@ -64,9 +64,6 @@ double Variance(const std::vector<double>& xs);
 /// Sample standard deviation.
 double StdDev(const std::vector<double>& xs);
 
-/// Dot product over equal-length vectors.
-double Dot(const std::vector<double>& a, const std::vector<double>& b);
-
 /// Euclidean (L2) norm.
 double L2Norm(const std::vector<double>& xs);
 

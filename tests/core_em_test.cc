@@ -77,24 +77,6 @@ TEST(EmTest, SemiSupervisedClampsTrainingLabels) {
   EXPECT_GT(train_accuracy, 0.95);
 }
 
-TEST(EmTest, SoftEmAlsoConverges) {
-  std::vector<double> accuracies(12, 0.75);
-  Dataset d = testutil::MakePlantedDataset(accuracies, 200, 1.0, 109);
-  ModelConfig config;
-  config.use_feature_weights = false;
-  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
-  EmOptions options;
-  options.soft = true;
-  EmLearner learner(options);
-  Rng rng(9);
-  auto stats = learner.Fit({}, &model, &rng).ValueOrDie();
-  EXPECT_GE(stats.iterations, 1);
-  auto predictions = model.PredictAll();
-  double accuracy =
-      ObjectValueAccuracy(d, predictions, d.ObjectsWithTruth()).ValueOrDie();
-  EXPECT_GT(accuracy, 0.9);
-}
-
 TEST(EmTest, InitAccuracySeedsMajorityVote) {
   // One iteration of hard EM from the prior init must reproduce majority
   // voting on a symmetric instance (all sources share the same weight).

@@ -200,32 +200,6 @@ TEST(ErmTest, L1ZeroesFeatureWeightsOnly) {
   EXPECT_GT(source_norm, 0.1);
 }
 
-TEST(ErmTest, WeightedExamplesShiftTheFit) {
-  // Two conflicting labels on the same compiled row with unequal weights:
-  // the heavier label wins.
-  DatasetBuilder builder("w", 2, 1, 2);
-  SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 0));
-  SLIMFAST_CHECK_OK(builder.AddObservation(0, 1, 1));
-  Dataset d = std::move(builder).Build().ValueOrDie();
-  ModelConfig config;
-  config.use_feature_weights = false;
-  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
-
-  std::vector<LabeledExample> examples = {
-      LabeledExample{0, 0, 0.9},  // value 0, heavy
-      LabeledExample{0, 1, 0.1},  // value 1, light
-  };
-  ErmOptions options;
-  options.epochs = 200;
-  ErmLearner learner(options);
-  Rng rng(9);
-  ASSERT_TRUE(learner.FitObjectLoss(examples, &model, &rng).ok());
-  std::vector<double> probs;
-  ASSERT_TRUE(model.PosteriorOf(0, &probs));
-  EXPECT_GT(probs[0], probs[1]);
-  EXPECT_NEAR(probs[0], 0.9, 0.1);  // soft-label fit approaches the weights
-}
-
 TEST(ErmTest, ConvergenceStopsEarly) {
   Dataset d = testutil::MakePlantedDataset({0.9, 0.8, 0.7}, 50, 1.0, 2);
   ModelConfig config;
@@ -347,7 +321,7 @@ TEST(ErmTest, AccuracyLossFitSatisfiesKktConditions) {
 
 // The E-step's per-source counts equal a per-claim recount: labeled train
 // claims against the truth, every other claim against its object's MAP
-// value (hard EM) or the posterior of the claimed value (soft EM).
+// value.
 TEST(ErmTest, EStepCountsEqualPerClaimRecount) {
   Dataset d = MakeFeaturedDataset();
   SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
@@ -360,47 +334,38 @@ TEST(ErmTest, EStepCountsEqualPerClaimRecount) {
   std::vector<uint8_t> labeled(static_cast<size_t>(d.num_objects()), 0);
   for (ObjectId o : split.train_objects) labeled[static_cast<size_t>(o)] = 1;
 
-  for (bool soft : {false, true}) {
-    SCOPED_TRACE(soft ? "soft" : "hard");
-    EmOptions options;
-    options.soft = soft;
-    Executor exec(ExecOptions{4});
-    const EStepCounts estep =
-        EmLearner(options).EStep(model, split.train_objects, &exec);
-    SourceClaimCounts recount(d.num_sources());
-    std::vector<double> probs;
-    for (ObjectId o = 0; o < d.num_objects(); ++o) {
-      const ValueId truth = d.Truth(o);
-      const bool is_labeled = labeled[static_cast<size_t>(o)] != 0;
-      ASSERT_TRUE(model.PosteriorOf(o, &probs) || d.ClaimsOnObject(o).empty());
-      const int32_t row = model.instance().RowIndex(o);
-      for (const auto& claim : d.ClaimsOnObject(o)) {
-        const size_t s = static_cast<size_t>(claim.source);
-        recount.mass[s] += 1.0;
-        if (is_labeled) {
-          recount.correct[s] += claim.value == truth ? 1.0 : 0.0;
-          continue;
-        }
-        const int64_t base =
-            model.instance().row_begin[static_cast<size_t>(row)];
-        for (int32_t di = 0; di < model.instance().DomainSize(row); ++di) {
-          if (model.instance().cand_values[static_cast<size_t>(base + di)] !=
-              claim.value) {
-            continue;
-          }
-          if (soft) {
-            recount.correct[s] += probs[static_cast<size_t>(di)];
-          } else if (di == model.MapIndex(row)) {
-            recount.correct[s] += 1.0;
-          }
+  Executor exec(ExecOptions{4});
+  const EStepCounts estep =
+      EmLearner(EmOptions{}).EStep(model, split.train_objects, &exec);
+  SourceClaimCounts recount(d.num_sources());
+  std::vector<double> probs;
+  for (ObjectId o = 0; o < d.num_objects(); ++o) {
+    const ValueId truth = d.Truth(o);
+    const bool is_labeled = labeled[static_cast<size_t>(o)] != 0;
+    ASSERT_TRUE(model.PosteriorOf(o, &probs) || d.ClaimsOnObject(o).empty());
+    const int32_t row = model.instance().RowIndex(o);
+    for (const auto& claim : d.ClaimsOnObject(o)) {
+      const size_t s = static_cast<size_t>(claim.source);
+      recount.mass[s] += 1.0;
+      if (is_labeled) {
+        recount.correct[s] += claim.value == truth ? 1.0 : 0.0;
+        continue;
+      }
+      const int64_t base =
+          model.instance().row_begin[static_cast<size_t>(row)];
+      for (int32_t di = 0; di < model.instance().DomainSize(row); ++di) {
+        if (model.instance().cand_values[static_cast<size_t>(base + di)] ==
+                claim.value &&
+            di == model.MapIndex(row)) {
+          recount.correct[s] += 1.0;
         }
       }
     }
-    for (size_t s = 0; s < recount.mass.size(); ++s) {
-      EXPECT_EQ(estep.counts.mass[s], recount.mass[s]) << "source " << s;
-      EXPECT_NEAR(estep.counts.correct[s], recount.correct[s], 1e-12)
-          << "source " << s;
-    }
+  }
+  for (size_t s = 0; s < recount.mass.size(); ++s) {
+    EXPECT_EQ(estep.counts.mass[s], recount.mass[s]) << "source " << s;
+    EXPECT_NEAR(estep.counts.correct[s], recount.correct[s], 1e-12)
+        << "source " << s;
   }
 }
 

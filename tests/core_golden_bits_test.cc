@@ -146,11 +146,6 @@ const std::map<std::string, GoldenRecord>& Expected() {
         {0x3fefb0bbfc70f286ULL, 0x3fecaf58fe6f8d1eULL, 0x3fefe905b8668a63ULL,
          0x3fefe2029f1dba4eULL, 0x3fefc72c007995c8ULL, 0x3fef2b9925f20cccULL},
         15}},
-      {"multiclass/soft-EM-batch-M-step",
-       {0x61b21896e6513404ULL,
-        {0x3febe72974b07aa5ULL, 0x3fec458d1963d7cfULL, 0x3fe4cc075ffe0ceeULL,
-         0x3fed95ab3b3eed65ULL, 0x3fe0121c932f4ed9ULL, 0x3fe98d02639ec086ULL},
-        21}},
   };
   return *expected;
 }
@@ -245,7 +240,7 @@ TEST(GoldenBitsTest, AllPresetsBothDatasetsOneAndFourThreads) {
   }
 }
 
-TEST(GoldenBitsTest, BatchErmAndSoftEmBatchMStep) {
+TEST(GoldenBitsTest, BatchErm) {
   Dataset dataset = MakeMulticlassDataset();
   TrainTestSplit split = GoldenSplit(dataset);
   for (int32_t threads : {1, 4}) {
@@ -255,12 +250,6 @@ TEST(GoldenBitsTest, BatchErmAndSoftEmBatchMStep) {
     batch_erm.erm.batch = true;
     ExpectGolden("multiclass/batch-ERM",
                  RunRecord(*MakeSlimFastErm(batch_erm), dataset, split, 77));
-
-    SlimFastOptions soft_em;
-    soft_em.exec.threads = threads;
-    soft_em.em.soft = true;
-    ExpectGolden("multiclass/soft-EM-batch-M-step",
-                 RunRecord(*MakeSlimFastEm(soft_em), dataset, split, 77));
   }
 }
 

@@ -128,22 +128,6 @@ TEST(MulticlassOffsetTest, OffsetCountsClaimsTimesLogN) {
   EXPECT_NEAR(offsets[2], 1.0 * log_n, 1e-12);
 }
 
-TEST(MulticlassOffsetTest, CanBeDisabled) {
-  DatasetBuilder builder("mc", 3, 1, 3);
-  SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 0));
-  SLIMFAST_CHECK_OK(builder.AddObservation(0, 1, 1));
-  SLIMFAST_CHECK_OK(builder.AddObservation(0, 2, 2));
-  Dataset d = std::move(builder).Build().ValueOrDie();
-  ModelConfig config;
-  config.multiclass_offset = false;
-  auto instance = CompileInstance(d, config).ValueOrDie();
-  const std::vector<double> offsets = testutil::RowOffsets(*instance, 0);
-  ASSERT_EQ(offsets.size(), 3u);
-  for (double offset : offsets) {
-    EXPECT_DOUBLE_EQ(offset, 0.0);
-  }
-}
-
 TEST(MulticlassOffsetTest, ZeroWeightPosteriorPrefersPlurality) {
   // With all weights zero, the offsets alone make the most-claimed value
   // the MAP — the sane cold-start behavior for multiclass domains.

@@ -157,9 +157,9 @@ TEST(DeterminismTest, Threads1VsThreads4BitIdenticalBatchErm) {
   ExpectSameFusionOutput(first, second);
 }
 
-/// The compilation cache is invisible to results: a fit over the shared
+/// The compilation cache is invisible to results: a run over the shared
 /// cached instance and a fit over a fresh compilation produce
-/// bit-identical FusionOutput for every preset.
+/// bit-identical predictions and weights for every preset.
 TEST(DeterminismTest, CompilationCacheOnVsOffBitIdenticalAllPresets) {
   const std::vector<double> planted = {0.9, 0.8, 0.7, 0.85, 0.75, 0.65};
   Dataset dataset = MakePlantedDataset(planted, 150, 0.4, 29);
@@ -167,15 +167,19 @@ TEST(DeterminismTest, CompilationCacheOnVsOffBitIdenticalAllPresets) {
   TrainTestSplit split = MakeSplit(dataset, 0.15, &rng).ValueOrDie();
   for (const auto& preset : AllSlimFastPresets()) {
     SCOPED_TRACE(preset.name);
-    SlimFastOptions uncached;
-    uncached.use_compilation_cache = false;
-    SlimFastOptions cached;
-    cached.use_compilation_cache = true;
-    auto uncached_out =
-        preset.make_with(uncached)->Run(dataset, split, 123).ValueOrDie();
-    auto cached_out =
-        preset.make_with(cached)->Run(dataset, split, 123).ValueOrDie();
-    ExpectSameFusionOutput(uncached_out, cached_out);
+    auto method = preset.make();
+    auto cached_out = method->Run(dataset, split, 123).ValueOrDie();
+    const int64_t hits = CompiledInstanceCache::Global().hits();
+    auto cached = method->Fit(dataset, split, 123).ValueOrDie();
+    EXPECT_EQ(CompiledInstanceCache::Global().hits(), hits + 1);
+    auto fresh =
+        method
+            ->FitCompiled(split, 123,
+                          CompileInstance(dataset, method->options().model)
+                              .ValueOrDie())
+            .ValueOrDie();
+    EXPECT_EQ(cached_out.predicted_values, fresh.model.PredictAll());
+    EXPECT_EQ(cached.model.weights(), fresh.model.weights());
   }
 }
 

@@ -121,7 +121,6 @@ FusionOutput RunConfigured(const testutil::SlimFastPreset& preset,
                            int32_t threads) {
   SlimFastOptions options = FastOptions();
   options.exec.threads = threads;
-  options.use_compilation_cache = false;
   return preset.make_with(options)->Run(dataset, split, seed).ValueOrDie();
 }
 
@@ -155,11 +154,10 @@ TEST(PropertyTest, RunInvariantsThreadsSimd) {
   }
 }
 
-/// The batch code paths (batched soft-EM M-step, sharded batch-ERM) and
-/// the accuracy-loss ERM fit (the per-source-count solver on its own,
-/// without the calibration pass) are not exercised by the default
-/// presets; sweep them explicitly on a smaller universe budget with both
-/// variations.
+/// The sharded batch-ERM path and the accuracy-loss ERM fit (the
+/// per-source-count solver, then the calibration pass) are not exercised
+/// by the default presets; sweep them, with EM on alternate universes,
+/// explicitly on a smaller universe budget with both variations.
 TEST(PropertyTest, RunInvariantsBatchLearners) {
   const bool wide_default = simd::WideEnabled();
   for (uint64_t seed = 0; seed < kNumUniverses; seed += 4) {
@@ -172,13 +170,10 @@ TEST(PropertyTest, RunInvariantsBatchLearners) {
       auto make = [&](int32_t threads) {
         SlimFastOptions options = FastOptions();
         options.exec.threads = threads;
-        options.use_compilation_cache = false;
         if (accuracy_loss) {
           options.erm.loss = ErmLoss::kAccuracyLogLoss;
-          options.calibrate_accuracies = false;
           return MakeSlimFastErm(options);
         }
-        options.em.soft = true;
         options.erm.batch = true;
         return em ? MakeSlimFastEm(options) : MakeSlimFastErm(options);
       };

@@ -100,8 +100,6 @@ TEST_F(SimdKernelsTest, ElementwiseMapsMatchScalarBitwise) {
         {"sigmoid", kScalarTable.batch_sigmoid, wide.batch_sigmoid},
         {"softplus_neg", kScalarTable.batch_softplus_neg,
          wide.batch_softplus_neg},
-        {"entropy_terms", kScalarTable.batch_entropy_terms,
-         wide.batch_entropy_terms},
     };
     for (const auto& m : maps) {
       m.s(x.data(), ys.data(), n);
@@ -118,12 +116,8 @@ TEST_F(SimdKernelsTest, ReductionsMatchScalarBitwise) {
   const KernelTable& wide = Wide();
   for (int n : {1, 2, 7, 8, 9, 16, 17, 100, 1003}) {
     const auto a = TestInputs(n, 23 + n, false);
-    const auto b = TestInputs(n, 41 + n, false);
-    EXPECT_BITEQ(kScalarTable.sum(a.data(), n), wide.sum(a.data(), n));
     EXPECT_BITEQ(kScalarTable.max_val(a.data(), n),
                  wide.max_val(a.data(), n));
-    EXPECT_BITEQ(kScalarTable.dot(a.data(), b.data(), n),
-                 wide.dot(a.data(), b.data(), n));
   }
 }
 
@@ -154,17 +148,12 @@ TEST_F(SimdKernelsTest, CsrPipelineMatchesScalarBitwise) {
   const int64_t nterms = static_cast<int64_t>(coeff.size());
 
   auto run = [&](const KernelTable& t) {
-    std::vector<double> prod(nterms), scores(ncand), ent(200);
+    std::vector<double> prod(nterms), scores(ncand);
     t.term_products(coeff.data(), param.data(), w.data(), prod.data(),
                     nterms);
     t.fold_ranges(cand_term_begin.data(), ncand, 0, prod.data(),
                   offsets.data(), scores.data());
     t.softmax_rows(row_begin.data(), 200, 0, scores.data());
-    std::vector<double> terms(ncand);
-    t.batch_entropy_terms(scores.data(), terms.data(), ncand);
-    t.fold_ranges(row_begin.data(), 200, 0, terms.data(), nullptr,
-                  ent.data());
-    scores.insert(scores.end(), ent.begin(), ent.end());
     return scores;
   };
   const auto s = run(kScalarTable);
@@ -259,7 +248,8 @@ TEST(ElemTest, SigmoidAndSoftplusSpecialValues) {
 }
 
 // LaneStableSum (the AoS-walk helper used by model score paths) must
-// produce the kernels' LaneSum bits over the same values.
+// produce the kernels' LaneSum bits over the same values (a one-range
+// fold_ranges is exactly one LaneSum).
 TEST(LaneStableSumTest, MatchesKernelSumBitwise) {
   std::mt19937_64 rng(29);
   std::uniform_real_distribution<double> unit(-1.0, 1.0);
@@ -267,7 +257,9 @@ TEST(LaneStableSumTest, MatchesKernelSumBitwise) {
     std::vector<double> x(n);
     for (auto& v : x) v = unit(rng) * 1e3;
     const double a = LaneStableSum(n, [&](int64_t i) { return x[i]; });
-    const double b = internal::kScalarTable.sum(x.data(), n);
+    const int64_t range[2] = {0, n};
+    double b = 0.0;
+    internal::kScalarTable.fold_ranges(range, 1, 0, x.data(), nullptr, &b);
     EXPECT_BITEQ(a, b) << "n=" << n;
   }
 }

@@ -6,12 +6,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/observation_store.h"
+#include "obs/metrics.h"
+#include "obs/registry.h"
 #include "storage/wal.h"
 
 namespace slimfast {
@@ -35,6 +38,10 @@ ObservationBatch MakeBatch(int32_t i) {
 
 bool BatchEquals(const ObservationBatch& a, const ObservationBatch& b) {
   return a.observations == b.observations && a.truths == b.truths;
+}
+
+int64_t SegmentCount(const std::string& dir) {
+  return std::distance(fs::directory_iterator(dir), fs::directory_iterator());
 }
 
 std::vector<WalRecord> ReplayAll(const std::string& dir,
@@ -104,8 +111,13 @@ TEST_F(WalTest, AppendGroupLogsConsecutiveRecordsUnderOneFsync) {
     std::vector<const ObservationBatch*> group;
     for (const ObservationBatch& batch : batches) group.push_back(&batch);
     const int64_t before = writer->sync_count();
+    const int64_t segments = SegmentCount(dir_);
     EXPECT_EQ(writer->AppendGroup(group).ValueOrDie(), 2u);
-    EXPECT_EQ(writer->sync_count() - before, 1);
+    // One policy fsync for the whole group, plus the two of each segment
+    // rotation inside it (see RotationSyncsAreCountedAndTimed).
+    const int64_t rotations = SegmentCount(dir_) - segments;
+    EXPECT_GT(rotations, 0);
+    EXPECT_EQ(writer->sync_count() - before, 1 + 2 * rotations);
     EXPECT_EQ(writer->next_sequence(), 7u);
   }
   std::vector<WalRecord> records = ReplayAll(dir_);
@@ -115,6 +127,31 @@ TEST_F(WalTest, AppendGroupLogsConsecutiveRecordsUnderOneFsync) {
               static_cast<uint64_t>(i + 1));
     EXPECT_TRUE(
         BatchEquals(records[static_cast<size_t>(i)].batch, MakeBatch(i)));
+  }
+}
+
+// A rotation fsyncs the closed segment and the new one through Sync(),
+// so both show up in sync_count() and the fsync histogram; under kNone
+// it fsyncs nothing.
+TEST_F(WalTest, RotationSyncsAreCountedAndTimed) {
+  obs::LatencyHistogram* fsync_hist =
+      obs::GetHistogram("slimfast_storage_wal_fsync_seconds");
+  for (const WalFsync policy : {WalFsync::kEveryBatch, WalFsync::kNone}) {
+    const bool syncing = policy != WalFsync::kNone;
+    SCOPED_TRACE(syncing ? "kEveryBatch" : "kNone");
+    fs::remove_all(dir_);
+    WalOptions options;
+    options.fsync = policy;
+    std::unique_ptr<WalWriter> writer =
+        WalWriter::Open(dir_, options).ValueOrDie();
+    SLIMFAST_CHECK_OK(writer->Append(MakeBatch(0)).status());
+    const int64_t syncs = writer->sync_count();
+    const int64_t samples = fsync_hist->Count();
+    SLIMFAST_CHECK_OK(writer->Rotate());
+    EXPECT_EQ(SegmentCount(dir_), 2);
+    EXPECT_EQ(writer->sync_count() - syncs, syncing ? 2 : 0);
+    EXPECT_EQ(fsync_hist->Count() - samples,
+              syncing && obs::Enabled() ? 2 : 0);
   }
 }
 

@@ -246,45 +246,10 @@ TEST(StatsTest, MeanVarianceStdDev) {
   EXPECT_DOUBLE_EQ(Variance({1.0}), 0.0);
 }
 
-TEST(VectorOpsTest, DotAndNorms) {
+TEST(VectorOpsTest, Norms) {
   std::vector<double> a = {1.0, -2.0, 3.0};
-  std::vector<double> b = {4.0, 5.0, -6.0};
-  EXPECT_DOUBLE_EQ(Dot(a, b), 4.0 - 10.0 - 18.0);
   EXPECT_DOUBLE_EQ(L2Norm({3.0, 4.0}), 5.0);
   EXPECT_DOUBLE_EQ(L1Norm(a), 6.0);
-}
-
-TEST(VectorOpsTest, DotEmptyAndSingleton) {
-  EXPECT_EQ(Dot({}, {}), 0.0);
-  // A length-1 dot is the bare product, bit-exactly (no accumulator
-  // reordering can apply to one element).
-  EXPECT_EQ(Dot({3.0}, {-7.0}), -21.0);
-  EXPECT_EQ(Dot({1e-300}, {1e300}), 1.0);
-}
-
-TEST(VectorOpsTest, DotInfinitiesAndNan) {
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(Dot({inf}, {2.0}), inf);
-  EXPECT_EQ(Dot({-inf}, {2.0}), -inf);
-  // inf * 0 is NaN by IEEE and must not be masked by the reduction.
-  EXPECT_TRUE(std::isnan(Dot({inf}, {0.0})));
-  EXPECT_TRUE(std::isnan(Dot({1.0, std::nan("")}, {1.0, 1.0})));
-  // NaN survives both the short sequential path and the long lane fold.
-  std::vector<double> long_a(100, 1.0), long_b(100, 1.0);
-  long_a[57] = std::nan("");
-  EXPECT_TRUE(std::isnan(Dot(long_a, long_b)));
-}
-
-TEST(VectorOpsTest, DotDenormals) {
-  const double denorm = std::numeric_limits<double>::denorm_min();
-  // denorm * denorm underflows to exactly +0.
-  EXPECT_EQ(Dot({denorm}, {denorm}), 0.0);
-  // denorm * 1 round-trips exactly.
-  EXPECT_EQ(Dot({denorm}, {1.0}), denorm);
-  // Cancellation at the denormal scale: (d + d) - d - d == 0 in any
-  // left-to-right or laned order.
-  EXPECT_EQ(Dot({denorm, denorm, -denorm, -denorm}, {1.0, 1.0, 1.0, 1.0}),
-            0.0);
 }
 
 /// Property sweep: BinomialCdf agrees with a direct summation of the PMF

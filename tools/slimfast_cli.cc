@@ -69,6 +69,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "baselines/registry.h"
@@ -186,10 +187,11 @@ struct CliOptions {
   double slo_queue = 0.0;
 };
 
-/// Maps the --fsync-every knob onto WalOptions.
+/// Maps the --fsync-every knob (>= 0, checked by ParseArgs) onto
+/// WalOptions.
 WalOptions WalOptionsFor(int32_t fsync_every) {
   WalOptions wal;
-  if (fsync_every <= 0) {
+  if (fsync_every == 0) {
     wal.fsync = WalFsync::kNone;
   } else if (fsync_every == 1) {
     wal.fsync = WalFsync::kEveryBatch;
@@ -492,6 +494,15 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
                         CommandName(options->command));
     }
     if (!ParseFlag(*flag, argc, argv, &i, options)) return false;
+  }
+  for (const auto& [name, value] :
+       {std::pair{"--relearn-every", options->relearn_every},
+        std::pair{"--fsync-every", options->fsync_every}}) {
+    if (value < 0) {
+      return UsageError("option '" + std::string(name) +
+                        "' expects a count >= 0, got " +
+                        std::to_string(value));
+    }
   }
   // serve can run on bare --dims; replay, loadgen, and plain runs need
   // a dataset.
