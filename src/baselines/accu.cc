@@ -8,6 +8,18 @@
 
 namespace slimfast {
 
+namespace {
+
+/// Initial accuracy of sources without labeled claims.
+constexpr double kInitAccuracy = 0.8;
+constexpr int32_t kMaxIterations = 50;
+/// Convergence threshold on the max absolute accuracy change.
+constexpr double kTolerance = 1e-4;
+/// Accuracy estimates are clamped into [kClampEps, 1 - kClampEps].
+constexpr double kClampEps = 1e-3;
+
+}  // namespace
+
 Result<FusionOutput> Accu::Run(const Dataset& dataset,
                                const TrainTestSplit& split, uint64_t seed) {
   (void)seed;
@@ -16,7 +28,7 @@ Result<FusionOutput> Accu::Run(const Dataset& dataset,
   output.method_name = name();
 
   const size_t num_sources = static_cast<size_t>(dataset.num_sources());
-  std::vector<double> accuracy(num_sources, options_.init_accuracy);
+  std::vector<double> accuracy(num_sources, kInitAccuracy);
 
   // Initialize accuracies from revealed ground truth where available.
   {
@@ -69,7 +81,7 @@ Result<FusionOutput> Accu::Run(const Dataset& dataset,
         for (const SourceClaim& claim : claims) {
           if (claim.value != domain[di]) continue;
           double a = Clamp(accuracy[static_cast<size_t>(claim.source)],
-                           options_.clamp_eps, 1.0 - options_.clamp_eps);
+                           kClampEps, 1.0 - kClampEps);
           scores[di] += std::log(n * a / (1.0 - a));
         }
       }
@@ -78,7 +90,7 @@ Result<FusionOutput> Accu::Run(const Dataset& dataset,
     }
   };
 
-  for (int32_t iter = 0; iter < options_.max_iterations; ++iter) {
+  for (int32_t iter = 0; iter < kMaxIterations; ++iter) {
     infer_truth();
     // Accuracy update: mean posterior mass of the source's claimed values.
     double max_delta = 0.0;
@@ -97,12 +109,12 @@ Result<FusionOutput> Accu::Run(const Dataset& dataset,
         }
       }
       double updated = Clamp(sum / static_cast<double>(claims.size()),
-                             options_.clamp_eps, 1.0 - options_.clamp_eps);
+                             kClampEps, 1.0 - kClampEps);
       max_delta =
           std::max(max_delta, std::fabs(updated - accuracy[static_cast<size_t>(s)]));
       accuracy[static_cast<size_t>(s)] = updated;
     }
-    if (max_delta < options_.tolerance) break;
+    if (max_delta < kTolerance) break;
   }
   output.learn_seconds = learn_watch.ElapsedSeconds();
 

@@ -7,17 +7,6 @@
 
 namespace slimfast {
 
-/// Options for the ACCU baseline.
-struct AccuOptions {
-  /// Initial accuracy for sources without labeled claims.
-  double init_accuracy = 0.8;
-  int32_t max_iterations = 50;
-  /// Convergence threshold on the max absolute accuracy change.
-  double tolerance = 1e-4;
-  /// Accuracy estimates are clamped into [eps, 1 - eps].
-  double clamp_eps = 1e-3;
-};
-
 /// ACCU — the Bayesian fusion model of Dong et al. [9] without source
 /// copying, as configured in Sec. 5.1.
 ///
@@ -29,16 +18,11 @@ struct AccuOptions {
 /// and stays clamped as evidence during the iterations.
 class Accu : public FusionMethod {
  public:
-  explicit Accu(AccuOptions options = {}) : options_(options) {}
-
   std::string name() const override { return "ACCU"; }
 
   Result<FusionOutput> Run(const Dataset& dataset,
                            const TrainTestSplit& split,
                            uint64_t seed) override;
-
- private:
-  AccuOptions options_;
 };
 
 }  // namespace slimfast

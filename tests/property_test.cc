@@ -156,8 +156,8 @@ TEST(PropertyTest, RunInvariantsThreadsSimd) {
 
 /// The sharded batch-ERM path and the accuracy-loss ERM fit (the
 /// per-source-count solver, then the calibration pass) are not exercised
-/// by the default presets; sweep them, with EM on alternate universes,
-/// explicitly on a smaller universe budget with both variations.
+/// by the default presets; sweep them (and forced EM on alternate
+/// universes) on a smaller universe budget with both variations.
 TEST(PropertyTest, RunInvariantsBatchLearners) {
   const bool wide_default = simd::WideEnabled();
   for (uint64_t seed = 0; seed < kNumUniverses; seed += 4) {
