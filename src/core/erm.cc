@@ -8,6 +8,7 @@
 #include "opt/proximal.h"
 #include "opt/sparse_grad.h"
 #include "simd/simd.h"
+#include "util/logging.h"
 
 namespace slimfast {
 
@@ -149,19 +150,15 @@ struct BatchGradAcc {
 
 /// The full-batch proximal-descent loop.
 ///
-/// The epoch is organized around the rows the examples touch, not the
-/// examples themselves. Per-example work factors by row: every example
-/// on row r reads the same posterior, and its gradient contribution to
-/// candidate di is p_di − [di == target]. Summing the bracketed terms
-/// over a row's examples once, up front, turns the epoch into
+/// FitObjectLoss's precondition gives one example per row, so the epoch
+/// is one pass over the example rows:
 ///
-///   per used row:  scores → softmax → one scatter of
-///                  (row_count·p_di − target_count_di)·terms(di)
+///   per example:  scores → softmax → one scatter of
+///                 (p_di − [di == target])·terms(di)
 ///
-/// which visits each row's terms once per epoch however many examples
-/// share it, and batches every softmax/log through the SIMD kernels over
-/// a packed candidate buffer. Sharding is over used rows; the shard-order
-/// fold keeps the epoch gradient bit-identical for any thread count.
+/// with every softmax/log batched through the SIMD kernels over a packed
+/// candidate buffer. Sharding is over examples; the shard-order fold
+/// keeps the epoch gradient bit-identical for any thread count.
 Result<FitStats> FitObjectLossBatch(
     const ErmOptions& options, const std::vector<LabeledExample>& examples,
     SlimFastModel* model, Executor* exec) {
@@ -172,44 +169,24 @@ Result<FitStats> FitObjectLossBatch(
   ConvergenceTracker tracker(options.tolerance, options.patience);
 
   // ---- Fixed per-fit structure (the example set never changes). ----
-  // Used rows in first-appearance order; their candidate domains are
-  // packed back to back, so a shard of used rows owns one contiguous
-  // slice of the packed buffers.
-  std::vector<int32_t> slice_of_row(static_cast<size_t>(inst.num_rows()),
-                                    -1);
-  std::vector<int32_t> used_rows;
-  for (const LabeledExample& ex : examples) {
-    if (slice_of_row[static_cast<size_t>(ex.row)] < 0) {
-      slice_of_row[static_cast<size_t>(ex.row)] =
-          static_cast<int32_t>(used_rows.size());
-      used_rows.push_back(ex.row);
-    }
+  // The examples' candidate domains are packed back to back, so a shard
+  // of examples owns one contiguous slice of the packed buffers.
+  const int32_t num_examples = static_cast<int32_t>(examples.size());
+  std::vector<int64_t> packed_begin(static_cast<size_t>(num_examples) + 1,
+                                    0);
+  for (int32_t i = 0; i < num_examples; ++i) {
+    packed_begin[static_cast<size_t>(i) + 1] =
+        packed_begin[static_cast<size_t>(i)] +
+        inst.DomainSize(examples[static_cast<size_t>(i)].row);
   }
-  const int32_t num_used = static_cast<int32_t>(used_rows.size());
-  std::vector<int64_t> packed_begin(static_cast<size_t>(num_used) + 1, 0);
-  for (int32_t s = 0; s < num_used; ++s) {
-    packed_begin[static_cast<size_t>(s) + 1] =
-        packed_begin[static_cast<size_t>(s)] +
-        inst.DomainSize(used_rows[static_cast<size_t>(s)]);
-  }
-  const int64_t num_packed = packed_begin[static_cast<size_t>(num_used)];
-  // Grouped example constants: example count per used row, and target
-  // count per packed candidate.
-  std::vector<double> row_count(static_cast<size_t>(num_used), 0.0);
-  std::vector<double> target_count(static_cast<size_t>(num_packed), 0.0);
-  for (const LabeledExample& ex : examples) {
-    const int32_t s = slice_of_row[static_cast<size_t>(ex.row)];
-    row_count[static_cast<size_t>(s)] += 1.0;
-    target_count[static_cast<size_t>(
-        packed_begin[static_cast<size_t>(s)] + ex.target_index)] += 1.0;
-  }
+  const int64_t num_packed = packed_begin[static_cast<size_t>(num_examples)];
 
   // Per-shard accumulators persist across epochs (cleared in place by each
   // shard body, O(nnz) per clear) so the epoch loop allocates nothing. The
   // shard structure and the shard-order fold below are exactly
   // DeterministicReduce's contract: bit-identical for any thread count.
   const std::vector<ShardRange> shards =
-      StaticShards(num_used, FixedShardCount(num_used));
+      StaticShards(num_examples, FixedShardCount(num_examples));
   std::vector<BatchGradAcc> partial(shards.size(),
                                     BatchGradAcc(layout.num_params));
   std::vector<double> probs(static_cast<size_t>(num_packed));
@@ -226,36 +203,36 @@ Result<FitStats> FitObjectLossBatch(
           acc.loss = 0.0;
           const int64_t pb = packed_begin[static_cast<size_t>(range.begin)];
           const int64_t pe = packed_begin[static_cast<size_t>(range.end)];
-          // 1. Scores for every used row of the shard, packed.
+          // 1. Scores for every example row of the shard, packed.
           for (int64_t i = range.begin; i < range.end; ++i) {
-            model->Scores(used_rows[static_cast<size_t>(i)],
+            model->Scores(examples[static_cast<size_t>(i)].row,
                           probs.data() + packed_begin[static_cast<size_t>(i)]);
           }
           // 2. One softmax pass over the shard's packed rows.
           simd::SoftmaxRows(packed_begin.data() + range.begin,
                             range.end - range.begin, pb, probs.data() + pb);
-          // 3. Loss: -Σ target_count·log(max(p, 1e-300)), with the log
-          // batched. Candidates that are never a target count 0 and
-          // contribute nothing (the clamp keeps every log finite).
+          // 3. Loss: -Σ log(max(p_target, 1e-300)), with the log batched
+          // over every packed candidate (the clamp keeps each log finite).
           for (int64_t c = pb; c < pe; ++c) {
             const double p = probs[static_cast<size_t>(c)];
             logp[static_cast<size_t>(c)] = p > 1e-300 ? p : 1e-300;
           }
           simd::BatchLog(logp.data() + pb, logp.data() + pb, pe - pb);
-          for (int64_t c = pb; c < pe; ++c) {
-            acc.loss += -target_count[static_cast<size_t>(c)] *
-                        logp[static_cast<size_t>(c)];
+          for (int64_t i = range.begin; i < range.end; ++i) {
+            const LabeledExample& ex = examples[static_cast<size_t>(i)];
+            acc.loss -= logp[static_cast<size_t>(
+                packed_begin[static_cast<size_t>(i)] + ex.target_index)];
           }
           // 4. One gradient scatter per candidate.
           for (int64_t i = range.begin; i < range.end; ++i) {
-            const int32_t row = used_rows[static_cast<size_t>(i)];
+            const LabeledExample& ex = examples[static_cast<size_t>(i)];
             const int64_t base = packed_begin[static_cast<size_t>(i)];
-            const double rc = row_count[static_cast<size_t>(i)];
-            const int64_t cand = inst.row_begin[static_cast<size_t>(row)];
-            const int32_t domain_size = inst.DomainSize(row);
+            const int64_t cand = inst.row_begin[static_cast<size_t>(ex.row)];
+            const int32_t domain_size = inst.DomainSize(ex.row);
             for (int32_t di = 0; di < domain_size; ++di) {
-              const size_t k = static_cast<size_t>(base + di);
-              ScatterTerms(inst, cand + di, rc * probs[k] - target_count[k],
+              const double target = di == ex.target_index ? 1.0 : 0.0;
+              ScatterTerms(inst, cand + di,
+                           probs[static_cast<size_t>(base + di)] - target,
                            &acc.grad);
             }
           }
@@ -452,6 +429,13 @@ Result<FitStats> ErmLearner::FitObjectLoss(
   if (examples.empty()) {
     return Status::FailedPrecondition(
         "ERM requires at least one labeled example");
+  }
+  std::vector<uint8_t> seen(static_cast<size_t>(model->instance().num_rows()),
+                            0);
+  for (const LabeledExample& ex : examples) {
+    SLIMFAST_DCHECK(seen[static_cast<size_t>(ex.row)] == 0,
+                    "FitObjectLoss takes one example per row");
+    seen[static_cast<size_t>(ex.row)] = 1;
   }
   if (options_.batch) {
     return FitObjectLossBatch(options_, examples, model, exec);

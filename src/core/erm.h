@@ -103,10 +103,12 @@ class ErmLearner {
       const std::vector<ObjectId>& train_objects);
 
   /// Fits `model` in place on object-posterior examples (Eq. 4 likelihood).
-  /// Batch mode shards the per-example gradient accumulation across `exec`
-  /// (null = serial; results are identical either way); SGD mode is
-  /// inherently sequential — each step reads the previous step's weights —
-  /// and always runs serially.
+  /// Precondition: at most one example per row, as ObjectExamples builds
+  /// them (checked; a repeated row aborts). Batch mode shards the
+  /// per-example gradient accumulation across `exec` (null = serial;
+  /// results are identical either way); SGD mode is inherently
+  /// sequential — each step reads the previous step's weights — and
+  /// always runs serially.
   Result<FitStats> FitObjectLoss(const std::vector<LabeledExample>& examples,
                                  SlimFastModel* model, Rng* rng,
                                  Executor* exec = nullptr) const;

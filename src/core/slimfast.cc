@@ -76,8 +76,8 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   }
 
   // Per-algorithm learn timings: EM runs ~200x longer than a warm ERM
-  // relearn, so folding them into one histogram would bury the signal
-  // the relearn scheduler needs.
+  // relearn, so folding them into one histogram would bury the warm
+  // relearns' signal.
   static obs::LatencyHistogram* erm_hist =
       obs::GetHistogram("slimfast_core_learn_seconds{algorithm=\"erm\"}");
   static obs::LatencyHistogram* em_hist =

@@ -18,13 +18,13 @@ const char* EventSeverityName(EventSeverity severity);
 
 /// One structured flight-recorder event: a state transition metrics
 /// can't express (recovery started/finished, checkpoint written, shed
-/// burst entered/exited, a scheduler deferral bound firing, a torn WAL
-/// tail healed, an SLO rule breached/cleared).
+/// burst entered/exited, a non-converged relearn, a torn WAL tail
+/// healed, an SLO rule breached/cleared).
 struct Event {
   int64_t ts_ns = 0;
   EventSeverity severity = EventSeverity::kInfo;
-  /// The emitting stage ("recovery", "checkpoint", "admission",
-  /// "scheduler", "wal", "slo", "relearn").
+  /// The emitting stage ("recovery", "checkpoint", "admission", "wal",
+  /// "slo", "relearn").
   std::string stage;
   /// Shard the event concerns, -1 for service-wide events.
   int32_t shard = -1;

@@ -69,12 +69,6 @@ obs::LatencyHistogram* StageHistogram(const char* stage, int32_t shard) {
       "\",shard=\"" + std::to_string(shard) + "\"}");
 }
 
-/// Registers the per-shard scheduler priority gauge for `shard`.
-obs::Gauge* PriorityGauge(int32_t shard) {
-  return obs::GetGauge("slimfast_serve_sched_priority{shard=\"" +
-                       std::to_string(shard) + "\"}");
-}
-
 }  // namespace
 
 FusionService::FusionService(FusionServiceOptions options,
@@ -101,15 +95,6 @@ Result<std::unique_ptr<FusionService>> FusionService::Create(
   }
   if (options.queue_capacity == 0) options.queue_capacity = 1;
   if (options.max_coalesced_batches == 0) options.max_coalesced_batches = 1;
-  if (options.scheduler.warm_budget_per_cycle < 0) {
-    options.scheduler.warm_budget_per_cycle = 0;
-  }
-  if (options.scheduler.cold_budget_per_cycle < 0) {
-    options.scheduler.cold_budget_per_cycle = 0;
-  }
-  if (options.scheduler.max_deferred_cycles < 0) {
-    options.scheduler.max_deferred_cycles = 0;
-  }
 
   std::unique_ptr<FusionService> service(new FusionService(
       std::move(options), num_sources, num_objects, num_values));
@@ -129,21 +114,15 @@ Result<std::unique_ptr<FusionService>> FusionService::Create(
     shard.ingest_hist = StageHistogram("ingest", s);
     shard.relearn_hist = StageHistogram("relearn", s);
     shard.publish_hist = StageHistogram("publish", s);
-    shard.priority_gauge = PriorityGauge(s);
     service->shards_.push_back(std::move(shard));
     service->slots_.push_back(std::make_unique<SnapshotSlot>());
   }
   // Value-initialized (all zero): nothing is pending at creation.
   service->pending_since_ns_.reset(new std::atomic<int64_t>[
       static_cast<size_t>(num_shards)]());
-  service->sched_state_.resize(static_cast<size_t>(num_shards));
-  const SchedulerOptions& sched = service->options_.scheduler;
-  service->scheduler_ = std::make_unique<RelearnScheduler>(sched, num_shards);
-  service->traffic_.reset(
-      new obs::ShardedCounter[static_cast<size_t>(num_shards)]);
-  service->last_traffic_.assign(static_cast<size_t>(num_shards), 0);
-  if (sched.shed_queue_watermark > 0.0) {
-    double batches = sched.shed_queue_watermark *
+  const double queue_watermark = service->options_.shed_queue_watermark;
+  if (queue_watermark > 0.0) {
+    double batches = queue_watermark *
                      static_cast<double>(service->options_.queue_capacity);
     service->shed_queue_batches_ =
         std::max<size_t>(1, static_cast<size_t>(batches));
@@ -222,11 +201,10 @@ Status FusionService::RecoverFromDir(const FeatureSpace& features) {
   }
 
   // Replay the acknowledged tail with the live driver's schedule: apply
-  // in sequence order, run the same decision cycles on the same every-K
-  // boundaries (recovery serves no queries, so the traffic signal is
-  // zero, exactly like the offline oracle), then run the drain-
-  // equivalent final relearn — so the recovered snapshots are exactly
-  // what OfflineShardedReplay computes for the acknowledged prefix.
+  // in sequence order, relearn on the same every-K boundaries, then run
+  // the drain-equivalent final relearn — so the recovered snapshots are
+  // exactly what OfflineShardedReplay computes for the acknowledged
+  // prefix.
   int64_t replayed = 0;
   SLIMFAST_RETURN_NOT_OK(ReplayWal(
       dir, static_cast<uint64_t>(applied_batches_),
@@ -238,7 +216,7 @@ Status FusionService::RecoverFromDir(const FeatureSpace& features) {
         CountTriggerRelearn("recover");
         return Status::OK();
       }));
-  FlushPending("recover");
+  RelearnShards("recover");
 
   SLIMFAST_ASSIGN_OR_RETURN(
       wal_, WalWriter::Open(dir, options_.durability.wal,
@@ -304,14 +282,15 @@ Status FusionService::TrySubmit(ObservationBatch batch) {
 Status FusionService::SubmitWithBackpressure(ObservationBatch batch,
                                              int64_t* retry_after_ms) {
   if (retry_after_ms != nullptr) *retry_after_ms = 0;
-  const SchedulerOptions& sched = options_.scheduler;
-  if (!sched.admission_enabled()) return Submit(std::move(batch));
+  const int64_t backlog_watermark = options_.shed_backlog_watermark;
+  if (shed_queue_batches_ == 0 && backlog_watermark <= 0) {
+    return Submit(std::move(batch));
+  }
   const bool over_queue =
       shed_queue_batches_ > 0 && queue_.size() >= shed_queue_batches_;
   const bool over_backlog =
-      sched.shed_backlog_watermark > 0 &&
-      relearn_backlog_.load(std::memory_order_relaxed) >=
-          sched.shed_backlog_watermark;
+      backlog_watermark > 0 &&
+      relearn_backlog_.load(std::memory_order_relaxed) >= backlog_watermark;
   if (!over_queue && !over_backlog) {
     Status tried = TrySubmit(std::move(batch));
     if (!tried.IsOutOfRange()) {  // accepted, or stopped
@@ -482,7 +461,7 @@ void FusionService::DriverLoop() {
     for (size_t i = 0; i < group.size(); ++i) {
       Command& command = group[i];
       if (command.flush) {
-        FlushPending("drain");
+        RelearnShards("drain");
         // Refresh the exported per-shard counters before acking: a
         // Drain caller reading SessionStats() right after must see the
         // post-flush state (pending 0, fresh relearn durations), not
@@ -539,7 +518,7 @@ void FusionService::DriverLoop() {
   }
   // Shutdown: everything queued has been applied; give the tail of the
   // stream its relearn and final publication.
-  FlushPending("stop");
+  RelearnShards("stop");
   std::lock_guard<std::mutex> lock(state_mu_);
   UpdateSessionStatsLocked();
 }
@@ -605,58 +584,28 @@ void FusionService::ApplyBatch(const ObservationBatch& batch,
   }
 }
 
-void FusionService::FlushPending(const char* reason) {
-  // The flush path: every pending shard, no budget. Keep the
-  // scheduler's bookkeeping in step — after a flush everything is
-  // freshly relearned, so deferral counters and staleness baselines
-  // reset.
-  std::vector<int32_t> all(shards_.size());
-  for (size_t s = 0; s < all.size(); ++s) {
-    all[s] = static_cast<int32_t>(s);
-  }
-  RelearnShards(all, reason);
-  scheduler_->NoteFlush(applied_batches_.load(std::memory_order_relaxed));
-  std::lock_guard<std::mutex> lock(state_mu_);
-  sched_state_ = scheduler_->shard_state();
-}
-
 void FusionService::CountTriggerRelearn(const char* reason) {
-  const int64_t batch_index = applied_batches_.load(std::memory_order_relaxed);
-  if (!RelearnDue(batch_index, options_.relearn_every_batches)) return;
-  const int32_t num_shards = router_.num_shards();
-  std::vector<ShardSchedInput> inputs(static_cast<size_t>(num_shards));
-  for (int32_t s = 0; s < num_shards; ++s) {
-    const Shard& shard = shards_[static_cast<size_t>(s)];
-    ShardSchedInput& in = inputs[static_cast<size_t>(s)];
-    in.pending = shard.pending;
-    in.can_fit = shard.session->num_observations() > 0;
-    in.has_model = shard.session->has_model();
-    const int64_t total = traffic_[static_cast<size_t>(s)].Value();
-    in.traffic = total - last_traffic_[static_cast<size_t>(s)];
-    last_traffic_[static_cast<size_t>(s)] = total;
+  if (!RelearnDue(applied_batches_.load(std::memory_order_relaxed),
+                  options_.relearn_every_batches)) {
+    return;
   }
-  const std::vector<int32_t> selected =
-      scheduler_->DecideCycle(batch_index, inputs);
-  // Drained in the scheduler's priority order: under a serial executor
-  // the hottest shard's refreshed snapshot is live before the cheaper
-  // candidates (or an expensive forced cold fit) even start.
-  if (!selected.empty()) RelearnShards(selected, reason);
+  RelearnShards(reason);
   if (obs::Enabled()) {
     static obs::ShardedCounter* cycles =
         obs::GetCounter("slimfast_serve_sched_cycles_total");
     cycles->Increment();
-    for (int32_t s = 0; s < num_shards; ++s) {
-      shards_[static_cast<size_t>(s)].priority_gauge->Set(
-          scheduler_->shard_state()[static_cast<size_t>(s)].priority);
-    }
   }
   std::lock_guard<std::mutex> lock(state_mu_);
-  sched_state_ = scheduler_->shard_state();
-  sched_cycles_ = scheduler_->cycles();
+  ++sched_cycles_;
 }
 
-void FusionService::RelearnShards(const std::vector<int32_t>& order,
-                                  const char* reason) {
+void FusionService::RelearnShards(const char* reason) {
+  // Nothing pending anywhere: no shard has anything to relearn or
+  // publish.
+  if (std::none_of(shards_.begin(), shards_.end(),
+                   [](const Shard& shard) { return shard.pending > 0; })) {
+    return;
+  }
   obs::Stage cycle_stage("serve.relearn");
   const int32_t num_shards = router_.num_shards();
   std::vector<Status> statuses(static_cast<size_t>(num_shards),
@@ -664,9 +613,7 @@ void FusionService::RelearnShards(const std::vector<int32_t>& order,
   std::vector<uint8_t> relearned(static_cast<size_t>(num_shards), 0);
   std::vector<uint8_t> published(static_cast<size_t>(num_shards), 0);
   std::vector<RelearnStats> shard_stats(static_cast<size_t>(num_shards));
-  RunSharded(&shard_exec_, static_cast<int32_t>(order.size()),
-             [&](int32_t i) {
-    const int32_t s = order[static_cast<size_t>(i)];
+  RunSharded(&shard_exec_, num_shards, [&](int32_t s) {
     Shard& shard = shards_[static_cast<size_t>(s)];
     if (shard.pending == 0) return;
     const bool can_fit = shard.session->num_observations() > 0;
@@ -759,21 +706,9 @@ void FusionService::RelearnShards(const std::vector<int32_t>& order,
         previous == 0 ? cycle_ns : (3 * previous + cycle_ns) / 4,
         std::memory_order_relaxed);
   }
-  const int64_t batch_index =
-      applied_batches_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(state_mu_);
   stats_.relearns += relearns;
   stats_.publishes += publishes;
-  if (options_.scheduler.record_schedule) {
-    // Recorded in drain order: shards are independent, so any fixed
-    // order is a faithful serialization of the cycle, and this one
-    // matches what a serial executor actually did.
-    for (int32_t s : order) {
-      if (relearned[static_cast<size_t>(s)] != 0) {
-        schedule_log_.push_back(RelearnEvent{batch_index, s});
-      }
-    }
-  }
   if (!first_failure.ok()) {
     stats_.last_error =
         std::string(reason) + " relearn: " + first_failure.ToString();
@@ -866,25 +801,19 @@ std::string FusionService::Health() const {
   return reply;
 }
 
-void FusionService::RecordShardTraffic(int32_t shard) const {
-  traffic_[static_cast<size_t>(shard)].Increment();
-}
-
 ValueId FusionService::Query(ObjectId object) const {
   queries_.Increment();
   if (object < 0 || object >= num_objects_) return kNoValue;
-  const int32_t shard = router_.ShardOf(object);
-  RecordShardTraffic(shard);
-  FusionSnapshotPtr snapshot = slots_[static_cast<size_t>(shard)]->Load();
+  FusionSnapshotPtr snapshot =
+      slots_[static_cast<size_t>(router_.ShardOf(object))]->Load();
   return snapshot == nullptr ? kNoValue : snapshot->Prediction(object);
 }
 
 double FusionService::QueryConfidence(ObjectId object) const {
   queries_.Increment();
   if (object < 0 || object >= num_objects_) return 0.0;
-  const int32_t shard = router_.ShardOf(object);
-  RecordShardTraffic(shard);
-  FusionSnapshotPtr snapshot = slots_[static_cast<size_t>(shard)]->Load();
+  FusionSnapshotPtr snapshot =
+      slots_[static_cast<size_t>(router_.ShardOf(object))]->Load();
   return snapshot == nullptr ? 0.0 : snapshot->Confidence(object);
 }
 
@@ -893,9 +822,8 @@ bool FusionService::QueryPosterior(ObjectId object,
                                    std::vector<double>* probs) const {
   queries_.Increment();
   if (object < 0 || object >= num_objects_) return false;
-  const int32_t shard = router_.ShardOf(object);
-  RecordShardTraffic(shard);
-  FusionSnapshotPtr snapshot = slots_[static_cast<size_t>(shard)]->Load();
+  FusionSnapshotPtr snapshot =
+      slots_[static_cast<size_t>(router_.ShardOf(object))]->Load();
   return snapshot != nullptr &&
          snapshot->PosteriorOf(object, values, probs);
 }
@@ -903,9 +831,7 @@ bool FusionService::QueryPosterior(ObjectId object,
 FusionSnapshotPtr FusionService::SnapshotFor(ObjectId object) const {
   queries_.Increment();
   if (object < 0 || object >= num_objects_) return nullptr;
-  const int32_t shard = router_.ShardOf(object);
-  RecordShardTraffic(shard);
-  return slots_[static_cast<size_t>(shard)]->Load();
+  return slots_[static_cast<size_t>(router_.ShardOf(object))]->Load();
 }
 
 int64_t FusionService::ShardPendingAgeNanos(int32_t shard) const {
@@ -964,24 +890,18 @@ std::vector<FusionSession::Stats> FusionService::SessionStats() const {
   return session_stats_;
 }
 
-SchedulerInspection FusionService::SchedStats() const {
-  SchedulerInspection out;
-  out.warm_budget = options_.scheduler.warm_budget_per_cycle;
-  out.cold_budget = options_.scheduler.cold_budget_per_cycle;
-  out.max_deferred_cycles = options_.scheduler.max_deferred_cycles;
+SchedInspection FusionService::SchedStats() const {
+  SchedInspection out;
   out.queue_depth = queue_.size();
   out.queue_capacity = queue_.capacity();
   out.backlog = relearn_backlog_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(state_mu_);
   out.sheds = stats_.sheds;
   out.cycles = sched_cycles_;
-  out.shards = sched_state_;
+  for (const FusionSession::Stats& shard : session_stats_) {
+    out.pending.push_back(shard.pending_batches);
+  }
   return out;
-}
-
-std::vector<RelearnEvent> FusionService::RelearnSchedule() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return schedule_log_;
 }
 
 void FusionService::UpdateObsGauges() const {
@@ -1017,14 +937,12 @@ void FusionService::UpdateSessionStatsLocked() {
   }
 }
 
-namespace {
-
-/// Builds the offline per-shard sessions both replay oracles run over —
-/// configured exactly like the live service's shards.
-Result<std::vector<FusionSession>> MakeOfflineShardSessions(
+Result<std::vector<FusionSnapshotPtr>> OfflineShardedReplay(
     int32_t num_sources, int32_t num_objects, int32_t num_values,
-    const FusionServiceOptions& options, const FeatureSpace& features,
-    int32_t num_shards) {
+    const FusionServiceOptions& options,
+    const std::vector<ObservationBatch>& batches, FeatureSpace features) {
+  ShardRouter router(options.num_shards);
+  const int32_t num_shards = router.num_shards();
   std::vector<FusionSession> sessions;
   sessions.reserve(static_cast<size_t>(num_shards));
   for (int32_t s = 0; s < num_shards; ++s) {
@@ -1034,38 +952,23 @@ Result<std::vector<FusionSession>> MakeOfflineShardSessions(
                               ShardSessionOptions(options, s), features));
     sessions.push_back(std::move(session));
   }
-  return sessions;
-}
-
-}  // namespace
-
-Result<std::vector<FusionSnapshotPtr>> OfflineShardedReplay(
-    int32_t num_sources, int32_t num_objects, int32_t num_values,
-    const FusionServiceOptions& options,
-    const std::vector<ObservationBatch>& batches, FeatureSpace features) {
-  ShardRouter router(options.num_shards);
-  const int32_t num_shards = router.num_shards();
-  SLIMFAST_ASSIGN_OR_RETURN(
-      std::vector<FusionSession> sessions,
-      MakeOfflineShardSessions(num_sources, num_objects, num_values,
-                               options, features, num_shards));
 
   std::vector<int32_t> pending(static_cast<size_t>(num_shards), 0);
-  auto relearn_shard = [&](int32_t s) -> Status {
-    if (pending[static_cast<size_t>(s)] == 0) return Status::OK();
-    // Mirrors the live driver: truth-only shards stay pending until
-    // they have observations to fit against.
-    if (sessions[static_cast<size_t>(s)].num_observations() > 0) {
-      SLIMFAST_RETURN_NOT_OK(
-          sessions[static_cast<size_t>(s)].Relearn().status());
+  // Every relearn point relearns every pending shard, in shard-id order.
+  auto relearn_pending = [&]() -> Status {
+    for (int32_t s = 0; s < num_shards; ++s) {
+      FusionSession& session = sessions[static_cast<size_t>(s)];
+      // Mirrors the live driver: truth-only shards stay pending until
+      // they have observations to fit against.
+      if (pending[static_cast<size_t>(s)] == 0 ||
+          session.num_observations() == 0) {
+        continue;
+      }
+      SLIMFAST_RETURN_NOT_OK(session.Relearn().status());
       pending[static_cast<size_t>(s)] = 0;
     }
     return Status::OK();
   };
-  // The same decision engine the live driver runs, fed a zero traffic
-  // signal — what a live service that served no queries decides.
-  RelearnScheduler scheduler(options.scheduler, num_shards);
-
   int64_t applied = 0;
   for (const ObservationBatch& batch : batches) {
     const std::vector<ObservationBatch> subs = router.Split(batch);
@@ -1078,83 +981,10 @@ Result<std::vector<FusionSnapshotPtr>> OfflineShardedReplay(
     }
     ++applied;
     if (RelearnDue(applied, options.relearn_every_batches)) {
-      std::vector<ShardSchedInput> inputs(static_cast<size_t>(num_shards));
-      for (int32_t s = 0; s < num_shards; ++s) {
-        ShardSchedInput& in = inputs[static_cast<size_t>(s)];
-        in.pending = pending[static_cast<size_t>(s)];
-        in.can_fit = sessions[static_cast<size_t>(s)].num_observations() > 0;
-        in.has_model = sessions[static_cast<size_t>(s)].has_model();
-      }
-      for (int32_t s : scheduler.DecideCycle(applied, inputs)) {
-        SLIMFAST_RETURN_NOT_OK(relearn_shard(s));
-      }
+      SLIMFAST_RETURN_NOT_OK(relearn_pending());
     }
   }
-  for (int32_t s = 0; s < num_shards; ++s) {  // the Drain/Stop flush
-    SLIMFAST_RETURN_NOT_OK(relearn_shard(s));
-  }
-
-  std::vector<FusionSnapshotPtr> snapshots;
-  snapshots.reserve(static_cast<size_t>(num_shards));
-  for (int32_t s = 0; s < num_shards; ++s) {
-    snapshots.push_back(sessions[static_cast<size_t>(s)].ExportSnapshot());
-  }
-  return snapshots;
-}
-
-Result<std::vector<FusionSnapshotPtr>> OfflineReplayWithSchedule(
-    int32_t num_sources, int32_t num_objects, int32_t num_values,
-    const FusionServiceOptions& options,
-    const std::vector<ObservationBatch>& batches,
-    const std::vector<RelearnEvent>& schedule, FeatureSpace features) {
-  ShardRouter router(options.num_shards);
-  const int32_t num_shards = router.num_shards();
-  SLIMFAST_ASSIGN_OR_RETURN(
-      std::vector<FusionSession> sessions,
-      MakeOfflineShardSessions(num_sources, num_objects, num_values,
-                               options, features, num_shards));
-
-  // Execute every recorded event whose batch index is <= `applied`, in
-  // log order. The log only records relearns that actually ran, so a
-  // replayed event's shard is guaranteed fittable at its batch index —
-  // the num_observations guard just keeps a corrupted log from
-  // aborting on an unfittable session.
-  size_t next = 0;
-  auto run_due = [&](int64_t applied) -> Status {
-    while (next < schedule.size() &&
-           schedule[next].batch_index <= applied) {
-      const int32_t s = schedule[next].shard;
-      if (s < 0 || s >= num_shards) {
-        return Status::InvalidArgument(
-            "relearn schedule names shard " + std::to_string(s) +
-            " outside the " + std::to_string(num_shards) +
-            "-shard topology");
-      }
-      if (sessions[static_cast<size_t>(s)].num_observations() > 0) {
-        SLIMFAST_RETURN_NOT_OK(
-            sessions[static_cast<size_t>(s)].Relearn().status());
-      }
-      ++next;
-    }
-    return Status::OK();
-  };
-
-  int64_t applied = 0;
-  SLIMFAST_RETURN_NOT_OK(run_due(applied));
-  for (const ObservationBatch& batch : batches) {
-    const std::vector<ObservationBatch> subs = router.Split(batch);
-    for (int32_t s = 0; s < num_shards; ++s) {
-      const ObservationBatch& sub = subs[static_cast<size_t>(s)];
-      if (sub.empty()) continue;
-      SLIMFAST_RETURN_NOT_OK(
-          sessions[static_cast<size_t>(s)].Ingest(sub).status());
-    }
-    ++applied;
-    SLIMFAST_RETURN_NOT_OK(run_due(applied));
-  }
-  // Tail events beyond the last batch (impossible for a well-formed
-  // log, harmless to honor).
-  SLIMFAST_RETURN_NOT_OK(run_due(INT64_MAX));
+  SLIMFAST_RETURN_NOT_OK(relearn_pending());  // the Drain/Stop flush
 
   std::vector<FusionSnapshotPtr> snapshots;
   snapshots.reserve(static_cast<size_t>(num_shards));

@@ -21,7 +21,6 @@
 #include "obs/registry.h"
 #include "obs/watchdog.h"
 #include "serve/router.h"
-#include "serve/scheduler.h"
 #include "serve/snapshot_slot.h"
 #include "storage/wal.h"
 #include "util/result.h"
@@ -58,10 +57,9 @@ struct FusionServiceOptions {
   /// amortizes the shard fan-out over bursts without changing results
   /// (batches are still applied strictly in submission order).
   size_t max_coalesced_batches = 8;
-  /// Relearn trigger: every K processed batches the scheduler runs one
-  /// decision cycle (shards that saw no new data since their last
-  /// relearn skip it). 0 disables the count trigger, leaving only the
-  /// Drain/Stop flushes.
+  /// Relearn trigger: every K processed batches, every shard with new
+  /// data since its last relearn relearns and publishes. 0 disables the
+  /// count trigger, leaving only the Drain/Stop flushes.
   int32_t relearn_every_batches = 1;
   /// Template for every shard's FusionSession (seed, learner options,
   /// warm start). The session name gets a per-shard suffix.
@@ -70,10 +68,13 @@ struct FusionServiceOptions {
   ExecOptions shard_exec;
   /// WAL + checkpoint configuration (disabled by default).
   FusionServiceDurability durability;
-  /// Relearn budgets per decision cycle + ingest admission control. The
-  /// defaults (unlimited budgets, no watermarks) relearn every pending
-  /// shard at every trigger. See SchedulerOptions.
-  SchedulerOptions scheduler;
+  /// Admission control: shed ingest once the queue holds >= this
+  /// fraction of its capacity (0 disables the queue watermark). Shedding
+  /// replies ERR BUSY with a retry hint instead of blocking the producer.
+  double shed_queue_watermark = 0.0;
+  /// Admission control: shed ingest once the relearn backlog (sum of
+  /// per-shard pending batches) reaches this many batches (0 disables).
+  int64_t shed_backlog_watermark = 0;
   /// SLO rules the flight-recorder watchdog evaluates on the driver's
   /// sampling tick and on demand via HEALTH (all off by default; see
   /// SloWatchdogOptions). Purely observational — breaches flip gauges
@@ -135,18 +136,12 @@ struct FusionServiceStats {
   int64_t lifetime_observations = 0;
 };
 
-/// Consistent snapshot of the scheduler + admission-control state, as
-/// reported by the SCHED verb: the configured budgets, the live queue
-/// depth and relearn backlog, the shed count, and the per-shard
-/// priority state of the most recent decision cycle.
-struct SchedulerInspection {
-  /// Warm-queue relearn budget per decision cycle (0 = unlimited).
-  int32_t warm_budget = 0;
-  /// Cold-queue (first-fit) relearn budget per cycle (0 = unlimited).
-  int32_t cold_budget = 0;
-  /// Decisions a pending shard can lose before it is forced.
-  int32_t max_deferred_cycles = 0;
-  /// Decision cycles run so far.
+/// Consistent snapshot of the relearn + admission-control state, as
+/// reported by the SCHED verb: the relearn cycles run, the live queue
+/// depth and relearn backlog, the shed count, and each shard's pending
+/// batches.
+struct SchedInspection {
+  /// Count-trigger relearn cycles run so far.
   int64_t cycles = 0;
   /// Batches waiting in the ingest queue right now.
   size_t queue_depth = 0;
@@ -156,8 +151,9 @@ struct SchedulerInspection {
   int64_t backlog = 0;
   /// Batches shed by admission control / full-queue TrySubmit.
   int64_t sheds = 0;
-  /// Per-shard priority/pending/traffic/deferral state.
-  std::vector<ShardSchedState> shards;
+  /// Batches each shard has ingested but not yet absorbed by a relearn,
+  /// indexed by shard id.
+  std::vector<int32_t> pending;
 };
 
 /// A concurrent fusion serving layer: sharded ingest/relearn behind a
@@ -182,12 +178,8 @@ struct SchedulerInspection {
 /// computes — bit for bit, at any thread count and under any concurrent
 /// query load (`OfflineShardedReplay` is the oracle; with num_shards = 1
 /// it *is* the plain offline single-session run of the full stream).
-/// The scheduler's decisions are a
-/// deterministic function of (batch index, per-shard pending/model
-/// state, traffic samples, config), so a run without queries — or any
-/// run with unlimited budgets, whose decisions ignore traffic — matches
-/// the zero-traffic oracle directly, and any run re-verifies against
-/// its recorded relearn schedule (`OfflineReplayWithSchedule`).
+/// Every relearn trigger relearns every shard with pending data, so no
+/// query, clock or thread timing reaches a shard's model.
 ///
 /// Thread roles: any number of producers (Submit/TrySubmit/Drain), any
 /// number of query threads (Query*/ShardSnapshot — wait-free), one
@@ -234,13 +226,14 @@ class FusionService {
   Status TrySubmit(ObservationBatch batch);
 
   /// Submit with admission control: when a configured watermark
-  /// (SchedulerOptions::shed_queue_watermark / shed_backlog_watermark)
-  /// is crossed — or the queue is outright full — the batch is shed
-  /// with OutOfRange and `*retry_after_ms` (if non-null) is set to a
-  /// backoff hint derived from the observed relearn-cycle time and the
-  /// current queue + backlog depth. With admission control disabled
-  /// this is exactly Submit (blocking backpressure, no hint). The
-  /// COMMIT verb's ERR BUSY reply is built on this.
+  /// (FusionServiceOptions::shed_queue_watermark or
+  /// shed_backlog_watermark) is crossed — or the queue is outright full
+  /// — the batch is shed with OutOfRange and `*retry_after_ms` (if
+  /// non-null) is set to a backoff hint derived from the observed
+  /// relearn-cycle time and the current queue + backlog depth. With
+  /// admission control disabled this is exactly Submit (blocking
+  /// backpressure, no hint). The COMMIT verb's ERR BUSY reply is built
+  /// on this.
   Status SubmitWithBackpressure(ObservationBatch batch,
                                 int64_t* retry_after_ms);
 
@@ -313,18 +306,10 @@ class FusionService {
   /// Per-shard session counters as of the last completed driver step.
   std::vector<FusionSession::Stats> SessionStats() const;
 
-  /// Scheduler + admission-control state for the SCHED verb: config,
-  /// queue depth, relearn backlog, shed count, and the per-shard
-  /// priorities of the most recent decision cycle.
-  SchedulerInspection SchedStats() const;
-
-  /// The recorded relearn schedule: every (batch index, shard) relearn
-  /// the driver executed, in execution order. Empty unless
-  /// SchedulerOptions::record_schedule is set. Feeding this to
-  /// OfflineReplayWithSchedule over the same batches reproduces this
-  /// service's snapshots bit for bit — the determinism re-assertion for
-  /// runs whose decisions were shaped by live query traffic.
-  std::vector<RelearnEvent> RelearnSchedule() const;
+  /// Relearn + admission-control state for the SCHED verb: cycles run,
+  /// queue depth, relearn backlog, shed count, and per-shard pending
+  /// batches.
+  SchedInspection SchedStats() const;
 
   /// Refreshes the registry gauges that are cheaper to compute on
   /// demand than to maintain on the hot path (queue depth, snapshot
@@ -373,9 +358,6 @@ class FusionService {
     obs::LatencyHistogram* ingest_hist = nullptr;
     obs::LatencyHistogram* relearn_hist = nullptr;
     obs::LatencyHistogram* publish_hist = nullptr;
-    /// slimfast_serve_sched_priority{shard=...}, resolved at Create and
-    /// set after every decision cycle while obs::Enabled().
-    obs::Gauge* priority_gauge = nullptr;
   };
 
   FusionService(FusionServiceOptions options, int32_t num_sources,
@@ -393,21 +375,14 @@ class FusionService {
   /// replay); it anchors the shard staleness clock so queueing delay is
   /// part of the reported snapshot staleness.
   void ApplyBatch(const ObservationBatch& batch, int64_t arrival_ns = 0);
-  /// Relearns + publishes every shard with pending data (parallel
-  /// fan-out); `reason` feeds error messages. This is the flush path
-  /// (drain, stop, recovery) — it ignores the scheduler's budgets but
-  /// keeps its bookkeeping consistent via NoteFlush.
-  void FlushPending(const char* reason);
-  /// Relearns + publishes exactly the shards in `order`, draining them
-  /// in that order: under a serial executor the first entry's refreshed
-  /// snapshot is live before the second entry's relearn starts, which
-  /// is how a scheduler cycle gets the hottest shard fresh first. (With
-  /// a parallel executor the entries fan out in task-creation order.)
-  void RelearnShards(const std::vector<int32_t>& order, const char* reason);
+  /// Relearns + publishes every shard with pending data, fanned out in
+  /// shard-id order on the shard executor. Every relearn point runs it:
+  /// the every-K count trigger, drain, stop and recovery. `reason` feeds
+  /// error messages.
+  void RelearnShards(const char* reason);
   /// The count trigger, shared by the driver loop and recovery: at every
-  /// K-th applied batch, one scheduler decision cycle — sample per-shard
-  /// traffic, rank, and relearn the selected shards under the configured
-  /// budgets. `reason` feeds error messages.
+  /// K-th applied batch, one relearn cycle (RelearnShards). `reason`
+  /// feeds error messages.
   void CountTriggerRelearn(const char* reason);
   /// The driver's ~1 Hz flight-recorder tick: records the serve
   /// time-series and evaluates the watchdog. Rate-limited internally;
@@ -421,8 +396,6 @@ class FusionService {
   /// scaled by the current queue + backlog pressure, clamped to
   /// [1ms, 30s].
   int64_t RetryHintMs() const;
-  /// Feeds the per-shard traffic counter behind Query*.
-  void RecordShardTraffic(int32_t shard) const;
   void PublishInitialSnapshots();
   void UpdateSessionStatsLocked();
 
@@ -459,15 +432,6 @@ class FusionService {
   /// shard); 0 before the first. Feeds the snapshot-age gauge.
   mutable std::atomic<int64_t> last_publish_ns_{0};
 
-  /// The relearn decision engine. Owned by the driver after Create
-  /// (recovery touches it before the driver starts).
-  std::unique_ptr<RelearnScheduler> scheduler_;
-  /// Per-shard query counters feeding the scheduler's traffic signal.
-  /// Sharded so the query path stays wait-free and contention-free.
-  std::unique_ptr<obs::ShardedCounter[]> traffic_;
-  /// Driver-side baseline of `traffic_` at the previous decision cycle,
-  /// so each cycle sees the traffic delta, not the lifetime count.
-  std::vector<int64_t> last_traffic_;
   /// Sum of per-shard pending batches, maintained by the driver after
   /// every apply/relearn step; read by admission control and SCHED.
   std::atomic<int64_t> relearn_backlog_{0};
@@ -480,7 +444,7 @@ class FusionService {
   std::unique_ptr<std::atomic<int64_t>[]> pending_since_ns_;
   /// Queue depth at which admission control starts shedding, in batches
   /// (0 = queue watermark disabled). Precomputed from
-  /// scheduler.shed_queue_watermark at Create.
+  /// shed_queue_watermark at Create.
   size_t shed_queue_batches_ = 0;
 
   /// The SLO watchdog (always constructed; inert unless some ceiling in
@@ -500,13 +464,8 @@ class FusionService {
   mutable std::mutex state_mu_;
   FusionServiceStats stats_;                       // guarded by state_mu_
   std::vector<FusionSession::Stats> session_stats_;  // guarded by state_mu_
-  /// Copy of the scheduler's per-shard state as of the last decision
-  /// cycle, exported to SchedStats(). Guarded by state_mu_.
-  std::vector<ShardSchedState> sched_state_;
+  /// Count-trigger relearn cycles run, exported to SchedStats().
   int64_t sched_cycles_ = 0;  // guarded by state_mu_
-  /// The recorded relearn schedule (record_schedule only). Guarded by
-  /// state_mu_.
-  std::vector<RelearnEvent> schedule_log_;
 
   /// Serializes driver join: every path that needs shutdown to have
   /// completed (Stop, Drain-after-stop, the destructor) joins under
@@ -526,30 +485,11 @@ class FusionService {
 /// Submit… + Drain + Stop produces) — and returns the final per-shard
 /// snapshots. `FusionService` must match these bit for bit; with
 /// `options.num_shards == 1` the result is the plain single-session
-/// offline run of the whole stream. The oracle runs the same
-/// RelearnScheduler with a zero traffic signal, which is exactly what a
-/// live service that served no queries computes — and, with unlimited
-/// budgets, what any live service computes (a budgeted run *with*
-/// queries is verified via its recorded schedule — see
-/// OfflineReplayWithSchedule).
+/// offline run of the whole stream.
 Result<std::vector<FusionSnapshotPtr>> OfflineShardedReplay(
     int32_t num_sources, int32_t num_objects, int32_t num_values,
     const FusionServiceOptions& options,
     const std::vector<ObservationBatch>& batches,
-    FeatureSpace features = FeatureSpace());
-
-/// Replays `batches` through offline per-shard sessions, executing a
-/// relearn for shard `e.shard` right after the `e.batch_index`-th batch
-/// for every event `e` of `schedule` (in log order), with no other
-/// relearn triggers. Feeding a live run's RelearnSchedule() back in
-/// reproduces that run's final snapshots bit for bit even when the
-/// live decisions were shaped by query traffic — the schedule, once
-/// recorded, is a pure input.
-Result<std::vector<FusionSnapshotPtr>> OfflineReplayWithSchedule(
-    int32_t num_sources, int32_t num_objects, int32_t num_values,
-    const FusionServiceOptions& options,
-    const std::vector<ObservationBatch>& batches,
-    const std::vector<RelearnEvent>& schedule,
     FeatureSpace features = FeatureSpace());
 
 }  // namespace slimfast

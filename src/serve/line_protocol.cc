@@ -390,24 +390,15 @@ std::string LineProtocol::HandleLineInner(const std::string& line,
 
   if (command == "SCHED") {
     if (!args.empty()) return "ERR usage: SCHED";
-    const SchedulerInspection sched = service_->SchedStats();
-    std::string reply =
-        "SCHED warm_budget=" + std::to_string(sched.warm_budget);
-    reply += " cold_budget=" + std::to_string(sched.cold_budget);
-    reply += " max_defer=" + std::to_string(sched.max_deferred_cycles);
-    reply += " cycles=" + std::to_string(sched.cycles);
+    const SchedInspection sched = service_->SchedStats();
+    std::string reply = "SCHED cycles=" + std::to_string(sched.cycles);
     reply += " queue_depth=" + std::to_string(sched.queue_depth);
     reply += " queue_capacity=" + std::to_string(sched.queue_capacity);
     reply += " backlog=" + std::to_string(sched.backlog);
     reply += " sheds=" + std::to_string(sched.sheds);
-    for (size_t s = 0; s < sched.shards.size(); ++s) {
-      const ShardSchedState& shard = sched.shards[s];
+    for (size_t s = 0; s < sched.pending.size(); ++s) {
       reply += " shard" + std::to_string(s) +
-               "=prio:" + FormatDouble(shard.priority) +
-               ",pending:" + std::to_string(shard.pending) +
-               ",traffic:" + std::to_string(shard.traffic) +
-               ",deferred:" + std::to_string(shard.deferred_cycles) +
-               ",selections:" + std::to_string(shard.selections);
+               "=pending:" + std::to_string(sched.pending[s]);
     }
     return reply;
   }

@@ -34,8 +34,8 @@ namespace slimfast {
 ///                                   "# EOF" terminated
 ///   SLOW [n]                        slow-operation exemplars -> multi-line,
 ///                                   "# EOF" terminated
-///   SCHED                           scheduler + admission    -> SCHED ...
-///                                   state (per-shard priorities)
+///   SCHED                           relearn + admission      -> SCHED ...
+///                                   state (per-shard pending)
 ///   CHECKPOINT                      durable checkpoint + WAL -> OK
 ///                                   truncation (needs wal_dir)
 ///   DRAIN                           block until applied      -> OK
@@ -43,10 +43,10 @@ namespace slimfast {
 ///
 /// Malformed or unknown input gets a single `ERR <reason>` reply and
 /// leaves all state unchanged. When admission control is configured
-/// (see SchedulerOptions) an over-watermark COMMIT is shed with
-/// `ERR BUSY retry_after_ms=<hint> ...` and the client's buffer is
-/// kept for retry. Queries go straight to the wait-free snapshot path;
-/// only COMMIT/DRAIN touch the ingest pipeline.
+/// (the shed watermarks of FusionServiceOptions) an over-watermark
+/// COMMIT is shed with `ERR BUSY retry_after_ms=<hint> ...` and the
+/// client's buffer is kept for retry. Queries go straight to the
+/// wait-free snapshot path; only COMMIT/DRAIN touch the ingest pipeline.
 ///
 /// The full protocol reference (grammar, reply shapes, ordering and
 /// ack semantics, a worked transcript) lives in docs/PROTOCOL.md.

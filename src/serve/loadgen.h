@@ -6,7 +6,6 @@
 
 #include "data/dataset.h"
 #include "exec/options.h"
-#include "serve/scheduler.h"
 #include "util/result.h"
 
 namespace slimfast {
@@ -128,137 +127,6 @@ struct LoadgenReport {
 /// merged predictions are scored against the dataset truth.
 Result<LoadgenReport> RunLoadgen(const Dataset& dataset,
                                  const LoadgenOptions& options);
-
-/// The skewed scenario's default budgeted policy: warm 2 / cold 1 /
-/// max-defer 4, tight enough that the budgets bind on a dozen shards.
-inline SchedulerOptions BudgetedPhaseDefaults() {
-  SchedulerOptions policy;
-  policy.warm_budget_per_cycle = 2;
-  policy.cold_budget_per_cycle = 1;
-  policy.max_deferred_cycles = 4;
-  return policy;
-}
-
-/// Configuration of the skewed (Zipfian) scheduler comparison scenario
-/// (see RunSkewedLoadgen).
-struct SkewedLoadgenOptions {
-  /// Shards of the services under test. More shards widen the gap
-  /// between unlimited budgets (every pending shard relearns per
-  /// trigger) and the budgeted scheduler (a budget's worth).
-  int32_t num_shards = 12;
-  /// Ingest batches the dataset is replayed as (each one is a relearn
-  /// trigger when relearn_every_batches == 1).
-  int32_t num_chunks = 16;
-  /// Concurrent Zipfian query threads. Their queries feed the
-  /// scheduler's per-shard traffic counters.
-  int32_t reader_threads = 2;
-  /// Zipf exponent of the readers' object popularity (1.0–1.5 is the
-  /// usual skew range; higher concentrates more mass on the hot shard).
-  double zipf_exponent = 1.1;
-  /// Relearn trigger period, in batches, for both phases.
-  int32_t relearn_every_batches = 1;
-  /// Pause between writer chunks, in milliseconds. The pacing gives the
-  /// single-core readers guaranteed slices of the ingest window (their
-  /// staleness samples cover it) and lets relearn cycles land between
-  /// batches.
-  int32_t writer_pause_ms = 5;
-  /// After each chunk the writer additionally waits (bounded, ~1s) until
-  /// the readers issued this many further queries, so a starved reader
-  /// pool on a loaded box cannot leave a phase without staleness
-  /// samples. 0 disables the wait.
-  int64_t min_queries_per_chunk = 200;
-  /// Seed for the shard sessions and the readers' Zipf streams.
-  uint64_t seed = 42;
-  /// Cross-check both phases against their offline oracles: the
-  /// unlimited phase against OfflineShardedReplay, the budgeted phase
-  /// against OfflineReplayWithSchedule over its recorded relearn
-  /// schedule.
-  bool verify = true;
-  /// Budgeted phase policy. `record_schedule` is forced on by the
-  /// runner and the watermarks off; budgets are taken as given.
-  SchedulerOptions scheduler = BudgetedPhaseDefaults();
-  /// Thread budget for the services' shard fan-out (equal for both
-  /// phases — the comparison is at equal CPU).
-  ExecOptions exec;
-};
-
-/// What one policy phase (unlimited or budgeted) of the skewed scenario
-/// measured.
-struct PolicyPhaseReport {
-  /// Wall-clock of submit-first-chunk → drain-complete.
-  double wall_seconds = 0.0;
-  /// Queries issued across all readers during the ingest window.
-  int64_t total_queries = 0;
-  /// The subset of total_queries that routed to the hot shard.
-  int64_t hot_queries = 0;
-  /// Relearns the service performed.
-  int64_t relearns = 0;
-  /// Hot-shard snapshot staleness percentiles, in seconds: every reader
-  /// query samples the age of the hot shard's oldest unabsorbed batch
-  /// (0 when the shard is fully absorbed), so the percentiles describe
-  /// how stale the hot shard's served snapshot was across the ingest
-  /// window. Wall-clock and therefore load-dependent — informational
-  /// color, not the gate (see hot_version_lag_mean).
-  LatencySummary hot_staleness;
-  /// Mean hot-shard *version lag* over the phase's executed relearn
-  /// cycles, derived from the recorded relearn schedule: after each
-  /// cycle, how many cycles have passed since the hot shard was last
-  /// relearned (0 when the cycle included it). A pure function of the
-  /// policy's decisions at its opportunity points — deterministic on
-  /// any box at any load — which is why the scenario gate compares
-  /// this, not the wall-clock staleness. Unlimited budgets score 0 by
-  /// construction; a scheduler deferring the hot shard accumulates lag.
-  double hot_version_lag_mean = 0.0;
-  /// Largest per-cycle hot-shard version lag (same units as the mean).
-  /// The scheduler's deferral bound caps this at max_deferred_cycles —
-  /// the invariant the scenario gate checks.
-  double hot_version_lag_max = 0.0;
-  /// Whether the phase's offline cross-check ran / passed.
-  bool verify_ran = false;
-  /// See verify_ran.
-  bool verified = false;
-};
-
-/// What RunSkewedLoadgen measured (see the per-field docs).
-struct SkewedLoadgenReport {
-  /// Shard receiving the largest share of the Zipfian query mass.
-  int32_t hot_shard = 0;
-  /// That shard's share of the query mass, in [0, 1].
-  double hot_shard_mass = 0.0;
-  /// The unlimited-budget phase (every pending shard relearns at every
-  /// trigger — the default service configuration).
-  PolicyPhaseReport flat;
-  /// The budgeted phase (traffic-aware budgeted relearns).
-  PolicyPhaseReport sched;
-  /// Batches shed by the deterministic admission-control exercise.
-  int64_t admission_sheds = 0;
-  /// The retry hint (ms) the last shed reply carried.
-  int64_t shed_retry_hint_ms = 0;
-  /// The scenario's headline gate, fully deterministic (invariants of
-  /// the policies, independent of box load): the unlimited phase's hot
-  /// version lag is 0, the budgeted phase's max hot version lag stayed
-  /// within its deferral bound (max_deferred_cycles), and the budgeted
-  /// phase performed strictly fewer relearns. All derived from the recorded
-  /// relearn schedules.
-  bool gate_passed = false;
-};
-
-/// The scheduler's proof-of-value scenario: replays `dataset` twice with
-/// an identical chunk schedule, pacing, and thread budget — once with
-/// unlimited relearn budgets, once under the budgeted scheduler —
-/// while Zipfian readers concentrate query traffic on one hot shard and
-/// sample that shard's snapshot staleness on every query. At equal CPU
-/// the budgets must keep the hot shard fresh for less work: the
-/// report's `gate_passed` asserts unlimited hot version lag == 0,
-/// budgeted max hot version lag within the deferral bound, and strictly
-/// fewer budgeted relearns — all derived from the recorded relearn
-/// schedules, so the gate cannot flake under load (wall-clock staleness
-/// percentiles are reported as color). Both phases are cross-checked
-/// against their offline replay oracles (the determinism contract), and
-/// a final deterministic admission-control exercise drives a COMMIT-path
-/// shed to prove the ERR BUSY backpressure path end to end.
-Result<SkewedLoadgenReport> RunSkewedLoadgen(
-    const Dataset& dataset, const SkewedLoadgenOptions& options);
 
 }  // namespace slimfast
 

@@ -156,14 +156,13 @@ TEST(PropertyTest, RunInvariantsThreadsSimd) {
 
 /// The sharded batch-ERM path and the accuracy-loss ERM fit (the
 /// per-source-count solver, then the calibration pass) are not exercised
-/// by the default presets; sweep them (and forced EM on alternate
-/// universes) on a smaller universe budget with both variations.
+/// by the default presets; sweep both on every universe of a smaller
+/// universe budget with both variations.
 TEST(PropertyTest, RunInvariantsBatchLearners) {
   const bool wide_default = simd::WideEnabled();
   for (uint64_t seed = 0; seed < kNumUniverses; seed += 4) {
     Dataset dataset = RandomUniverse(seed);
     TrainTestSplit split = UniverseSplit(dataset);
-    const bool em = (seed / 4) % 2 == 0;
     for (const bool accuracy_loss : {false, true}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    (accuracy_loss ? " accuracy-loss ERM" : ""));
@@ -175,7 +174,7 @@ TEST(PropertyTest, RunInvariantsBatchLearners) {
           return MakeSlimFastErm(options);
         }
         options.erm.batch = true;
-        return em ? MakeSlimFastEm(options) : MakeSlimFastErm(options);
+        return MakeSlimFastErm(options);
       };
       auto baseline = make(1)->Run(dataset, split, seed).ValueOrDie();
       auto threaded = make(4)->Run(dataset, split, seed).ValueOrDie();

@@ -251,49 +251,33 @@ TEST(LineProtocolTest, QueryOutsideUniverseIsNone) {
   service->Stop();
 }
 
-TEST(LineProtocolTest, SchedVerbReportsPolicyAndPerShardState) {
-  // Default options: budgets 0 (unlimited), and every K boundary is a
-  // decision cycle.
-  {
-    std::unique_ptr<FusionService> service = MakeFigure1Service();
-    LineProtocol protocol(service.get());
-    EXPECT_EQ(protocol.HandleLine("OBS 0 0 0"), "OK");
-    EXPECT_EQ(protocol.HandleLine("COMMIT"), "OK 1 0");
-    EXPECT_EQ(protocol.HandleLine("DRAIN"), "OK");
-    const std::string reply = protocol.HandleLine("SCHED");
-    EXPECT_EQ(reply.rfind("SCHED warm_budget=0 cold_budget=0 ", 0), 0u)
-        << reply;
-    EXPECT_NE(reply.find(" cycles=1 "), std::string::npos) << reply;
-    EXPECT_NE(reply.find(" queue_depth="), std::string::npos) << reply;
-    EXPECT_NE(reply.find(" backlog="), std::string::npos) << reply;
-    EXPECT_NE(reply.find(" sheds=0"), std::string::npos) << reply;
-    EXPECT_NE(reply.find(" shard0=prio:"), std::string::npos) << reply;
-    EXPECT_NE(reply.find(" shard1=prio:"), std::string::npos) << reply;
-    EXPECT_EQ(protocol.HandleLine("SCHED now"), "ERR usage: SCHED");
-    service->Stop();
-  }
-  // Budgeted service: configured budgets echoed, cycles advance once
-  // ingest triggers decision cycles.
-  Dataset dataset = MakeFigure1Dataset();
-  FusionServiceOptions options;
-  options.num_shards = 2;
-  options.relearn_every_batches = 1;
-  options.scheduler.warm_budget_per_cycle = 3;
-  options.scheduler.cold_budget_per_cycle = 2;
-  auto service = FusionService::Create(dataset.num_sources(),
-                                       dataset.num_objects(),
-                                       dataset.num_values(), options,
-                                       dataset.features())
-                     .ValueOrDie();
+TEST(LineProtocolTest, SchedVerbReportsCyclesAndPerShardPending) {
+  std::unique_ptr<FusionService> service = MakeFigure1Service();
   LineProtocol protocol(service.get());
   EXPECT_EQ(protocol.HandleLine("OBS 0 0 0"), "OK");
   EXPECT_EQ(protocol.HandleLine("COMMIT"), "OK 1 0");
   EXPECT_EQ(protocol.HandleLine("DRAIN"), "OK");
-  const std::string reply = protocol.HandleLine("SCHED");
-  EXPECT_EQ(reply.rfind("SCHED warm_budget=3 cold_budget=2 ", 0), 0u)
+  std::string reply = protocol.HandleLine("SCHED");
+  EXPECT_EQ(reply.rfind("SCHED cycles=1 queue_depth=", 0), 0u) << reply;
+  EXPECT_NE(reply.find(" queue_capacity="), std::string::npos) << reply;
+  EXPECT_NE(reply.find(" backlog=0 sheds=0 "), std::string::npos) << reply;
+  EXPECT_NE(reply.find(" shard0=pending:0"), std::string::npos) << reply;
+  EXPECT_NE(reply.find(" shard1=pending:0"), std::string::npos) << reply;
+  EXPECT_EQ(protocol.HandleLine("SCHED now"), "ERR usage: SCHED");
+
+  // A truth label for object 1, whose shard holds no claims, stays
+  // pending: that shard has nothing to fit yet.
+  const int32_t shard = service->router().ShardOf(1);
+  ASSERT_NE(service->router().ShardOf(0), shard);
+  EXPECT_EQ(protocol.HandleLine("TRUTH 1 0"), "OK");
+  EXPECT_EQ(protocol.HandleLine("COMMIT"), "OK 0 1");
+  EXPECT_EQ(protocol.HandleLine("DRAIN"), "OK");
+  reply = protocol.HandleLine("SCHED");
+  EXPECT_NE(reply.find(" cycles=2 "), std::string::npos) << reply;
+  EXPECT_NE(reply.find(" backlog=1 "), std::string::npos) << reply;
+  EXPECT_NE(reply.find(" shard" + std::to_string(shard) + "=pending:1"),
+            std::string::npos)
       << reply;
-  EXPECT_NE(reply.find(" cycles=1 "), std::string::npos) << reply;
-  EXPECT_NE(reply.find(",selections:"), std::string::npos) << reply;
   service->Stop();
 }
 
@@ -303,7 +287,7 @@ TEST(LineProtocolTest, CommitShedsWithErrBusyAndKeepsTheBuffer) {
   options.num_shards = 2;
   options.relearn_every_batches = 1;
   // Backlog watermark 1: any standing relearn backlog sheds new ingest.
-  options.scheduler.shed_backlog_watermark = 1;
+  options.shed_backlog_watermark = 1;
   auto service = FusionService::Create(dataset.num_sources(),
                                        dataset.num_objects(),
                                        dataset.num_values(), options,
@@ -571,39 +555,6 @@ TEST(LoadgenTest, RejectsDegenerateConfigs) {
   options.num_chunks = 2;
   options.reader_threads = 0;
   EXPECT_FALSE(RunLoadgen(dataset, options).ok());
-}
-
-TEST(LoadgenTest, SkewedGateIsDeterministicVersionLag) {
-  // The scenario gate must hold on any box at any load: flat hot
-  // version lag is 0 by construction, the scheduler's max lag stays
-  // within its deferral bound, and the scheduler relearns strictly
-  // less. (The wall-clock staleness percentiles are reported but are
-  // deliberately NOT part of the gate — they flaked CI on 1-core
-  // boxes.)
-  Dataset dataset =
-      MakePlantedDataset({0.95, 0.85, 0.8, 0.7}, 48, 0.6, 11);
-  SkewedLoadgenOptions options;
-  options.num_shards = 4;
-  options.num_chunks = 6;
-  options.reader_threads = 2;
-  options.writer_pause_ms = 1;
-  options.min_queries_per_chunk = 50;
-  options.seed = 11;
-  options.verify = true;
-
-  SkewedLoadgenReport report =
-      RunSkewedLoadgen(dataset, options).ValueOrDie();
-  EXPECT_DOUBLE_EQ(report.flat.hot_version_lag_mean, 0.0);
-  EXPECT_DOUBLE_EQ(report.flat.hot_version_lag_max, 0.0);
-  EXPECT_LE(report.sched.hot_version_lag_max,
-            static_cast<double>(options.scheduler.max_deferred_cycles));
-  EXPECT_LT(report.sched.relearns, report.flat.relearns);
-  EXPECT_TRUE(report.gate_passed);
-  // Both phases still honor the determinism contract under the gate.
-  EXPECT_TRUE(report.flat.verify_ran);
-  EXPECT_TRUE(report.flat.verified);
-  EXPECT_TRUE(report.sched.verify_ran);
-  EXPECT_TRUE(report.sched.verified);
 }
 
 }  // namespace

@@ -402,58 +402,84 @@ TEST_F(RecoveryTest, TornFinalRecordRecoversTheAcknowledgedPrefix) {
 }
 
 TEST_F(RecoveryTest, CheckpointPlusTailRecoversAndTruncates) {
-  Dataset dataset = MakePlantedDataset({0.9, 0.85, 0.8}, 20, 0.7, 17);
-  std::vector<ObservationBatch> batches = ChunkDatasetForReplay(dataset, 5);
+  struct Shape {
+    Dataset dataset;
+    int32_t chunks;
+    int32_t num_shards;
+    int32_t relearn_every;
+    int32_t checkpoint_after;
+    /// Queries issued after every submit. They must not reach any
+    /// shard's model: recovery replays the log with no queries at all.
+    int32_t queries_per_submit;
+  };
+  const Shape shapes[] = {
+      {MakePlantedDataset({0.9, 0.85, 0.8}, 20, 0.7, 17), 5, 2, 2, 3, 0},
+      {MakePlantedDataset({0.95, 0.9, 0.85, 0.8, 0.7, 0.65}, 80, 0.6, 41),
+       16, 6, 1, 8, 50},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE("shards=" + std::to_string(shape.num_shards) +
+                 " chunks=" + std::to_string(shape.chunks));
+    fs::remove_all(dir_);
+    const Dataset& dataset = shape.dataset;
+    const std::vector<ObservationBatch> batches =
+        ChunkDatasetForReplay(dataset, shape.chunks);
+    const int32_t num_batches = static_cast<int32_t>(batches.size());
 
-  FusionServiceOptions options;
-  options.num_shards = 2;
-  options.relearn_every_batches = 2;
-  options.durability.wal_dir = dir_;
+    FusionServiceOptions options;
+    options.num_shards = shape.num_shards;
+    options.relearn_every_batches = shape.relearn_every;
+    options.durability.wal_dir = dir_;
 
-  std::vector<FusionSnapshotPtr> live;
-  {
-    std::unique_ptr<FusionService> service =
-        FusionService::Create(dataset.num_sources(), dataset.num_objects(),
-                              dataset.num_values(), options,
-                              dataset.features())
+    std::vector<FusionSnapshotPtr> live;
+    {
+      std::unique_ptr<FusionService> service =
+          FusionService::Create(dataset.num_sources(),
+                                dataset.num_objects(), dataset.num_values(),
+                                options, dataset.features())
+              .ValueOrDie();
+      for (int32_t i = 0; i < num_batches; ++i) {
+        if (i == shape.checkpoint_after) {
+          SLIMFAST_CHECK_OK(service->Checkpoint());
+        }
+        SLIMFAST_CHECK_OK(service->Submit(batches[static_cast<size_t>(i)]));
+        for (int32_t q = 0; q < shape.queries_per_submit; ++q) {
+          (void)service->Query(q % 3);
+        }
+      }
+      SLIMFAST_CHECK_OK(service->Drain());
+      live = service->AllSnapshots();
+      service->Stop();
+    }
+
+    // The checkpoint truncated the log: only the tail remains on disk,
+    // and the manifest records the batches applied before it.
+    const uint64_t checkpointed =
+        static_cast<uint64_t>(shape.checkpoint_after);
+    WalScan scan = ScanWal(dir_).ValueOrDie();
+    ASSERT_FALSE(scan.segments.empty());
+    EXPECT_EQ(scan.segments.front().first_sequence, checkpointed + 1);
+    EXPECT_EQ(scan.next_sequence, static_cast<uint64_t>(num_batches) + 1);
+    CheckpointManifest manifest = ReadManifest(dir_).ValueOrDie();
+    EXPECT_EQ(manifest.applied_batches, checkpointed);
+    EXPECT_EQ(manifest.num_shards, shape.num_shards);
+
+    // Snapshot + tail replay lands on the same state as the live run and
+    // the from-scratch offline replay of the full stream.
+    std::vector<FusionSnapshotPtr> offline =
+        OfflineShardedReplay(dataset.num_sources(), dataset.num_objects(),
+                             dataset.num_values(), options, batches,
+                             dataset.features())
             .ValueOrDie();
-    for (int32_t i = 0; i < 3; ++i) {
-      SLIMFAST_CHECK_OK(service->Submit(batches[static_cast<size_t>(i)]));
-    }
-    SLIMFAST_CHECK_OK(service->Checkpoint());
-    for (int32_t i = 3; i < 5; ++i) {
-      SLIMFAST_CHECK_OK(service->Submit(batches[static_cast<size_t>(i)]));
-    }
-    SLIMFAST_CHECK_OK(service->Drain());
-    live = service->AllSnapshots();
-    service->Stop();
+    ExpectSnapshotsBitIdentical(live, offline);
+    std::unique_ptr<FusionService> recovered =
+        FusionService::Recover(dir_, dataset.num_sources(),
+                               dataset.num_objects(), dataset.num_values(),
+                               options, dataset.features())
+            .ValueOrDie();
+    ExpectSnapshotsBitIdentical(recovered->AllSnapshots(), offline);
+    recovered->Stop();
   }
-
-  // The checkpoint truncated the log: only the tail (records 4..5)
-  // remains on disk, and the manifest records 3 applied batches.
-  WalScan scan = ScanWal(dir_).ValueOrDie();
-  ASSERT_FALSE(scan.segments.empty());
-  EXPECT_EQ(scan.segments.front().first_sequence, 4u);
-  EXPECT_EQ(scan.next_sequence, 6u);
-  CheckpointManifest manifest = ReadManifest(dir_).ValueOrDie();
-  EXPECT_EQ(manifest.applied_batches, 3u);
-  EXPECT_EQ(manifest.num_shards, 2);
-
-  // Snapshot + tail replay lands on the same state as the live run and
-  // the from-scratch offline replay of the full stream.
-  std::vector<FusionSnapshotPtr> offline =
-      OfflineShardedReplay(dataset.num_sources(), dataset.num_objects(),
-                           dataset.num_values(), options, batches,
-                           dataset.features())
-          .ValueOrDie();
-  ExpectSnapshotsBitIdentical(live, offline);
-  std::unique_ptr<FusionService> recovered =
-      FusionService::Recover(dir_, dataset.num_sources(),
-                             dataset.num_objects(), dataset.num_values(),
-                             options, dataset.features())
-          .ValueOrDie();
-  ExpectSnapshotsBitIdentical(recovered->AllSnapshots(), offline);
-  recovered->Stop();
 }
 
 TEST_F(RecoveryTest, CheckpointOnlyRecoveryContinuesLikeADrainedService) {

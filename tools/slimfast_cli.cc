@@ -55,9 +55,9 @@
 // ingest and relearning), reports QPS and p50/p95/p99 query latency,
 // and cross-checks the final sharded snapshots against the offline replay
 // (the sharded-replay determinism contract). It then gates the metrics
-// overhead on query p99 and runs the skewed-scheduler scenario; any
-// failed check is a non-zero exit. The repository benchmark
-// (slimbench/) measures the service; loadgen writes no report file.
+// overhead on query p99; any failed check is a non-zero exit. The
+// repository benchmark (slimbench/) measures the service; loadgen writes
+// no report file.
 
 #include <algorithm>
 #include <array>
@@ -67,7 +67,6 @@
 #include <filesystem>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -133,7 +132,7 @@ struct CliOptions {
   bool help = false;
   /// Worker threads; 0 defers to SLIMFAST_THREADS (default 1).
   int32_t threads = 0;
-  /// Shrink the loadgen scenario to CI size (same phases and gates).
+  /// Shrink the loadgen scenario to CI size (same gates).
   bool quick = false;
   /// Number of replay/loadgen ingest batches.
   int32_t chunks = 8;
@@ -158,16 +157,6 @@ struct CliOptions {
   /// serve/loadgen/replay: write a chrome://tracing JSON timeline of the
   /// run's stage spans here ("" = tracing off).
   std::string trace_out;
-  /// serve/loadgen: warm-queue relearn budget per decision cycle. Unset
-  /// keeps the subcommand's default: unlimited (0) for serve, the
-  /// budgeted phase's 2 for loadgen.
-  std::optional<int32_t> sched_warm_budget;
-  /// serve/loadgen: cold-queue (first-fit) relearn budget per cycle
-  /// (unset: 0 for serve, 1 for loadgen).
-  std::optional<int32_t> sched_cold_budget;
-  /// serve/loadgen: cycles a pending shard may lose before it is forced
-  /// (unset: 4).
-  std::optional<int32_t> sched_max_defer;
   /// serve: shed COMMITs once the ingest queue holds this fraction of
   /// its capacity (0 = no queue watermark).
   double shed_queue_watermark = 0.0;
@@ -238,11 +227,9 @@ void PrintUsage(std::FILE* stream) {
                "                    [--shards N] [--relearn-every K] "
                "[--preload]\n"
                "                    [--wal-dir DIR] [--fsync-every N]\n"
-               "                    [--sched-warm-budget N] "
-               "[--sched-cold-budget N]\n"
-               "                    [--sched-max-defer N] "
-               "[--shed-queue-watermark F]\n"
-               "                    [--shed-backlog N] [--event-log FILE]\n"
+               "                    [--shed-queue-watermark F] "
+               "[--shed-backlog N]\n"
+               "                    [--event-log FILE]\n"
                "                    [--slo-query-p99 S] [--slo-staleness S] "
                "[--slo-stall S]\n"
                "                    [--slo-queue F]\n"
@@ -295,17 +282,6 @@ void PrintUsage(std::FILE* stream) {
                "every N batches\n"
                "                       (default 1 = every batch; 0 = "
                "never)\n"
-               "  --sched-warm-budget N  warm (has-model) relearns per "
-               "decision cycle\n"
-               "                       (0 = unlimited; default serve 0, "
-               "loadgen 2)\n"
-               "  --sched-cold-budget N  cold (first-fit) relearns per "
-               "decision cycle\n"
-               "                       (0 = unlimited; default serve 0, "
-               "loadgen 1)\n"
-               "  --sched-max-defer N  cycles a pending shard may lose "
-               "before it is\n"
-               "                       forced past the budget (default 4)\n"
                "  --shed-queue-watermark F  serve: shed COMMITs (ERR BUSY) "
                "once the ingest\n"
                "                       queue holds >= F of its capacity "
@@ -372,7 +348,6 @@ struct Flag {
   std::variant<bool CliOptions::*, std::string CliOptions::*,
                int32_t CliOptions::*, int64_t CliOptions::*,
                uint64_t CliOptions::*, double CliOptions::*,
-               std::optional<int32_t> CliOptions::*,
                std::array<int32_t, 3> CliOptions::*>
       field;
 };
@@ -390,9 +365,6 @@ const Flag kFlags[] = {
     {"--trace-out", kSubcommands, &CliOptions::trace_out},
     {"--shards", kServeOrLoadgen, &CliOptions::shards},
     {"--relearn-every", kServeOrLoadgen, &CliOptions::relearn_every},
-    {"--sched-warm-budget", kServeOrLoadgen, &CliOptions::sched_warm_budget},
-    {"--sched-cold-budget", kServeOrLoadgen, &CliOptions::sched_cold_budget},
-    {"--sched-max-defer", kServeOrLoadgen, &CliOptions::sched_max_defer},
     {"--dims", kServe, &CliOptions::dims},
     {"--preload", kServe, &CliOptions::preload},
     {"--wal-dir", kServe, &CliOptions::wal_dir},
@@ -440,9 +412,6 @@ bool ParseFlag(const Flag& flag, int argc, char** argv, int* i,
             if (!value_of(&text)) return false;
             options->*field = text;
             return true;
-          },
-          [&](std::optional<int32_t> CliOptions::*field) {
-            return number_of(&(options->*field).emplace());
           },
           [&](std::array<int32_t, 3> CliOptions::*field) {
             if (*i + 3 >= argc) {
@@ -779,15 +748,8 @@ int RunServe(const CliOptions& options) {
   service_options.relearn_every_batches = options.relearn_every;
   service_options.session.seed = options.seed;
   service_options.shard_exec.threads = options.threads;
-  SchedulerOptions& sched = service_options.scheduler;
-  sched.warm_budget_per_cycle =
-      options.sched_warm_budget.value_or(sched.warm_budget_per_cycle);
-  sched.cold_budget_per_cycle =
-      options.sched_cold_budget.value_or(sched.cold_budget_per_cycle);
-  sched.max_deferred_cycles =
-      options.sched_max_defer.value_or(sched.max_deferred_cycles);
-  sched.shed_queue_watermark = options.shed_queue_watermark;
-  sched.shed_backlog_watermark = options.shed_backlog;
+  service_options.shed_queue_watermark = options.shed_queue_watermark;
+  service_options.shed_backlog_watermark = options.shed_backlog;
   service_options.slo.query_p99_ceiling_seconds = options.slo_query_p99;
   service_options.slo.staleness_ceiling_seconds = options.slo_staleness;
   service_options.slo.relearn_stall_seconds = options.slo_stall;
@@ -825,19 +787,17 @@ int RunServe(const CliOptions& options) {
 
   std::fprintf(stderr,
                "slimfast serve: %d sources, %d objects, %d values across "
-               "%d shard(s); relearn every %d batch(es), budgets per "
-               "cycle warm %d / cold %d (0 = unlimited)\n"
+               "%d shard(s); relearn every %d batch(es)\n"
                "commands: OBS TRUTH COMMIT QUERY POSTERIOR STATS METRICS "
                "HEALTH HISTORY EVENTS SLOW SCHED CHECKPOINT DRAIN QUIT\n",
                num_sources, num_objects, num_values, service->num_shards(),
-               options.relearn_every, sched.warm_budget_per_cycle,
-               sched.cold_budget_per_cycle);
-  if (sched.admission_enabled()) {
+               options.relearn_every);
+  if (options.shed_queue_watermark > 0.0 || options.shed_backlog > 0) {
     std::fprintf(stderr,
                  "admission control: shedding COMMITs at queue watermark "
                  "%.2f / backlog %lld (ERR BUSY + retry hint)\n",
-                 sched.shed_queue_watermark,
-                 static_cast<long long>(sched.shed_backlog_watermark));
+                 options.shed_queue_watermark,
+                 static_cast<long long>(options.shed_backlog));
   }
   {
     const obs::SloWatchdogOptions& slo = service_options.slo;
@@ -868,7 +828,7 @@ int RunServe(const CliOptions& options) {
 /// The `loadgen` subcommand: mixed ingest/query workload against a
 /// FusionService, QPS + latency percentiles on stdout, and the
 /// offline-replay cross-check. Non-zero exit on a failed cross-check, any
-/// out-of-universe read, or a failed overhead or scheduler gate.
+/// out-of-universe read, or a failed overhead gate.
 int RunLoadgenCli(const CliOptions& options) {
   auto loaded = LoadCliDataset(options);
   if (!loaded.ok()) {
@@ -881,7 +841,7 @@ int RunLoadgenCli(const CliOptions& options) {
   LoadgenOptions loadgen_options;
   loadgen_options.num_shards = options.shards;
   // --quick is the CI-sized scenario: fewer chunks/readers and a smaller
-  // latency sample, same phases, same gates.
+  // latency sample, same gates.
   loadgen_options.num_chunks = options.quick ? 6 : options.chunks;
   loadgen_options.reader_threads = options.quick ? 2 : options.readers;
   loadgen_options.min_queries_per_reader = options.quick ? 500 : 5000;
@@ -941,63 +901,6 @@ int RunLoadgenCli(const CliOptions& options) {
                 report.overhead_gate_passed ? "passed" : "FAILED");
   }
 
-  // --- Skewed (Zipfian) scheduler scenario: same chunks, same pacing,
-  // same thread budget, unlimited vs budgeted relearns; the gate is the
-  // hot-shard version lag and the relearn count. ---
-  SkewedLoadgenOptions skew_options;
-  skew_options.num_shards = options.quick ? 8 : 12;
-  skew_options.num_chunks = options.quick ? 8 : 16;
-  skew_options.reader_threads = 2;
-  skew_options.writer_pause_ms = options.quick ? 3 : 5;
-  skew_options.min_queries_per_chunk = options.quick ? 100 : 200;
-  skew_options.seed = options.seed;
-  skew_options.verify = !options.no_verify;
-  SchedulerOptions& budgeted = skew_options.scheduler;
-  budgeted.warm_budget_per_cycle =
-      options.sched_warm_budget.value_or(budgeted.warm_budget_per_cycle);
-  budgeted.cold_budget_per_cycle =
-      options.sched_cold_budget.value_or(budgeted.cold_budget_per_cycle);
-  budgeted.max_deferred_cycles =
-      options.sched_max_defer.value_or(budgeted.max_deferred_cycles);
-  skew_options.exec.threads = options.threads;
-  auto skew_run = RunSkewedLoadgen(dataset, skew_options);
-  if (!skew_run.ok()) {
-    std::fprintf(stderr, "skewed scenario failed: %s\n",
-                 skew_run.status().ToString().c_str());
-    return 1;
-  }
-  const SkewedLoadgenReport& skew = skew_run.ValueOrDie();
-  std::printf("  skewed scenario: hot shard %d holds %.0f%% of the Zipf "
-              "query mass (%d shards, %d chunks)\n",
-              skew.hot_shard, skew.hot_shard_mass * 100.0,
-              skew_options.num_shards, skew_options.num_chunks);
-  auto print_phase = [](const char* name, const PolicyPhaseReport& phase) {
-    std::printf("    %-10s hot version lag %.2f mean / %.0f max cycles, "
-                "%lld relearns (staleness p50/p99 %.2f/%.2f ms over %lld "
-                "samples, %lld queries, %.3fs)\n",
-                name, phase.hot_version_lag_mean, phase.hot_version_lag_max,
-                static_cast<long long>(phase.relearns),
-                phase.hot_staleness.p50 * 1e3,
-                phase.hot_staleness.p99 * 1e3,
-                static_cast<long long>(phase.hot_staleness.count),
-                static_cast<long long>(phase.total_queries),
-                phase.wall_seconds);
-  };
-  print_phase("unlimited:", skew.flat);
-  print_phase("budgeted:", skew.sched);
-  std::printf("    gate (unlimited lag 0, budgeted max lag within deferral "
-              "bound, fewer relearns): %s\n",
-              skew.gate_passed ? "passed" : "FAILED");
-  std::printf("    admission: %lld batch(es) shed, retry hint %lld ms\n",
-              static_cast<long long>(skew.admission_sheds),
-              static_cast<long long>(skew.shed_retry_hint_ms));
-  if (skew.flat.verify_ran || skew.sched.verify_ran) {
-    std::printf("    offline cross-check: unlimited %s, budgeted "
-                "(recorded schedule) %s\n",
-                skew.flat.verified ? "bit-identical" : "DIFFERS",
-                skew.sched.verified ? "bit-identical" : "DIFFERS");
-  }
-
   if (report.overhead_ran && !report.overhead_gate_passed) {
     std::fprintf(stderr,
                  "loadgen: observability overhead gate FAILED (p99 %.3fus "
@@ -1005,25 +908,9 @@ int RunLoadgenCli(const CliOptions& options) {
                  report.overhead_base_p99_seconds * 1e6,
                  report.overhead_obs_p99_seconds * 1e6);
   }
-  if (!skew.gate_passed) {
-    std::fprintf(stderr,
-                 "loadgen: skewed scheduler gate FAILED (hot version lag: "
-                 "unlimited mean %.3f [must be 0], budgeted max %.0f "
-                 "[bound %d], relearns: budgeted %lld vs unlimited %lld "
-                 "[must be fewer])\n",
-                 skew.flat.hot_version_lag_mean,
-                 skew.sched.hot_version_lag_max,
-                 skew_options.scheduler.max_deferred_cycles,
-                 static_cast<long long>(skew.sched.relearns),
-                 static_cast<long long>(skew.flat.relearns));
-  }
-  const bool skew_verified =
-      (!skew.flat.verify_ran || skew.flat.verified) &&
-      (!skew.sched.verify_ran || skew.sched.verified);
   const bool ok = (!report.verify_ran || report.verified) &&
                   report.invalid_reads == 0 &&
-                  (!report.overhead_ran || report.overhead_gate_passed) &&
-                  skew.gate_passed && skew_verified;
+                  (!report.overhead_ran || report.overhead_gate_passed);
   return ok ? 0 : 1;
 }
 
