@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -20,23 +19,47 @@ namespace {
 using CopyPairIndex = std::unordered_map<int64_t, int32_t>;
 
 /// Accumulates sparse (param, coeff) pairs and emits them merged and
-/// sorted by param.
+/// sorted by param. A dense per-parameter buffer holds the sums and a
+/// list records the parameters touched, so a candidate costs its own
+/// terms. Each parameter's sum starts at 0.0 and adds its terms in
+/// insertion order, which fixes its bits.
 class TermAccumulator {
  public:
-  void Add(ParamId param, double coeff) { coeffs_[param] += coeff; }
+  /// Sizes the buffer for parameter ids below `num_params`.
+  void Reserve(int32_t num_params) {
+    if (sums_.size() < static_cast<size_t>(num_params)) {
+      sums_.resize(static_cast<size_t>(num_params), 0.0);
+      seen_.resize(static_cast<size_t>(num_params), 0);
+    }
+  }
+
+  void Add(ParamId param, double coeff) {
+    const size_t p = static_cast<size_t>(param);
+    if (seen_[p] == 0) {
+      seen_[p] = 1;
+      touched_.push_back(param);
+    }
+    sums_[p] += coeff;
+  }
 
   /// Appends the merged terms (zero coefficients dropped) and resets.
   void Finish(std::vector<double>* coeff, std::vector<ParamId>* param) {
-    for (const auto& [p, c] : coeffs_) {
+    std::sort(touched_.begin(), touched_.end());
+    for (ParamId p : touched_) {
+      const double c = sums_[static_cast<size_t>(p)];
+      sums_[static_cast<size_t>(p)] = 0.0;
+      seen_[static_cast<size_t>(p)] = 0;
       if (c == 0.0) continue;
       coeff->push_back(c);
       param->push_back(p);
     }
-    coeffs_.clear();
+    touched_.clear();
   }
 
  private:
-  std::map<ParamId, double> coeffs_;
+  std::vector<double> sums_;
+  std::vector<uint8_t> seen_;
+  std::vector<ParamId> touched_;
 };
 
 /// Selects the copying source pairs: pairs whose agreeing co-observations
@@ -157,7 +180,9 @@ void AppendRow(const ObservationStore& store, ObjectId object,
   const double claim_offset =
       domain.size() > 2 ? std::log(static_cast<double>(domain.size()) - 1.0)
                         : 0.0;
-  TermAccumulator acc;
+  // One buffer per thread, reused across rows; Finish leaves it zeroed.
+  thread_local TermAccumulator acc;
+  acc.Reserve(model.layout.num_params);
   for (int64_t k = domain.begin; k < domain.end; ++k) {
     const ValueId d = store.domain_values()[static_cast<size_t>(k)];
     double offset = 0.0;

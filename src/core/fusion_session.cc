@@ -195,11 +195,8 @@ Result<RelearnStats> FusionSession::Relearn() {
                              has_model() ? &weights_ : nullptr,
                              exec_.get()));
 
-  weights_ = fit.model.weights();
-  source_accuracies_ = fit.model.AllSourceAccuracies();
-  RefreshPosteriors(fit.model);
-  ++num_relearns_;
-  pending_batches_ = 0;
+  SLIMFAST_RETURN_NOT_OK(
+      Install(std::move(*fit.model.mutable_weights()), num_relearns_ + 1));
 
   RelearnStats stats;
   stats.algorithm_used = fit.algorithm_used;
@@ -212,6 +209,27 @@ Result<RelearnStats> FusionSession::Relearn() {
   stats.learn_objective = fit.learn_objective;
   last_relearn_seconds_ = stats.seconds;
   return stats;
+}
+
+Status FusionSession::Install(std::vector<double> weights,
+                              int32_t num_relearns) {
+  if (weights.size() !=
+          static_cast<size_t>(instance_->model->layout.num_params) ||
+      num_relearns < 1) {
+    return Status::InvalidArgument(
+        "installed relearn result does not fit the session: " +
+        std::to_string(weights.size()) + " weights for " +
+        std::to_string(instance_->model->layout.num_params) +
+        " parameters, relearn count " + std::to_string(num_relearns));
+  }
+  SlimFastModel model(instance_);
+  model.SetWeights(std::move(weights));
+  source_accuracies_ = model.AllSourceAccuracies();
+  RefreshPosteriors(model);
+  weights_ = std::move(*model.mutable_weights());
+  num_relearns_ = num_relearns;
+  pending_batches_ = 0;
+  return Status::OK();
 }
 
 void FusionSession::RefreshPosteriors(const SlimFastModel& model) {

@@ -156,7 +156,17 @@ class FusionSession {
   /// Refits the model on everything ingested so far: all objects with
   /// ingested truth are training data. Warm-starts from the previous
   /// weights once a model exists. Fails if nothing has been ingested yet.
+  /// Ends with Install(the fitted weights, num_relearns() + 1).
   Result<RelearnStats> Relearn();
+
+  /// Installs a relearn's result without re-running it: sets the weights
+  /// and the relearn count, derives the source accuracies (Eq. 3),
+  /// rescores the current instance's posteriors (Eq. 4) and clears
+  /// pending. Relearn() ends with this step, so installing the weights a
+  /// relearn produced, on the instance it was fit on, reproduces that
+  /// relearn bit for bit. InvalidArgument on weights mis-sized for the
+  /// parameter layout or a relearn count below 1.
+  Status Install(std::vector<double> weights, int32_t num_relearns);
 
   /// Current estimate for `object`: the last relearned model's MAP value,
   /// or kNoValue when the object has no observations (or nothing has been
@@ -233,8 +243,8 @@ class FusionSession {
                                     FeatureSpace features);
 
   /// Recomputes the MAP predictions and the flattened per-object
-  /// posteriors (and per-object confidence) from the freshly fit model,
-  /// scoring each row once; called by Relearn.
+  /// posteriors (and per-object confidence) from the installed model,
+  /// scoring each row once; called by Install.
   void RefreshPosteriors(const SlimFastModel& model);
 
   FusionSessionOptions options_;

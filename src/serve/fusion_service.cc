@@ -200,11 +200,67 @@ Status FusionService::RecoverFromDir(const FeatureSpace& features) {
     return manifest.status();
   }
 
+  // Each shard's last relearn the tail logged is installed at its point
+  // instead of re-run, and the shard's relearns before that point are
+  // skipped: the install overwrites everything they produce. A record at
+  // the checkpoint's own point may predate the checkpoint; installing it
+  // again changes nothing. Records of another shard count hold another
+  // partition's results and are ignored.
+  const int32_t num_shards = router_.num_shards();
+  std::vector<WalRelearnShard> logged(static_cast<size_t>(num_shards));
+  install_points_.assign(static_cast<size_t>(num_shards), -1);
+  SLIMFAST_RETURN_NOT_OK(ReplayWalRelearns(
+      dir, static_cast<uint64_t>(applied_batches_),
+      [&](const WalRelearnRecord& record) -> Status {
+        if (record.num_shards != num_shards) return Status::OK();
+        for (const WalRelearnShard& result : record.shards) {
+          install_points_[static_cast<size_t>(result.shard)] =
+              static_cast<int64_t>(record.point);
+          logged[static_cast<size_t>(result.shard)] = result;
+        }
+        return Status::OK();
+      }));
+  int64_t installed = 0;
+  auto install_due = [&]() -> Status {
+    const int64_t point = applied_batches_.load(std::memory_order_relaxed);
+    if (std::find(install_points_.begin(), install_points_.end(), point) ==
+        install_points_.end()) {
+      return Status::OK();
+    }
+    obs::Stage stage("serve.recover_install");
+    std::vector<Status> statuses(static_cast<size_t>(num_shards),
+                                 Status::OK());
+    RunSharded(&shard_exec_, num_shards, [&](int32_t s) {
+      if (install_points_[static_cast<size_t>(s)] != point) return;
+      WalRelearnShard& result = logged[static_cast<size_t>(s)];
+      statuses[static_cast<size_t>(s)] =
+          shards_[static_cast<size_t>(s)].session->Install(
+              std::move(result.weights), result.num_relearns);
+      shards_[static_cast<size_t>(s)].pending = 0;
+      pending_since_ns_[static_cast<size_t>(s)].store(
+          0, std::memory_order_relaxed);
+    });
+    for (int32_t s = 0; s < num_shards; ++s) {
+      if (!statuses[static_cast<size_t>(s)].ok()) {
+        return Status::IOError(
+            "wal relearn record of shard " + std::to_string(s) + " at " +
+            std::to_string(point) +
+            " does not fit: " + statuses[static_cast<size_t>(s)].ToString());
+      }
+      if (install_points_[static_cast<size_t>(s)] == point) ++installed;
+    }
+    StoreBacklog();
+    return Status::OK();
+  };
+
   // Replay the acknowledged tail with the live driver's schedule: apply
-  // in sequence order, relearn on the same every-K boundaries, then run
-  // the drain-equivalent final relearn — so the recovered snapshots are
-  // exactly what OfflineShardedReplay computes for the acknowledged
-  // prefix.
+  // in sequence order, install at the logged points and relearn on the
+  // every-K boundaries after them, then run the drain-equivalent final
+  // relearn — so the recovered snapshots are exactly what the live
+  // service serves after a drain at the crash point, and, for a log
+  // without relearn records, what OfflineShardedReplay computes for the
+  // acknowledged prefix.
+  SLIMFAST_RETURN_NOT_OK(install_due());
   int64_t replayed = 0;
   SLIMFAST_RETURN_NOT_OK(ReplayWal(
       dir, static_cast<uint64_t>(applied_batches_),
@@ -213,21 +269,32 @@ Status FusionService::RecoverFromDir(const FeatureSpace& features) {
         ApplyBatch(record.batch);
         ++applied_batches_;
         ++replayed;
+        SLIMFAST_RETURN_NOT_OK(install_due());
         CountTriggerRelearn("recover");
         return Status::OK();
       }));
-  RelearnShards("recover");
+  install_points_.clear();
 
+  // The final flush is a relearn off the K cadence, so it is logged like
+  // a drain's: the writer opens first.
   SLIMFAST_ASSIGN_OR_RETURN(
       wal_, WalWriter::Open(dir, options_.durability.wal,
                             static_cast<uint64_t>(applied_batches_) + 1));
+  RelearnShards("recover");
   if (obs::Enabled()) {
+    int64_t recomputed = 0;
+    {
+      std::lock_guard<std::mutex> lock(state_mu_);
+      recomputed = stats_.relearns;
+    }
     obs::EventLog::Global().Emit(
         obs::EventSeverity::kInfo, "recovery", -1,
         "finished applied_batches=" +
             std::to_string(applied_batches_.load()) +
             " replayed=" + std::to_string(replayed) +
-            " from_checkpoint=" + (recovered_ && replayed == 0 ? "1" : "0"));
+            " from_checkpoint=" + (recovered_ && replayed == 0 ? "1" : "0") +
+            " installed=" + std::to_string(installed) +
+            " recomputed=" + std::to_string(recomputed));
   }
   return Status::OK();
 }
@@ -571,9 +638,7 @@ void FusionService::ApplyBatch(const ObservationBatch& batch,
         obs::GetCounter("slimfast_serve_batches_applied_total");
     applied->Increment();
   }
-  int64_t backlog = 0;
-  for (const Shard& shard : shards_) backlog += shard.pending;
-  relearn_backlog_.store(backlog, std::memory_order_relaxed);
+  StoreBacklog();
   std::lock_guard<std::mutex> lock(state_mu_);
   ++stats_.batches_processed;
   stats_.observations_ingested += observations;
@@ -599,23 +664,35 @@ void FusionService::CountTriggerRelearn(const char* reason) {
   ++sched_cycles_;
 }
 
+void FusionService::StoreBacklog() {
+  int64_t backlog = 0;
+  for (const Shard& shard : shards_) backlog += shard.pending;
+  relearn_backlog_.store(backlog, std::memory_order_relaxed);
+}
+
 void FusionService::RelearnShards(const char* reason) {
-  // Nothing pending anywhere: no shard has anything to relearn or
-  // publish.
-  if (std::none_of(shards_.begin(), shards_.end(),
-                   [](const Shard& shard) { return shard.pending > 0; })) {
-    return;
-  }
-  obs::Stage cycle_stage("serve.relearn");
   const int32_t num_shards = router_.num_shards();
+  const int64_t point = applied_batches_.load(std::memory_order_relaxed);
+  // A shard is due when it has pending batches and, during recovery, its
+  // logged relearn is not still ahead (see install_points_).
+  auto due = [&](int32_t s) {
+    return shards_[static_cast<size_t>(s)].pending > 0 &&
+           (install_points_.empty() ||
+            install_points_[static_cast<size_t>(s)] <= point);
+  };
+  // Nothing due anywhere: no shard has anything to relearn or publish.
+  bool any_due = false;
+  for (int32_t s = 0; s < num_shards && !any_due; ++s) any_due = due(s);
+  if (!any_due) return;
+  obs::Stage cycle_stage("serve.relearn");
   std::vector<Status> statuses(static_cast<size_t>(num_shards),
                                Status::OK());
   std::vector<uint8_t> relearned(static_cast<size_t>(num_shards), 0);
   std::vector<uint8_t> published(static_cast<size_t>(num_shards), 0);
   std::vector<RelearnStats> shard_stats(static_cast<size_t>(num_shards));
   RunSharded(&shard_exec_, num_shards, [&](int32_t s) {
+    if (!due(s)) return;
     Shard& shard = shards_[static_cast<size_t>(s)];
-    if (shard.pending == 0) return;
     const bool can_fit = shard.session->num_observations() > 0;
     if (can_fit) {
       obs::Stage stage("serve.shard_relearn", shard.relearn_hist);
@@ -655,6 +732,22 @@ void FusionService::RelearnShards(const char* reason) {
       first_failure = statuses[static_cast<size_t>(s)];
     }
   }
+  // Log the cycle's result once it is published, with no fsync of its
+  // own: the next group commit's fsync, or the writer's close, makes it
+  // durable, and recovery installs it instead of relearning.
+  Status logged = Status::OK();
+  if (wal_ != nullptr && relearns > 0) {
+    WalRelearnRecord record;
+    record.point = static_cast<uint64_t>(point);
+    record.num_shards = num_shards;
+    for (int32_t s = 0; s < num_shards; ++s) {
+      if (relearned[static_cast<size_t>(s)] == 0) continue;
+      const FusionSession& session = *shards_[static_cast<size_t>(s)].session;
+      record.shards.push_back(
+          WalRelearnShard{s, session.num_relearns(), session.weights()});
+    }
+    logged = wal_->AppendRelearn(record);
+  }
   if (publishes > 0) {
     last_publish_ns_.store(NowNanos(), std::memory_order_relaxed);
   }
@@ -693,9 +786,7 @@ void FusionService::RelearnShards(const char* reason) {
           ->Record(NowNanos(), static_cast<double>(max_iterations));
     }
   }
-  int64_t backlog = 0;
-  for (const Shard& shard : shards_) backlog += shard.pending;
-  relearn_backlog_.store(backlog, std::memory_order_relaxed);
+  StoreBacklog();
   const double cycle_seconds = cycle_stage.End();
   if (relearns > 0) {
     // EWMA of the relearn-cycle wall time (the ERR BUSY hint's unit).
@@ -712,6 +803,9 @@ void FusionService::RelearnShards(const char* reason) {
   if (!first_failure.ok()) {
     stats_.last_error =
         std::string(reason) + " relearn: " + first_failure.ToString();
+  }
+  if (!logged.ok()) {
+    stats_.last_error = "wal relearn record: " + logged.ToString();
   }
 }
 

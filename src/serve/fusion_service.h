@@ -29,11 +29,12 @@ namespace slimfast {
 
 /// Durability configuration of a FusionService. With a non-empty
 /// `wal_dir` the ingest driver appends every batch to an observation
-/// WAL *before* applying it, Checkpoint() persists per-shard snapshots
-/// there, and Create/Recover replays snapshot-then-WAL-tail on startup
-/// — so a crashed service comes back with the exact store fingerprint
-/// and bit-identical snapshots of an uninterrupted replay of its
-/// acknowledged prefix.
+/// WAL *before* applying it and every relearn cycle's result after it,
+/// Checkpoint() persists per-shard snapshots there, and Create/Recover
+/// replays snapshot-then-WAL-tail on startup — so a crashed service
+/// comes back with the exact store fingerprint and the bit-identical
+/// snapshots the live service would serve after a drain at the crash
+/// point.
 struct FusionServiceDurability {
   /// Directory for WAL segments + checkpoints; empty = in-memory only.
   std::string wal_dir;
@@ -198,12 +199,14 @@ class FusionService {
       FeatureSpace features = FeatureSpace());
 
   /// Create with durability rooted at `wal_dir`: restores the latest
-  /// checkpoint (if any), replays the WAL tail with the same every-K
-  /// relearn schedule the live driver uses, runs the drain-equivalent
+  /// checkpoint (if any), replays the WAL tail — installing each shard's
+  /// last logged relearn at its point and relearning on the live
+  /// driver's every-K schedule after it — runs the drain-equivalent
   /// final relearn, and resumes logging. The recovered snapshots are
-  /// bit-identical to `OfflineShardedReplay` over the log's
-  /// acknowledged prefix. On a fresh directory this is just a durable
-  /// Create.
+  /// bit-identical to the live service's after a drain at the crash
+  /// point; for a log without relearn records, to `OfflineShardedReplay`
+  /// over its acknowledged prefix. On a fresh directory this is just a
+  /// durable Create.
   static Result<std::unique_ptr<FusionService>> Recover(
       std::string wal_dir, int32_t num_sources, int32_t num_objects,
       int32_t num_values, FusionServiceOptions options = {},
@@ -396,6 +399,8 @@ class FusionService {
   /// scaled by the current queue + backlog pressure, clamped to
   /// [1ms, 30s].
   int64_t RetryHintMs() const;
+  /// Stores the sum of per-shard pending batches into relearn_backlog_.
+  void StoreBacklog();
   void PublishInitialSnapshots();
   void UpdateSessionStatsLocked();
 
@@ -414,7 +419,12 @@ class FusionService {
 
   /// Non-null iff durability is enabled. Owned by the driver after
   /// Create (the recovery path touches it before the driver starts).
+  /// Every relearn cycle appends its result as a relearn record.
   std::unique_ptr<WalWriter> wal_;
+  /// Recovery only (empty otherwise): per shard, the point of its last
+  /// relearn the WAL tail logged, or -1. RelearnShards leaves a shard
+  /// alone before that point, where recovery installs the logged result.
+  std::vector<int64_t> install_points_;
   /// Batches applied over the service's lifetime, including batches
   /// replayed during recovery — by construction equal to the WAL
   /// sequence of the last applied batch. Written only by the driver

@@ -25,8 +25,14 @@ using storage_internal::WriteFully;
 
 namespace {
 
-// "SLFWAL01" in little-endian byte order.
-constexpr uint64_t kWalMagic = 0x31304C4157464C53ULL;
+// "SLFWAL02" in little-endian byte order: segments that may hold relearn
+// records. "SLFWAL01" segments hold batch records only; they still replay,
+// and the writer never appends to one.
+constexpr uint64_t kWalMagic = 0x32304C4157464C53ULL;
+constexpr uint64_t kWalMagicV1 = 0x31304C4157464C53ULL;
+// The sequence field of a relearn record's payload; no batch sequence
+// reaches it.
+constexpr uint64_t kRelearnMarker = ~0ULL;
 constexpr int64_t kSegmentHeaderBytes = 16;
 // Sanity bound on one record's payload; anything larger is treated as a
 // torn/garbage length field, not an allocation request.
@@ -68,50 +74,103 @@ std::string EncodeRecordPayload(uint64_t sequence,
   return payload;
 }
 
-bool DecodeRecordPayload(const char* data, size_t size, WalRecord* record) {
-  ByteReader in(data, size);
+std::string EncodeRelearnPayload(const WalRelearnRecord& record) {
+  std::string payload;
+  AppendU64(&payload, kRelearnMarker);
+  AppendU64(&payload, record.point);
+  AppendI32(&payload, record.num_shards);
+  AppendU32(&payload, static_cast<uint32_t>(record.shards.size()));
+  for (const WalRelearnShard& shard : record.shards) {
+    AppendI32(&payload, shard.shard);
+    AppendI32(&payload, shard.num_relearns);
+    AppendArray(&payload, shard.weights);
+  }
+  return payload;
+}
+
+bool DecodeBatch(ByteReader* in, ObservationBatch* batch) {
   uint32_t num_observations = 0;
   uint32_t num_truths = 0;
-  if (!in.ReadU64(&record->sequence) || !in.ReadU32(&num_observations) ||
-      !in.ReadU32(&num_truths)) {
+  if (!in->ReadU32(&num_observations) || !in->ReadU32(&num_truths)) {
     return false;
   }
-  if (num_observations > in.remaining() / 12 ||
-      num_truths > in.remaining() / 8) {
+  if (num_observations > in->remaining() / 12 ||
+      num_truths > in->remaining() / 8) {
     return false;
   }
-  record->batch.observations.resize(num_observations);
-  record->batch.truths.resize(num_truths);
-  for (Observation& obs : record->batch.observations) {
-    if (!in.ReadI32(&obs.object) || !in.ReadI32(&obs.source) ||
-        !in.ReadI32(&obs.value)) {
+  batch->observations.resize(num_observations);
+  batch->truths.resize(num_truths);
+  for (Observation& obs : batch->observations) {
+    if (!in->ReadI32(&obs.object) || !in->ReadI32(&obs.source) ||
+        !in->ReadI32(&obs.value)) {
       return false;
     }
   }
-  for (TruthLabel& label : record->batch.truths) {
-    if (!in.ReadI32(&label.object) || !in.ReadI32(&label.value)) {
+  for (TruthLabel& label : batch->truths) {
+    if (!in->ReadI32(&label.object) || !in->ReadI32(&label.value)) {
       return false;
     }
   }
-  return in.remaining() == 0;
+  return in->remaining() == 0;
+}
+
+bool DecodeRelearn(ByteReader* in, WalRelearnRecord* record) {
+  uint32_t num_entries = 0;
+  if (!in->ReadU64(&record->point) || !in->ReadI32(&record->num_shards) ||
+      !in->ReadU32(&num_entries) || num_entries > in->remaining() / 16) {
+    return false;
+  }
+  record->shards.resize(num_entries);
+  for (WalRelearnShard& shard : record->shards) {
+    if (!in->ReadI32(&shard.shard) || !in->ReadI32(&shard.num_relearns) ||
+        !ReadArray(in, &shard.weights) || shard.shard < 0 ||
+        shard.shard >= record->num_shards) {
+      return false;
+    }
+  }
+  return in->remaining() == 0;
+}
+
+enum class RecordKind { kBatch, kRelearn, kMalformed };
+
+/// Decodes one record payload into `batch` or `relearn`, by its kind.
+RecordKind DecodeRecordPayload(const char* data, size_t size,
+                               WalRecord* batch, WalRelearnRecord* relearn) {
+  ByteReader in(data, size);
+  uint64_t sequence = 0;
+  if (!in.ReadU64(&sequence)) return RecordKind::kMalformed;
+  if (sequence == kRelearnMarker) {
+    return DecodeRelearn(&in, relearn) ? RecordKind::kRelearn
+                                       : RecordKind::kMalformed;
+  }
+  batch->sequence = sequence;
+  return DecodeBatch(&in, &batch->batch) ? RecordKind::kBatch
+                                         : RecordKind::kMalformed;
 }
 
 /// Parse of one segment's bytes: the intact prefix, and whether a torn
-/// suffix follows it. Record contiguity within the segment (first record
-/// matches the declared header sequence, subsequent records increment by
-/// one) is enforced here; CRC-valid records that break it count as torn.
+/// suffix follows it. Batch-record contiguity within the segment (first
+/// batch matches the declared header sequence, subsequent batches
+/// increment by one) is enforced here, as is a relearn record's point
+/// not running ahead of the batches before it; CRC-valid records that
+/// break either count as torn.
 struct SegmentParse {
   uint64_t declared_first_sequence = 0;
-  int64_t record_count = 0;
+  int32_t version = 0;
+  int64_t record_count = 0;    // batch records
   uint64_t last_sequence = 0;  // valid only when record_count > 0
   int64_t valid_bytes = 0;
   bool torn = false;
-  /// Filled only when `collect` was set.
+  /// Filled only when `collect_batches` was set.
   std::vector<WalRecord> records;
+  /// Filled only when `collect_relearns` was set.
+  std::vector<WalRelearnRecord> relearns;
 };
 
 Result<SegmentParse> ParseSegment(const std::string& bytes,
-                                  const std::string& path, bool collect) {
+                                  const std::string& path,
+                                  bool collect_batches,
+                                  bool collect_relearns) {
   SegmentParse parse;
   if (static_cast<int64_t>(bytes.size()) < kSegmentHeaderBytes) {
     // A header torn mid-write: nothing in the file is trustworthy, but
@@ -123,9 +182,10 @@ Result<SegmentParse> ParseSegment(const std::string& bytes,
   uint64_t magic = 0;
   header.ReadU64(&magic);
   header.ReadU64(&parse.declared_first_sequence);
-  if (magic != kWalMagic) {
+  if (magic != kWalMagic && magic != kWalMagicV1) {
     return Status::IOError("wal segment " + path + " has a bad magic");
   }
+  parse.version = magic == kWalMagic ? 2 : 1;
   parse.valid_bytes = kSegmentHeaderBytes;
 
   size_t pos = static_cast<size_t>(kSegmentHeaderBytes);
@@ -146,22 +206,30 @@ Result<SegmentParse> ParseSegment(const std::string& bytes,
       break;
     }
     WalRecord record;
-    if (!DecodeRecordPayload(payload, payload_len, &record)) {
+    WalRelearnRecord relearn;
+    const RecordKind kind =
+        DecodeRecordPayload(payload, payload_len, &record, &relearn);
+    // Batches applied once the records so far are replayed.
+    const uint64_t applied = parse.record_count == 0
+                                 ? parse.declared_first_sequence - 1
+                                 : parse.last_sequence;
+    if (kind == RecordKind::kBatch) {
+      if (record.sequence != applied + 1) {
+        parse.torn = true;
+        break;
+      }
+      parse.last_sequence = record.sequence;
+      ++parse.record_count;
+      if (collect_batches) parse.records.push_back(std::move(record));
+    } else if (kind == RecordKind::kRelearn && parse.version >= 2 &&
+               relearn.point <= applied) {
+      if (collect_relearns) parse.relearns.push_back(std::move(relearn));
+    } else {
       parse.torn = true;
       break;
     }
-    const uint64_t expected =
-        parse.record_count == 0 ? parse.declared_first_sequence
-                                : parse.last_sequence + 1;
-    if (record.sequence != expected) {
-      parse.torn = true;
-      break;
-    }
-    parse.last_sequence = record.sequence;
-    ++parse.record_count;
     pos += 8 + payload_len;
     parse.valid_bytes = static_cast<int64_t>(pos);
-    if (collect) parse.records.push_back(std::move(record));
   }
   if (pos < bytes.size() &&
       parse.valid_bytes == static_cast<int64_t>(pos)) {
@@ -202,11 +270,13 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ListSegments(
   return segments;
 }
 
-/// Shared walk behind ScanWal and ReplayWal: parses every segment in
-/// order, enforces cross-segment contiguity, and hands intact records to
-/// `fn` when non-null.
-Result<WalScan> WalkWal(const std::string& dir,
-                        const std::function<Status(WalRecord)>* fn) {
+/// Shared walk behind ScanWal, ReplayWal and ReplayWalRelearns: parses
+/// every segment in order, enforces cross-segment contiguity, and hands
+/// intact batch records to `fn` and relearn records to `relearn_fn`,
+/// each when non-null.
+Result<WalScan> WalkWal(
+    const std::string& dir, const std::function<Status(WalRecord)>* fn,
+    const std::function<Status(WalRelearnRecord)>* relearn_fn = nullptr) {
   WalScan scan;
   SLIMFAST_ASSIGN_OR_RETURN(auto listed, ListSegments(dir));
   uint64_t expected_next = 0;  // 0 = no records seen yet
@@ -214,8 +284,9 @@ Result<WalScan> WalkWal(const std::string& dir,
     const bool final_segment = i + 1 == listed.size();
     const std::string& path = listed[i].second;
     SLIMFAST_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-    SLIMFAST_ASSIGN_OR_RETURN(SegmentParse parse,
-                              ParseSegment(bytes, path, fn != nullptr));
+    SLIMFAST_ASSIGN_OR_RETURN(
+        SegmentParse parse,
+        ParseSegment(bytes, path, fn != nullptr, relearn_fn != nullptr));
     if (parse.torn && !final_segment) {
       return Status::IOError("wal segment " + path +
                              " is corrupt before the final segment");
@@ -245,11 +316,17 @@ Result<WalScan> WalkWal(const std::string& dir,
     segment.first_sequence = listed[i].first;
     segment.record_count = parse.record_count;
     segment.valid_bytes = parse.valid_bytes;
+    segment.version = parse.version;
     scan.segments.push_back(std::move(segment));
     if (final_segment) scan.tail_torn = parse.torn;
     if (fn != nullptr) {
       for (WalRecord& record : parse.records) {
         SLIMFAST_RETURN_NOT_OK((*fn)(std::move(record)));
+      }
+    }
+    if (relearn_fn != nullptr) {
+      for (WalRelearnRecord& relearn : parse.relearns) {
+        SLIMFAST_RETURN_NOT_OK((*relearn_fn)(std::move(relearn)));
       }
     }
   }
@@ -291,6 +368,16 @@ Status ReplayWal(const std::string& dir, uint64_t after_sequence,
   return WalkWal(dir, &deliver).status();
 }
 
+Status ReplayWalRelearns(
+    const std::string& dir, uint64_t from_point,
+    const std::function<Status(const WalRelearnRecord&)>& fn) {
+  std::function<Status(WalRelearnRecord)> deliver =
+      [&](WalRelearnRecord record) -> Status {
+    return record.point < from_point ? Status::OK() : fn(record);
+  };
+  return WalkWal(dir, nullptr, &deliver).status();
+}
+
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     std::string dir, WalOptions options, uint64_t min_next_sequence) {
   if (options.fsync_every_n < 1) options.fsync_every_n = 1;
@@ -313,10 +400,16 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     writer->segments_.emplace_back(segment.first_sequence, segment.path);
   }
 
+  // An old-format tail takes no relearn records: appending resumes in a
+  // fresh segment.
+  const bool old_format_tail =
+      !scan.segments.empty() && scan.segments.back().version == 1;
   if (!scan.segments.empty()) {
     WalSegment& tail = scan.segments.back();
-    if (tail.valid_bytes < kSegmentHeaderBytes) {
-      // Header torn mid-write: recreate the segment wholesale.
+    if (tail.valid_bytes < kSegmentHeaderBytes ||
+        (old_format_tail && tail.record_count == 0)) {
+      // Header torn mid-write, or an old-format segment with no record:
+      // recreate the segment wholesale.
       std::filesystem::remove(tail.path, ec);
       if (ec) {
         return Status::IOError("cannot remove torn wal segment " +
@@ -352,9 +445,11 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   }
   if (writer->fd_ < 0) {
     SLIMFAST_RETURN_NOT_OK(writer->CreateSegment(writer->next_sequence_));
-  } else if (writer->next_sequence_ > scan.next_sequence) {
-    // The log was truncated past a checkpoint the caller still holds;
-    // never append a discontiguous sequence into an old segment.
+  } else if (writer->next_sequence_ > scan.next_sequence ||
+             old_format_tail) {
+    // The log was truncated past a checkpoint the caller still holds
+    // (never append a discontiguous sequence into an old segment), or
+    // the tail is an old-format segment.
     SLIMFAST_RETURN_NOT_OK(writer->Rotate());
   }
   return writer;
@@ -430,14 +525,24 @@ Result<uint64_t> WalWriter::AppendGroup(
   obs::Stage stage("storage.wal_append", append_hist);
   const uint64_t first = next_sequence_;
   for (const ObservationBatch* batch : batches) {
-    SLIMFAST_RETURN_NOT_OK(WriteRecord(*batch));
+    SLIMFAST_RETURN_NOT_OK(
+        WritePayload(EncodeRecordPayload(next_sequence_, *batch)));
+    ++segment_records_;
+    ++next_sequence_;
   }
   SLIMFAST_RETURN_NOT_OK(
       MaybeFsync(static_cast<int32_t>(batches.size())));
   return first;
 }
 
-Status WalWriter::WriteRecord(const ObservationBatch& batch) {
+Status WalWriter::AppendRelearn(const WalRelearnRecord& record) {
+  static obs::LatencyHistogram* append_hist =
+      obs::GetHistogram("slimfast_storage_wal_append_seconds");
+  obs::Stage stage("storage.wal_append", append_hist);
+  return WritePayload(EncodeRelearnPayload(record));
+}
+
+Status WalWriter::WritePayload(const std::string& payload) {
   static obs::ShardedCounter* bytes_total =
       obs::GetCounter("slimfast_storage_wal_bytes_written_total");
   if (poisoned_) {
@@ -448,8 +553,6 @@ Status WalWriter::WriteRecord(const ObservationBatch& batch) {
       segment_records_ > 0) {
     SLIMFAST_RETURN_NOT_OK(Rotate());
   }
-  const uint64_t sequence = next_sequence_;
-  const std::string payload = EncodeRecordPayload(sequence, batch);
   std::string record;
   record.reserve(8 + payload.size());
   AppendU32(&record, static_cast<uint32_t>(payload.size()));
@@ -463,8 +566,6 @@ Status WalWriter::WriteRecord(const ObservationBatch& batch) {
   }
   segment_bytes_written_ += static_cast<int64_t>(record.size());
   if (obs::Enabled()) bytes_total->Add(static_cast<int64_t>(record.size()));
-  ++segment_records_;
-  ++next_sequence_;
   return Status::OK();
 }
 

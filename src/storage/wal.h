@@ -50,15 +50,40 @@ struct WalRecord {
   ObservationBatch batch;
 };
 
+/// One shard's part of a relearn record: what the relearn produced,
+/// enough to install it on the shard's instance at the record's point
+/// without re-running it.
+struct WalRelearnShard {
+  int32_t shard = 0;
+  /// The shard session's relearn count after this relearn (absolute).
+  int32_t num_relearns = 0;
+  /// The learned weight vector, bit for bit.
+  std::vector<double> weights;
+};
+
+/// The result of one relearn cycle. It takes no batch sequence: `point`
+/// is the number of batches applied when the cycle ran, and `shards`
+/// lists, in shard-id order, the shards it relearned under a service of
+/// `num_shards` shards.
+struct WalRelearnRecord {
+  uint64_t point = 0;
+  int32_t num_shards = 0;
+  std::vector<WalRelearnShard> shards;
+};
+
 /// One on-disk segment as seen by a scan.
 struct WalSegment {
   std::string path;
   /// Sequence the segment header declares for its first record.
   uint64_t first_sequence = 0;
-  /// Records that parsed intact (CRC-valid, contiguous).
+  /// Batch records that parsed intact (CRC-valid, contiguous); relearn
+  /// records are not counted.
   int64_t record_count = 0;
   /// Byte length of the intact prefix (header + intact records).
   int64_t valid_bytes = 0;
+  /// Format version from the header magic: 1 for `SLFWAL01` segments,
+  /// which hold batch records only; 2 for `SLFWAL02`.
+  int32_t version = 0;
 };
 
 /// Result of scanning a WAL directory without mutating it.
@@ -83,18 +108,28 @@ Result<WalScan> ScanWal(const std::string& dir);
 /// sequence order. Fails with IOError if the log's first record is
 /// beyond `after_sequence + 1` (records the caller needs were
 /// truncated) or on any non-tail corruption. The callback's error
-/// aborts the replay and is returned as-is.
+/// aborts the replay and is returned as-is. Delivers batch records
+/// only; relearn records are read by ReplayWalRelearns.
 Status ReplayWal(const std::string& dir, uint64_t after_sequence,
                  const std::function<Status(const WalRecord&)>& fn);
 
+/// Delivers every intact relearn record whose point is >= `from_point`,
+/// in log order, without keeping the batch records. Fails like ScanWal
+/// on non-tail corruption; the callback's error is returned as-is.
+Status ReplayWalRelearns(
+    const std::string& dir, uint64_t from_point,
+    const std::function<Status(const WalRelearnRecord&)>& fn);
+
 /// Append-only writer over a segment-rotated observation WAL.
 ///
-/// Records are framed [u32 payload_len][u32 crc32(payload)][payload];
-/// the payload carries the sequence number and the batch's observation
-/// and truth triples, little-endian throughout. Each segment file
-/// `wal-<first_sequence>.seg` starts with a 16-byte header (magic +
-/// declared first sequence), so any suffix of segments can be replayed
-/// without the files before it.
+/// Records are framed [u32 payload_len][u32 crc32(payload)][payload],
+/// little-endian throughout. A batch record's payload carries the
+/// sequence number and the batch's observation and truth triples. A
+/// relearn record's payload starts with an all-ones sequence field
+/// instead, then its point, shard count and per-shard results; it takes
+/// no sequence. Each segment file `wal-<first_sequence>.seg` starts with
+/// a 16-byte header (magic + declared first sequence), so any suffix of
+/// segments can be replayed without the files before it.
 ///
 /// Single-writer: exactly one WalWriter may be open on a directory
 /// (the FusionService ingest driver). Open() truncates a torn tail left
@@ -128,6 +163,11 @@ class WalWriter {
   Result<uint64_t> AppendGroup(
       const std::vector<const ObservationBatch*>& batches);
 
+  /// Appends one relearn record without syncing it: the next fsync (a
+  /// later Append's, Sync, or the writer's close) makes it durable.
+  /// Rotates and poisons like Append.
+  Status AppendRelearn(const WalRelearnRecord& record);
+
   /// Forces everything appended so far to stable storage.
   Status Sync();
 
@@ -155,8 +195,9 @@ class WalWriter {
 
   Status CreateSegment(uint64_t first_sequence);
   Status CloseSegment();
-  /// Writes one record (rotating first if due) without syncing it.
-  Status WriteRecord(const ObservationBatch& batch);
+  /// Frames and writes one record payload (rotating first if due)
+  /// without syncing it.
+  Status WritePayload(const std::string& payload);
   /// Applies the fsync policy after `records` newly written records.
   Status MaybeFsync(int32_t records);
 
@@ -166,6 +207,7 @@ class WalWriter {
   int fd_ = -1;
   bool poisoned_ = false;
   int64_t segment_bytes_written_ = 0;
+  /// Batch records in the active segment (relearn records not counted).
   int64_t segment_records_ = 0;
   int32_t records_since_sync_ = 0;
   int64_t sync_count_ = 0;

@@ -3,8 +3,9 @@
 # line protocol, SIGKILL the server mid-session (after its replies are
 # acknowledged on stdout), restart it on the same WAL directory, and
 # require the recovered service to reproduce the acknowledged state —
-# the STATS store_fingerprint and every QUERY reply must match
-# bit-for-bit. Service lifetime counters (batches, queries) deliberately
+# the STATS store_fingerprint and every QUERY and POSTERIOR reply must
+# match bit-for-bit (the posteriors check the recovered weights end to
+# end, not only the MAP values). Service lifetime counters (batches, queries) deliberately
 # restart from the recovery point and are NOT compared; the fingerprint
 # is the identity that matters (see docs/ARCHITECTURE.md).
 #
@@ -67,7 +68,10 @@ send "STATS"
 send "QUERY 0"
 send "QUERY 1"
 send "QUERY 2"
-await_lines "$WORK/out1" 15
+send "POSTERIOR 0"
+send "POSTERIOR 1"
+send "POSTERIOR 2"
+await_lines "$WORK/out1" 18
 
 kill -9 "$SERVER_PID" || fail "server already dead before kill -9"
 wait "$SERVER_PID" 2>/dev/null
@@ -78,7 +82,7 @@ grep -q "ERR" "$WORK/out1" && fail "first life saw an ERR reply"
 [ -f "$WAL_DIR/MANIFEST" ] || fail "CHECKPOINT left no MANIFEST in $WAL_DIR"
 
 # --- second life: recover from the same WAL dir and interrogate ---
-printf 'STATS\nQUERY 0\nQUERY 1\nQUERY 2\nQUIT\n' | \
+printf 'STATS\nQUERY 0\nQUERY 1\nQUERY 2\nPOSTERIOR 0\nPOSTERIOR 1\nPOSTERIOR 2\nQUIT\n' | \
   "$CLI" serve --dims 4 6 3 --shards 2 --relearn-every 1 \
     --wal-dir "$WAL_DIR" --fsync-every 1 \
     > "$WORK/out2" 2> "$WORK/err2" || fail "recovered server exited non-zero"
@@ -93,13 +97,15 @@ fp2=$(grep -o 'store_fingerprint=[0-9a-f]*' "$WORK/out2" | tail -1)
 [ "$fp1" = "$fp2" ] || \
   fail "fingerprint diverged after recovery: first=$fp1 second=$fp2"
 
-# QUERY replies (the last 3 lines of life 1; lines 2-4 of life 2) must be
-# identical, and actual estimates rather than NONE.
-tail -3 "$WORK/out1" > "$WORK/queries1"
-sed -n '2,4p' "$WORK/out2" > "$WORK/queries2"
+# QUERY and POSTERIOR replies (the last 6 lines of life 1; lines 2-7 of
+# life 2) must be identical, and actual estimates rather than NONE.
+tail -6 "$WORK/out1" > "$WORK/queries1"
+sed -n '2,7p' "$WORK/out2" > "$WORK/queries2"
 grep -q '^VALUE ' "$WORK/queries1" || fail "first life QUERY returned no VALUE"
+grep -q '^POSTERIOR ' "$WORK/queries1" || \
+  fail "first life POSTERIOR returned no distribution"
 cmp -s "$WORK/queries1" "$WORK/queries2" || \
-  fail "QUERY replies diverged after recovery: [$(cat "$WORK/queries1" | tr '\n' '|')] vs [$(cat "$WORK/queries2" | tr '\n' '|')]"
+  fail "QUERY/POSTERIOR replies diverged after recovery: [$(cat "$WORK/queries1" | tr '\n' '|')] vs [$(cat "$WORK/queries2" | tr '\n' '|')]"
 
 echo "crash_recovery_smoke: OK ($fp1 reproduced after kill -9," \
-     "$(wc -l < "$WORK/queries1") queries identical)"
+     "$(wc -l < "$WORK/queries1") query/posterior replies identical)"

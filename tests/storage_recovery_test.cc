@@ -1,9 +1,12 @@
 // Crash recovery end to end: snapshot container integrity, the
 // FusionSession State round trip, and the service-level contract —
 // Recover(dir) reproduces the exact store fingerprint and bit-identical
-// per-shard snapshots of an uninterrupted replay of the acknowledged
-// prefix (OfflineShardedReplay is the oracle), including under torn
-// final records and across checkpoints.
+// per-shard snapshots of the live service after a drain at the crash
+// point, including under torn final records, across checkpoints, and
+// with relearns off the K cadence. A log without relearn records
+// recovers to an uninterrupted replay of the acknowledged prefix
+// (OfflineShardedReplay is the oracle), and so does the recorded log of
+// a stream that relearned on the cadence only.
 
 #include <cstdint>
 #include <filesystem>
@@ -19,6 +22,7 @@
 #include "core/fusion_session.h"
 #include "serve/durability.h"
 #include "serve/fusion_service.h"
+#include "storage/codec.h"
 #include "storage/snapshot_io.h"
 #include "storage/wal.h"
 #include "test_util.h"
@@ -42,10 +46,109 @@ class RecoveryTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override {
+    fs::remove_all(dir_);
+    for (const std::string& dir : scratch_dirs_) fs::remove_all(dir);
+  }
+
+  /// A fresh directory beside dir_, removed at teardown.
+  std::string ScratchDir(const std::string& tag) {
+    const std::string dir = dir_ + "-" + tag;
+    fs::remove_all(dir);
+    scratch_dirs_.push_back(dir);
+    return dir;
+  }
 
   std::string dir_;
+  std::vector<std::string> scratch_dirs_;
 };
+
+std::unique_ptr<FusionService> RecoverService(
+    const std::string& dir, const Dataset& dataset,
+    const FusionServiceOptions& options) {
+  return FusionService::Recover(dir, dataset.num_sources(),
+                                dataset.num_objects(), dataset.num_values(),
+                                options, dataset.features())
+      .ValueOrDie();
+}
+
+std::vector<FusionSnapshotPtr> Offline(
+    const Dataset& dataset, const FusionServiceOptions& options,
+    const std::vector<ObservationBatch>& batches) {
+  return OfflineShardedReplay(dataset.num_sources(), dataset.num_objects(),
+                              dataset.num_values(), options, batches,
+                              dataset.features())
+      .ValueOrDie();
+}
+
+/// Where each record of a WAL segment ends, and whether it is a batch
+/// record (a relearn record's payload starts with an all-ones sequence
+/// field; see WalWriter).
+struct RecordEnd {
+  int64_t end = 0;
+  bool batch = false;
+};
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The records of a WAL segment's `bytes`, in order.
+std::vector<RecordEnd> RecordEnds(const std::string& bytes) {
+  std::vector<RecordEnd> ends;
+  size_t pos = 16;  // the segment header
+  while (pos + 16 <= bytes.size()) {
+    ByteReader frame(bytes.data() + pos, 16);
+    uint32_t payload_len = 0;
+    uint32_t crc = 0;
+    uint64_t sequence = 0;
+    frame.ReadU32(&payload_len);
+    frame.ReadU32(&crc);
+    frame.ReadU64(&sequence);
+    pos += 8 + payload_len;
+    ends.push_back(RecordEnd{static_cast<int64_t>(pos), sequence != ~0ULL});
+  }
+  return ends;
+}
+
+/// Drops every relearn record behind the final segment's last batch
+/// record: the log a crash leaves when it strikes after the last group
+/// commit, before any later relearn was logged.
+void CutAfterLastBatchRecord(const std::string& dir) {
+  const std::string segment = ScanWal(dir).ValueOrDie().segments.back().path;
+  int64_t cut = 16;
+  for (const RecordEnd& record : RecordEnds(ReadBytes(segment))) {
+    if (record.batch) cut = record.end;
+  }
+  fs::resize_file(segment, static_cast<uintmax_t>(cut));
+}
+
+/// Copies only the batch records of `from` into a fresh log at `to`.
+void CopyBatchRecords(const std::string& from, const std::string& to) {
+  std::unique_ptr<WalWriter> writer = WalWriter::Open(to).ValueOrDie();
+  SLIMFAST_CHECK_OK(ReplayWal(from, 0, [&](const WalRecord& record) {
+    return writer->Append(record.batch).status();
+  }));
+}
+
+size_t CountRelearnRecords(const std::string& dir) {
+  size_t records = 0;
+  SLIMFAST_CHECK_OK(ReplayWalRelearns(dir, 0, [&](const WalRelearnRecord&) {
+    ++records;
+    return Status::OK();
+  }));
+  return records;
+}
+
+bool AnyShardDiffers(const std::vector<FusionSnapshotPtr>& a,
+                     const std::vector<FusionSnapshotPtr>& b) {
+  for (size_t s = 0; s < a.size(); ++s) {
+    if (!(*a[s] == *b[s])) return true;
+  }
+  return false;
+}
 
 void ExpectSnapshotsBitIdentical(
     const std::vector<FusionSnapshotPtr>& got,
@@ -372,12 +475,19 @@ TEST_F(RecoveryTest, TornFinalRecordRecoversTheAcknowledgedPrefix) {
     if (scan.segments[0].record_count == 2 && !scan.tail_torn) break;
   }
   ASSERT_GT(final_record_begin, 0);
+  // Where batch 3's record ends. The relearn records logged behind it
+  // are cut at their boundaries by
+  // LogCutAtEveryRecordBoundaryRecoversTheAckedPrefix.
+  int64_t final_record_end = 0;
+  for (const RecordEnd& record : RecordEnds(full_content)) {
+    if (record.batch) final_record_end = record.end;
+  }
 
   const std::vector<ObservationBatch> acked = {b0, b1};
   std::vector<FusionSnapshotPtr> offline_acked =
       OfflineShardedReplay(3, 2, 2, options, acked).ValueOrDie();
 
-  for (int64_t cut = final_record_begin; cut < full_bytes; ++cut) {
+  for (int64_t cut = final_record_begin; cut < final_record_end; ++cut) {
     {
       std::ofstream out(segment, std::ios::binary | std::ios::trunc);
       out.write(full_content.data(), static_cast<std::streamsize>(cut));
@@ -538,6 +648,233 @@ TEST_F(RecoveryTest, CheckpointOnlyRecoveryContinuesLikeADrainedService) {
   SLIMFAST_CHECK_OK(recovered->Drain());
   ExpectSnapshotsBitIdentical(recovered->AllSnapshots(), oracle);
   recovered->Stop();
+}
+
+TEST_F(RecoveryTest, OffCadenceDrainIsRecoveredFromItsRelearnRecord) {
+  // A drain between two K boundaries relearns the pending shards. The
+  // batches alone cannot say so: replaying them on the cadence computes
+  // something else (the offline replay below), so recovery must install
+  // the drain's logged result.
+  Dataset dataset = MakePlantedDataset({0.95, 0.9, 0.85, 0.8, 0.7, 0.65},
+                                       80, 0.6, 41);
+  const std::vector<ObservationBatch> batches =
+      ChunkDatasetForReplay(dataset, 16);
+  FusionServiceOptions options;
+  options.num_shards = 6;
+  options.relearn_every_batches = 2;
+  options.durability.wal_dir = dir_;
+
+  std::vector<FusionSnapshotPtr> live;
+  {
+    std::unique_ptr<FusionService> service =
+        FusionService::Create(dataset.num_sources(), dataset.num_objects(),
+                              dataset.num_values(), options,
+                              dataset.features())
+            .ValueOrDie();
+    for (size_t i = 0; i < batches.size(); ++i) {
+      SLIMFAST_CHECK_OK(service->Submit(batches[i]));
+      if (i + 1 == 7) SLIMFAST_CHECK_OK(service->Drain());
+    }
+    SLIMFAST_CHECK_OK(service->Drain());
+    live = service->AllSnapshots();
+    service->Stop();
+  }
+  EXPECT_TRUE(AnyShardDiffers(live, Offline(dataset, options, batches)))
+      << "the drain after batch 7 no longer changes any model; the test "
+         "lost its point";
+
+  std::unique_ptr<FusionService> recovered =
+      RecoverService(dir_, dataset, options);
+  ExpectSnapshotsBitIdentical(recovered->AllSnapshots(), live);
+  // A clean shutdown logged every relearn: recovery re-ran none.
+  EXPECT_EQ(recovered->stats().relearns, 0);
+  recovered->Stop();
+}
+
+TEST_F(RecoveryTest, StrippedLogRecoversLikeTheRecordedLog) {
+  // Installing logged relearns == re-running them: on a stream that
+  // relearns on the K cadence only, the log without its relearn records
+  // (recovery relearns everything) and the log with them (recovery
+  // relearns nothing) recover to the live state and to the offline
+  // replay, bit for bit.
+  Dataset dataset =
+      MakePlantedDataset({0.9, 0.85, 0.8, 0.75, 0.7}, 60, 0.6, 23);
+  const std::vector<ObservationBatch> batches =
+      ChunkDatasetForReplay(dataset, 12);
+  FusionServiceOptions options;
+  options.num_shards = 3;
+  options.relearn_every_batches = 2;
+  options.durability.wal_dir = dir_;
+
+  std::vector<FusionSnapshotPtr> live;
+  {
+    std::unique_ptr<FusionService> service =
+        FusionService::Create(dataset.num_sources(), dataset.num_objects(),
+                              dataset.num_values(), options,
+                              dataset.features())
+            .ValueOrDie();
+    for (const ObservationBatch& batch : batches) {
+      SLIMFAST_CHECK_OK(service->Submit(batch));
+    }
+    SLIMFAST_CHECK_OK(service->Drain());
+    live = service->AllSnapshots();
+    service->Stop();
+  }
+  ExpectSnapshotsBitIdentical(live, Offline(dataset, options, batches));
+
+  const std::string stripped = ScratchDir("stripped");
+  CopyBatchRecords(dir_, stripped);
+  EXPECT_GT(CountRelearnRecords(dir_), 0u);
+  EXPECT_EQ(CountRelearnRecords(stripped), 0u);
+
+  std::unique_ptr<FusionService> from_stripped =
+      RecoverService(stripped, dataset, options);
+  ExpectSnapshotsBitIdentical(from_stripped->AllSnapshots(), live);
+  EXPECT_GT(from_stripped->stats().relearns, 0);
+  from_stripped->Stop();
+
+  std::unique_ptr<FusionService> from_records =
+      RecoverService(dir_, dataset, options);
+  ExpectSnapshotsBitIdentical(from_records->AllSnapshots(), live);
+  EXPECT_EQ(from_records->stats().relearns, 0);
+  from_records->Stop();
+}
+
+TEST_F(RecoveryTest, LogCutAtEveryRecordBoundaryRecoversTheAckedPrefix) {
+  // Relearning every batch, a drain adds nothing, so the live state at
+  // any point of the log is the offline replay of the batches before it.
+  // Cutting the log at each record boundary — batch or relearn — leaves
+  // installs for some shards and lost records (recomputed) for others.
+  Dataset dataset = MakePlantedDataset({0.9, 0.8, 0.7, 0.6}, 24, 0.7, 13);
+  const std::vector<ObservationBatch> batches =
+      ChunkDatasetForReplay(dataset, 6);
+  FusionServiceOptions options;
+  options.num_shards = 2;
+  options.relearn_every_batches = 1;
+  options.durability.wal_dir = dir_;
+
+  for (const int32_t checkpoint_after : {-1, 3}) {
+    SCOPED_TRACE("checkpoint_after=" + std::to_string(checkpoint_after));
+    fs::remove_all(dir_);
+    {
+      std::unique_ptr<FusionService> service =
+          FusionService::Create(dataset.num_sources(),
+                                dataset.num_objects(), dataset.num_values(),
+                                options, dataset.features())
+              .ValueOrDie();
+      for (int32_t i = 0; i < static_cast<int32_t>(batches.size()); ++i) {
+        if (i == checkpoint_after) SLIMFAST_CHECK_OK(service->Checkpoint());
+        SLIMFAST_CHECK_OK(service->Submit(batches[static_cast<size_t>(i)]));
+      }
+      SLIMFAST_CHECK_OK(service->Drain());
+      service->Stop();
+    }
+    const WalScan scan = ScanWal(dir_).ValueOrDie();
+    ASSERT_EQ(scan.segments.size(), 1u);
+    const std::string segment_name =
+        fs::path(scan.segments[0].path).filename().string();
+    const std::vector<RecordEnd> records =
+        RecordEnds(ReadBytes(scan.segments[0].path));
+    ASSERT_GT(CountRelearnRecords(dir_), 0u);
+
+    size_t acked = checkpoint_after < 0 ? 0 : checkpoint_after;
+    std::vector<std::pair<int64_t, size_t>> cuts = {{16, acked}};
+    for (const RecordEnd& record : records) {
+      if (record.batch) ++acked;
+      cuts.emplace_back(record.end, acked);
+    }
+    ASSERT_EQ(acked, batches.size());
+    for (const auto& [cut, num_acked] : cuts) {
+      SCOPED_TRACE("cut=" + std::to_string(cut));
+      const std::string copy = ScratchDir("cut");
+      fs::copy(dir_, copy, fs::copy_options::recursive);
+      fs::resize_file(copy + "/" + segment_name,
+                      static_cast<uintmax_t>(cut));
+      const std::vector<ObservationBatch> prefix(
+          batches.begin(),
+          batches.begin() + static_cast<std::ptrdiff_t>(num_acked));
+      std::unique_ptr<FusionService> recovered =
+          RecoverService(copy, dataset, options);
+      ExpectSnapshotsBitIdentical(recovered->AllSnapshots(),
+                                  Offline(dataset, options, prefix));
+      recovered->Stop();
+    }
+  }
+}
+
+TEST_F(RecoveryTest, ChainedCrashesRecoverTheLiveLineage) {
+  // crash, recover, submit, drain off the cadence, crash, recover: the
+  // result is the uninterrupted service that drained at each crash point
+  // and at the drain. With K = 3, recovery's own final flush (at 4) and
+  // the drain (at 5) are off the cadence, and each crash loses the
+  // relearn records behind its last batch, so the second recovery
+  // relearns at 6 from what those two logged results left. Batch 5 skips
+  // shard 2, whose last logged relearn is then the first recovery's
+  // flush.
+  Dataset dataset = MakePlantedDataset({0.95, 0.9, 0.85, 0.8, 0.7, 0.65},
+                                       80, 0.6, 41);
+  const std::vector<ObservationBatch> chunks =
+      ChunkDatasetForReplay(dataset, 12);
+  FusionServiceOptions options;
+  options.num_shards = 3;
+  options.relearn_every_batches = 3;
+  const ShardRouter router(options.num_shards);
+  std::vector<ObservationBatch> batches(chunks.begin(), chunks.begin() + 6);
+  ObservationBatch& fifth = batches[4];
+  std::erase_if(fifth.observations, [&](const Observation& observation) {
+    return router.ShardOf(observation.object) == 2;
+  });
+  std::erase_if(fifth.truths, [&](const TruthLabel& truth) {
+    return router.ShardOf(truth.object) == 2;
+  });
+  ASSERT_FALSE(fifth.observations.empty());
+
+  std::vector<FusionSnapshotPtr> lineage;
+  {
+    std::unique_ptr<FusionService> service =
+        FusionService::Create(dataset.num_sources(), dataset.num_objects(),
+                              dataset.num_values(), options,
+                              dataset.features())
+            .ValueOrDie();
+    for (size_t i = 0; i < batches.size(); ++i) {
+      SLIMFAST_CHECK_OK(service->Submit(batches[i]));
+      if (i + 1 == 4 || i + 1 == 5) SLIMFAST_CHECK_OK(service->Drain());
+    }
+    SLIMFAST_CHECK_OK(service->Drain());
+    lineage = service->AllSnapshots();
+    service->Stop();
+  }
+  EXPECT_TRUE(AnyShardDiffers(lineage, Offline(dataset, options, batches)))
+      << "the off-cadence relearns no longer change any model; the test "
+         "lost its point";
+
+  FusionServiceOptions durable = options;
+  durable.durability.wal_dir = dir_;
+  {
+    std::unique_ptr<FusionService> first =
+        FusionService::Create(dataset.num_sources(), dataset.num_objects(),
+                              dataset.num_values(), durable,
+                              dataset.features())
+            .ValueOrDie();
+    for (size_t i = 0; i < 4; ++i) {
+      SLIMFAST_CHECK_OK(first->Submit(batches[i]));
+    }
+    first->Stop();
+  }
+  CutAfterLastBatchRecord(dir_);  // crash: the stop flush is lost
+  {
+    std::unique_ptr<FusionService> second =
+        RecoverService(dir_, dataset, durable);
+    SLIMFAST_CHECK_OK(second->Submit(batches[4]));
+    SLIMFAST_CHECK_OK(second->Drain());
+    SLIMFAST_CHECK_OK(second->Submit(batches[5]));
+    second->Stop();
+  }
+  CutAfterLastBatchRecord(dir_);  // crash: the relearns at 6 are lost
+  std::unique_ptr<FusionService> third =
+      RecoverService(dir_, dataset, durable);
+  ExpectSnapshotsBitIdentical(third->AllSnapshots(), lineage);
+  third->Stop();
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // same damage anywhere earlier in the log is corruption, not loss.
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -53,6 +54,48 @@ std::vector<WalRecord> ReplayAll(const std::string& dir,
         return Status::OK();
       }));
   return records;
+}
+
+std::vector<WalRelearnRecord> ReplayRelearns(const std::string& dir,
+                                             uint64_t from_point = 0) {
+  std::vector<WalRelearnRecord> records;
+  SLIMFAST_CHECK_OK(
+      ReplayWalRelearns(dir, from_point, [&](const WalRelearnRecord& r) {
+        records.push_back(r);
+        return Status::OK();
+      }));
+  return records;
+}
+
+/// A relearn record whose weights need every bit kept: a negative zero,
+/// a denormal and a value with no short decimal form.
+WalRelearnRecord MakeRelearn(uint64_t point) {
+  WalRelearnRecord record;
+  record.point = point;
+  record.num_shards = 3;
+  record.shards.push_back(WalRelearnShard{
+      0, static_cast<int32_t>(point), {-0.0, 4.9e-324, 0.1 + 0.2}});
+  record.shards.push_back(
+      WalRelearnShard{2, 1, {static_cast<double>(point), -1.5, 0.0}});
+  return record;
+}
+
+bool RelearnBitsEqual(const WalRelearnRecord& a, const WalRelearnRecord& b) {
+  if (a.point != b.point || a.num_shards != b.num_shards ||
+      a.shards.size() != b.shards.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.shards.size(); ++i) {
+    const WalRelearnShard& x = a.shards[i];
+    const WalRelearnShard& y = b.shards[i];
+    if (x.shard != y.shard || x.num_relearns != y.num_relearns ||
+        x.weights.size() != y.weights.size() ||
+        std::memcmp(x.weights.data(), y.weights.data(),
+                    x.weights.size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 class WalTest : public ::testing::Test {
@@ -343,6 +386,119 @@ TEST_F(WalTest, CorruptionBeforeTheTailIsAnErrorNotLoss) {
   // And a writer refuses to open over it rather than appending after
   // unreadable history.
   EXPECT_FALSE(WalWriter::Open(dir_, options).ok());
+}
+
+TEST_F(WalTest, RelearnRecordsRoundTripBitwiseBesideTheBatches) {
+  {
+    std::unique_ptr<WalWriter> writer = WalWriter::Open(dir_).ValueOrDie();
+    SLIMFAST_CHECK_OK(writer->Append(MakeBatch(0)).status());
+    SLIMFAST_CHECK_OK(writer->AppendRelearn(MakeRelearn(1)));
+    SLIMFAST_CHECK_OK(writer->Append(MakeBatch(1)).status());
+    SLIMFAST_CHECK_OK(writer->Append(MakeBatch(2)).status());
+    // A record may trail the batches after its point (a group commit
+    // logs a run of batches before their relearns).
+    SLIMFAST_CHECK_OK(writer->AppendRelearn(MakeRelearn(2)));
+    SLIMFAST_CHECK_OK(writer->AppendRelearn(MakeRelearn(3)));
+    // Relearn records take no sequence.
+    EXPECT_EQ(writer->next_sequence(), 4u);
+  }
+  // The batch replay sees the batches only, with contiguous sequences.
+  std::vector<WalRecord> batches = ReplayAll(dir_);
+  ASSERT_EQ(batches.size(), 3u);
+  for (int32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(batches[static_cast<size_t>(i)].sequence,
+              static_cast<uint64_t>(i + 1));
+    EXPECT_TRUE(
+        BatchEquals(batches[static_cast<size_t>(i)].batch, MakeBatch(i)));
+  }
+  WalScan scan = ScanWal(dir_).ValueOrDie();
+  ASSERT_EQ(scan.segments.size(), 1u);
+  EXPECT_EQ(scan.segments[0].record_count, 3);
+  EXPECT_EQ(scan.segments[0].version, 2);
+  EXPECT_EQ(scan.next_sequence, 4u);
+
+  std::vector<WalRelearnRecord> relearns = ReplayRelearns(dir_);
+  ASSERT_EQ(relearns.size(), 3u);
+  for (uint64_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(RelearnBitsEqual(relearns[i], MakeRelearn(i + 1)))
+        << "record " << i;
+  }
+  // from_point drops the records before it.
+  std::vector<WalRelearnRecord> late = ReplayRelearns(dir_, 2);
+  ASSERT_EQ(late.size(), 2u);
+  EXPECT_EQ(late[0].point, 2u);
+
+  // A torn relearn record at the tail is dropped like a torn batch, and
+  // the writer heals it on open; the batches before it are intact.
+  const std::string segment = scan.segments[0].path;
+  const uintmax_t full = fs::file_size(segment);
+  fs::resize_file(segment, full - 5);
+  WalScan torn = ScanWal(dir_).ValueOrDie();
+  EXPECT_TRUE(torn.tail_torn);
+  EXPECT_EQ(torn.segments[0].record_count, 3);
+  EXPECT_EQ(ReplayRelearns(dir_).size(), 2u);
+  {
+    std::unique_ptr<WalWriter> writer = WalWriter::Open(dir_).ValueOrDie();
+    SLIMFAST_CHECK_OK(writer->AppendRelearn(MakeRelearn(3)));
+  }
+  EXPECT_FALSE(ScanWal(dir_).ValueOrDie().tail_torn);
+  relearns = ReplayRelearns(dir_);
+  ASSERT_EQ(relearns.size(), 3u);
+  EXPECT_TRUE(RelearnBitsEqual(relearns[2], MakeRelearn(3)));
+}
+
+TEST_F(WalTest, RelearnRecordAheadOfItsBatchesIsTorn) {
+  {
+    std::unique_ptr<WalWriter> writer = WalWriter::Open(dir_).ValueOrDie();
+    SLIMFAST_CHECK_OK(writer->Append(MakeBatch(0)).status());
+    // Point 2 names a batch the log does not hold before the record.
+    SLIMFAST_CHECK_OK(writer->AppendRelearn(MakeRelearn(2)));
+  }
+  WalScan scan = ScanWal(dir_).ValueOrDie();
+  EXPECT_TRUE(scan.tail_torn);
+  EXPECT_EQ(scan.segments[0].record_count, 1);
+  EXPECT_TRUE(ReplayRelearns(dir_).empty());
+}
+
+TEST_F(WalTest, FormatOneSegmentsReplayAndAppendingMovesOn) {
+  {
+    std::unique_ptr<WalWriter> writer = WalWriter::Open(dir_).ValueOrDie();
+    for (int32_t i = 0; i < 3; ++i) {
+      SLIMFAST_CHECK_OK(writer->Append(MakeBatch(i)).status());
+    }
+  }
+  // Rewrite the header's magic to "SLFWAL01": the format before relearn
+  // records, whose segments hold batch records only.
+  const std::string old_segment = ScanWal(dir_).ValueOrDie().segments[0].path;
+  {
+    std::fstream f(old_segment,
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(0);
+    f.write("SLFWAL01", 8);
+  }
+  WalScan scan = ScanWal(dir_).ValueOrDie();
+  ASSERT_EQ(scan.segments.size(), 1u);
+  EXPECT_EQ(scan.segments[0].version, 1);
+  EXPECT_EQ(ReplayAll(dir_).size(), 3u);
+
+  // The writer never adds a relearn record to an old-format segment: it
+  // resumes in a fresh one, and the log still replays end to end.
+  {
+    std::unique_ptr<WalWriter> writer = WalWriter::Open(dir_).ValueOrDie();
+    SLIMFAST_CHECK_OK(writer->AppendRelearn(MakeRelearn(3)));
+    EXPECT_EQ(writer->Append(MakeBatch(3)).ValueOrDie(), 4u);
+  }
+  scan = ScanWal(dir_).ValueOrDie();
+  ASSERT_EQ(scan.segments.size(), 2u);
+  EXPECT_EQ(scan.segments[0].version, 1);
+  EXPECT_EQ(scan.segments[1].version, 2);
+  EXPECT_EQ(scan.segments[1].first_sequence, 4u);
+  std::vector<WalRecord> batches = ReplayAll(dir_);
+  ASSERT_EQ(batches.size(), 4u);
+  EXPECT_TRUE(BatchEquals(batches[3].batch, MakeBatch(3)));
+  std::vector<WalRelearnRecord> relearns = ReplayRelearns(dir_);
+  ASSERT_EQ(relearns.size(), 1u);
+  EXPECT_TRUE(RelearnBitsEqual(relearns[0], MakeRelearn(3)));
 }
 
 }  // namespace
