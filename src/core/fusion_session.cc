@@ -290,7 +290,6 @@ FusionSnapshotPtr FusionSession::ExportSnapshot() const {
   snapshot->num_ingested_batches = num_ingested_batches_;
   snapshot->num_observations = num_observations();
   snapshot->predictions = predictions_;
-  snapshot->max_posterior = max_posterior_;
   snapshot->posterior_begin = posterior_begin_;
   snapshot->posterior_values = posterior_values_;
   snapshot->posterior_probs = posterior_probs_;

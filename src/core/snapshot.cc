@@ -1,5 +1,7 @@
 #include "core/snapshot.h"
 
+#include <algorithm>
+
 namespace slimfast {
 
 namespace {
@@ -15,7 +17,10 @@ ValueId FusionSnapshot::Prediction(ObjectId object) const {
 
 double FusionSnapshot::Confidence(ObjectId object) const {
   if (!has_model() || !InUniverse(*this, object)) return 0.0;
-  return max_posterior[static_cast<size_t>(object)];
+  const size_t o = static_cast<size_t>(object);
+  const auto begin = posterior_probs.begin() + posterior_begin[o];
+  const auto end = posterior_probs.begin() + posterior_begin[o + 1];
+  return begin == end ? 0.0 : *std::max_element(begin, end);
 }
 
 bool FusionSnapshot::PosteriorOf(ObjectId object,

@@ -54,8 +54,11 @@ struct FusionSnapshot {
   /// MAP value per object (kNoValue where unobserved). Empty before the
   /// first relearn — the has_model() signal.
   std::vector<ValueId> predictions;
-  /// Top posterior probability per object (0 where unobserved) — the
-  /// marginal confidence behind each prediction.
+  /// Always empty: an object's top posterior probability is already in
+  /// its posterior slice, and Confidence() reads it there instead of
+  /// every publish copying it again per object. The field remains only
+  /// because the repository benchmark's snapshot byte count
+  /// (`slimbench/workloads.cc`) names it.
   std::vector<double> max_posterior;
   /// CSR offsets into posterior_values/posterior_probs, one slice per
   /// object (size num_objects + 1; empty before the first relearn).
