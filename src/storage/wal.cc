@@ -25,11 +25,8 @@ using storage_internal::WriteFully;
 
 namespace {
 
-// "SLFWAL02" in little-endian byte order: segments that may hold relearn
-// records. "SLFWAL01" segments hold batch records only; they still replay,
-// and the writer never appends to one.
+// "SLFWAL02" in little-endian byte order.
 constexpr uint64_t kWalMagic = 0x32304C4157464C53ULL;
-constexpr uint64_t kWalMagicV1 = 0x31304C4157464C53ULL;
 // The sequence field of a relearn record's payload; no batch sequence
 // reaches it.
 constexpr uint64_t kRelearnMarker = ~0ULL;
@@ -156,7 +153,6 @@ RecordKind DecodeRecordPayload(const char* data, size_t size,
 /// break either count as torn.
 struct SegmentParse {
   uint64_t declared_first_sequence = 0;
-  int32_t version = 0;
   int64_t record_count = 0;    // batch records
   uint64_t last_sequence = 0;  // valid only when record_count > 0
   int64_t valid_bytes = 0;
@@ -182,10 +178,9 @@ Result<SegmentParse> ParseSegment(const std::string& bytes,
   uint64_t magic = 0;
   header.ReadU64(&magic);
   header.ReadU64(&parse.declared_first_sequence);
-  if (magic != kWalMagic && magic != kWalMagicV1) {
+  if (magic != kWalMagic) {
     return Status::IOError("wal segment " + path + " has a bad magic");
   }
-  parse.version = magic == kWalMagic ? 2 : 1;
   parse.valid_bytes = kSegmentHeaderBytes;
 
   size_t pos = static_cast<size_t>(kSegmentHeaderBytes);
@@ -221,8 +216,7 @@ Result<SegmentParse> ParseSegment(const std::string& bytes,
       parse.last_sequence = record.sequence;
       ++parse.record_count;
       if (collect_batches) parse.records.push_back(std::move(record));
-    } else if (kind == RecordKind::kRelearn && parse.version >= 2 &&
-               relearn.point <= applied) {
+    } else if (kind == RecordKind::kRelearn && relearn.point <= applied) {
       if (collect_relearns) parse.relearns.push_back(std::move(relearn));
     } else {
       parse.torn = true;
@@ -316,7 +310,6 @@ Result<WalScan> WalkWal(
     segment.first_sequence = listed[i].first;
     segment.record_count = parse.record_count;
     segment.valid_bytes = parse.valid_bytes;
-    segment.version = parse.version;
     scan.segments.push_back(std::move(segment));
     if (final_segment) scan.tail_torn = parse.torn;
     if (fn != nullptr) {
@@ -400,16 +393,10 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     writer->segments_.emplace_back(segment.first_sequence, segment.path);
   }
 
-  // An old-format tail takes no relearn records: appending resumes in a
-  // fresh segment.
-  const bool old_format_tail =
-      !scan.segments.empty() && scan.segments.back().version == 1;
   if (!scan.segments.empty()) {
     WalSegment& tail = scan.segments.back();
-    if (tail.valid_bytes < kSegmentHeaderBytes ||
-        (old_format_tail && tail.record_count == 0)) {
-      // Header torn mid-write, or an old-format segment with no record:
-      // recreate the segment wholesale.
+    if (tail.valid_bytes < kSegmentHeaderBytes) {
+      // Header torn mid-write: recreate the segment wholesale.
       std::filesystem::remove(tail.path, ec);
       if (ec) {
         return Status::IOError("cannot remove torn wal segment " +
@@ -445,11 +432,9 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   }
   if (writer->fd_ < 0) {
     SLIMFAST_RETURN_NOT_OK(writer->CreateSegment(writer->next_sequence_));
-  } else if (writer->next_sequence_ > scan.next_sequence ||
-             old_format_tail) {
-    // The log was truncated past a checkpoint the caller still holds
-    // (never append a discontiguous sequence into an old segment), or
-    // the tail is an old-format segment.
+  } else if (writer->next_sequence_ > scan.next_sequence) {
+    // The log was truncated past a checkpoint the caller still holds;
+    // never append a discontiguous sequence into an old segment.
     SLIMFAST_RETURN_NOT_OK(writer->Rotate());
   }
   return writer;

@@ -81,9 +81,6 @@ struct WalSegment {
   int64_t record_count = 0;
   /// Byte length of the intact prefix (header + intact records).
   int64_t valid_bytes = 0;
-  /// Format version from the header magic: 1 for `SLFWAL01` segments,
-  /// which hold batch records only; 2 for `SLFWAL02`.
-  int32_t version = 0;
 };
 
 /// Result of scanning a WAL directory without mutating it.

@@ -414,7 +414,6 @@ TEST_F(WalTest, RelearnRecordsRoundTripBitwiseBesideTheBatches) {
   WalScan scan = ScanWal(dir_).ValueOrDie();
   ASSERT_EQ(scan.segments.size(), 1u);
   EXPECT_EQ(scan.segments[0].record_count, 3);
-  EXPECT_EQ(scan.segments[0].version, 2);
   EXPECT_EQ(scan.next_sequence, 4u);
 
   std::vector<WalRelearnRecord> relearns = ReplayRelearns(dir_);
@@ -460,45 +459,22 @@ TEST_F(WalTest, RelearnRecordAheadOfItsBatchesIsTorn) {
   EXPECT_TRUE(ReplayRelearns(dir_).empty());
 }
 
-TEST_F(WalTest, FormatOneSegmentsReplayAndAppendingMovesOn) {
+TEST_F(WalTest, SegmentOfAnotherFormatIsRefusedAndLeftIntact) {
   {
     std::unique_ptr<WalWriter> writer = WalWriter::Open(dir_).ValueOrDie();
-    for (int32_t i = 0; i < 3; ++i) {
-      SLIMFAST_CHECK_OK(writer->Append(MakeBatch(i)).status());
-    }
+    SLIMFAST_CHECK_OK(writer->Append(MakeBatch(0)).status());
   }
-  // Rewrite the header's magic to "SLFWAL01": the format before relearn
-  // records, whose segments hold batch records only.
-  const std::string old_segment = ScanWal(dir_).ValueOrDie().segments[0].path;
+  // "SLFWAL01" is the format before relearn records.
+  const std::string segment = ScanWal(dir_).ValueOrDie().segments[0].path;
   {
-    std::fstream f(old_segment,
-                   std::ios::binary | std::ios::in | std::ios::out);
+    std::fstream f(segment, std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(0);
     f.write("SLFWAL01", 8);
   }
-  WalScan scan = ScanWal(dir_).ValueOrDie();
-  ASSERT_EQ(scan.segments.size(), 1u);
-  EXPECT_EQ(scan.segments[0].version, 1);
-  EXPECT_EQ(ReplayAll(dir_).size(), 3u);
-
-  // The writer never adds a relearn record to an old-format segment: it
-  // resumes in a fresh one, and the log still replays end to end.
-  {
-    std::unique_ptr<WalWriter> writer = WalWriter::Open(dir_).ValueOrDie();
-    SLIMFAST_CHECK_OK(writer->AppendRelearn(MakeRelearn(3)));
-    EXPECT_EQ(writer->Append(MakeBatch(3)).ValueOrDie(), 4u);
-  }
-  scan = ScanWal(dir_).ValueOrDie();
-  ASSERT_EQ(scan.segments.size(), 2u);
-  EXPECT_EQ(scan.segments[0].version, 1);
-  EXPECT_EQ(scan.segments[1].version, 2);
-  EXPECT_EQ(scan.segments[1].first_sequence, 4u);
-  std::vector<WalRecord> batches = ReplayAll(dir_);
-  ASSERT_EQ(batches.size(), 4u);
-  EXPECT_TRUE(BatchEquals(batches[3].batch, MakeBatch(3)));
-  std::vector<WalRelearnRecord> relearns = ReplayRelearns(dir_);
-  ASSERT_EQ(relearns.size(), 1u);
-  EXPECT_TRUE(RelearnBitsEqual(relearns[0], MakeRelearn(3)));
+  const uintmax_t size = fs::file_size(segment);
+  EXPECT_FALSE(ScanWal(dir_).ok());
+  EXPECT_FALSE(WalWriter::Open(dir_).ok());
+  EXPECT_EQ(fs::file_size(segment), size);
 }
 
 }  // namespace
