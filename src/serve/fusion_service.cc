@@ -204,8 +204,10 @@ Status FusionService::RecoverFromDir(const FeatureSpace& features) {
   // instead of re-run, and the shard's relearns before that point are
   // skipped: the install overwrites everything they produce. A record at
   // the checkpoint's own point may predate the checkpoint; installing it
-  // again changes nothing. Records of another shard count hold another
-  // partition's results and are ignored.
+  // again changes nothing. Results that do not fit the service — from
+  // another shard count (another partition) or sized for another
+  // parameter layout — are ignored, so their shards relearn from the
+  // batches as if the log held no record.
   const int32_t num_shards = router_.num_shards();
   std::vector<WalRelearnShard> logged(static_cast<size_t>(num_shards));
   install_points_.assign(static_cast<size_t>(num_shards), -1);
@@ -214,6 +216,14 @@ Status FusionService::RecoverFromDir(const FeatureSpace& features) {
       [&](const WalRelearnRecord& record) -> Status {
         if (record.num_shards != num_shards) return Status::OK();
         for (const WalRelearnShard& result : record.shards) {
+          const FusionSession& session =
+              *shards_[static_cast<size_t>(result.shard)].session;
+          if (result.weights.size() !=
+                  static_cast<size_t>(
+                      session.instance()->model->layout.num_params) ||
+              result.num_relearns < 1) {
+            continue;
+          }
           install_points_[static_cast<size_t>(result.shard)] =
               static_cast<int64_t>(record.point);
           logged[static_cast<size_t>(result.shard)] = result;

@@ -740,6 +740,44 @@ TEST_F(RecoveryTest, StrippedLogRecoversLikeTheRecordedLog) {
   from_records->Stop();
 }
 
+TEST_F(RecoveryTest, RelearnRecordsThatDoNotFitAreIgnored) {
+  // A relearn result logged under another shard count, or sized for
+  // another parameter layout, cannot be installed: recovery treats it as
+  // absent and relearns from the batches, like the stripped log.
+  Dataset dataset =
+      MakePlantedDataset({0.9, 0.85, 0.8, 0.75, 0.7}, 60, 0.6, 29);
+  const std::vector<ObservationBatch> batches =
+      ChunkDatasetForReplay(dataset, 8);
+  FusionServiceOptions options;
+  options.num_shards = 3;
+  options.relearn_every_batches = 2;
+  options.durability.wal_dir = dir_;
+  const std::vector<FusionSnapshotPtr> offline =
+      Offline(dataset, options, batches);
+
+  {
+    std::unique_ptr<WalWriter> writer = WalWriter::Open(dir_).ValueOrDie();
+    for (const ObservationBatch& batch : batches) {
+      SLIMFAST_CHECK_OK(writer->Append(batch).status());
+    }
+    const uint64_t point = batches.size();
+    const std::vector<double> fitting = offline[0]->weights;
+    SLIMFAST_CHECK_OK(writer->AppendRelearn(
+        WalRelearnRecord{point, 2, {WalRelearnShard{0, 99, fitting}}}));
+    SLIMFAST_CHECK_OK(writer->AppendRelearn(WalRelearnRecord{
+        point, 3,
+        {WalRelearnShard{0, 99, std::vector<double>(fitting.size() + 1)},
+         WalRelearnShard{1, 99, {}}}}));
+  }
+  EXPECT_EQ(CountRelearnRecords(dir_), 2u);
+
+  std::unique_ptr<FusionService> recovered =
+      RecoverService(dir_, dataset, options);
+  ExpectSnapshotsBitIdentical(recovered->AllSnapshots(), offline);
+  EXPECT_GT(recovered->stats().relearns, 0);
+  recovered->Stop();
+}
+
 TEST_F(RecoveryTest, LogCutAtEveryRecordBoundaryRecoversTheAckedPrefix) {
   // Relearning every batch, a drain adds nothing, so the live state at
   // any point of the log is the offline replay of the batches before it.
