@@ -1,6 +1,5 @@
 #include "core/fusion_session.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/registry.h"
@@ -75,7 +74,6 @@ FusionSession::State FusionSession::ExportState() const {
   state.posterior_begin = posterior_begin_;
   state.posterior_values = posterior_values_;
   state.posterior_probs = posterior_probs_;
-  state.max_posterior = max_posterior_;
   state.num_ingested_batches = num_ingested_batches_;
   state.num_relearns = num_relearns_;
   state.pending_batches = pending_batches_;
@@ -100,8 +98,7 @@ Result<FusionSession> FusionSession::Restore(const ObservationStore& store,
         state.posterior_begin.back() ==
             static_cast<int64_t>(state.posterior_values.size()) &&
         state.posterior_values.size() == state.posterior_probs.size();
-    if (state.predictions.size() != num_objects ||
-        state.max_posterior.size() != num_objects || !posterior_consistent ||
+    if (state.predictions.size() != num_objects || !posterior_consistent ||
         state.source_accuracies.size() !=
             static_cast<size_t>(store.num_sources())) {
       return Status::InvalidArgument(
@@ -136,7 +133,6 @@ Result<FusionSession> FusionSession::Restore(const ObservationStore& store,
   session.posterior_begin_ = std::move(state.posterior_begin);
   session.posterior_values_ = std::move(state.posterior_values);
   session.posterior_probs_ = std::move(state.posterior_probs);
-  session.max_posterior_ = std::move(state.max_posterior);
   session.num_ingested_batches_ = state.num_ingested_batches;
   session.num_relearns_ = state.num_relearns;
   session.pending_batches_ = state.pending_batches;
@@ -239,7 +235,6 @@ void FusionSession::RefreshPosteriors(const SlimFastModel& model) {
   posterior_begin_.assign(static_cast<size_t>(num_objects) + 1, 0);
   posterior_values_.clear();
   posterior_probs_.clear();
-  max_posterior_.assign(static_cast<size_t>(num_objects), 0.0);
   std::vector<double> probs;
   for (ObjectId o = 0; o < num_objects; ++o) {
     const int32_t row = inst.RowIndex(o);
@@ -260,8 +255,6 @@ void FusionSession::RefreshPosteriors(const SlimFastModel& model) {
                                domain + static_cast<int64_t>(probs.size()));
       posterior_probs_.insert(posterior_probs_.end(), probs.begin(),
                               probs.end());
-      max_posterior_[static_cast<size_t>(o)] =
-          *std::max_element(probs.begin(), probs.end());
     }
     posterior_begin_[static_cast<size_t>(o) + 1] =
         static_cast<int64_t>(posterior_values_.size());

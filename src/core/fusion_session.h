@@ -119,8 +119,6 @@ class FusionSession {
     std::vector<ValueId> posterior_values;
     /// Posterior probabilities, parallel to posterior_values.
     std::vector<double> posterior_probs;
-    /// Per-object top posterior probability (0 where unknown).
-    std::vector<double> max_posterior;
     /// Batches ingested over the session's lifetime (keeps the serving
     /// layer's every-K relearn phase aligned across Restore()).
     int32_t num_ingested_batches = 0;
@@ -243,8 +241,8 @@ class FusionSession {
                                     FeatureSpace features);
 
   /// Recomputes the MAP predictions and the flattened per-object
-  /// posteriors (and per-object confidence) from the installed model,
-  /// scoring each row once; called by Install.
+  /// posteriors from the installed model, scoring each row once; called
+  /// by Install.
   void RefreshPosteriors(const SlimFastModel& model);
 
   FusionSessionOptions options_;
@@ -267,7 +265,6 @@ class FusionSession {
   std::vector<int64_t> posterior_begin_;
   std::vector<ValueId> posterior_values_;
   std::vector<double> posterior_probs_;
-  std::vector<double> max_posterior_;
 
   int32_t num_ingested_batches_ = 0;
   int32_t num_relearns_ = 0;

@@ -54,11 +54,10 @@ struct FusionSnapshot {
   /// MAP value per object (kNoValue where unobserved). Empty before the
   /// first relearn — the has_model() signal.
   std::vector<ValueId> predictions;
-  /// Always empty: an object's top posterior probability is already in
-  /// its posterior slice, and Confidence() reads it there instead of
-  /// every publish copying it again per object. The field remains only
-  /// because the repository benchmark's snapshot byte count
-  /// (`slimbench/workloads.cc`) names it.
+  /// Retired and always empty; do not read it. Confidence() reads an
+  /// object's top probability from its posterior slice. The field is
+  /// deleted with the next change to the repository benchmark, whose
+  /// snapshot byte count (`slimbench/workloads.cc`) still names it.
   std::vector<double> max_posterior;
   /// CSR offsets into posterior_values/posterior_probs, one slice per
   /// object (size num_objects + 1; empty before the first relearn).

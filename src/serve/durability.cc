@@ -21,7 +21,6 @@ void AppendSessionState(const FusionSession::State& state,
   AppendArray(out, state.posterior_begin);
   AppendArray(out, state.posterior_values);
   AppendArray(out, state.posterior_probs);
-  AppendArray(out, state.max_posterior);
   AppendI32(out, state.num_ingested_batches);
   AppendI32(out, state.num_relearns);
   AppendI32(out, state.pending_batches);
@@ -34,7 +33,6 @@ bool ReadSessionState(ByteReader* in, FusionSession::State* state) {
          ReadArray(in, &state->posterior_begin) &&
          ReadArray(in, &state->posterior_values) &&
          ReadArray(in, &state->posterior_probs) &&
-         ReadArray(in, &state->max_posterior) &&
          in->ReadI32(&state->num_ingested_batches) &&
          in->ReadI32(&state->num_relearns) &&
          in->ReadI32(&state->pending_batches);
