@@ -22,16 +22,14 @@ using CopyPairIndex = std::unordered_map<int64_t, int32_t>;
 /// sorted by param. A dense per-parameter buffer holds the sums and a
 /// list records the parameters touched, so a candidate costs its own
 /// terms. Each parameter's sum starts at 0.0 and adds its terms in
-/// insertion order, which fixes its bits.
+/// insertion order, which fixes its bits. One accumulator serves every
+/// row of a compile task; Finish leaves it zeroed for the next candidate.
 class TermAccumulator {
  public:
-  /// Sizes the buffer for parameter ids below `num_params`.
-  void Reserve(int32_t num_params) {
-    if (sums_.size() < static_cast<size_t>(num_params)) {
-      sums_.resize(static_cast<size_t>(num_params), 0.0);
-      seen_.resize(static_cast<size_t>(num_params), 0);
-    }
-  }
+  /// Sized for parameter ids below `num_params`.
+  explicit TermAccumulator(int32_t num_params)
+      : sums_(static_cast<size_t>(num_params), 0.0),
+        seen_(static_cast<size_t>(num_params), 0) {}
 
   void Add(ParamId param, double coeff) {
     const size_t p = static_cast<size_t>(param);
@@ -167,10 +165,12 @@ Result<CompiledModel> CompileHeader(const ObservationStore& store,
 /// object and DeltaCompile for the rows with new claims, over the same
 /// claims in the same order, so a delta-compiled row is bitwise-identical
 /// to its full-compilation counterpart. `structure` supplies the header
-/// and the sigma-term CSR; it may be `out` itself.
+/// and the sigma-term CSR; it may be `out` itself. `acc` is the calling
+/// task's accumulator, sized for the header's parameters.
 void AppendRow(const ObservationStore& store, ObjectId object,
                const CompiledInstance& structure,
-               const CopyPairIndex& copy_pairs, CompiledInstance* out) {
+               const CopyPairIndex& copy_pairs, TermAccumulator* acc,
+               CompiledInstance* out) {
   const CompiledModel& model = *structure.model;
   const ModelConfig& config = model.config;
   const IndexRange claims = store.ObjectRange(object);
@@ -180,9 +180,6 @@ void AppendRow(const ObservationStore& store, ObjectId object,
   const double claim_offset =
       domain.size() > 2 ? std::log(static_cast<double>(domain.size()) - 1.0)
                         : 0.0;
-  // One buffer per thread, reused across rows; Finish leaves it zeroed.
-  thread_local TermAccumulator acc;
-  acc.Reserve(model.layout.num_params);
   for (int64_t k = domain.begin; k < domain.end; ++k) {
     const ValueId d = store.domain_values()[static_cast<size_t>(k)];
     double offset = 0.0;
@@ -191,8 +188,8 @@ void AppendRow(const ObservationStore& store, ObjectId object,
       const size_t s = static_cast<size_t>(sources[static_cast<size_t>(i)]);
       for (int64_t t = structure.sigma_begin[s];
            t < structure.sigma_begin[s + 1]; ++t) {
-        acc.Add(structure.sigma_param[static_cast<size_t>(t)],
-                structure.sigma_coeff[static_cast<size_t>(t)]);
+        acc->Add(structure.sigma_param[static_cast<size_t>(t)],
+                 structure.sigma_coeff[static_cast<size_t>(t)]);
       }
       offset += claim_offset;
     }
@@ -212,13 +209,13 @@ void AppendRow(const ObservationStore& store, ObjectId object,
               static_cast<int64_t>(std::min(sa, sb)) * model.num_sources +
               std::max(sa, sb));
           if (it == copy_pairs.end()) continue;
-          if (d != va) acc.Add(model.layout.copy_offset + it->second, 1.0);
+          if (d != va) acc->Add(model.layout.copy_offset + it->second, 1.0);
         }
       }
     }
     out->cand_values.push_back(d);
     out->cand_offsets.push_back(offset);
-    acc.Finish(&out->term_coeff, &out->term_param);
+    acc->Finish(&out->term_coeff, &out->term_param);
     out->term_begin.push_back(static_cast<int64_t>(out->term_coeff.size()));
   }
   out->row_begin.push_back(static_cast<int64_t>(out->cand_values.size()));
@@ -381,12 +378,13 @@ Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
   StartRows(store.domain_values().size(),
             static_cast<size_t>(store.num_observations()), instance.get());
   instance->object_row.assign(static_cast<size_t>(store.num_objects()), -1);
+  TermAccumulator acc(instance->model->layout.num_params);
   for (ObjectId o = 0; o < store.num_objects(); ++o) {
     if (store.ObjectRange(o).empty()) continue;
     instance->object_row[static_cast<size_t>(o)] =
         static_cast<int32_t>(instance->row_object.size());
     instance->row_object.push_back(o);
-    AppendRow(store, o, *instance, pair_index, instance.get());
+    AppendRow(store, o, *instance, pair_index, &acc, instance.get());
   }
   instance->store = std::move(store);
   instance->truth_cand.reserve(instance->row_object.size());
@@ -440,11 +438,18 @@ Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
                   recompile.end());
   std::vector<CompiledInstance> fragments(recompile.size());
   const CopyPairIndex no_copy_pairs;
-  ParallelFor(exec, static_cast<int64_t>(recompile.size()), [&](int64_t i) {
-    CompiledInstance& fragment = fragments[static_cast<size_t>(i)];
-    StartRows(0, 0, &fragment);
-    AppendRow(store, recompile[static_cast<size_t>(i)], base, no_copy_pairs,
-              &fragment);
+  const std::vector<ShardRange> tasks = StaticShards(
+      static_cast<int64_t>(recompile.size()),
+      FixedShardCount(static_cast<int64_t>(recompile.size())));
+  RunSharded(exec, static_cast<int32_t>(tasks.size()), [&](int32_t t) {
+    TermAccumulator acc(base.model->layout.num_params);
+    for (int64_t i = tasks[static_cast<size_t>(t)].begin;
+         i < tasks[static_cast<size_t>(t)].end; ++i) {
+      CompiledInstance& fragment = fragments[static_cast<size_t>(i)];
+      StartRows(0, 0, &fragment);
+      AppendRow(store, recompile[static_cast<size_t>(i)], base,
+                no_copy_pairs, &acc, &fragment);
+    }
   });
 
   // Assemble the rows in ObjectId order. Only the touched objects (new
