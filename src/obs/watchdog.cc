@@ -1,16 +1,15 @@
 #include "obs/watchdog.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace slimfast {
 namespace obs {
 
-SloWatchdog::SloWatchdog(SloWatchdogOptions options)
-    : options_(options) {
-  query_p99_.ceiling = options_.query_p99_ceiling_seconds;
-  staleness_.ceiling = options_.staleness_ceiling_seconds;
-  queue_depth_.ceiling = options_.queue_high_water;
-  relearn_stall_.ceiling = options_.relearn_stall_seconds;
+SloWatchdog::SloWatchdog(SloWatchdogOptions options) {
+  query_p99_.ceiling = options.query_p99_ceiling_seconds;
+  staleness_.ceiling = options.staleness_ceiling_seconds;
+  queue_depth_.ceiling = options.queue_high_water;
+  relearn_stall_.ceiling = options.relearn_stall_seconds;
 }
 
 bool SloWatchdog::active() const {
@@ -21,8 +20,7 @@ bool SloWatchdog::active() const {
 void SloWatchdog::Step(Rule* rule, double value, bool gate,
                        SloVerdict* verdict) {
   if (rule->ceiling <= 0.0) return;  // rule off
-  const double clear_at =
-      rule->ceiling * std::clamp(options_.clear_fraction, 0.0, 1.0);
+  const double clear_at = rule->ceiling * kSloClearFraction;
   bool changed = false;
   if (!rule->breached) {
     if (gate && value > rule->ceiling) {

@@ -26,11 +26,12 @@ struct SloWatchdogOptions {
   /// iteration for this long *while work is pending* — a wedged or
   /// stalled relearn.
   double relearn_stall_seconds = 0.0;
-  /// Hysteresis: a latched breach clears only once the value falls to
-  /// <= ceiling * clear_fraction, so a value oscillating at the
-  /// ceiling cannot flap the health state.
-  double clear_fraction = 0.8;
 };
+
+/// Hysteresis: a latched breach clears only once the value falls to
+/// <= ceiling * kSloClearFraction, so a value oscillating at the
+/// ceiling cannot flap the health state.
+inline constexpr double kSloClearFraction = 0.8;
 
 /// One evaluation's inputs, gathered by the service from its live
 /// state and time-series.
@@ -68,7 +69,7 @@ struct SloVerdict {
 /// Evaluates the configured SLO rules against a snapshot of inputs,
 /// with per-rule breach latching and hysteresis: a rule breaches when
 /// its value exceeds the ceiling and clears only when the value falls
-/// to <= ceiling * clear_fraction. Evaluated from the serve driver's
+/// to <= ceiling * kSloClearFraction. Evaluated from the serve driver's
 /// sampling tick and on demand by the HEALTH verb, hence the internal
 /// mutex.
 class SloWatchdog {
@@ -87,8 +88,6 @@ class SloWatchdog {
   /// events and gauge flips).
   SloVerdict Evaluate(const SloInputs& inputs);
 
-  const SloWatchdogOptions& options() const { return options_; }
-
  private:
   struct Rule {
     const char* name;
@@ -101,7 +100,6 @@ class SloWatchdog {
   /// rule only fires while work is pending).
   void Step(Rule* rule, double value, bool gate, SloVerdict* verdict);
 
-  const SloWatchdogOptions options_;
   std::mutex mu_;
   Rule query_p99_{"query_p99"};
   Rule staleness_{"staleness"};

@@ -22,6 +22,15 @@ namespace slimfast {
 
 namespace {
 
+/// Capacity of the bounded ingest queue, in batches. A full queue blocks
+/// Submit (backpressure); callers that prefer shedding use TrySubmit.
+constexpr size_t kQueueCapacity = 64;
+
+/// Most batches the ingest driver absorbs per wakeup. Coalescing
+/// amortizes the shard fan-out over bursts without changing results
+/// (batches are still applied strictly in submission order).
+constexpr size_t kMaxCoalescedBatches = 8;
+
 /// Hands the heap pages the process has freed back to the OS; glibc keeps
 /// them, per thread arena, otherwise. A service's driver thread allocates
 /// in an arena of its own, so without this, memory freed before a service
@@ -80,7 +89,7 @@ FusionService::FusionService(FusionServiceOptions options,
       num_values_(num_values),
       router_(options_.num_shards),
       shard_exec_(options_.shard_exec),
-      queue_(options_.queue_capacity),
+      queue_(kQueueCapacity),
       created_ns_(NowNanos()) {
   last_tick_ns_.store(created_ns_, std::memory_order_relaxed);
 }
@@ -93,8 +102,6 @@ Result<std::unique_ptr<FusionService>> FusionService::Create(
     return Status::InvalidArgument("num_shards must be >= 1, got " +
                                    std::to_string(options.num_shards));
   }
-  if (options.queue_capacity == 0) options.queue_capacity = 1;
-  if (options.max_coalesced_batches == 0) options.max_coalesced_batches = 1;
 
   std::unique_ptr<FusionService> service(new FusionService(
       std::move(options), num_sources, num_objects, num_values));
@@ -120,13 +127,6 @@ Result<std::unique_ptr<FusionService>> FusionService::Create(
   // Value-initialized (all zero): nothing is pending at creation.
   service->pending_since_ns_.reset(new std::atomic<int64_t>[
       static_cast<size_t>(num_shards)]());
-  const double queue_watermark = service->options_.shed_queue_watermark;
-  if (queue_watermark > 0.0) {
-    double batches = queue_watermark *
-                     static_cast<double>(service->options_.queue_capacity);
-    service->shed_queue_batches_ =
-        std::max<size_t>(1, static_cast<size_t>(batches));
-  }
   service->watchdog_ =
       std::make_unique<obs::SloWatchdog>(service->options_.slo);
   if (service->options_.durability.enabled()) {
@@ -360,15 +360,8 @@ Status FusionService::SubmitWithBackpressure(ObservationBatch batch,
                                              int64_t* retry_after_ms) {
   if (retry_after_ms != nullptr) *retry_after_ms = 0;
   const int64_t backlog_watermark = options_.shed_backlog_watermark;
-  if (shed_queue_batches_ == 0 && backlog_watermark <= 0) {
-    return Submit(std::move(batch));
-  }
-  const bool over_queue =
-      shed_queue_batches_ > 0 && queue_.size() >= shed_queue_batches_;
-  const bool over_backlog =
-      backlog_watermark > 0 &&
-      relearn_backlog_.load(std::memory_order_relaxed) >= backlog_watermark;
-  if (!over_queue && !over_backlog) {
+  if (backlog_watermark <= 0) return Submit(std::move(batch));
+  if (relearn_backlog_.load(std::memory_order_relaxed) < backlog_watermark) {
     Status tried = TrySubmit(std::move(batch));
     if (!tried.IsOutOfRange()) {  // accepted, or stopped
       if (tried.ok() && obs::Enabled() &&
@@ -396,16 +389,13 @@ Status FusionService::SubmitWithBackpressure(ObservationBatch batch,
     if (!shed_burst_.exchange(true, std::memory_order_relaxed)) {
       obs::EventLog::Global().Emit(
           obs::EventSeverity::kWarn, "admission", -1,
-          std::string("shed burst entered reason=") +
-              (over_queue ? "queue_watermark" : "backlog_watermark"));
+          "shed burst entered reason=backlog_watermark");
     }
   }
   if (retry_after_ms != nullptr) *retry_after_ms = RetryHintMs();
   std::lock_guard<std::mutex> lock(state_mu_);
   ++stats_.sheds;
-  return Status::OutOfRange(
-      over_queue ? "ingest shed: queue watermark crossed"
-                 : "ingest shed: relearn backlog watermark crossed");
+  return Status::OutOfRange("ingest shed: relearn backlog watermark crossed");
 }
 
 int64_t FusionService::RetryHintMs() const {
@@ -514,8 +504,8 @@ void FusionService::DriverLoop() {
   const auto poll = std::chrono::milliseconds(10);
   for (;;) {
     std::vector<Command> group =
-        timed ? queue_.PopBatchFor(options_.max_coalesced_batches, poll)
-              : queue_.PopBatch(options_.max_coalesced_batches);
+        timed ? queue_.PopBatchFor(kMaxCoalescedBatches, poll)
+              : queue_.PopBatch(kMaxCoalescedBatches);
     if (group.empty()) {
       // An empty timed pop can race with a concurrent Submit + Stop
       // (timeout on an open queue, then close): only break once the
@@ -594,9 +584,19 @@ void FusionService::DriverLoop() {
     UpdateSessionStatsLocked();
   }
   // Shutdown: everything queued has been applied; give the tail of the
-  // stream its relearn and final publication.
+  // stream its relearn and final publication, and make that relearn's
+  // record durable here, where a failure can still be reported.
   RelearnShards("stop");
+  Status synced = Status::OK();
+  if (wal_ != nullptr && options_.durability.wal.fsync != WalFsync::kNone) {
+    synced = wal_->Sync();
+    if (!synced.ok() && obs::Enabled()) {
+      obs::EventLog::Global().Emit(obs::EventSeverity::kError, "wal", -1,
+                                   "stop sync failed: " + synced.ToString());
+    }
+  }
   std::lock_guard<std::mutex> lock(state_mu_);
+  if (!synced.ok()) stats_.last_error = "wal sync: " + synced.ToString();
   UpdateSessionStatsLocked();
 }
 

@@ -50,14 +50,6 @@ struct FusionServiceOptions {
   /// shard is one FusionSession; per-shard work (delta-compile, relearn,
   /// publish) fans out across shards on the service executor.
   int32_t num_shards = 4;
-  /// Capacity of the bounded ingest queue, in batches. A full queue
-  /// blocks Submit (backpressure) — callers that prefer shedding use
-  /// TrySubmit.
-  size_t queue_capacity = 64;
-  /// Most batches the ingest driver absorbs per wakeup. Coalescing
-  /// amortizes the shard fan-out over bursts without changing results
-  /// (batches are still applied strictly in submission order).
-  size_t max_coalesced_batches = 8;
   /// Relearn trigger: every K processed batches, every shard with new
   /// data since its last relearn relearns and publishes. 0 disables the
   /// count trigger, leaving only the Drain/Stop flushes.
@@ -69,12 +61,10 @@ struct FusionServiceOptions {
   ExecOptions shard_exec;
   /// WAL + checkpoint configuration (disabled by default).
   FusionServiceDurability durability;
-  /// Admission control: shed ingest once the queue holds >= this
-  /// fraction of its capacity (0 disables the queue watermark). Shedding
-  /// replies ERR BUSY with a retry hint instead of blocking the producer.
-  double shed_queue_watermark = 0.0;
   /// Admission control: shed ingest once the relearn backlog (sum of
   /// per-shard pending batches) reaches this many batches (0 disables).
+  /// Shedding replies ERR BUSY with a retry hint instead of blocking the
+  /// producer.
   int64_t shed_backlog_watermark = 0;
   /// SLO rules the flight-recorder watchdog evaluates on the driver's
   /// sampling tick and on demand via HEALTH (all off by default; see
@@ -228,15 +218,14 @@ class FusionService {
   /// Non-blocking Submit; OutOfRange when the queue is full (shed load).
   Status TrySubmit(ObservationBatch batch);
 
-  /// Submit with admission control: when a configured watermark
-  /// (FusionServiceOptions::shed_queue_watermark or
-  /// shed_backlog_watermark) is crossed — or the queue is outright full
-  /// — the batch is shed with OutOfRange and `*retry_after_ms` (if
-  /// non-null) is set to a backoff hint derived from the observed
-  /// relearn-cycle time and the current queue + backlog depth. With
-  /// admission control disabled this is exactly Submit (blocking
-  /// backpressure, no hint). The COMMIT verb's ERR BUSY reply is built
-  /// on this.
+  /// Submit with admission control: when the relearn backlog reaches
+  /// FusionServiceOptions::shed_backlog_watermark — or the queue is
+  /// outright full — the batch is shed with OutOfRange and
+  /// `*retry_after_ms` (if non-null) is set to a backoff hint derived from
+  /// the observed relearn-cycle time and the current queue + backlog
+  /// depth. With admission control disabled this is exactly Submit
+  /// (blocking backpressure, no hint). The COMMIT verb's ERR BUSY reply
+  /// is built on this.
   Status SubmitWithBackpressure(ObservationBatch batch,
                                 int64_t* retry_after_ms);
 
@@ -452,10 +441,6 @@ class FusionService {
   /// (0 = nothing pending): the wait-free per-shard staleness signal
   /// behind ShardPendingAgeNanos.
   std::unique_ptr<std::atomic<int64_t>[]> pending_since_ns_;
-  /// Queue depth at which admission control starts shedding, in batches
-  /// (0 = queue watermark disabled). Precomputed from
-  /// shed_queue_watermark at Create.
-  size_t shed_queue_batches_ = 0;
 
   /// The SLO watchdog (always constructed; inert unless some ceiling in
   /// options_.slo is set). Internally synchronized — evaluated from the

@@ -1,5 +1,6 @@
 #include "serve/line_protocol.h"
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -38,58 +39,35 @@ std::string FormatDouble(double v) {
   return buffer;
 }
 
-/// Per-verb latency histogram, cached per known verb so the hot path
+/// Per-verb latency histogram, cached per listed verb so the hot path
 /// skips the registry mutex. Unknown commands share one "OTHER" series
 /// so a misbehaving client cannot grow the registry without bound.
 obs::LatencyHistogram* VerbHistogram(const std::string& verb) {
-  static const struct {
-    const char* verb;
-    obs::LatencyHistogram* hist;
-  } kVerbs[] = {
-      {"OBS", obs::GetHistogram(
-                  "slimfast_serve_verb_latency_seconds{verb=\"OBS\"}")},
-      {"TRUTH", obs::GetHistogram(
-                    "slimfast_serve_verb_latency_seconds{verb=\"TRUTH\"}")},
-      {"COMMIT", obs::GetHistogram(
-                     "slimfast_serve_verb_latency_seconds{verb=\"COMMIT\"}")},
-      {"QUERY", obs::GetHistogram(
-                    "slimfast_serve_verb_latency_seconds{verb=\"QUERY\"}")},
-      {"POSTERIOR",
-       obs::GetHistogram(
-           "slimfast_serve_verb_latency_seconds{verb=\"POSTERIOR\"}")},
-      {"STATS", obs::GetHistogram(
-                    "slimfast_serve_verb_latency_seconds{verb=\"STATS\"}")},
-      {"METRICS",
-       obs::GetHistogram(
-           "slimfast_serve_verb_latency_seconds{verb=\"METRICS\"}")},
-      {"CHECKPOINT",
-       obs::GetHistogram(
-           "slimfast_serve_verb_latency_seconds{verb=\"CHECKPOINT\"}")},
-      {"SCHED", obs::GetHistogram(
-                    "slimfast_serve_verb_latency_seconds{verb=\"SCHED\"}")},
-      {"HEALTH", obs::GetHistogram(
-                     "slimfast_serve_verb_latency_seconds{verb=\"HEALTH\"}")},
-      {"HISTORY",
-       obs::GetHistogram(
-           "slimfast_serve_verb_latency_seconds{verb=\"HISTORY\"}")},
-      {"EVENTS", obs::GetHistogram(
-                     "slimfast_serve_verb_latency_seconds{verb=\"EVENTS\"}")},
-      {"SLOW", obs::GetHistogram(
-                   "slimfast_serve_verb_latency_seconds{verb=\"SLOW\"}")},
-      {"DRAIN", obs::GetHistogram(
-                    "slimfast_serve_verb_latency_seconds{verb=\"DRAIN\"}")},
-      {"QUIT", obs::GetHistogram(
-                   "slimfast_serve_verb_latency_seconds{verb=\"QUIT\"}")},
-      {"OTHER", obs::GetHistogram(
-                    "slimfast_serve_verb_latency_seconds{verb=\"OTHER\"}")},
-  };
-  for (const auto& entry : kVerbs) {
-    if (verb == entry.verb) return entry.hist;
-  }
-  return kVerbs[std::size(kVerbs) - 1].hist;
+  constexpr size_t kNumVerbs = std::size(kProtocolVerbs);
+  static const auto kHistograms = [] {
+    std::array<obs::LatencyHistogram*, kNumVerbs + 1> histograms;
+    for (size_t i = 0; i <= kNumVerbs; ++i) {
+      const std::string name = i < kNumVerbs ? kProtocolVerbs[i] : "OTHER";
+      histograms[i] = obs::GetHistogram(
+          "slimfast_serve_verb_latency_seconds{verb=\"" + name + "\"}");
+    }
+    return histograms;
+  }();
+  size_t i = 0;
+  while (i < kNumVerbs && verb != kProtocolVerbs[i]) ++i;
+  return kHistograms[i];
 }
 
 }  // namespace
+
+std::string ProtocolVerbList() {
+  std::string list;
+  for (const char* verb : kProtocolVerbs) {
+    if (!list.empty()) list += ' ';
+    list += verb;
+  }
+  return list;
+}
 
 std::string LineProtocol::HandleLine(const std::string& line, bool* quit) {
   // Timed by hand, not by obs::Stage: this is the query path, so with
@@ -422,9 +400,8 @@ std::string LineProtocol::HandleLineInner(const std::string& line,
     return "BYE";
   }
 
-  return "ERR unknown command '" + command +
-         "' (OBS TRUTH COMMIT QUERY POSTERIOR STATS METRICS HEALTH "
-         "HISTORY EVENTS SLOW SCHED CHECKPOINT DRAIN QUIT)";
+  return "ERR unknown command '" + command + "' (" + ProtocolVerbList() +
+         ")";
 }
 
 }  // namespace slimfast

@@ -8,6 +8,16 @@
 
 namespace slimfast {
 
+/// Every verb LineProtocol dispatches, in the order the unknown-command
+/// reply and the `serve` banner list them.
+inline constexpr const char* kProtocolVerbs[] = {
+    "OBS",   "TRUTH",   "COMMIT", "QUERY",      "POSTERIOR",
+    "STATS", "METRICS", "HEALTH", "HISTORY",    "EVENTS",
+    "SLOW",  "SCHED",   "CHECKPOINT", "DRAIN",  "QUIT"};
+
+/// kProtocolVerbs joined by single spaces.
+std::string ProtocolVerbList();
+
 /// The text protocol behind `slimfast_cli serve`: one command per line,
 /// one reply line per command. Decoupled from any transport — the CLI
 /// drives it from stdin, a socket server would drive it per connection,
@@ -43,7 +53,7 @@ namespace slimfast {
 ///
 /// Malformed or unknown input gets a single `ERR <reason>` reply and
 /// leaves all state unchanged. When admission control is configured
-/// (the shed watermarks of FusionServiceOptions) an over-watermark
+/// (FusionServiceOptions::shed_backlog_watermark) an over-watermark
 /// COMMIT is shed with `ERR BUSY retry_after_ms=<hint> ...` and the
 /// client's buffer is kept for retry. Queries go straight to the
 /// wait-free snapshot path; only COMMIT/DRAIN touch the ingest pipeline.

@@ -19,6 +19,9 @@ namespace slimfast {
 
 namespace {
 
+/// Queries per calibration round of the observability overhead gate.
+constexpr int64_t kOverheadQueriesPerRound = 20000;
+
 double NearestRank(const std::vector<double>& sorted, double quantile) {
   const size_t n = sorted.size();
   size_t rank = static_cast<size_t>(
@@ -234,43 +237,37 @@ Result<LoadgenReport> RunLoadgen(const Dataset& dataset,
   // rounds on both sides rejects one-off scheduler noise; the absolute
   // 100ns floor keeps timer granularity at ~0.1us latencies from
   // failing the gate without a real regression. ---
-  if (options.measure_overhead && options.overhead_queries_per_round > 0) {
-    report.overhead_ran = true;
-    const bool was_enabled = obs::SetEnabledForTest(false);
-    double base_p99 = 0.0;
-    double obs_p99 = 0.0;
-    for (int round = 0; round < 3; ++round) {
-      obs::SetEnabledForTest(false);
-      const double base = CalibrationP99(
-          service.get(), num_objects, options.seed + 101 * round,
-          options.overhead_queries_per_round);
-      obs::SetEnabledForTest(true);
-      const double with_obs = CalibrationP99(
-          service.get(), num_objects, options.seed + 101 * round + 7,
-          options.overhead_queries_per_round);
-      base_p99 = round == 0 ? base : std::min(base_p99, base);
-      obs_p99 = round == 0 ? with_obs : std::min(obs_p99, with_obs);
-    }
-    obs::SetEnabledForTest(was_enabled);
-    report.overhead_base_p99_seconds = base_p99;
-    report.overhead_obs_p99_seconds = obs_p99;
-    report.overhead_gate_passed =
-        obs_p99 <= std::max(1.05 * base_p99, base_p99 + 100e-9);
+  const bool was_enabled = obs::SetEnabledForTest(false);
+  double base_p99 = 0.0;
+  double obs_p99 = 0.0;
+  for (int round = 0; round < 3; ++round) {
+    obs::SetEnabledForTest(false);
+    const double base =
+        CalibrationP99(service.get(), num_objects, options.seed + 101 * round,
+                       kOverheadQueriesPerRound);
+    obs::SetEnabledForTest(true);
+    const double with_obs = CalibrationP99(
+        service.get(), num_objects, options.seed + 101 * round + 7,
+        kOverheadQueriesPerRound);
+    base_p99 = round == 0 ? base : std::min(base_p99, base);
+    obs_p99 = round == 0 ? with_obs : std::min(obs_p99, with_obs);
   }
+  obs::SetEnabledForTest(was_enabled);
+  report.overhead_base_p99_seconds = base_p99;
+  report.overhead_obs_p99_seconds = obs_p99;
+  report.overhead_gate_passed =
+      obs_p99 <= std::max(1.05 * base_p99, base_p99 + 100e-9);
 
-  if (options.verify) {
-    report.verify_ran = true;
-    SLIMFAST_ASSIGN_OR_RETURN(
-        std::vector<FusionSnapshotPtr> offline,
-        OfflineShardedReplay(dataset.num_sources(), dataset.num_objects(),
-                             dataset.num_values(), service_options, chunks,
-                             dataset.features()));
-    const std::vector<FusionSnapshotPtr> live = service->AllSnapshots();
-    report.verified = live.size() == offline.size();
-    for (size_t s = 0; report.verified && s < live.size(); ++s) {
-      report.verified = live[s] != nullptr && offline[s] != nullptr &&
-                        *live[s] == *offline[s];
-    }
+  SLIMFAST_ASSIGN_OR_RETURN(
+      std::vector<FusionSnapshotPtr> offline,
+      OfflineShardedReplay(dataset.num_sources(), dataset.num_objects(),
+                           dataset.num_values(), service_options, chunks,
+                           dataset.features()));
+  const std::vector<FusionSnapshotPtr> live = service->AllSnapshots();
+  report.verified = live.size() == offline.size();
+  for (size_t s = 0; report.verified && s < live.size(); ++s) {
+    report.verified = live[s] != nullptr && offline[s] != nullptr &&
+                      *live[s] == *offline[s];
   }
 
   service->Stop();

@@ -26,15 +26,6 @@ struct LoadgenOptions {
   int32_t relearn_every_batches = 2;
   /// Seed for the shard sessions and the readers' object streams.
   uint64_t seed = 42;
-  /// Cross-check the final service snapshots against OfflineShardedReplay
-  /// (the sharded-replay determinism contract) after the run.
-  bool verify = true;
-  /// After the mixed run, measure the observability layer's query-path
-  /// overhead: single-threaded calibration rounds alternating metrics
-  /// off/on, gated at p99 (see LoadgenReport::overhead_gate_passed).
-  bool measure_overhead = true;
-  /// Queries per calibration round (overhead measurement).
-  int64_t overhead_queries_per_round = 20000;
   /// Thread budget for the service's shard fan-out.
   ExecOptions exec;
 };
@@ -96,16 +87,11 @@ struct LoadgenReport {
   /// See relearns.
   int64_t publishes = 0;
   /// True when the final per-shard snapshots matched the offline replay
-  /// bit for bit (always true when options.verify was off — check
-  /// `verify_ran`).
+  /// bit for bit.
   bool verified = false;
-  /// Whether the offline cross-check ran.
-  bool verify_ran = false;
 
-  // --- Observability overhead gate (when options.measure_overhead) ------
+  // --- Observability overhead gate --------------------------------------
 
-  /// Whether the overhead calibration ran.
-  bool overhead_ran = false;
   /// Single-threaded query p99 (seconds) with instrumentation disabled:
   /// min over the alternating calibration rounds, exact sample sort
   /// (not histogram buckets, so quantization cannot eat the margin).
@@ -122,9 +108,11 @@ struct LoadgenReport {
 /// workload: one writer streams the dataset in `num_chunks` batches
 /// (blocking Submit, final Drain) while `reader_threads` threads hammer
 /// wait-free queries against random objects, timing every query. After
-/// the run the final snapshots are (optionally) cross-checked against
-/// the offline sharded replay — the determinism contract — and the
-/// merged predictions are scored against the dataset truth.
+/// the run the observability overhead on query p99 is measured over
+/// single-threaded calibration rounds alternating metrics off/on, the
+/// final snapshots are cross-checked against the offline sharded
+/// replay — the determinism contract — and the merged predictions are
+/// scored against the dataset truth.
 Result<LoadgenReport> RunLoadgen(const Dataset& dataset,
                                  const LoadgenOptions& options);
 

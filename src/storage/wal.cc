@@ -373,7 +373,6 @@ Status ReplayWalRelearns(
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     std::string dir, WalOptions options, uint64_t min_next_sequence) {
-  if (options.fsync_every_n < 1) options.fsync_every_n = 1;
   if (options.segment_bytes < kSegmentHeaderBytes + 1) {
     options.segment_bytes = kSegmentHeaderBytes + 1;
   }
@@ -483,20 +482,8 @@ Status WalWriter::CloseSegment() {
   return synced;
 }
 
-Status WalWriter::MaybeFsync(int32_t records) {
-  switch (options_.fsync) {
-    case WalFsync::kNone:
-      return Status::OK();
-    case WalFsync::kEveryBatch:
-      return Sync();
-    case WalFsync::kEveryN:
-      records_since_sync_ += records;
-      if (records_since_sync_ >= options_.fsync_every_n) {
-        return Sync();
-      }
-      return Status::OK();
-  }
-  return Status::OK();
+Status WalWriter::MaybeFsync() {
+  return options_.fsync == WalFsync::kNone ? Status::OK() : Sync();
 }
 
 Result<uint64_t> WalWriter::Append(const ObservationBatch& batch) {
@@ -515,8 +502,7 @@ Result<uint64_t> WalWriter::AppendGroup(
     ++segment_records_;
     ++next_sequence_;
   }
-  SLIMFAST_RETURN_NOT_OK(
-      MaybeFsync(static_cast<int32_t>(batches.size())));
+  SLIMFAST_RETURN_NOT_OK(MaybeFsync());
   return first;
 }
 
@@ -563,7 +549,6 @@ Status WalWriter::Sync() {
     return Status::IOError(std::string("fsync wal segment: ") +
                            std::strerror(errno));
   }
-  records_since_sync_ = 0;
   ++sync_count_;
   return Status::OK();
 }

@@ -24,9 +24,6 @@ enum class WalFsync {
   /// storage before the service acknowledges it downstream. An
   /// AppendGroup shares one fsync among its records.
   kEveryBatch,
-  /// fsync once every `WalOptions::fsync_every_n` records: bounded loss
-  /// window under power failure, amortized syscall cost.
-  kEveryN,
 };
 
 /// Durability/rotation policy of an observation WAL. The defaults are
@@ -35,8 +32,6 @@ enum class WalFsync {
 struct WalOptions {
   /// When appended records reach stable storage (see WalFsync).
   WalFsync fsync = WalFsync::kEveryBatch;
-  /// Records between fsyncs under WalFsync::kEveryN (>= 1).
-  int32_t fsync_every_n = 8;
   /// Rotate to a fresh segment once the current one reaches this size.
   int64_t segment_bytes = 4 << 20;
 };
@@ -195,8 +190,9 @@ class WalWriter {
   /// Frames and writes one record payload (rotating first if due)
   /// without syncing it.
   Status WritePayload(const std::string& payload);
-  /// Applies the fsync policy after `records` newly written records.
-  Status MaybeFsync(int32_t records);
+  /// Applies the fsync policy to the records written since the last
+  /// sync: syncs unless it is kNone.
+  Status MaybeFsync();
 
   std::string dir_;
   WalOptions options_;
@@ -206,7 +202,6 @@ class WalWriter {
   int64_t segment_bytes_written_ = 0;
   /// Batch records in the active segment (relearn records not counted).
   int64_t segment_records_ = 0;
-  int32_t records_since_sync_ = 0;
   int64_t sync_count_ = 0;
   /// (first_sequence, path) of every live segment, ascending; the last
   /// entry is the active one.

@@ -167,7 +167,6 @@ TEST(WatchdogTest, UnconfiguredWatchesNothing) {
 TEST(WatchdogTest, LatchesAndClearsWithHysteresis) {
   SloWatchdogOptions options;
   options.staleness_ceiling_seconds = 10.0;
-  options.clear_fraction = 0.8;
   SloWatchdog watchdog(options);
   EXPECT_TRUE(watchdog.active());
 

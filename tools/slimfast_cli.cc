@@ -1,63 +1,14 @@
 // slimfast_cli — run data fusion on a dataset directory from the shell.
 //
-// Usage:
-//   slimfast_cli <dataset_dir> [options]
-//   slimfast_cli --demo <stocks|demos|crowd|genomics> [options]
-//   slimfast_cli replay (<dataset_dir> | --demo NAME) [--chunks K] [options]
-//   slimfast_cli serve (<dataset_dir> | --demo NAME | --dims S O V)
-//                [--shards N] [--relearn-every K] [--preload]
-//                [--wal-dir DIR] [--fsync-every N] [options]
-//   slimfast_cli loadgen (<dataset_dir> | --demo NAME) [--quick]
-//                [--shards N] [--chunks K] [--readers R]
+// `slimfast_cli --help` prints the usage, rendered from kCommands and
+// kFlags below.
 //
 // The dataset directory uses the CSV layout of data/io.h (meta.csv,
 // observations.csv, truth.csv, features.csv, source_features.csv) — the
 // same format SaveDataset writes.
 //
-// Options:
-//   --method NAME         fusion method (default SLiMFast); one of
-//                         SLiMFast, SLiMFast-ERM, SLiMFast-EM, Sources-ERM,
-//                         Sources-EM, MajorityVote, Counts, ACCU, CATD,
-//                         SSTF, TruthFinder
-//   --train-fraction F    fraction of labeled objects revealed (default 0.1)
-//   --seed N              random seed (default 42)
-//   --explain K           print explanations for the K least-confident
-//                         objects (SLiMFast methods only)
-//   --out FILE            write per-object predictions as CSV
-//   --stats               print dataset statistics and exit
-//   --threads N           worker threads for the parallel execution engine
-//                         (default: SLIMFAST_THREADS or 1); results are
-//                         bit-identical for every thread count
-//   --chunks K            replay: number of ingest batches (default 8)
-//   --trace-out FILE      serve/loadgen/replay: write stage spans as a
-//                         chrome://tracing JSON timeline to FILE on exit
-//
-// A flag applies only to the subcommands that read it (the kFlags table);
+// A flag applies only to the subcommands that read it (its kFlags scope);
 // given to any other, it is a one-line usage error with exit code 2.
-//
-// The `replay` subcommand feeds a dataset through a long-lived
-// FusionSession in K chunks — delta-compile on ingest, warm-started
-// relearn after every chunk — and reports the per-chunk latency and
-// accuracy trajectory against (a) recompiling from scratch and (b) the
-// one-shot batch run.
-//
-// The `serve` subcommand runs a sharded FusionService and speaks the
-// serve line protocol (src/serve/line_protocol.h) over stdin/stdout:
-// OBS/TRUTH/COMMIT feed the background ingest pipeline, QUERY/POSTERIOR
-// are wait-free snapshot reads, DRAIN synchronizes, QUIT exits. With
-// --wal-dir the service logs every batch to an observation WAL before
-// applying it, CHECKPOINT persists per-shard snapshots there, and a
-// restart with the same --wal-dir recovers the exact pre-crash state
-// (snapshot + WAL tail replay) — kill -9 included.
-//
-// The `loadgen` subcommand replays a dataset through a FusionService as
-// a mixed ingest/query workload (reader threads hammer queries during
-// ingest and relearning), reports QPS and p50/p95/p99 query latency,
-// and cross-checks the final sharded snapshots against the offline replay
-// (the sharded-replay determinism contract). It then gates the metrics
-// overhead on query p99; any failed check is a non-zero exit. The
-// repository benchmark (slimbench/) measures the service; loadgen writes
-// no report file.
 
 #include <algorithm>
 #include <array>
@@ -67,9 +18,11 @@
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "baselines/registry.h"
 #include "core/explain.h"
@@ -105,23 +58,43 @@ constexpr unsigned kServeOrLoadgen = kServe | kLoadgen;
 constexpr unsigned kSubcommands = kReplay | kServe | kLoadgen;
 constexpr unsigned kAllCommands = kFuse | kSubcommands;
 
+/// Each command's name on the command line ("" for the plain fusion run)
+/// and its --help summary, in the order --help lists them.
+constexpr struct {
+  Command command;
+  const char* name;
+  const char* summary;
+} kCommands[] = {
+    {kFuse, "",
+     "fit a fusion method on the dataset and report held-out accuracy"},
+    {kReplay, "replay",
+     "feed the dataset through a FusionSession in chunks (delta-compile + "
+     "warm-start relearn), check every chunk's delta compilation against a "
+     "full recompile, and report per-chunk latency and the accuracy "
+     "trajectory vs the one-shot batch run"},
+    {kServe, "serve",
+     "run a sharded FusionService and speak the serve line protocol over "
+     "stdin/stdout; queries are wait-free snapshot reads that never block "
+     "ingest"},
+    {kLoadgen, "loadgen",
+     "replay the dataset as a mixed ingest/query workload, report QPS + "
+     "p50/p95/p99 query latency, gate the metrics overhead on query p99, "
+     "and verify the sharded-replay determinism contract"},
+};
+
 const char* CommandName(Command command) {
-  switch (command) {
-    case kFuse:
-      return "a fusion run";
-    case kReplay:
-      return "replay";
-    case kServe:
-      return "serve";
-    case kLoadgen:
-      return "loadgen";
+  for (const auto& info : kCommands) {
+    if (info.command == command && info.name[0] != '\0') return info.name;
   }
-  return "?";
+  return "a fusion run";
 }
 
+/// The parsed command line. Each field is set by the kFlags row that
+/// documents it; the initializers are the defaults --help states.
 struct CliOptions {
   Command command = kFuse;
   std::string dataset_dir;
+  bool help = false;
   std::string demo;
   std::string method = "SLiMFast";
   double train_fraction = 0.1;
@@ -129,66 +102,207 @@ struct CliOptions {
   int32_t explain = 0;
   std::string out_file;
   bool stats_only = false;
-  bool help = false;
-  /// Worker threads; 0 defers to SLIMFAST_THREADS (default 1).
+  /// 0 defers to SLIMFAST_THREADS (default 1).
   int32_t threads = 0;
-  /// Shrink the loadgen scenario to CI size (same gates).
   bool quick = false;
-  /// Number of replay/loadgen ingest batches.
   int32_t chunks = 8;
-  /// Shards of the FusionService (serve/loadgen).
   int32_t shards = 4;
-  /// Query reader threads (loadgen).
   int32_t readers = 4;
-  /// Relearn-every-K-batches policy (serve/loadgen).
   int32_t relearn_every = 2;
-  /// Explicit universe dimensions (sources, objects, values) for `serve`
-  /// without a dataset; -1 = not given.
+  /// (sources, objects, values); -1 = not given.
   std::array<int32_t, 3> dims = {-1, -1, -1};
-  /// serve: submit the whole dataset as one batch before reading stdin.
   bool preload = false;
-  /// loadgen: skip the offline-replay cross-check.
-  bool no_verify = false;
-  /// serve: durability directory ("" = in-memory only).
+  /// "" = in-memory only.
   std::string wal_dir;
-  /// serve WAL fsync cadence: 1 = every batch (default),
-  /// 0 = never (OS-crash durable only), N > 1 = every N batches.
+  /// 1 = WalFsync::kEveryBatch, 0 = WalFsync::kNone.
   int32_t fsync_every = 1;
-  /// serve/loadgen/replay: write a chrome://tracing JSON timeline of the
-  /// run's stage spans here ("" = tracing off).
+  /// "" = tracing off.
   std::string trace_out;
-  /// serve: shed COMMITs once the ingest queue holds this fraction of
-  /// its capacity (0 = no queue watermark).
-  double shed_queue_watermark = 0.0;
-  /// serve: shed COMMITs once the relearn backlog reaches this many
-  /// batches (0 = no backlog watermark).
+  /// 0 = no backlog watermark.
   int64_t shed_backlog = 0;
-  /// serve: mirror structured events to this JSONL file ("" defers to
-  /// the SLIMFAST_EVENT_LOG env var; both empty = in-memory ring only).
+  /// "" defers to the SLIMFAST_EVENT_LOG env var; both empty = in-memory
+  /// ring only.
   std::string event_log;
-  /// serve SLO watchdog ceilings; 0 disables the rule (see HEALTH).
+  /// SLO watchdog ceilings; 0 disables the rule (see HEALTH).
   double slo_query_p99 = 0.0;
-  /// Max shard-staleness ceiling, seconds (rule "staleness").
   double slo_staleness = 0.0;
-  /// Driver-heartbeat stall ceiling, seconds (rule "relearn_stall").
   double slo_stall = 0.0;
-  /// Ingest-queue high-water fraction in (0, 1] (rule "queue_depth").
   double slo_queue = 0.0;
 };
 
-/// Maps the --fsync-every knob (>= 0, checked by ParseArgs) onto
-/// WalOptions.
-WalOptions WalOptionsFor(int32_t fsync_every) {
-  WalOptions wal;
-  if (fsync_every == 0) {
-    wal.fsync = WalFsync::kNone;
-  } else if (fsync_every == 1) {
-    wal.fsync = WalFsync::kEveryBatch;
-  } else {
-    wal.fsync = WalFsync::kEveryN;
-    wal.fsync_every_n = fsync_every;
+/// One command-line flag: its name and metavar ("" for a switch), the
+/// subcommands whose Run* path reads it, the CliOptions field it sets,
+/// and its --help line. A flag given to any other subcommand is a usage
+/// error, so no flag is silently ignored.
+struct Flag {
+  const char* name;
+  const char* metavar;
+  unsigned commands;
+  std::variant<bool CliOptions::*, std::string CliOptions::*,
+               int32_t CliOptions::*, int64_t CliOptions::*,
+               uint64_t CliOptions::*, double CliOptions::*,
+               std::array<int32_t, 3> CliOptions::*>
+      field;
+  const char* help;
+};
+
+/// Every flag, in the order --help lists them. The synopses show the rows
+/// that name a command's data (NamesData) beside <dataset_dir>.
+const Flag kFlags[] = {
+    {"--demo", "NAME", kAllCommands, &CliOptions::demo,
+     "run on a simulator dataset (stocks, demos, crowd, genomics) instead "
+     "of a dataset directory"},
+    {"--dims", "S O V", kServe, &CliOptions::dims,
+     "universe dimensions when no dataset is given"},
+    {"--chunks", "K", kReplay | kLoadgen, &CliOptions::chunks,
+     "number of ingest batches (default 8)"},
+    {"--method", "NAME", kFuse, &CliOptions::method,
+     "fusion method (default SLiMFast); one of SLiMFast, SLiMFast-ERM, "
+     "SLiMFast-EM, Sources-ERM, Sources-EM, MajorityVote, Counts, ACCU, "
+     "CATD, SSTF, TruthFinder"},
+    {"--train-fraction", "F", kFuse | kReplay, &CliOptions::train_fraction,
+     "fraction of labeled objects revealed (default 0.1)"},
+    {"--explain", "K", kFuse, &CliOptions::explain,
+     "print explanations for the K least-confident objects (SLiMFast "
+     "methods only)"},
+    {"--out", "FILE", kFuse, &CliOptions::out_file,
+     "write per-object predictions as CSV"},
+    {"--stats", "", kFuse, &CliOptions::stats_only,
+     "print dataset statistics and exit"},
+    {"--shards", "N", kServeOrLoadgen, &CliOptions::shards,
+     "FusionService shards (default 4)"},
+    {"--relearn-every", "K", kServeOrLoadgen, &CliOptions::relearn_every,
+     "relearn + publish every K batches (default 2)"},
+    {"--preload", "", kServe, &CliOptions::preload,
+     "ingest the whole dataset before reading stdin"},
+    {"--wal-dir", "DIR", kServe, &CliOptions::wal_dir,
+     "log batches to an observation WAL in DIR and recover checkpoint + "
+     "WAL tail from it on startup"},
+    {"--fsync-every", "N", kServe, &CliOptions::fsync_every,
+     "fsync the WAL after every batch (1, the default) or never (0)"},
+    {"--shed-backlog", "N", kServe, &CliOptions::shed_backlog,
+     "shed COMMITs (ERR BUSY) once the relearn backlog reaches N batches "
+     "(0 = off)"},
+    {"--event-log", "FILE", kServe, &CliOptions::event_log,
+     "mirror structured events (EVENTS verb) to FILE as JSON lines "
+     "(default: $SLIMFAST_EVENT_LOG)"},
+    {"--slo-query-p99", "S", kServe, &CliOptions::slo_query_p99,
+     "HEALTH degrades when query p99 exceeds S seconds (0 = rule off)"},
+    {"--slo-staleness", "S", kServe, &CliOptions::slo_staleness,
+     "HEALTH degrades when any shard's oldest unabsorbed batch is older "
+     "than S seconds (0 = off)"},
+    {"--slo-stall", "S", kServe, &CliOptions::slo_stall,
+     "HEALTH degrades when the driver heartbeat is older than S seconds "
+     "with work pending (0 = off)"},
+    {"--slo-queue", "F", kServe, &CliOptions::slo_queue,
+     "HEALTH degrades when the ingest queue holds >= F of its capacity "
+     "(0 = off)"},
+    {"--quick", "", kLoadgen, &CliOptions::quick,
+     "shrink the scenario to CI size (same gates)"},
+    {"--readers", "R", kLoadgen, &CliOptions::readers,
+     "concurrent query threads (default 4)"},
+    {"--trace-out", "FILE", kSubcommands, &CliOptions::trace_out,
+     "write stage spans as a chrome://tracing JSON timeline to FILE on "
+     "exit"},
+    {"--seed", "N", kAllCommands, &CliOptions::seed,
+     "random seed (default 42)"},
+    {"--threads", "N", kAllCommands, &CliOptions::threads,
+     "worker threads (default: SLIMFAST_THREADS or 1); results are "
+     "identical for every thread count"},
+};
+
+/// Whether `flag` names the data a command runs on (see kFlags).
+bool NamesData(const Flag& flag) {
+  return flag.field == decltype(Flag::field){&CliOptions::demo} ||
+         flag.field == decltype(Flag::field){&CliOptions::dims};
+}
+
+/// "--flag META", or the bare name of a switch.
+std::string FlagSpec(const Flag& flag) {
+  return flag.metavar[0] == '\0'
+             ? std::string(flag.name)
+             : std::string(flag.name) + " " + flag.metavar;
+}
+
+/// Prints `head` followed by `words`, filling lines to 79 columns. The
+/// first word starts at column `indent` at the earliest, and so do the
+/// continuation lines.
+void PrintFilled(std::FILE* stream, const std::string& head, size_t indent,
+                 const std::vector<std::string>& words) {
+  constexpr size_t kWidth = 79;
+  std::fputs(head.c_str(), stream);
+  size_t column = head.size();
+  size_t gap = column < indent ? indent - column : 1;
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (i > 0 && column + gap + words[i].size() > kWidth) {
+      std::fputc('\n', stream);
+      column = 0;
+      gap = indent;
+    }
+    std::fprintf(stream, "%*s%s", static_cast<int>(gap), "",
+                 words[i].c_str());
+    column += gap + words[i].size();
+    gap = 1;
   }
-  return wal;
+  std::fputc('\n', stream);
+}
+
+std::vector<std::string> Words(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> words;
+  for (std::string word; in >> word;) words.push_back(word);
+  return words;
+}
+
+/// The --help text: one synopsis per command and one line per flag, both
+/// from kFlags, then the command summaries from kCommands.
+void PrintUsage(std::FILE* stream) {
+  constexpr size_t kSynopsisIndent = 20;  // past "usage: slimfast_cli "
+  constexpr size_t kHelpIndent = 23;
+  for (const auto& info : kCommands) {
+    std::vector<std::string> words;
+    if (info.name[0] != '\0') words.push_back(info.name);
+    std::string data = "(<dataset_dir>";
+    for (const Flag& flag : kFlags) {
+      if ((flag.commands & info.command) && NamesData(flag)) {
+        data += " | " + FlagSpec(flag);
+      }
+    }
+    words.push_back(data + ")");
+    for (const Flag& flag : kFlags) {
+      if ((flag.commands & info.command) && !NamesData(flag)) {
+        words.push_back(std::string("[").append(FlagSpec(flag)).append("]"));
+      }
+    }
+    PrintFilled(stream,
+                info.command == kFuse ? "usage: slimfast_cli"
+                                      : "       slimfast_cli",
+                kSynopsisIndent, words);
+  }
+  std::fprintf(stream, "\noptions:\n");
+  for (const Flag& flag : kFlags) {
+    // A flag a plain fusion run does not read is prefixed with the
+    // subcommands that do.
+    std::string scope;
+    for (const auto& info : kCommands) {
+      if ((flag.commands & kFuse) || !(flag.commands & info.command)) {
+        continue;
+      }
+      if (!scope.empty()) scope += '/';
+      scope += info.name;
+    }
+    PrintFilled(stream, "  " + FlagSpec(flag), kHelpIndent,
+                Words((scope.empty() ? "" : scope + ": ") + flag.help));
+  }
+  PrintFilled(stream, "  --help, -h", kHelpIndent,
+              Words("show this message and exit"));
+  std::fprintf(stream, "\ncommands:\n");
+  for (const auto& info : kCommands) {
+    PrintFilled(stream,
+                "  " + std::string(info.command == kFuse ? "(none)"
+                                                         : info.name),
+                kHelpIndent, Words(info.summary));
+  }
 }
 
 /// One-line parse-error reporter: the message plus a usage hint, never
@@ -213,173 +327,6 @@ bool ParseNumber(const std::string& flag, const char* text, T* out) {
   }
   return true;
 }
-
-void PrintUsage(std::FILE* stream) {
-  std::fprintf(stream,
-               "usage: slimfast_cli <dataset_dir> [--method NAME] "
-               "[--train-fraction F]\n"
-               "                    [--seed N] [--explain K] [--out FILE] "
-               "[--stats]\n"
-               "       slimfast_cli --demo <stocks|demos|crowd|genomics> "
-               "[options]\n"
-               "       slimfast_cli serve (<dataset_dir> | --demo NAME | "
-               "--dims S O V)\n"
-               "                    [--shards N] [--relearn-every K] "
-               "[--preload]\n"
-               "                    [--wal-dir DIR] [--fsync-every N]\n"
-               "                    [--shed-queue-watermark F] "
-               "[--shed-backlog N]\n"
-               "                    [--event-log FILE]\n"
-               "                    [--slo-query-p99 S] [--slo-staleness S] "
-               "[--slo-stall S]\n"
-               "                    [--slo-queue F]\n"
-               "       slimfast_cli replay (<dataset_dir> | --demo NAME) "
-               "[--chunks K]\n"
-               "       slimfast_cli loadgen (<dataset_dir> | --demo NAME) "
-               "[--quick]\n"
-               "                    [--shards N] [--chunks K] [--readers R]\n"
-               "\n"
-               "options:\n"
-               "  --demo NAME          run on a simulator dataset (stocks, "
-               "demos, crowd,\n"
-               "                       genomics) instead of a dataset "
-               "directory\n"
-               "  --method NAME        fusion method (default SLiMFast); one "
-               "of SLiMFast,\n"
-               "                       SLiMFast-ERM, SLiMFast-EM, Sources-ERM, "
-               "Sources-EM,\n"
-               "                       MajorityVote, Counts, ACCU, CATD, SSTF, "
-               "TruthFinder\n"
-               "  --train-fraction F   fraction of labeled objects revealed "
-               "(default 0.1)\n"
-               "  --seed N             random seed (default 42)\n"
-               "  --explain K          print explanations for the K "
-               "least-confident objects\n"
-               "  --out FILE           write per-object predictions as CSV\n"
-               "  --stats              print dataset statistics and exit\n"
-               "  --threads N          worker threads (default: "
-               "SLIMFAST_THREADS or 1);\n"
-               "                       results are identical for every "
-               "thread count\n"
-               "  --chunks K           replay/loadgen: number of ingest "
-               "batches (default 8)\n"
-               "  --shards N           serve/loadgen: FusionService shards "
-               "(default 4)\n"
-               "  --readers R          loadgen: concurrent query threads "
-               "(default 4)\n"
-               "  --relearn-every K    serve/loadgen: relearn + publish "
-               "every K batches\n"
-               "                       (default 2)\n"
-               "  --dims S O V         serve: universe dimensions when no "
-               "dataset is given\n"
-               "  --preload            serve: ingest the whole dataset "
-               "before reading stdin\n"
-               "  --wal-dir DIR        serve: log batches to an observation "
-               "WAL in DIR and\n"
-               "                       recover checkpoint + WAL tail from "
-               "it on startup\n"
-               "  --fsync-every N      serve: fsync the WAL "
-               "every N batches\n"
-               "                       (default 1 = every batch; 0 = "
-               "never)\n"
-               "  --shed-queue-watermark F  serve: shed COMMITs (ERR BUSY) "
-               "once the ingest\n"
-               "                       queue holds >= F of its capacity "
-               "(0 = off)\n"
-               "  --shed-backlog N     serve: shed COMMITs once the relearn "
-               "backlog\n"
-               "                       reaches N batches (0 = off)\n"
-               "  --event-log FILE     serve: mirror structured events "
-               "(EVENTS verb) to\n"
-               "                       FILE as JSON lines (default: "
-               "$SLIMFAST_EVENT_LOG)\n"
-               "  --slo-query-p99 S    serve: HEALTH degrades when query "
-               "p99 exceeds S\n"
-               "                       seconds (0 = rule off)\n"
-               "  --slo-staleness S    serve: HEALTH degrades when any "
-               "shard's oldest\n"
-               "                       unabsorbed batch is older than S "
-               "seconds (0 = off)\n"
-               "  --slo-stall S        serve: HEALTH degrades when the "
-               "driver heartbeat\n"
-               "                       is older than S seconds with work "
-               "pending (0 = off)\n"
-               "  --slo-queue F        serve: HEALTH degrades when the "
-               "ingest queue holds\n"
-               "                       >= F of its capacity (0 = off)\n"
-               "  --no-verify          loadgen: skip the offline-replay "
-               "cross-check\n"
-               "  --trace-out FILE     serve/loadgen/replay: write stage "
-               "spans as a\n"
-               "                       chrome://tracing JSON timeline to "
-               "FILE on exit\n"
-               "  --help, -h           show this message and exit\n"
-               "\n"
-               "subcommands:\n"
-               "  replay               feed the dataset through a "
-               "FusionSession in K\n"
-               "                       chunks (delta-compile + warm-start "
-               "relearn) and\n"
-               "                       report per-chunk latency and the "
-               "accuracy\n"
-               "                       trajectory vs the one-shot batch run\n"
-               "  serve                run a sharded FusionService and "
-               "speak the serve\n"
-               "                       line protocol (OBS/TRUTH/COMMIT/"
-               "QUERY/POSTERIOR/\n"
-               "                       STATS/DRAIN/QUIT) over stdin/stdout; "
-               "queries are\n"
-               "                       wait-free snapshot reads that never "
-               "block ingest\n"
-               "  loadgen              replay the dataset as a mixed "
-               "ingest/query\n"
-               "                       workload, report QPS + p50/p95/p99 "
-               "query latency,\n"
-               "                       and verify the sharded-replay "
-               "determinism contract\n");
-}
-
-/// One command-line flag: the CliOptions field it sets and the
-/// subcommands whose Run* path reads that field. A flag given to any other
-/// subcommand is a usage error, so no flag is silently ignored.
-struct Flag {
-  const char* name;
-  unsigned commands;
-  std::variant<bool CliOptions::*, std::string CliOptions::*,
-               int32_t CliOptions::*, int64_t CliOptions::*,
-               uint64_t CliOptions::*, double CliOptions::*,
-               std::array<int32_t, 3> CliOptions::*>
-      field;
-};
-
-const Flag kFlags[] = {
-    {"--demo", kAllCommands, &CliOptions::demo},
-    {"--seed", kAllCommands, &CliOptions::seed},
-    {"--threads", kAllCommands, &CliOptions::threads},
-    {"--method", kFuse, &CliOptions::method},
-    {"--train-fraction", kFuse | kReplay, &CliOptions::train_fraction},
-    {"--explain", kFuse, &CliOptions::explain},
-    {"--out", kFuse, &CliOptions::out_file},
-    {"--stats", kFuse, &CliOptions::stats_only},
-    {"--chunks", kReplay | kLoadgen, &CliOptions::chunks},
-    {"--trace-out", kSubcommands, &CliOptions::trace_out},
-    {"--shards", kServeOrLoadgen, &CliOptions::shards},
-    {"--relearn-every", kServeOrLoadgen, &CliOptions::relearn_every},
-    {"--dims", kServe, &CliOptions::dims},
-    {"--preload", kServe, &CliOptions::preload},
-    {"--wal-dir", kServe, &CliOptions::wal_dir},
-    {"--fsync-every", kServe, &CliOptions::fsync_every},
-    {"--shed-queue-watermark", kServe, &CliOptions::shed_queue_watermark},
-    {"--shed-backlog", kServe, &CliOptions::shed_backlog},
-    {"--event-log", kServe, &CliOptions::event_log},
-    {"--slo-query-p99", kServe, &CliOptions::slo_query_p99},
-    {"--slo-staleness", kServe, &CliOptions::slo_staleness},
-    {"--slo-stall", kServe, &CliOptions::slo_stall},
-    {"--slo-queue", kServe, &CliOptions::slo_queue},
-    {"--quick", kLoadgen, &CliOptions::quick},
-    {"--readers", kLoadgen, &CliOptions::readers},
-    {"--no-verify", kLoadgen, &CliOptions::no_verify},
-};
 
 template <typename... F>
 struct Overloaded : F... {
@@ -415,8 +362,8 @@ bool ParseFlag(const Flag& flag, int argc, char** argv, int* i,
           },
           [&](std::array<int32_t, 3> CliOptions::*field) {
             if (*i + 3 >= argc) {
-              return UsageError("option '--dims' requires three values: "
-                                "S O V");
+              return UsageError("option '" + name +
+                                "' requires three values: " + flag.metavar);
             }
             for (int32_t& dim : options->*field) {
               if (!ParseNumber(name, argv[++*i], &dim)) return false;
@@ -436,11 +383,12 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
   // that happens to be named "replay" still works as a later positional
   // (or as "./replay").
   if (argc > 1) {
-    const std::string first = argv[1];
-    if (first == "replay") options->command = kReplay;
-    if (first == "serve") options->command = kServe;
-    if (first == "loadgen") options->command = kLoadgen;
-    if (options->command != kFuse) ++i;
+    for (const auto& info : kCommands) {
+      if (info.name[0] != '\0' && std::strcmp(argv[1], info.name) == 0) {
+        options->command = info.command;
+        ++i;
+      }
+    }
   }
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -473,17 +421,23 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
                         std::to_string(value));
     }
   }
-  // serve can run on bare --dims; replay, loadgen, and plain runs need
-  // a dataset.
-  if (!options->dataset_dir.empty() || !options->demo.empty() ||
-      (options->command == kServe && options->dims[0] >= 0)) {
-    return true;
+  if (options->fsync_every > 1) {
+    return UsageError("option '--fsync-every' expects 0 or 1, got " +
+                      std::to_string(options->fsync_every));
   }
-  return UsageError("missing dataset directory, --demo, or subcommand");
+  // serve can run on bare dimensions; replay, loadgen, and plain runs
+  // need a dataset.
+  if (!options->dataset_dir.empty() || !options->demo.empty()) return true;
+  if (options->command != kServe) {
+    return UsageError("missing dataset directory, --demo, or subcommand");
+  }
+  const std::array<int32_t, 3>& dims = options->dims;
+  if (dims[0] >= 0 && dims[1] >= 0 && dims[2] >= 1) return true;
+  return UsageError("serve needs a dataset directory, --demo, or --dims S O V");
 }
 
-/// Loads the dataset named on the command line (a --demo simulator or a
-/// CSV directory); shared by the fusion, replay, and stats paths.
+/// Loads the dataset named on the command line (a simulator or a CSV
+/// directory); shared by the fusion, replay, and stats paths.
 Result<Dataset> LoadCliDataset(const CliOptions& options) {
   if (!options.demo.empty()) {
     SLIMFAST_ASSIGN_OR_RETURN(SyntheticDataset synth,
@@ -711,11 +665,13 @@ int RunReplay(const CliOptions& options) {
 
 /// The `serve` subcommand: a sharded FusionService speaking the line
 /// protocol over stdin/stdout. The universe comes from a dataset (whose
-/// observations are only ingested with --preload) or bare --dims;
-/// everything else arrives as OBS/TRUTH/COMMIT commands. The banner and
-/// diagnostics go to stderr so stdout stays protocol-pure (one reply
-/// line per command line), which makes the command scriptable:
-/// `printf 'QUERY 3\nQUIT\n' | slimfast_cli serve --demo crowd --preload`.
+/// observations are ingested only on request) or bare dimensions;
+/// everything else arrives as OBS/TRUTH/COMMIT commands. With a WAL
+/// directory the service logs every batch before applying it, CHECKPOINT
+/// persists per-shard snapshots there, and a restart on the same
+/// directory recovers the acknowledged state, kill -9 included. The
+/// banner and diagnostics go to stderr so stdout stays protocol-pure (one
+/// reply line per command line), which makes the command scriptable.
 int RunServe(const CliOptions& options) {
   int32_t num_sources = options.dims[0];
   int32_t num_objects = options.dims[1];
@@ -736,11 +692,6 @@ int RunServe(const CliOptions& options) {
     num_values = dataset.num_values();
     features = dataset.features();
     have_dataset = true;
-  } else if (num_sources < 0 || num_objects < 0 || num_values < 1) {
-    std::fprintf(stderr,
-                 "slimfast_cli: serve needs a dataset directory, --demo, "
-                 "or --dims S O V (run 'slimfast_cli --help' for usage)\n");
-    return 2;
   }
 
   FusionServiceOptions service_options;
@@ -748,7 +699,6 @@ int RunServe(const CliOptions& options) {
   service_options.relearn_every_batches = options.relearn_every;
   service_options.session.seed = options.seed;
   service_options.shard_exec.threads = options.threads;
-  service_options.shed_queue_watermark = options.shed_queue_watermark;
   service_options.shed_backlog_watermark = options.shed_backlog;
   service_options.slo.query_p99_ceiling_seconds = options.slo_query_p99;
   service_options.slo.staleness_ceiling_seconds = options.slo_staleness;
@@ -759,7 +709,9 @@ int RunServe(const CliOptions& options) {
   }
   if (!options.wal_dir.empty()) {
     service_options.durability.wal_dir = options.wal_dir;
-    service_options.durability.wal = WalOptionsFor(options.fsync_every);
+    service_options.durability.wal.fsync = options.fsync_every == 0
+                                               ? WalFsync::kNone
+                                               : WalFsync::kEveryBatch;
   }
   auto created = FusionService::Create(num_sources, num_objects, num_values,
                                        service_options, features);
@@ -788,15 +740,13 @@ int RunServe(const CliOptions& options) {
   std::fprintf(stderr,
                "slimfast serve: %d sources, %d objects, %d values across "
                "%d shard(s); relearn every %d batch(es)\n"
-               "commands: OBS TRUTH COMMIT QUERY POSTERIOR STATS METRICS "
-               "HEALTH HISTORY EVENTS SLOW SCHED CHECKPOINT DRAIN QUIT\n",
+               "commands: %s\n",
                num_sources, num_objects, num_values, service->num_shards(),
-               options.relearn_every);
-  if (options.shed_queue_watermark > 0.0 || options.shed_backlog > 0) {
+               options.relearn_every, ProtocolVerbList().c_str());
+  if (options.shed_backlog > 0) {
     std::fprintf(stderr,
-                 "admission control: shedding COMMITs at queue watermark "
-                 "%.2f / backlog %lld (ERR BUSY + retry hint)\n",
-                 options.shed_queue_watermark,
+                 "admission control: shedding COMMITs at backlog %lld "
+                 "(ERR BUSY + retry hint)\n",
                  static_cast<long long>(options.shed_backlog));
   }
   {
@@ -840,14 +790,13 @@ int RunLoadgenCli(const CliOptions& options) {
 
   LoadgenOptions loadgen_options;
   loadgen_options.num_shards = options.shards;
-  // --quick is the CI-sized scenario: fewer chunks/readers and a smaller
+  // The quick scenario is CI-sized: fewer chunks/readers and a smaller
   // latency sample, same gates.
   loadgen_options.num_chunks = options.quick ? 6 : options.chunks;
   loadgen_options.reader_threads = options.quick ? 2 : options.readers;
   loadgen_options.min_queries_per_reader = options.quick ? 500 : 5000;
   loadgen_options.relearn_every_batches = options.relearn_every;
   loadgen_options.seed = options.seed;
-  loadgen_options.verify = !options.no_verify;
   loadgen_options.exec.threads = options.threads;
 
   std::printf("slimfast loadgen: %s%s — %d chunks, %d shards, %d readers, "
@@ -884,33 +833,27 @@ int RunLoadgenCli(const CliOptions& options) {
               report.query_latency.max * 1e6);
   std::printf("  accuracy (merged predictions vs replayed truth): %.4f\n",
               report.accuracy);
-  if (report.verify_ran) {
-    std::printf("  offline cross-check: final sharded snapshots %s the "
-                "offline single-session replay\n",
-                report.verified ? "bit-identical to" : "DIFFER from");
-  }
+  std::printf("  offline cross-check: final sharded snapshots %s the "
+              "offline single-session replay\n",
+              report.verified ? "bit-identical to" : "DIFFER from");
   if (report.invalid_reads > 0) {
     std::fprintf(stderr, "loadgen: %lld out-of-universe reads\n",
                  static_cast<long long>(report.invalid_reads));
   }
-  if (report.overhead_ran) {
-    std::printf("  obs overhead: query p99 %.2fus metrics-off vs %.2fus "
-                "metrics-on (gate: <5%% or 100ns — %s)\n",
-                report.overhead_base_p99_seconds * 1e6,
-                report.overhead_obs_p99_seconds * 1e6,
-                report.overhead_gate_passed ? "passed" : "FAILED");
-  }
-
-  if (report.overhead_ran && !report.overhead_gate_passed) {
+  std::printf("  obs overhead: query p99 %.2fus metrics-off vs %.2fus "
+              "metrics-on (gate: <5%% or 100ns — %s)\n",
+              report.overhead_base_p99_seconds * 1e6,
+              report.overhead_obs_p99_seconds * 1e6,
+              report.overhead_gate_passed ? "passed" : "FAILED");
+  if (!report.overhead_gate_passed) {
     std::fprintf(stderr,
                  "loadgen: observability overhead gate FAILED (p99 %.3fus "
                  "-> %.3fus, budget 5%% + 100ns floor)\n",
                  report.overhead_base_p99_seconds * 1e6,
                  report.overhead_obs_p99_seconds * 1e6);
   }
-  const bool ok = (!report.verify_ran || report.verified) &&
-                  report.invalid_reads == 0 &&
-                  (!report.overhead_ran || report.overhead_gate_passed);
+  const bool ok = report.verified && report.invalid_reads == 0 &&
+                  report.overhead_gate_passed;
   return ok ? 0 : 1;
 }
 
@@ -936,8 +879,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (options.command != kFuse) {
-    // --trace-out: record stage spans for the whole run and dump the
-    // chrome://tracing timeline on the way out (load it via
+    // With a trace file, record stage spans for the whole run and dump
+    // the chrome://tracing timeline on the way out (load it via
     // chrome://tracing or https://ui.perfetto.dev).
     const bool tracing = !options.trace_out.empty();
     if (tracing) obs::TraceRecorder::Global().Enable();
